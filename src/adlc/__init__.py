@@ -25,7 +25,7 @@ from .reverse import (
     rev_transform_target_shift,
 )
 from .runtime import (
-    grad_cps, grad_dual, grad_forward_over_reverse, grad_functional,
+    grad_cps, grad_forward_over_reverse, grad_functional,
     grad_tape, merge, perturbation_confusion_probe,
 )
 from .staging import parse_tree, stage_reverse, stage_tree
@@ -34,7 +34,7 @@ from .syntax import Expr, parse, pretty
 __all__ = [
     "CorpusSpec", "Expr", "GradReport", "Store", "anf", "crosscheck",
     "desugar", "emit_c", "eval_expr", "finite_diff", "freshen",
-    "fwd_transform", "grad_cps", "grad_dual", "grad_forward",
+    "fwd_transform", "grad_cps", "grad_forward",
     "grad_forward_over_reverse", "grad_forward_tagged", "grad_functional",
     "grad_reverse", "grad_reverse_of_reverse", "grad_symbolic", "grad_tape",
     "gradient_descent", "ir_eval", "ir_optimize", "merge", "normalize_tail",

@@ -21,14 +21,14 @@ from .gradcheck import (
 from .interp import eval_expr, render_value
 from .ir_eval import ir_eval
 from .ir_opt import ir_optimize
-from .lang import anf, desugar, freshen
+from .lang import anf, prepare
 from .reverse import (
     grad_reverse_of_reverse, rev_transform_full_cps, rev_transform_meta_shift,
     rev_transform_target_shift,
 )
 from .runtime import dual_fn
 from .staging import stage_reverse, stage_tree, parse_tree
-from .syntax import LangError, Lam, NameGen, all_names, fmt_float, parse, pretty
+from .syntax import LangError, Lam, fmt_float, parse, pretty
 
 GRAD_MODES = ("forward", "dual", "cps", "tape", "functional",
               "reverse-target-shift", "reverse-meta-shift", "reverse-cps-full",
@@ -135,9 +135,7 @@ def _dispatch(args) -> int:
     if cmd == "parse":
         print(pretty(_read_program(args.file)))
     elif cmd == "eval":
-        e = _read_program(args.file)
-        gen = NameGen(all_names(e))
-        v, store = eval_expr(freshen(desugar(e, gen), gen))
+        v, store = eval_expr(prepare(_read_program(args.file))[0])
         print(render_value(v, store))
     elif cmd == "anf":
         e = _read_program(args.file)
@@ -146,9 +144,7 @@ def _dispatch(args) -> int:
         else:
             print(pretty(anf(e)))
     elif cmd == "transform":
-        e = _read_program(args.file)
-        gen = NameGen(all_names(e))
-        e = freshen(desugar(e, gen), gen)
+        e, gen = prepare(_read_program(args.file))
         t = {
             "forward": fwd_transform,
             "reverse-target-shift": rev_transform_target_shift,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Return, SlotRead, SlotSet, TAPE_END,
+    IRFunction, IRProgram, Return, SlotRead, SlotSet, TAPE_END, walk,
 )
 from .syntax import fmt_float
 
@@ -29,23 +29,7 @@ _KONT = {0: "kont", 2: "kont1"}
 
 
 def _returns_value(fn: IRFunction) -> bool:
-    def scan(block) -> bool:
-        for s in block:
-            if isinstance(s, Return):
-                return True
-            if isinstance(s, Cond) and (scan(s.then) or scan(s.orelse)):
-                return True
-        return False
-
-    return scan(fn.body)
-
-
-def _walk(block):
-    for s in block:
-        yield s
-        if isinstance(s, Cond):
-            yield from _walk(s.then)
-            yield from _walk(s.orelse)
+    return any(isinstance(s, Return) for s in walk(fn.body))
 
 
 class _Emitter:
@@ -62,7 +46,7 @@ class _Emitter:
         for fn in self.prog.functions.values():
             kinds = {p: k for p, k in fn.params}
             heap = set()
-            for s in _walk(fn.body):
+            for s in walk(fn.body):
                 match s:
                     case CellNew(dest, _):
                         kinds[dest] = "local_cell"
@@ -81,7 +65,7 @@ class _Emitter:
                     case Call(target, args, indirect):
                         if indirect:
                             self.fun_arity.setdefault(target, len(args))
-            for s in _walk(fn.body):
+            for s in walk(fn.body):
                 if isinstance(s, ClosureNew):
                     for c in s.captures:
                         if isinstance(c, str) and kinds.get(c) == "local_cell":

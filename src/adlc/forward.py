@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Callable
 
 from .interp import eval_expr
-from .lang import anf, desugar, freshen
+from .lang import anf, prepare
 from .syntax import (
-    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, Inl, Inr,
-    LangError, Lam, Let, Mul, NameGen, Pair, Ref, Snd, Unit, Var,
-    all_names, contains_control,
+    Add, App, Const, Expr, Fst, Greater, If, LangError, Lam, Let, Letrec,
+    Mul, NameGen, Pair, Seq, Snd, Var, all_names, contains_control,
+    map_children,
 )
 
 TANGENT_SUFFIX = "'"
@@ -90,8 +90,6 @@ def fwd_transform(e: Expr, gen: NameGen | None = None) -> Expr:
         match e:
             case Const():
                 return Pair(e, Const(0.0))
-            case Var() | Unit():
-                return e
             case Add(e1, e2):
                 p1, d1, w1 = split_pair(t(e1), gen)
                 p2, d2, w2 = split_pair(t(e2), gen)
@@ -104,32 +102,10 @@ def fwd_transform(e: Expr, gen: NameGen | None = None) -> Expr:
                 p1, _, w1 = split_pair(t(e1), gen)
                 p2, _, w2 = split_pair(t(e2), gen)
                 return w1(w2(Greater(p1, p2)))
-            case Lam(p, b):
-                return Lam(p, t(b))
-            case App(f, a):
-                return App(t(f), t(a))
-            case Let(n, b, body):
-                return Let(n, t(b), t(body))
-            case Pair(a, b):
-                return Pair(t(a), t(b))
-            case Fst(a):
-                return Fst(t(a))
-            case Snd(a):
-                return Snd(t(a))
-            case Inl(a):
-                return Inl(t(a))
-            case Inr(a):
-                return Inr(t(a))
-            case Case(s, ln, lb, rn, rb):
-                return Case(t(s), ln, t(lb), rn, t(rb))
-            case Ref(a):
-                return Ref(t(a))
-            case Deref(a):
-                return Deref(t(a))
-            case Assign(c, v):
-                return Assign(t(c), t(v))
-            case _:
+            case If() | Letrec() | Seq():
                 raise TransformError(f"cannot forward-transform {e!r} (desugar first)")
+            case _:
+                return map_children(e, t)
 
     return t(e)
 
@@ -137,8 +113,7 @@ def fwd_transform(e: Expr, gen: NameGen | None = None) -> Expr:
 def forward_gradient_program(f: Expr) -> Expr:
     """Wrap the transformed function so it maps an input to its tangent:
     fresh x applied as (x, 1), returning the tangent component."""
-    gen = NameGen(all_names(f))
-    f = freshen(desugar(f, gen), gen)
+    f, gen = prepare(f)
     if not isinstance(f, Lam):
         raise TransformError("gradient target must be a one-argument lam")
     x = gen.fresh()
@@ -162,8 +137,7 @@ def apply_gradient_program(prog: Expr, x0: float) -> float:
 
 def symbolic_gradient_program(f: Expr) -> Expr:
     """ANF-convert the body, differentiate symbolically, rewrap as a lambda."""
-    gen = NameGen(all_names(f))
-    f = freshen(desugar(f, gen), gen)
+    f, gen = prepare(f)
     if not isinstance(f, Lam):
         raise TransformError("gradient target must be a one-argument lam")
     body = anf(f.body, gen)

@@ -19,7 +19,7 @@ from typing import Callable
 from .forward import forward_gradient_program, symbolic_gradient_program
 from .interp import eval_expr
 from .ir_eval import ir_eval
-from .lang import desugar, freshen
+from .lang import prepare
 from .reverse import reverse_gradient_program
 from .runtime import (
     grad_cps_expr, grad_dual_expr, grad_functional_expr, grad_tape_expr,
@@ -55,7 +55,7 @@ def finite_diff(f: Callable[[float], float], x0: float,
 
 def primal_fn(f: Expr) -> Callable[[float], float]:
     """Evaluate a lambda program as an ordinary real function."""
-    f = freshen(desugar(f))
+    f, _ = prepare(f)
 
     def run(x: float) -> float:
         v, _ = eval_expr(App(f, Const(x)))

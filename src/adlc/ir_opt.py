@@ -15,7 +15,7 @@ import copy
 
 from .staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Return, SlotRead, SlotSet,
+    IRFunction, IRProgram, Return, SlotRead, SlotSet, uses, walk,
 )
 
 _UNKNOWN = object()
@@ -29,41 +29,22 @@ def _escaping_syms(prog: IRProgram) -> set:
     """Symbols whose value leaves the defining frame (call arguments,
     closure captures, slot stores); cells among them may be aliased."""
     out: set = set()
-
-    def walk(block):
-        for s in block:
+    for fn in prog.functions.values():
+        for s in walk(fn.body):
             if isinstance(s, Call):
                 out.update(a for a in s.args if isinstance(a, str))
                 if s.indirect:
                     out.add(s.target)
             elif isinstance(s, ClosureNew):
                 out.update(c for c in s.captures if isinstance(c, str))
-            elif isinstance(s, SlotSet):
-                if isinstance(s.value, str):
-                    out.add(s.value)
-            elif isinstance(s, Cond):
-                walk(s.then)
-                walk(s.orelse)
-
-    for fn in prog.functions.values():
-        walk(fn.body)
+            elif isinstance(s, SlotSet) and isinstance(s.value, str):
+                out.add(s.value)
     return out
 
 
 def _read_cells(prog: IRProgram) -> set:
-    out = _escaping_syms(prog)
-
-    def walk(block):
-        for s in block:
-            if isinstance(s, CellRead):
-                out.add(s.cell)
-            elif isinstance(s, Cond):
-                walk(s.then)
-                walk(s.orelse)
-
-    for fn in prog.functions.values():
-        walk(fn.body)
-    return out
+    return _escaping_syms(prog) | {s.cell for fn in prog.functions.values()
+                                   for s in walk(fn.body) if isinstance(s, CellRead)}
 
 
 class _Folder:
@@ -246,7 +227,7 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
             if not keep:
                 changed = True
                 continue
-            for o in _uses(s):
+            for o in uses(s):
                 if isinstance(o, str):
                     live.add(o)
             out.append(s)
@@ -257,53 +238,22 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
     return changed
 
 
-def _uses(s) -> list:
-    cls = type(s)
-    if cls is Bind:
-        return list(s.args)
-    if cls is CellNew:
-        return [s.init]
-    if cls is CellRead:
-        return [s.cell]
-    if cls in (CellAccum, CellSet):
-        return [s.cell, s.value]
-    if cls is ClosureNew:
-        return list(s.captures)
-    if cls is Call:
-        return ([s.target] if s.indirect else []) + list(s.args)
-    if cls is SlotSet:
-        return [s.value]
-    if cls is Return:
-        return [s.value]
-    if cls is Cond:
-        return [s.guard]
-    return []
-
-
 def _reachable_functions(prog: IRProgram) -> set:
     seen = {prog.entry}
     if prog.slots:
         seen.add("tape_end")
     work = list(seen)
-
-    def scan(block, acc):
-        for s in block:
-            if isinstance(s, Call) and not s.indirect:
-                acc.append(s.target)
-            elif isinstance(s, ClosureNew):
-                acc.append(s.fn)
-            elif isinstance(s, Cond):
-                scan(s.then, acc)
-                scan(s.orelse, acc)
-
     while work:
-        name = work.pop()
-        fn = prog.functions.get(name)
+        fn = prog.functions.get(work.pop())
         if fn is None:
             continue
-        acc: list = []
-        scan(fn.body, acc)
-        for n in acc:
+        for s in walk(fn.body):
+            if isinstance(s, Call) and not s.indirect:
+                n = s.target
+            elif isinstance(s, ClosureNew):
+                n = s.fn
+            else:
+                continue
             if n not in seen:
                 seen.add(n)
                 work.append(n)

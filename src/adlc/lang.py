@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from .syntax import (
-    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
-    LangError, Lam, Let, Letrec, Mul, NameGen, Pair, Ref, Reset, Seq, Shift,
-    Snd, Unit, Var, all_names,
+    Add, App, Case, Const, Expr, If, LangError, Lam, Let, Letrec, Mul,
+    NameGen, Seq, Shift, Var, all_names, map_children,
 )
 
 
@@ -25,42 +24,6 @@ def desugar(e: Expr, gen: NameGen | None = None) -> Expr:
 
     def go(e: Expr) -> Expr:
         match e:
-            case Const() | Var() | Unit():
-                return e
-            case Add(a, b):
-                return Add(go(a), go(b))
-            case Mul(a, b):
-                return Mul(go(a), go(b))
-            case Greater(a, b):
-                return Greater(go(a), go(b))
-            case Lam(p, b):
-                return Lam(p, go(b))
-            case App(f, a):
-                return App(go(f), go(a))
-            case Let(n, b, body):
-                return Let(n, go(b), go(body))
-            case Pair(a, b):
-                return Pair(go(a), go(b))
-            case Fst(a):
-                return Fst(go(a))
-            case Snd(a):
-                return Snd(go(a))
-            case Inl(a):
-                return Inl(go(a))
-            case Inr(a):
-                return Inr(go(a))
-            case Case(s, ln, lb, rn, rb):
-                return Case(go(s), ln, go(lb), rn, go(rb))
-            case Ref(a):
-                return Ref(go(a))
-            case Deref(a):
-                return Deref(go(a))
-            case Assign(c, v):
-                return Assign(go(c), go(v))
-            case Shift(n, b):
-                return Shift(n, go(b))
-            case Reset(b):
-                return Reset(go(b))
             case If(g, t, o):
                 return Case(go(g), gen.fresh(), go(t), gen.fresh(), go(o))
             case Letrec(fname, Lam(param, fbody), body):
@@ -68,10 +31,12 @@ def desugar(e: Expr, gen: NameGen | None = None) -> Expr:
                 f1 = gen.fresh()
                 inner = Lam(f1, Lam(param, Let(fname, App(Var(f1), Var(f1)), go(fbody))))
                 return Let(f0, inner, Let(fname, App(Var(f0), Var(f0)), go(body)))
+            case Letrec():
+                raise LangError(f"cannot desugar {e!r}")
             case Seq(a, b):
                 return Let(gen.fresh(), go(a), go(b))
             case _:
-                raise LangError(f"cannot desugar {e!r}")
+                return map_children(e, go)
 
     return go(e)
 
@@ -87,35 +52,15 @@ def freshen(e: Expr, gen: NameGen | None = None) -> Expr:
 
     def go(e: Expr, sub: dict[str, str]) -> Expr:
         match e:
-            case Const() | Unit():
-                return e
             case Var(name):
                 return Var(sub.get(name, name))
-            case Add(a, b):
-                return Add(go(a, sub), go(b, sub))
-            case Mul(a, b):
-                return Mul(go(a, sub), go(b, sub))
-            case Greater(a, b):
-                return Greater(go(a, sub), go(b, sub))
             case Lam(p, b):
                 p2 = gen.fresh()
                 return Lam(p2, go(b, {**sub, p: p2}))
-            case App(f, a):
-                return App(go(f, sub), go(a, sub))
             case Let(n, b, body):
                 bound = go(b, sub)
                 n2 = gen.fresh()
                 return Let(n2, bound, go(body, {**sub, n: n2}))
-            case Pair(a, b):
-                return Pair(go(a, sub), go(b, sub))
-            case Fst(a):
-                return Fst(go(a, sub))
-            case Snd(a):
-                return Snd(go(a, sub))
-            case Inl(a):
-                return Inl(go(a, sub))
-            case Inr(a):
-                return Inr(go(a, sub))
             case Case(s, ln, lb, rn, rb):
                 s2 = go(s, sub)
                 ln2 = gen.fresh()
@@ -123,29 +68,24 @@ def freshen(e: Expr, gen: NameGen | None = None) -> Expr:
                 rn2 = gen.fresh()
                 rb2 = go(rb, {**sub, rn: rn2})
                 return Case(s2, ln2, lb2, rn2, rb2)
-            case Ref(a):
-                return Ref(go(a, sub))
-            case Deref(a):
-                return Deref(go(a, sub))
-            case Assign(c, v):
-                return Assign(go(c, sub), go(v, sub))
             case Shift(n, b):
                 n2 = gen.fresh()
                 return Shift(n2, go(b, {**sub, n: n2}))
-            case Reset(b):
-                return Reset(go(b, sub))
-            case If(g, t, o):
-                return If(go(g, sub), go(t, sub), go(o, sub))
             case Letrec(n, f, body):
                 n2 = gen.fresh()
                 sub2 = {**sub, n: n2}
                 return Letrec(n2, go(f, sub2), go(body, sub2))
-            case Seq(a, b):
-                return Seq(go(a, sub), go(b, sub))
             case _:
-                raise LangError(f"cannot freshen {e!r}")
+                return map_children(e, go, sub)
 
     return go(e, {})
+
+
+def prepare(e: Expr) -> tuple[Expr, NameGen]:
+    """Desugar and freshen with one name supply that avoids every name in
+    e; returns the core program and the supply for further fresh names."""
+    gen = NameGen(all_names(e))
+    return freshen(desugar(e, gen), gen), gen
 
 
 def _is_atom(e: Expr) -> bool:

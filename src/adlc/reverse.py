@@ -25,11 +25,11 @@ from typing import Callable
 
 from .forward import TransformError, split_pair
 from .interp import eval_expr
-from .lang import desugar, freshen
+from .lang import prepare
 from .syntax import (
-    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, Inl, Inr, Lam,
-    Let, Mul, NameGen, Pair, Ref, Reset, Seq, Shift, Snd, Unit, Var,
-    all_names, contains_control,
+    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
+    Lam, Let, Letrec, Mul, NameGen, Pair, Ref, Reset, Seq, Shift, Snd, Unit,
+    Var, all_names, contains_control, map_children,
 )
 
 MetaK = Callable[[Expr], Expr]
@@ -40,26 +40,9 @@ VARIANTS = ("target-shift", "meta-shift", "full-cps")
 def _rename(e: Expr, old: str, new: str) -> Expr:
     """Occurrence renaming of a free variable; safe post-freshen because no
     inner binder reuses the name."""
-    match e:
-        case Var(name):
-            return Var(new) if name == old else e
-        case Const() | Unit():
-            return e
-        case Lam(p, b):
-            return Lam(p, _rename(b, old, new))
-        case Let(n, b, body):
-            return Let(n, _rename(b, old, new), _rename(body, old, new))
-        case Case(s, ln, lb, rn, rb):
-            return Case(_rename(s, old, new), ln, _rename(lb, old, new),
-                        rn, _rename(rb, old, new))
-        case Shift(n, b):
-            return Shift(n, _rename(b, old, new))
-        case _:
-            fields = {f: getattr(e, f) for f in e.__dataclass_fields__}
-            return type(e)(**{
-                f: (_rename(v, old, new) if isinstance(v, Expr) else v)
-                for f, v in fields.items()
-            })
+    if isinstance(e, Var):
+        return Var(new) if e.name == old else e
+    return map_children(e, _rename, old, new)
 
 
 def normalize_tail(e: Expr) -> Expr:
@@ -97,12 +80,16 @@ def _accum(cell: Expr, delta: Expr) -> Expr:
     return Assign(cell, Add(Deref(cell), delta))
 
 
-def _arith_block(op: str, t1: Expr, t2: Expr, gen: NameGen,
-                 apply_k: Callable[[Expr], Expr]) -> Expr:
+def _arith_block(op: str, t1: Expr, t2: Expr, gen: NameGen, capture) -> Expr:
     """The shared +/* pattern: bind operand pairs, allocate the result with
-    a zero adjoint cell, run the continuation, then accumulate backwards."""
+    a zero adjoint cell, run the rest of the computation, then accumulate
+    backwards.  `capture()`, called once the operands are bound, returns
+    the continuation for the rest and the wrapper that delimits the block:
+    an object-level shift, or a translation-time continuation and no
+    wrapper."""
     p1, a1, w1 = split_pair(t1, gen)
     p2, a2, w2 = split_pair(t2, gen)
+    k, delimit = capture()
     y = gen.fresh()
     yd = Snd(Var(y))
     if op == "add":
@@ -112,9 +99,12 @@ def _arith_block(op: str, t1: Expr, t2: Expr, gen: NameGen,
         primal = Mul(p1, p2)
         d1, d2 = Mul(Deref(yd), p2), Mul(Deref(yd), p1)
     block = Let(y, Pair(primal, Ref(Const(0.0))),
-                Seq(apply_k(Var(y)),
-                    Seq(_accum(a1, d1), _accum(a2, d2))))
-    return w1(w2(block))
+                Seq(k(Var(y)), Seq(_accum(a1, d1), _accum(a2, d2))))
+    return w1(w2(delimit(block)))
+
+
+def _no_delimiter(block: Expr) -> Expr:
+    return block
 
 
 def _check_source(e: Expr) -> None:
@@ -133,63 +123,26 @@ def rev_transform_target_shift(e: Expr, gen: NameGen | None = None) -> Expr:
     _check_source(e)
     gen = gen or NameGen(all_names(e))
 
+    def capture():
+        # operand bindings sit outside the shift
+        k = gen.fresh("k")
+        return (lambda v: App(Var(k), v)), (lambda block: Shift(k, block))
+
     def t(e: Expr) -> Expr:
         match e:
             case Const():
                 return Pair(e, Ref(Const(0.0)))
-            case Var() | Unit():
-                return e
             case Add(e1, e2) | Mul(e1, e2):
                 op = "add" if isinstance(e, Add) else "mul"
-                return _shifted_arith(op, t(e1), t(e2))
+                return _arith_block(op, t(e1), t(e2), gen, capture)
             case Greater(e1, e2):
                 p1, _, w1 = split_pair(t(e1), gen)
                 p2, _, w2 = split_pair(t(e2), gen)
                 return w1(w2(Greater(p1, p2)))
-            case Lam(p, b):
-                return Lam(p, t(b))
-            case App(f, a):
-                return App(t(f), t(a))
-            case Let(n, b, body):
-                return Let(n, t(b), t(body))
-            case Pair(a, b):
-                return Pair(t(a), t(b))
-            case Fst(a):
-                return Fst(t(a))
-            case Snd(a):
-                return Snd(t(a))
-            case Inl(a):
-                return Inl(t(a))
-            case Inr(a):
-                return Inr(t(a))
-            case Case(s, ln, lb, rn, rb):
-                return Case(t(s), ln, t(lb), rn, t(rb))
-            case Ref(a):
-                return Ref(t(a))
-            case Deref(a):
-                return Deref(t(a))
-            case Assign(c, v):
-                return Assign(t(c), t(v))
-            case _:
+            case If() | Letrec() | Seq():
                 raise TransformError(f"cannot reverse-transform {e!r} (desugar first)")
-
-    def _shifted_arith(op: str, t1: Expr, t2: Expr) -> Expr:
-        # operand bindings sit outside the shift
-        p1, a1, w1 = split_pair(t1, gen)
-        p2, a2, w2 = split_pair(t2, gen)
-        k = gen.fresh("k")
-        y = gen.fresh()
-        yd = Snd(Var(y))
-        if op == "add":
-            primal = Add(p1, p2)
-            d1, d2 = Deref(yd), Deref(yd)
-        else:
-            primal = Mul(p1, p2)
-            d1, d2 = Mul(Deref(yd), p2), Mul(Deref(yd), p1)
-        body = Let(y, Pair(primal, Ref(Const(0.0))),
-                   Seq(App(Var(k), Var(y)),
-                       Seq(_accum(a1, d1), _accum(a2, d2))))
-        return w1(w2(Shift(k, body)))
+            case _:
+                return map_children(e, t)
 
     return t(e)
 
@@ -214,15 +167,14 @@ def _t10(e: Expr, mk: MetaK, gen: NameGen) -> Expr:
     match e:
         case Const():
             return mk(Pair(e, Ref(Const(0.0))))
-        case Unit():
-            return mk(e)
-        case Var():
+        case Unit() | Var():
             return mk(e)
         case Add(e1, e2) | Mul(e1, e2):
             op = "add" if isinstance(e, Add) else "mul"
+            capture = lambda: (mk, _no_delimiter)
             return rec(e1,
                        lambda t1: rec(e2,
-                                      lambda t2: _arith_block(op, t1, t2, gen, mk),
+                                      lambda t2: _arith_block(op, t1, t2, gen, capture),
                                       gen),
                        gen)
         case Greater(e1, e2):
@@ -247,22 +199,10 @@ def _t10(e: Expr, mk: MetaK, gen: NameGen) -> Expr:
                        gen)
         case Let(n, e1, e2):
             return rec(e1, lambda v1: _smart_let(n, v1, rec(e2, mk, gen)), gen)
-        case Fst(a):
-            return rec(a, lambda v: mk(Fst(v)), gen)
-        case Snd(a):
-            return rec(a, lambda v: mk(Snd(v)), gen)
-        case Inl(a):
-            return rec(a, lambda v: mk(Inl(v)), gen)
-        case Inr(a):
-            return rec(a, lambda v: mk(Inr(v)), gen)
-        case Ref(a):
-            return rec(a, lambda v: mk(Ref(v)), gen)
-        case Deref(a):
-            return rec(a, lambda v: mk(Deref(v)), gen)
-        case Assign(c, v):
-            return rec(c, lambda vc: rec(v, lambda vv: mk(Assign(vc, vv)), gen), gen)
-        case Pair(a, b):
-            return rec(a, lambda va: rec(b, lambda vb: mk(Pair(va, vb)), gen), gen)
+        case Fst(a) | Snd(a) | Inl(a) | Inr(a) | Ref(a) | Deref(a):
+            return rec(a, lambda v: mk(type(e)(v)), gen)
+        case Pair(a, b) | Assign(a, b):
+            return rec(a, lambda va: rec(b, lambda vb: mk(type(e)(va, vb)), gen), gen)
         case Case(s, ln, lb, rn, rb):
             def with_scrut(v):
                 a = gen.fresh()
@@ -295,17 +235,15 @@ def _t11(e: Expr, gen: NameGen):
     match e:
         case Const():
             return lambda k: k(Pair(e, Ref(Const(0.0))))
-        case Unit():
-            return lambda k: k(e)
-        case Var():
+        case Unit() | Var():
             return lambda k: k(e)
         case Add(e1, e2) | Mul(e1, e2):
             op = "add" if isinstance(e, Add) else "mul"
             c1, c2 = _t11(e1, gen), _t11(e2, gen)
             # dynamic lets for p1/p2 preserve sharing, evaluation order,
             # and asymptotic complexity
-            return lambda k: c1(lambda p1: c2(
-                lambda p2: _arith_block(op, p1, p2, gen, k)))
+            return lambda k: c1(lambda p1: c2(lambda p2: _arith_block(
+                op, p1, p2, gen, lambda: (k, _no_delimiter))))
         case Greater(e1, e2):
             c1, c2 = _t11(e1, gen), _t11(e2, gen)
 
@@ -336,30 +274,12 @@ def _t11(e: Expr, gen: NameGen):
         case Let(n, e1, e2):
             c1, c2 = _t11(e1, gen), _t11(e2, gen)
             return lambda k: c1(lambda y1: _smart_let(n, y1, c2(k)))
-        case Fst(a):
-            c = _t11(a, gen)
-            return lambda k: c(lambda y: k(Fst(y)))
-        case Snd(a):
-            c = _t11(a, gen)
-            return lambda k: c(lambda y: k(Snd(y)))
-        case Inl(a):
-            c = _t11(a, gen)
-            return lambda k: c(lambda y: k(Inl(y)))
-        case Inr(a):
-            c = _t11(a, gen)
-            return lambda k: c(lambda y: k(Inr(y)))
-        case Ref(a):
-            c = _t11(a, gen)
-            return lambda k: c(lambda y: k(Ref(y)))
-        case Deref(a):
-            c = _t11(a, gen)
-            return lambda k: c(lambda y: k(Deref(y)))
-        case Assign(a, b):
-            ca, cb = _t11(a, gen), _t11(b, gen)
-            return lambda k: ca(lambda y1: cb(lambda y2: k(Assign(y1, y2))))
-        case Pair(a, b):
-            ca, cb = _t11(a, gen), _t11(b, gen)
-            return lambda k: ca(lambda y1: cb(lambda y2: k(Pair(y1, y2))))
+        case Fst(a) | Snd(a) | Inl(a) | Inr(a) | Ref(a) | Deref(a):
+            c, cons = _t11(a, gen), type(e)
+            return lambda k: c(lambda y: k(cons(y)))
+        case Pair(a, b) | Assign(a, b):
+            ca, cb, cons = _t11(a, gen), _t11(b, gen), type(e)
+            return lambda k: ca(lambda y1: cb(lambda y2: k(cons(y1, y2))))
         case Case(s, ln, lb, rn, rb):
             cs = _t11(s, gen)
             cl, cr = _t11(lb, gen), _t11(rb, gen)
@@ -383,18 +303,12 @@ def _t11(e: Expr, gen: NameGen):
 # Gradient wrappers
 
 
-def _prepare(f: Expr) -> tuple[Lam, NameGen]:
-    gen = NameGen(all_names(f))
-    f = freshen(desugar(f, gen), gen)
-    if not isinstance(f, Lam):
-        raise TransformError("gradient target must be a one-argument lam")
-    return f, gen
-
-
 def reverse_gradient_program(f: Expr, variant: str = "meta-shift") -> Expr:
     """Build Transform(f): seed the input with a zero adjoint cell, run the
     transformed function, set the result adjoint to 1, read the input cell."""
-    f, gen = _prepare(f)
+    f, gen = prepare(f)
+    if not isinstance(f, Lam):
+        raise TransformError("gradient target must be a one-argument lam")
     x = gen.fresh()
     xh = gen.fresh()
     seed = Pair(Var(x), Ref(Const(0.0)))

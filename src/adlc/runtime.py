@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .lang import desugar, freshen
+from .lang import prepare
 from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Var
 
 _TAGS = itertools.count(1)
@@ -119,15 +119,10 @@ def grad_dual_tagged(f: Callable, x0) -> float:
     return 0.0
 
 
-def grad_dual(f: Callable, x0: float) -> float:
-    """Derivative via the dual-number runtime: seed tangent 1, read the
-    result tangent."""
-    return grad_dual_tagged(f, x0)
-
-
-def perturbation_confusion_probe() -> tuple[float, float]:
+def probe_outer_gradients() -> dict:
     """Run the nested-gradient program that conflates perturbations under
-    naive duals; returns (naive inner gradient, tagged inner gradient)."""
+    naive duals; returns its inner gradients ("naive", "tagged") and outer
+    gradients ("naive_outer", "tagged_outer")."""
     seen = {}
 
     def outer_naive(x: NumF) -> NumF:
@@ -143,17 +138,13 @@ def perturbation_confusion_probe() -> tuple[float, float]:
         return d_mul(x, inner)
 
     seen["tagged_outer"] = grad_dual_tagged(outer_tagged, 1.0)
-    _PROBE_OUTER.update(seen)
+    return seen
+
+
+def perturbation_confusion_probe() -> tuple[float, float]:
+    """(naive inner gradient, tagged inner gradient) of a fresh probe run."""
+    seen = probe_outer_gradients()
     return seen["naive"], seen["tagged"]
-
-
-_PROBE_OUTER: dict = {}
-
-
-def probe_outer_gradients() -> dict:
-    """Outer-gradient values recorded by the last confusion probe run."""
-    perturbation_confusion_probe()
-    return dict(_PROBE_OUTER)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +385,7 @@ def grad_functional(f: Callable, x0, scalar=SCALAR_FLOAT):
 
 
 def _arith_lambda(f: Expr) -> Lam:
-    f = freshen(desugar(f))
+    f, _ = prepare(f)
     if not isinstance(f, Lam):
         raise RuntimeADError("gradient target must be a one-argument lam")
     return f

@@ -19,7 +19,7 @@ from .lang import freshen
 from .syntax import (
     Add, App, Const, Expr, Greater, If, LangError, Lam, Let, Letrec, Mul,
     NameGen, ParseError, Seq, Unit, Var, all_names, contains_control,
-    _Parser, _tokenize,
+    map_children, _Parser, _tokenize,
 )
 
 Operand = "str | float"
@@ -120,29 +120,61 @@ class IRProgram:
     slots: tuple = ()  # program slots holding a backward-chain closure
 
 
-def ir_stmt_count(p: IRProgram) -> int:
-    def stmts(block) -> int:
-        n = 0
-        for s in block:
-            n += 1
-            if isinstance(s, Cond):
-                n += stmts(s.then) + stmts(s.orelse)
-        return n
+# ---------------------------------------------------------------------------
+# Statement kernel.  A new statement class must be known to `uses` and
+# `defs` (and to the statement transformers: the folder, DCE, ir_eval and
+# emit); every analysis walks blocks through these three.
 
-    return sum(stmts(f.body) for f in p.functions.values())
+
+def walk(block: list):
+    """Every statement of a block in pre-order, a Cond's then-branch before
+    its orelse-branch; iterative, so nesting costs no Python stack."""
+    stack = block[::-1]
+    while stack:
+        s = stack.pop()
+        yield s
+        if type(s) is Cond:
+            stack.extend(s.orelse[::-1])
+            stack.extend(s.then[::-1])
+
+
+def uses(s) -> list:
+    """Operands the statement reads: symbols or literals, in field order."""
+    cls = type(s)
+    if cls is Bind:
+        return list(s.args)
+    if cls is CellNew:
+        return [s.init]
+    if cls is CellRead:
+        return [s.cell]
+    if cls is CellAccum or cls is CellSet:
+        return [s.cell, s.value]
+    if cls is ClosureNew:
+        return list(s.captures)
+    if cls is Call:
+        return ([s.target] if s.indirect else []) + list(s.args)
+    if cls is SlotSet or cls is Return:
+        return [s.value]
+    if cls is Cond:
+        return [s.guard]
+    return []
+
+
+_DEFINING = (Bind, CellNew, CellRead, ClosureNew, SlotRead)
+
+
+def defs(s) -> list:
+    """Symbols the statement defines."""
+    return [s.dest] if type(s) in _DEFINING else []
+
+
+def ir_stmt_count(p: IRProgram) -> int:
+    return sum(1 for f in p.functions.values() for _ in walk(f.body))
 
 
 def ir_cell_op_count(p: IRProgram) -> int:
-    def cnt(block) -> int:
-        n = 0
-        for s in block:
-            if isinstance(s, (CellNew, CellRead, CellAccum, CellSet)):
-                n += 1
-            elif isinstance(s, Cond):
-                n += cnt(s.then) + cnt(s.orelse)
-        return n
-
-    return sum(cnt(f.body) for f in p.functions.values())
+    return sum(isinstance(s, (CellNew, CellRead, CellAccum, CellSet))
+               for f in p.functions.values() for s in walk(f.body))
 
 
 # ---------------------------------------------------------------------------
@@ -371,56 +403,14 @@ class _Stager:
 # call sites until fixpoint.
 
 
-def _operands_of(stmt):
-    match stmt:
-        case Bind(_, _, args):
-            return list(args)
-        case CellNew(_, init):
-            return [init]
-        case CellRead(_, cell):
-            return [cell]
-        case CellAccum(cell, value) | CellSet(cell, value):
-            return [cell, value]
-        case ClosureNew(_, _, captures):
-            return list(captures)
-        case Call(target, args, indirect):
-            return ([target] if indirect else []) + list(args)
-        case SlotRead():
-            return []
-        case SlotSet(_, value):
-            return [value]
-        case Return(value):
-            return [value]
-        case Cond(guard, _, _):
-            return [guard]
-    return []
-
-
-def _dest_of(stmt):
-    match stmt:
-        case Bind(dest, _, _) | CellNew(dest, _) | CellRead(dest, _) | \
-                ClosureNew(dest, _, _) | SlotRead(dest, _):
-            return dest
-    return None
-
-
 def _free_syms(fn: IRFunction) -> list[str]:
     defined = {p for p, _ in fn.params}
     free: list[str] = []
-
-    def walk(block):
-        for s in block:
-            for o in _operands_of(s):
-                if isinstance(o, str) and o not in defined and o not in free:
-                    free.append(o)
-            d = _dest_of(s)
-            if d is not None:
-                defined.add(d)
-            if isinstance(s, Cond):
-                walk(s.then)
-                walk(s.orelse)
-
-    walk(fn.body)
+    for s in walk(fn.body):
+        for o in uses(s):
+            if isinstance(o, str) and o not in defined and o not in free:
+                free.append(o)
+        defined.update(defs(s))
     return free
 
 
@@ -437,18 +427,12 @@ def _lambda_lift(prog: IRProgram, kinds: dict[str, str]) -> None:
             prog.functions[name].params.extend(
                 (s, kinds.get(s, "val")) for s in fs)
 
-        def fix(block):
-            for s in block:
+        for fn in prog.functions.values():
+            for s in walk(fn.body):
                 if isinstance(s, Call) and not s.indirect and s.target in lifted:
                     s.args = tuple(s.args) + tuple(lifted[s.target])
                 elif isinstance(s, ClosureNew) and s.fn in lifted:
                     s.captures = tuple(s.captures) + tuple(lifted[s.fn])
-                elif isinstance(s, Cond):
-                    fix(s.then)
-                    fix(s.orelse)
-
-        for fn in prog.functions.values():
-            fix(fn.body)
     raise StagingError("lambda lifting did not converge")
 
 
@@ -651,16 +635,9 @@ def tree_to_expr(tree: TreeData | None, body: Expr,
                value_name: Const(t.value)}
 
         def subst(e: Expr) -> Expr:
-            match e:
-                case Var(n) if n in sub:
-                    return sub[n]
-                case Var() | Const() | Unit():
-                    return e
-                case _:
-                    fields = {f: getattr(e, f) for f in e.__dataclass_fields__}
-                    return type(e)(**{
-                        f: (subst(v) if isinstance(v, Expr) else v)
-                        for f, v in fields.items()})
+            if isinstance(e, Var) and e.name in sub:
+                return sub[e.name]
+            return map_children(e, subst)
 
         return subst(body)
 

@@ -11,7 +11,7 @@ the input; `lang.desugar` removes them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class LangError(Exception):
@@ -172,83 +172,79 @@ class Seq(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Concrete syntax and the traversal kernel.  A constructor is declared once,
+# as a dataclass above plus its keyword here; the parser, the printer and
+# every pass read its fields through the table built from the declarations.
+
+KEYWORDS: dict[type, str] = {
+    Add: "+", Mul: "*", Greater: ">", Lam: "lam", App: "app", Let: "let",
+    Pair: "pair", Fst: "fst", Snd: "snd", Inl: "inl", Inr: "inr",
+    Case: "case", Ref: "ref", Deref: "deref", Assign: "assign",
+    Shift: "shift", Reset: "reset", If: "if", Letrec: "letrec", Seq: "seq",
+}
+_FORMS = {kw: cls for cls, kw in KEYWORDS.items()}
+
+# constructor -> the names of its subexpression fields, and of its
+# identifier fields, in declaration order
+_KIDS = {cls: tuple(f.name for f in fields(cls) if f.type == "Expr")
+         for cls in Expr.__subclasses__()}
+_NAMES = {cls: tuple(f.name for f in fields(cls) if f.type == "str") for cls in _KIDS}
+# constructor -> ((field name, holds a subexpression), ...); None for the
+# leaves Const, Var and Unit
+_SHAPE = {cls: tuple((f.name, f.name in kids) for f in fields(cls)) if kids else None
+          for cls, kids in _KIDS.items()}
+
+
+def map_children(e: Expr, f, *args) -> Expr:
+    """Rebuild e with f(child, *args) in place of each subexpression, taken
+    in declaration order; names and constants are kept and leaves come back
+    unchanged."""
+    cls = type(e)
+    try:
+        shape = _SHAPE[cls]
+    except KeyError:
+        raise LangError(f"not an expression: {e!r}") from None
+    if shape is None:
+        return e
+    vals = []
+    for name, sub in shape:
+        v = getattr(e, name)
+        vals.append(f(v, *args) if sub else v)
+    return cls(*vals)
+
 
 def children(e: Expr) -> list[Expr]:
-    return [v for f in e.__dataclass_fields__ if isinstance(v := getattr(e, f), Expr)]
+    """The direct subexpressions, in declaration order."""
+    return [getattr(e, n) for n in _KIDS[type(e)]]
+
+
+def walk(e: Expr):
+    """Every node of the tree in pre-order, children in declaration order;
+    iterative, so nesting depth costs no Python stack."""
+    stack = [e]
+    pop, push = stack.pop, stack.append
+    while stack:
+        e = pop()
+        yield e
+        for name in reversed(_KIDS[type(e)]):
+            push(getattr(e, name))
 
 
 def node_count(e: Expr) -> int:
     """Number of constructors in the tree, leaves included."""
-    return 1 + sum(node_count(c) for c in children(e))
-
-
-def free_vars(e: Expr) -> set[str]:
-    match e:
-        case Var(name):
-            return {name}
-        case Const() | Unit():
-            return set()
-        case Lam(param, body):
-            return free_vars(body) - {param}
-        case Let(name, bound, body):
-            return free_vars(bound) | (free_vars(body) - {name})
-        case Letrec(name, fn, body):
-            return (free_vars(fn) | free_vars(body)) - {name}
-        case Shift(name, body):
-            return free_vars(body) - {name}
-        case Case(scrutinee, ln, lb, rn, rb):
-            return free_vars(scrutinee) | (free_vars(lb) - {ln}) | (free_vars(rb) - {rn})
-        case _:
-            out: set[str] = set()
-            for c in children(e):
-                out |= free_vars(c)
-            return out
+    return sum(1 for _ in walk(e))
 
 
 def all_names(e: Expr) -> set[str]:
     """Every identifier occurring in the tree, free or binding.  Fresh-name
     generators must avoid all of them, not just the free ones, or generated
     binders can capture existing ones."""
-    out: set[str] = set()
-
-    def go(e: Expr) -> None:
-        match e:
-            case Var(name):
-                out.add(name)
-            case Lam(p, b):
-                out.add(p)
-                go(b)
-            case Let(n, b, body):
-                out.add(n)
-                go(b)
-                go(body)
-            case Letrec(n, f, body):
-                out.add(n)
-                go(f)
-                go(body)
-            case Shift(n, b):
-                out.add(n)
-                go(b)
-            case Case(s, ln, lb, rn, rb):
-                out.add(ln)
-                out.add(rn)
-                go(s)
-                go(lb)
-                go(rb)
-            case _:
-                for c in children(e):
-                    go(c)
-
-    go(e)
-    return out
+    return {getattr(n, f) for n in walk(e) for f in _NAMES[type(n)]}
 
 
 def contains_control(e: Expr) -> bool:
     """True when the tree holds any shift or reset node."""
-    if isinstance(e, (Shift, Reset)):
-        return True
-    return any(contains_control(c) for c in children(e))
+    return any(isinstance(n, (Shift, Reset)) for n in walk(e))
 
 
 class NameGen:
@@ -365,54 +361,15 @@ class _Parser:
         return e
 
     def _form(self, head: _Tok) -> Expr:
-        name = head.text
-        match name:
-            case "+":
-                return Add(self.expr(), self.expr())
-            case "*":
-                return Mul(self.expr(), self.expr())
-            case ">":
-                return Greater(self.expr(), self.expr())
-            case "lam":
-                return Lam(self.ident(), self.expr())
-            case "app":
-                return App(self.expr(), self.expr())
-            case "let":
-                return Let(self.ident(), self.expr(), self.expr())
-            case "pair":
-                return Pair(self.expr(), self.expr())
-            case "fst":
-                return Fst(self.expr())
-            case "snd":
-                return Snd(self.expr())
-            case "inl":
-                return Inl(self.expr())
-            case "inr":
-                return Inr(self.expr())
-            case "case":
-                return Case(self.expr(), self.ident(), self.expr(), self.ident(), self.expr())
-            case "ref":
-                return Ref(self.expr())
-            case "deref":
-                return Deref(self.expr())
-            case "assign":
-                return Assign(self.expr(), self.expr())
-            case "shift":
-                return Shift(self.ident(), self.expr())
-            case "reset":
-                return Reset(self.expr())
-            case "if":
-                return If(self.expr(), self.expr(), self.expr())
-            case "letrec":
-                fname = self.ident()
-                fn = self.expr()
-                if not isinstance(fn, Lam):
-                    raise ParseError("letrec binds a lam form", head.line, head.col)
-                return Letrec(fname, fn, self.expr())
-            case "seq":
-                return Seq(self.expr(), self.expr())
-            case _:
-                raise ParseError(f"unknown form {name!r}", head.line, head.col)
+        cls = _FORMS.get(head.text)
+        if cls is None:
+            raise ParseError(f"unknown form {head.text!r}", head.line, head.col)
+        vals = []
+        for name, sub in _SHAPE[cls]:
+            vals.append(self.expr() if sub else self.ident())
+            if cls is Letrec and name == "fn" and not isinstance(vals[-1], Lam):
+                raise ParseError("letrec binds a lam form", head.line, head.col)
+        return cls(*vals)
 
 
 def parse(text: str) -> Expr:
@@ -439,52 +396,18 @@ def fmt_float(v: float) -> str:
 
 def pretty(e: Expr) -> str:
     """Render to concrete syntax; parse(pretty(e)) is structurally e."""
-    match e:
-        case Const(v):
-            return fmt_float(v)
-        case Var(name):
-            return name
-        case Unit():
-            return "()"
-        case Add(a, b):
-            return f"(+ {pretty(a)} {pretty(b)})"
-        case Mul(a, b):
-            return f"(* {pretty(a)} {pretty(b)})"
-        case Greater(a, b):
-            return f"(> {pretty(a)} {pretty(b)})"
-        case Lam(p, b):
-            return f"(lam {p} {pretty(b)})"
-        case App(f, a):
-            return f"(app {pretty(f)} {pretty(a)})"
-        case Let(n, b, body):
-            return f"(let {n} {pretty(b)} {pretty(body)})"
-        case Pair(a, b):
-            return f"(pair {pretty(a)} {pretty(b)})"
-        case Fst(a):
-            return f"(fst {pretty(a)})"
-        case Snd(a):
-            return f"(snd {pretty(a)})"
-        case Inl(a):
-            return f"(inl {pretty(a)})"
-        case Inr(a):
-            return f"(inr {pretty(a)})"
-        case Case(s, ln, lb, rn, rb):
-            return f"(case {pretty(s)} {ln} {pretty(lb)} {rn} {pretty(rb)})"
-        case Ref(a):
-            return f"(ref {pretty(a)})"
-        case Deref(a):
-            return f"(deref {pretty(a)})"
-        case Assign(c, v):
-            return f"(assign {pretty(c)} {pretty(v)})"
-        case Shift(n, b):
-            return f"(shift {n} {pretty(b)})"
-        case Reset(b):
-            return f"(reset {pretty(b)})"
-        case If(g, t, o):
-            return f"(if {pretty(g)} {pretty(t)} {pretty(o)})"
-        case Letrec(n, f, b):
-            return f"(letrec {n} {pretty(f)} {pretty(b)})"
-        case Seq(a, b):
-            return f"(seq {pretty(a)} {pretty(b)})"
-        case _:
-            raise LangError(f"cannot print {e!r}")
+    cls = type(e)
+    if cls is Const:
+        return fmt_float(e.value)
+    if cls is Var:
+        return e.name
+    if cls is Unit:
+        return "()"
+    shape = _SHAPE.get(cls)
+    if shape is None:
+        raise LangError(f"cannot print {e!r}")
+    parts = [KEYWORDS[cls]]
+    for name, sub in shape:
+        v = getattr(e, name)
+        parts.append(pretty(v) if sub else v)
+    return f"({' '.join(parts)})"

@@ -1,0 +1,130 @@
+"""The shared traversal kernels: syntax.map_children/children/walk over
+expressions, staging.walk/uses/defs over IR statements, and the passes
+built on them."""
+
+import sys
+from dataclasses import fields
+
+import pytest
+
+from adlc import syntax
+from adlc.forward import TransformError, fwd_transform, grad_forward
+from adlc.reverse import (
+    grad_reverse, rev_transform_full_cps, rev_transform_meta_shift,
+    rev_transform_target_shift,
+)
+from adlc.staging import (
+    Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
+    Return, SlotRead, SlotSet, defs, uses, walk,
+)
+from adlc.syntax import (
+    Const, Expr, Lam, Var, children, map_children, parse, pretty,
+)
+
+EXPR_CLASSES = Expr.__subclasses__()
+
+
+def _sample(cls) -> Expr:
+    """An instance whose Expr fields are distinct leaves and whose other
+    fields are distinct names or a constant."""
+    vals = []
+    for i, f in enumerate(fields(cls)):
+        if f.type == "Expr":
+            vals.append(Var(f"c{i}") if i % 2 else Const(float(i)))
+        elif f.type == "str":
+            vals.append(f"n{i}")
+        else:
+            vals.append(1.5)
+    return cls(*vals)
+
+
+@pytest.mark.parametrize("cls", EXPR_CLASSES, ids=lambda c: c.__name__)
+def test_map_children_identity_and_fields(cls):
+    e = _sample(cls)
+    assert map_children(e, lambda c: c) == e
+    seen = []
+    out = map_children(e, lambda c, tag: seen.append(c) or Var(tag), "z")
+    for f in fields(cls):
+        before, after = getattr(e, f.name), getattr(out, f.name)
+        if isinstance(before, Expr):
+            assert after == Var("z")
+        else:
+            assert after is before
+    expr_fields = [getattr(e, f.name) for f in fields(cls)
+                   if isinstance(getattr(e, f.name), Expr)]
+    assert seen == expr_fields
+    assert children(e) == expr_fields
+    assert list(syntax.walk(e)) == [e, *expr_fields]
+
+
+def test_walk_is_preorder_in_declaration_order():
+    e = parse("(case (+ a b) l (* c d) r (pair e f))")
+    names = [n.name if isinstance(n, Var) else type(n).__name__
+             for n in syntax.walk(e)]
+    assert names == ["Case", "Add", "a", "b", "Mul", "c", "d", "Pair", "e", "f"]
+
+
+def test_map_children_rejects_non_expressions():
+    with pytest.raises(syntax.LangError):
+        map_children(("not", "an", "expr"), lambda c: c)
+
+
+_STMTS = [
+    (Bind("b", "add", ("x", 1.0)), ["x", 1.0], ["b"]),
+    (CellNew("d", 0.0), [0.0], ["d"]),
+    (CellRead("t", "d"), ["d"], ["t"]),
+    (CellAccum("d", "t"), ["d", "t"], []),
+    (CellSet("d", 1.0), ["d", 1.0], []),
+    (ClosureNew("k", "f", ("d", "x")), ["d", "x"], ["k"]),
+    (Call("f", ("x", "d")), ["x", "d"], []),
+    (Call("k", ("x", "d"), indirect=True), ["k", "x", "d"], []),
+    (SlotRead("k", "tape"), [], ["k"]),
+    (SlotSet("tape", "k"), ["k"], []),
+    (Cond("g", [Return("x")], []), ["g"], []),
+    (Return("r"), ["r"], []),
+]
+
+
+@pytest.mark.parametrize("stmt,used,defined", _STMTS,
+                         ids=[type(s).__name__ for s, _, _ in _STMTS])
+def test_uses_and_defs(stmt, used, defined):
+    assert uses(stmt) == used
+    assert defs(stmt) == defined
+
+
+def test_ir_walk_is_preorder_then_before_orelse():
+    inner = Cond("h", [Return("a")], [Return("b")])
+    outer = Cond("g", [CellRead("t", "d"), inner], [Return("c")])
+    block = [CellNew("d", 0.0), outer, Return("e")]
+    assert list(walk(block)) == [
+        block[0], outer, outer.then[0], inner, inner.then[0], inner.orelse[0],
+        outer.orelse[0], block[2]]
+
+
+_SUGAR = ["(if (> x 0.0) x x)", "(letrec f (lam t t) (app f x))", "(seq x x)",
+          "(lam x (pair 1.0 (seq x x)))"]
+
+
+@pytest.mark.parametrize("transform", [
+    fwd_transform, rev_transform_target_shift, rev_transform_meta_shift,
+    rev_transform_full_cps])
+@pytest.mark.parametrize("src", _SUGAR)
+def test_transforms_reject_sugar(transform, src):
+    with pytest.raises(TransformError, match="desugar first"):
+        transform(parse(src))
+
+
+def test_deep_nesting_at_default_recursion_limit():
+    depth = 400
+    src = "(lam x " + "(+ x " * depth + "x" + ")" * depth + ")"
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        f = parse(src)
+        assert isinstance(f, Lam)
+        assert pretty(f) == src
+        assert pretty(parse(pretty(f))) == src
+        assert grad_forward(f, 1.0) == 401.0
+        assert grad_reverse(f, 1.0, "target-shift") == 401.0
+    finally:
+        sys.setrecursionlimit(saved)

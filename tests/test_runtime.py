@@ -2,8 +2,8 @@ from hypothesis import given, strategies as st
 
 from adlc.gradcheck import CorpusSpec, finite_diff, primal_fn, random_program
 from adlc.runtime import (
-    Dual, NumF, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr, grad_dual,
-    grad_dual_expr, grad_forward_over_reverse, grad_functional,
+    Dual, NumF, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr, grad_dual_expr,
+    grad_dual_tagged, grad_forward_over_reverse, grad_functional,
     grad_functional_expr, grad_naive, grad_tape, grad_tape_expr, map_add,
     merge, perturbation_confusion_probe,
 )
@@ -17,16 +17,16 @@ PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 # --- dual numbers -------------------------------------------------------------
 
 def test_grad_dual_square():
-    assert grad_dual(lambda x: x * x, 3.0) == 6.0
+    assert grad_dual_tagged(lambda x: x * x, 3.0) == 6.0
 
 
 def test_grad_dual_cubic_matches_formula():
     for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        assert grad_dual(lambda x: 2.0 * x + x * x * x, x) == 2 + 3 * x * x
+        assert grad_dual_tagged(lambda x: 2.0 * x + x * x * x, x) == 2 + 3 * x * x
 
 
 def test_grad_dual_constant():
-    assert grad_dual(lambda x: d_mul(4.0, 1.0), 9.0) == 0.0
+    assert grad_dual_tagged(lambda x: d_mul(4.0, 1.0), 9.0) == 0.0
 
 
 def test_tagged_nesting_distinct_tags():
