@@ -10,29 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
-from . import gradcheck
 from .emit import emit_c
-from .forward import fwd_transform, grad_forward_tagged
+from .forward import fwd_transform
 from .gradcheck import (
-    CorpusSpec, DEFAULT_PROBES, ProgramGradients, check_program, crosscheck,
-    gradient_descent, report_json, report_line,
+    ALL_MODES, MODES, CorpusSpec, DEFAULT_PROBES, check_program, crosscheck,
+    gradient_descent, gradient_fn, report_json, report_line,
 )
 from .interp import eval_expr, render_value
 from .ir_eval import ir_eval
 from .ir_opt import ir_optimize
 from .lang import anf, prepare
 from .reverse import (
-    grad_reverse_of_reverse, rev_transform_full_cps, rev_transform_meta_shift,
+    rev_transform_full_cps, rev_transform_meta_shift,
     rev_transform_target_shift,
 )
-from .runtime import dual_fn
 from .staging import stage_reverse, stage_tree, parse_tree
 from .syntax import LangError, Lam, fmt_float, parse, pretty
 
-GRAD_MODES = ("forward", "dual", "cps", "tape", "functional",
-              "reverse-target-shift", "reverse-meta-shift", "reverse-cps-full",
-              "staged", "forward2", "reverse2")
+GRAD_MODES = tuple(MODES)
 TRANSFORM_MODES = ("forward", "reverse-target-shift", "reverse-meta-shift",
                    "reverse-cps-full")
 
@@ -93,41 +90,37 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--at", default="0.0", help="starting point")
-    sp.add_argument("--mode", choices=GRAD_MODES, default="reverse-meta-shift")
+    sp.add_argument("--mode", choices=ALL_MODES, default="reverse-meta-shift")
     sp.add_argument("file")
 
     sub.add_parser("demo", help="run the worked examples and print a table")
     return p
 
 
-def _grad_at(args, f, x: float) -> float:
-    mode = args.mode
-    if args.tree and mode != "staged":
-        raise LangError("--tree is only meaningful with --mode staged")
-    if mode == "forward2":
-        return grad_forward_tagged(dual_fn(f), x, order=2)
-    if mode == "reverse2":
-        return grad_reverse_of_reverse(f, x)
-    if mode == "staged" and args.tree:
-        prog = stage_tree(f)
-        tree = parse_tree(open(args.tree, encoding="utf-8").read())
-        return ir_eval(prog, x, tree=tree, depth_limit=args.depth_limit)
-    if mode == "staged":
-        return ir_eval(stage_reverse(f), x, depth_limit=args.depth_limit)
-    pg = ProgramGradients(f)
-    return pg.grad(mode, x)
+def _grad_fn(args, f):
+    """The chosen mode, built once for every probe; staged runs also take
+    the tree input and the depth limit."""
+    if args.mode != "staged":
+        if args.tree:
+            raise LangError("--tree is only meaningful with --mode staged")
+        return gradient_fn(f, args.mode)
+    if not args.tree:
+        return partial(ir_eval, stage_reverse(f), depth_limit=args.depth_limit)
+    prog = stage_tree(f)
+    with open(args.tree, encoding="utf-8") as fh:
+        tree = parse_tree(fh.read())
+    return partial(ir_eval, prog, tree=tree, depth_limit=args.depth_limit)
 
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except LangError as ex:
+    except (LangError, OSError) as ex:
         print(f"adlc: error: {ex}", file=sys.stderr)
-        return 1
-    except OSError as ex:
-        print(f"adlc: error: {ex}", file=sys.stderr)
-        return 1
+    except RecursionError:
+        print("adlc: error: program nested too deeply", file=sys.stderr)
+    return 1
 
 
 def _dispatch(args) -> int:
@@ -153,9 +146,9 @@ def _dispatch(args) -> int:
         }[args.mode]
         print(pretty(t(e, gen)))
     elif cmd == "grad":
-        f = _read_program(args.file)
+        grad = _grad_fn(args, _read_program(args.file))
         for x in _probes(args.at):
-            print(fmt_float(_grad_at(args, f, x)))
+            print(fmt_float(grad(x)))
     elif cmd == "check":
         return _check(args)
     elif cmd == "codegen":
@@ -200,22 +193,20 @@ def _demo() -> None:
     from .runtime import perturbation_confusion_probe
 
     cubic = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
-    pg = ProgramGradients(cubic)
+    grads = {m: gradient_fn(cubic, m) for m in MODES}
     probes = (-2.0, -1.0, 0.0, 1.0, 2.0)
     print("gradients of 2x + x^3 (analytic 2 + 3x^2):")
-    header = ["x"] + list(gradcheck.ALL_MODES) + ["analytic"]
+    header = ["x"] + list(ALL_MODES) + ["analytic"]
     print("\t".join(header))
     for x in probes:
         row = [fmt_float(x)]
-        row += [fmt_float(pg.grad(m, x)) for m in gradcheck.ALL_MODES]
+        row += [fmt_float(grads[m](x)) for m in ALL_MODES]
         row.append(fmt_float(2 + 3 * x * x))
         print("\t".join(row))
 
     print("\nsecond order (analytic 6x):")
-    dual_f = dual_fn(cubic)
     for x in probes:
-        f2 = grad_forward_tagged(dual_f, x, order=2)
-        r2 = grad_reverse_of_reverse(cubic, x)
+        f2, r2 = grads["forward2"](x), grads["reverse2"](x)
         print(f"{fmt_float(x)}\tforward2={fmt_float(f2)}\treverse2={fmt_float(r2)}"
               f"\tanalytic={fmt_float(6 * x)}")
 
@@ -228,10 +219,11 @@ def _demo() -> None:
                 " (app loop x)))")
     body = parse("(* (* l r) v)")
     tree = parse_tree("(node 3.0 (leaf) (leaf))")
+    staged_if, staged_while = gradient_fn(ife, "staged"), gradient_fn(whf, "staged")
     print("\nstaged control flow:")
-    print(f"if example @ +-2: {fmt_float(ir_eval(stage_reverse(ife), 2.0))},"
-          f" {fmt_float(ir_eval(stage_reverse(ife), -2.0))} (expect -4)")
-    print(f"while example @ 8: {fmt_float(ir_eval(stage_reverse(whf), 8.0))}"
+    print(f"if example @ +-2: {fmt_float(staged_if(2.0))},"
+          f" {fmt_float(staged_if(-2.0))} (expect -4)")
+    print(f"while example @ 8: {fmt_float(staged_while(8.0))}"
           f" (expect 0.125)")
     print(f"tree example @ 2, v=3: {fmt_float(ir_eval(stage_tree(body), 2.0, tree=tree))}"
           f" (expect 12)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .interp import eval_expr
+from .interp import apply_real
 from .lang import anf, prepare
 from .syntax import (
     Add, App, Const, Expr, Fst, Greater, If, LangError, Lam, Let, Letrec,
@@ -125,14 +125,7 @@ def forward_gradient_program(f: Expr) -> Expr:
 def grad_forward(f: Expr, x0: float) -> float:
     """Derivative of a one-argument real lambda at x0 via the forward
     transformation."""
-    return apply_gradient_program(forward_gradient_program(f), x0)
-
-
-def apply_gradient_program(prog: Expr, x0: float) -> float:
-    v, _ = eval_expr(App(prog, Const(x0)))
-    if type(v) is not float:
-        raise TransformError("gradient program did not return a real")
-    return v
+    return apply_real(forward_gradient_program(f), x0)
 
 
 def symbolic_gradient_program(f: Expr) -> Expr:
@@ -146,7 +139,7 @@ def symbolic_gradient_program(f: Expr) -> Expr:
 
 def grad_symbolic(f: Expr, x0: float) -> float:
     """Derivative via ANF conversion followed by symbolic differentiation."""
-    return apply_gradient_program(symbolic_gradient_program(f), x0)
+    return apply_real(symbolic_gradient_program(f), x0)
 
 
 def grad_forward_tagged(f, x0: float, order: int = 1) -> float:

@@ -1,6 +1,6 @@
-"""Cross-formulation gradient checking: central finite differences, a
-deterministic random straight-line corpus, the comparison harness, and a
-gradient-descent demo.
+"""Cross-formulation gradient checking: the table of gradient modes, central
+finite differences, a deterministic random straight-line corpus, the
+comparison harness, and a gradient-descent demo.
 
 Agreement is judged in two exact classes: the forward family (dual numbers,
 forward transformation, symbolic-over-ANF) and the reverse family (cps,
@@ -14,18 +14,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
-from .forward import forward_gradient_program, symbolic_gradient_program
-from .interp import eval_expr
+from .forward import (
+    forward_gradient_program, grad_forward_tagged, symbolic_gradient_program,
+)
+from .interp import apply_real
 from .ir_eval import ir_eval
 from .lang import prepare
 from .reverse import reverse_gradient_program
 from .runtime import (
-    grad_cps_expr, grad_dual_expr, grad_functional_expr, grad_tape_expr,
+    dual_fn, grad_cps_expr, grad_dual_expr, grad_functional_expr,
+    grad_tape_expr,
 )
 from .staging import stage_reverse
-from .syntax import Add, App, Const, Expr, LangError, Lam, Let, Mul, Var
+from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Var
 
 FORWARD_FAMILY = ("dual", "forward", "symbolic")
 REVERSE_FAMILY = ("cps", "tape", "functional", "reverse-target-shift",
@@ -33,12 +37,6 @@ REVERSE_FAMILY = ("cps", "tape", "functional", "reverse-target-shift",
 ALL_MODES = FORWARD_FAMILY + REVERSE_FAMILY
 
 DEFAULT_PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-
-_VARIANT_OF = {
-    "reverse-target-shift": "target-shift",
-    "reverse-meta-shift": "meta-shift",
-    "reverse-cps-full": "full-cps",
-}
 
 
 class DivergenceError(LangError):
@@ -55,15 +53,41 @@ def finite_diff(f: Callable[[float], float], x0: float,
 
 def primal_fn(f: Expr) -> Callable[[float], float]:
     """Evaluate a lambda program as an ordinary real function."""
-    f, _ = prepare(f)
+    return partial(apply_real, prepare(f)[0])
 
-    def run(x: float) -> float:
-        v, _ = eval_expr(App(f, Const(x)))
-        if type(v) is not float:
-            raise LangError("program did not return a real")
-        return v
 
-    return run
+def _interpreted(build: Callable[[Expr], Expr]):
+    """A mode that builds a gradient program once and evaluates it per call."""
+    return lambda f: partial(apply_real, build(f))
+
+
+# Every gradient mode: a builder that does the per-program work (prepare,
+# transform or stage) once and returns the derivative as a real function.
+MODES: dict[str, Callable[[Expr], Callable[[float], float]]] = {
+    "dual": lambda f: partial(grad_dual_expr, f),
+    "forward": _interpreted(forward_gradient_program),
+    "symbolic": _interpreted(symbolic_gradient_program),
+    "cps": lambda f: partial(grad_cps_expr, f),
+    "tape": lambda f: partial(grad_tape_expr, f),
+    "functional": lambda f: partial(grad_functional_expr, f),
+    "reverse-target-shift": _interpreted(
+        lambda f: reverse_gradient_program(f, "target-shift")),
+    "reverse-meta-shift": _interpreted(
+        lambda f: reverse_gradient_program(f, "meta-shift")),
+    "reverse-cps-full": _interpreted(
+        lambda f: reverse_gradient_program(f, "full-cps")),
+    "staged": lambda f: partial(ir_eval, stage_reverse(f)),
+    "forward2": lambda f: partial(grad_forward_tagged, dual_fn(f), order=2),
+    "reverse2": _interpreted(
+        lambda f: reverse_gradient_program(reverse_gradient_program(f))),
+}
+
+
+def gradient_fn(f: Expr, mode: str) -> Callable[[float], float]:
+    """The derivative of f as a real function, built by the named mode."""
+    if mode not in MODES:
+        raise LangError(f"unknown gradient mode {mode!r}")
+    return MODES[mode](f)
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +145,16 @@ def corpus(spec: CorpusSpec) -> list[Expr]:
 
 
 class ProgramGradients:
-    """All gradient modes for one program, with the source-to-source
-    artifacts prepared once."""
+    """Every first-order gradient mode for one program, and its primal, each
+    built once."""
 
     def __init__(self, f: Expr):
         self.f = f
-        self._fwd = forward_gradient_program(f)
-        self._sym = symbolic_gradient_program(f)
-        self._rev = {v: reverse_gradient_program(f, v)
-                     for v in ("target-shift", "meta-shift", "full-cps")}
-        self._staged = stage_reverse(f)
-
-    def _run(self, prog: Expr, x: float) -> float:
-        v, _ = eval_expr(App(prog, Const(x)))
-        return v
+        self.fns = {mode: MODES[mode](f) for mode in ALL_MODES}
+        self.primal = primal_fn(f)
 
     def grad(self, mode: str, x: float) -> float:
-        if mode == "forward":
-            return self._run(self._fwd, x)
-        if mode == "symbolic":
-            return self._run(self._sym, x)
-        if mode == "dual":
-            return grad_dual_expr(self.f, x)
-        if mode == "cps":
-            return grad_cps_expr(self.f, x)
-        if mode == "tape":
-            return grad_tape_expr(self.f, x)
-        if mode == "functional":
-            return grad_functional_expr(self.f, x)
-        if mode.startswith("reverse-"):
-            return self._run(self._rev[_VARIANT_OF[mode]], x)
-        if mode == "staged":
-            return ir_eval(self._staged, x)
-        raise LangError(f"unknown gradient mode {mode!r}")
+        return self.fns[mode](x)
 
 
 @dataclass
@@ -182,7 +183,7 @@ def check_one(pg: ProgramGradients, program_id: int, probe: float,
                 rep.grads[mode] = overrides[mode](pg.f, probe)
             else:
                 rep.grads[mode] = pg.grad(mode, probe)
-        rep.fd = finite_diff(primal_fn(pg.f), probe, h)
+        rep.fd = finite_diff(pg.primal, probe, h)
         vals = list(rep.grads.values())
         rep.max_dev = max(abs(a - b) for a in vals for b in vals)
         fwd = [rep.grads[m] for m in FORWARD_FAMILY]
@@ -260,13 +261,12 @@ def gradient_descent(f: Expr, x0: float, rate: float, steps: int,
         raise LangError("rate must be nonnegative")
     if steps < 0:
         raise LangError("steps must be nonnegative")
-    pg = ProgramGradients(f)
+    grad = gradient_fn(f, mode)
     fn = primal_fn(f)
     x = float(x0)
     traj = [(x, fn(x))]
     for _ in range(steps):
-        g = pg.grad(mode, x)
-        x = x - rate * g
+        x = x - rate * grad(x)
         if abs(x) > 1e12:
             raise DivergenceError(
                 f"gradient descent diverged: |x| = {abs(x):.3e} exceeds 1e12")

@@ -284,6 +284,14 @@ def eval_expr(e: Expr, env: dict | None = None, store: Store | None = None):
                 raise EvalError(f"unknown frame {tag}")
 
 
+def apply_real(prog: Expr, x: float) -> float:
+    """Apply a one-argument program to a real; the result must be a real."""
+    v, _ = eval_expr(App(prog, Const(x)))
+    if type(v) is not float:
+        raise EvalError("program did not return a real")
+    return v
+
+
 def render_value(v, store: Store | None = None) -> str:
     """Human-readable value rendering for CLI output."""
     if type(v) is float:

@@ -11,7 +11,7 @@ manufactures infinities on its own).
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 
 from .staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
@@ -262,8 +262,11 @@ def _reachable_functions(prog: IRProgram) -> set:
 
 def ir_optimize(prog: IRProgram) -> IRProgram:
     """Return an equivalent program with constants folded, copies
-    propagated, dead binds and dead cells removed."""
-    prog = copy.deepcopy(prog)
+    propagated, dead binds and dead cells removed.  The passes only
+    reassign function bodies and the function table, never a statement, so
+    copying those shells leaves the input intact."""
+    prog = replace(prog, functions={n: replace(f, params=list(f.params))
+                                    for n, f in prog.functions.items()})
     counter = [0]
     for _ in range(12):
         changed = _fold(prog, counter)

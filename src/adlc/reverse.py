@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .forward import TransformError, split_pair
-from .interp import eval_expr
+from .interp import apply_real
 from .lang import prepare
 from .syntax import (
     Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
@@ -334,19 +334,10 @@ def reverse_gradient_program(f: Expr, variant: str = "meta-shift") -> Expr:
 def grad_reverse(f: Expr, x0: float, variant: str = "meta-shift") -> float:
     """Gradient of a one-argument real lambda at x0 via the chosen reverse
     transformation variant."""
-    prog = reverse_gradient_program(f, variant)
-    v, _ = eval_expr(App(prog, Const(x0)))
-    if type(v) is not float:
-        raise TransformError("gradient program did not return a real")
-    return v
+    return apply_real(reverse_gradient_program(f, variant), x0)
 
 
 def grad_reverse_of_reverse(f: Expr, x0: float) -> float:
     """Second derivative by transforming the already-transformed gradient
     program again (source-level composition of reverse passes)."""
-    g = reverse_gradient_program(f, "meta-shift")
-    h = reverse_gradient_program(g, "meta-shift")
-    v, _ = eval_expr(App(h, Const(x0)))
-    if type(v) is not float:
-        raise TransformError("gradient program did not return a real")
-    return v
+    return grad_reverse(reverse_gradient_program(f), x0)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .lang import prepare
-from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Var
+from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Seq, Var
 
 _TAGS = itertools.count(1)
 
@@ -381,11 +380,12 @@ def grad_functional(f: Callable, x0, scalar=SCALAR_FLOAT):
 
 # ---------------------------------------------------------------------------
 # Expression bridges (arithmetic fragment only): compile object-language
-# programs onto the runtime combinators.
+# programs onto the runtime combinators.  The interpreters bind names in
+# lexical environments, so programs run as written: no freshening, and `seq`
+# is the one sugar form that lands in the fragment.
 
 
 def _arith_lambda(f: Expr) -> Lam:
-    f, _ = prepare(f)
     if not isinstance(f, Lam):
         raise RuntimeADError("gradient target must be a one-argument lam")
     return f
@@ -395,7 +395,7 @@ def _interp_direct(e: Expr, env: dict, const, add, mul):
     match e:
         case Const(c):
             return const(c)
-        case Var(name):
+        case Var(name) if name in env:
             return env[name]
         case Add(a, b):
             return add(_interp_direct(a, env, const, add, mul),
@@ -406,6 +406,9 @@ def _interp_direct(e: Expr, env: dict, const, add, mul):
         case Let(n, bound, body):
             v = _interp_direct(bound, env, const, add, mul)
             return _interp_direct(body, {**env, n: v}, const, add, mul)
+        case Seq(a, b):
+            _interp_direct(a, env, const, add, mul)
+            return _interp_direct(b, env, const, add, mul)
         case _:
             raise RuntimeADError(f"not in the arithmetic fragment: {e!r}")
 
@@ -414,7 +417,7 @@ def _interp_cps(e: Expr, env: dict, num, combine_add, combine_mul, k):
     match e:
         case Const(c):
             return k(num(c))
-        case Var(name):
+        case Var(name) if name in env:
             return k(env[name])
         case Add(a, b):
             return _interp_cps(a, env, num, combine_add, combine_mul,
@@ -428,6 +431,9 @@ def _interp_cps(e: Expr, env: dict, num, combine_add, combine_mul, k):
             return _interp_cps(bound, env, num, combine_add, combine_mul,
                                lambda v: _interp_cps(body, {**env, n: v},
                                                      num, combine_add, combine_mul, k))
+        case Seq(a, b):
+            return _interp_cps(a, env, num, combine_add, combine_mul,
+                               lambda _: _interp_cps(b, env, num, combine_add, combine_mul, k))
         case _:
             raise RuntimeADError(f"not in the arithmetic fragment: {e!r}")
 
@@ -454,8 +460,8 @@ def grad_dual_expr(f: Expr, x0: float) -> float:
     return y.d if type(y) is Dual and y.tag == tag else 0.0
 
 
-def grad_cps_expr(f: Expr, x0: float, run_out: list | None = None,
-                  trace: bool = False) -> float:
+def grad_cps_expr(f: Expr, x0, run_out: list | None = None,
+                  trace: bool = False, scalar=SCALAR_FLOAT):
     f = _arith_lambda(f)
 
     def body(z):
@@ -463,7 +469,7 @@ def grad_cps_expr(f: Expr, x0: float, run_out: list | None = None,
             f.body, {f.param: z}, lambda c: z._lift(c),
             lambda a, b: a + b, lambda a, b: a * b, k)
 
-    return grad_cps(body, x0, run_out=run_out, trace=trace)
+    return grad_cps(body, x0, scalar, run_out, trace)
 
 
 def grad_tape_expr(f: Expr, x0: float, run_out: list | None = None,
@@ -492,19 +498,6 @@ def grad_functional_expr(f: Expr, x0: float) -> float:
 def grad_forward_over_reverse(f: Expr, x0: float) -> float:
     """Second derivative in one pass: the reverse runtime runs with tagged
     duals as its scalar type, so the input adjoint carries a tangent."""
-    f = _arith_lambda(f)
     tag = next(_TAGS)
-
-    run = _Run(SCALAR_DUAL)
-    z = RevNum(Dual(x0, 1.0, tag), run.slot(), run)
-
-    def lift_const(c):
-        return RevNum(c, run.slot(), run)
-
-    def final(r):
-        run.adj[r.idx] = 1.0
-
-    _interp_cps(f.body, {f.param: z}, lift_const,
-                lambda a, b: a + b, lambda a, b: a * b, final)
-    g = run.adj[z.idx]
+    g = grad_cps_expr(f, Dual(x0, 1.0, tag), scalar=SCALAR_DUAL)
     return g.d if type(g) is Dual and g.tag == tag else 0.0

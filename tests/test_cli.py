@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_grad_probe_list(capsys, programs):
 
 
 def test_grad_all_modes(capsys, programs):
-    for mode in ("forward", "dual", "cps", "tape", "functional",
+    for mode in ("forward", "symbolic", "dual", "cps", "tape", "functional",
                  "reverse-target-shift", "reverse-meta-shift",
                  "reverse-cps-full", "staged"):
         assert run(["grad", "--mode", mode, "--at", "2.0",
@@ -180,3 +181,52 @@ def test_codegen_tree(capsys, programs):
                 programs["tree_body.sexp"]]) == 0
     out = capsys.readouterr().out
     assert "Tree" in out and "snippet(Tree tree, double in)" in out
+
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+CONTROL_FLOW_MODES = ("forward", "reverse-target-shift", "reverse-meta-shift",
+                      "reverse-cps-full", "staged")
+
+
+@pytest.mark.parametrize("mode", CONTROL_FLOW_MODES)
+def test_grad_control_flow_builds_only_the_chosen_mode(capsys, mode):
+    # the runtime bridges and symbolic's ANF reject these programs; the
+    # chosen mode handles them
+    assert run(["grad", "--mode", mode, "--at", "8.0",
+                str(PROGRAMS / "halve_loop.sexp")]) == 0
+    assert capsys.readouterr().out == "0.125\n"
+    assert run(["grad", "--mode", mode, "--at", "2.0",
+                str(PROGRAMS / "sign_square.sexp")]) == 0
+    assert capsys.readouterr().out == "-4\n"
+
+
+def test_descend_staged_on_a_loop(capsys):
+    assert run(["descend", "--mode", "staged", "--rate", "0.1", "--steps", "3",
+                "--at", "8.0", str(PROGRAMS / "halve_loop.sexp")]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
+
+def test_descend_rejects_second_order_modes(capsys, programs):
+    for mode in ("forward2", "reverse2"):
+        with pytest.raises(SystemExit) as ei:
+            run(["descend", "--mode", mode, "--rate", "0.1", "--steps", "1",
+                 programs["quad.sexp"]])
+        assert ei.value.code == 1
+
+
+def test_grad_program_errors_exit_1(capsys, tmp_path):
+    f = tmp_path / "bad.sexp"
+    for src, mode, msg in (("(lam x (pair x x))", "forward", "did not return a real"),
+                           ("(lam x y)", "dual", "not in the arithmetic fragment")):
+        f.write_text(src + "\n")
+        assert run(["grad", "--mode", mode, str(f)]) == 1
+        assert msg in capsys.readouterr().err
+
+
+def test_deep_nesting_is_an_error_not_a_traceback(capsys, tmp_path):
+    f = tmp_path / "deep.sexp"
+    f.write_text("(lam x " + "(+ x " * 2000 + "x" + ")" * 2000 + ")\n")
+    for argv in (["parse"], ["grad", "--mode", "forward"]):
+        assert run(argv + [str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("adlc: error:") and "Traceback" not in err

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from adlc.gradcheck import (
-    ALL_MODES, CorpusSpec, DivergenceError, ProgramGradients, check_one,
-    crosscheck, finite_diff, gradient_descent, primal_fn, random_program,
-    report_json, report_line,
+    ALL_MODES, MODES, CorpusSpec, DivergenceError, ProgramGradients,
+    check_one, crosscheck, finite_diff, gradient_descent, gradient_fn,
+    primal_fn, random_program, report_json, report_line,
 )
 from adlc.syntax import LangError, Lam, Let, Var, parse
 
@@ -100,6 +100,13 @@ def test_report_formats():
     assert line.startswith("0\t3\t") and line.endswith("pass")
     j = report_json(r)
     assert j["pass"] and j["gradients"]["staged"] == 6.0
+
+
+def test_mode_table():
+    assert tuple(MODES) == ALL_MODES + ("forward2", "reverse2")
+    assert gradient_fn(QUAD, "reverse2")(1.0) == 2.0
+    with pytest.raises(LangError, match="unknown gradient mode"):
+        gradient_fn(QUAD, "nonsense")
 
 
 # --- gradient descent ------------------------------------------------------------

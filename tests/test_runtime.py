@@ -1,6 +1,8 @@
 from hypothesis import given, strategies as st
 
-from adlc.gradcheck import CorpusSpec, finite_diff, primal_fn, random_program
+from adlc.gradcheck import (
+    MODES, CorpusSpec, finite_diff, gradient_fn, primal_fn, random_program,
+)
 from adlc.runtime import (
     Dual, NumF, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr, grad_dual_expr,
     grad_dual_tagged, grad_forward_over_reverse, grad_functional,
@@ -169,3 +171,16 @@ def test_naive_dual_is_confused_but_tagged_not():
     x = NumF(1.0, 1.0)
     inner = grad_naive(lambda y: x + y, 1.0)
     assert inner == 2.0
+
+
+def test_bridges_run_programs_as_written():
+    # shadowed names and seq reach the bridges without desugaring or
+    # freshening; they must agree bitwise with the prepared modes
+    f = parse("(lam x (let y (* x x) (let y (* y x) (seq y (* y 2.0)))))")
+    fns = {m: gradient_fn(f, m) for m in MODES}
+    for x in PROBES:
+        assert fns["dual"](x).hex() == fns["forward"](x).hex() == (6 * x * x).hex()
+        rev = {fns[m](x).hex() for m in ("cps", "tape", "functional",
+                                          "reverse-meta-shift")}
+        assert rev == {(6 * x * x).hex()}
+        assert grad_forward_over_reverse(f, x).hex() == fns["reverse2"](x).hex()

@@ -291,6 +291,17 @@ def test_optimize_sound_at_random_probes():
             assert ir_eval(p, x, tree=tree) == ir_eval(po, x, tree=tree)
 
 
+def test_optimize_leaves_input_unchanged():
+    # ir_optimize copies only the program and function shells, so no pass
+    # may edit a statement or a block of its input
+    for p in (stage_reverse(SQUARE), stage_reverse(WHILE_EXAMPLE),
+              stage_reverse(parse(LOOP_COMPOSITES["nested-loops"])),
+              stage_tree(TREE_BODY)):
+        before = emit_c(p)
+        ir_optimize(p)
+        assert emit_c(p) == before
+
+
 # --- emission ------------------------------------------------------------------------
 
 def test_emit_deterministic():
