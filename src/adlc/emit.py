@@ -1,13 +1,19 @@
 """Deterministic C-like text from staged IR.
 
 One function per IR function; adjoint cells become double variables passed
-by reference; continuation closures become std::function values wrapping a
-call to their named body.  Cells that escape into a closure outlive their
-frame (the backward chain of a staged loop runs after the loop returns), so
-those are emitted as shared heap doubles; everything else stays a plain
-local.  Recursive functions are declared up front so the text never needs a
-self-referential lambda.  Output is stable across runs: two-space indent,
-LF line endings.
+by reference; continuation closures become `kont`/`kont1` handles wrapping a
+call to their named body.  A handle is an intrusively ref-counted pointer to
+one heap copy of the lambda, so copying, assigning or dropping it touches a
+counter and never the chain of closures it captures: a staged loop's tape
+grows by one node per iteration, not by a copy of everything before it.
+Closures are never mutated, so sharing a body is the same as copying it.
+Cells that escape into a closure outlive their frame (the backward chain of
+a staged loop runs after the loop returns), so those are emitted as
+ref-counted `heap_cell`s, read and written through `*`; everything else
+stays a plain local.  The prelude that defines both types needs no standard
+header and appears only in programs that use them.  Recursive functions are
+declared up front so the text never needs a self-referential lambda.
+Output is stable across runs: two-space indent, LF line endings.
 """
 
 from __future__ import annotations
@@ -26,6 +32,42 @@ _TREE_FIELDS = {
     "tree_nonempty": "{}.notEmpty",
 }
 _KONT = {0: "kont", 2: "kont1"}
+
+# Header-free on purpose: parsing <functional> and <memory> took about half
+# of the g++ -O2 time of an emitted loop.  The last release of a handle
+# deletes the body, and so drops the handles and cells it captured.
+_KONT_PRELUDE = """\
+template <class Sig> struct kont_fn;
+template <class... A> struct kont_fn<void(A...)> {
+  struct body { long refs = 1; virtual ~body() {} virtual void call(A... a) = 0; };
+  template <class F> struct lam : body {
+    F fn;
+    lam(const F& f) : fn(f) {}
+    void call(A... a) { fn(a...); }
+  };
+  body* p;
+  explicit kont_fn(body* b) : p(b) {}
+  kont_fn(const kont_fn& o) : p(o.p) { ++p->refs; }
+  kont_fn& operator=(const kont_fn& o) { ++o.p->refs; release(); p = o.p; return *this; }
+  ~kont_fn() { release(); }
+  void release() { if (--p->refs == 0) delete p; }
+  void operator()(A... a) const { p->call(a...); }
+  template <class F> static kont_fn make(const F& f) { return kont_fn(new lam<F>(f)); }
+};
+typedef kont_fn<void()> kont;
+typedef kont_fn<void(double, double&)> kont1;
+"""
+_HEAP_PRELUDE = """\
+struct heap_cell {
+  struct box { long refs; double v; };
+  box* p;
+  explicit heap_cell(double v) : p(new box{1, v}) {}
+  heap_cell(const heap_cell& o) : p(o.p) { ++p->refs; }
+  heap_cell& operator=(const heap_cell&) = delete;
+  ~heap_cell() { if (--p->refs == 0) delete p; }
+  double& operator*() const { return p->v; }
+};
+"""
 
 
 def _returns_value(fn: IRFunction) -> bool:
@@ -152,8 +194,7 @@ class _Emitter:
                              f"{_TREE_FIELDS[op].format(operand(args[0]))};")
                 case CellNew(dest, init):
                     if dest in heap:
-                        line(f"auto {dest} = "
-                             f"std::make_shared<double>({operand(init)});")
+                        line(f"heap_cell {dest}({operand(init)});")
                     else:
                         line(f"double {dest} = {operand(init)};")
                 case CellRead(dest, cell):
@@ -167,11 +208,11 @@ class _Emitter:
                     body_args = call_args(f, ["a0", "a1"][:arity], caps) \
                         if arity else call_args(f, [], caps)
                     if arity == 2:
-                        line(f"kont1 {dest} = [{captures_of(caps)}]"
-                             f"(double a0, double& a1) {{ {f}({body_args}); }};")
+                        line(f"kont1 {dest} = kont1::make([{captures_of(caps)}]"
+                             f"(double a0, double& a1) {{ {f}({body_args}); }});")
                     else:
-                        line(f"kont {dest} = [{captures_of(caps)}] "
-                             f"{{ {f}({body_args}); }};")
+                        line(f"kont {dest} = kont::make([{captures_of(caps)}] "
+                             f"{{ {f}({body_args}); }});")
                 case Call(target, args, indirect):
                     if indirect:
                         # a kont1 takes (double, double&): deref heap cells
@@ -215,12 +256,9 @@ def emit_c(prog: IRProgram) -> str:
                     for _, k in fn.params)
     uses_heap = any(em.heap_cells.values())
     if uses_fun or uses_heap:
-        out.append("#include <functional>")
+        out.append(_KONT_PRELUDE)
         if uses_heap:
-            out.append("#include <memory>")
-        out.append("typedef std::function<void()> kont;")
-        out.append("typedef std::function<void(double, double&)> kont1;")
-        out.append("")
+            out.append(_HEAP_PRELUDE)
     if uses_tree:
         out.append("struct Tree {")
         out.append("  bool notEmpty; double value;")
@@ -232,7 +270,7 @@ def emit_c(prog: IRProgram) -> str:
         out.append("};")
         out.append("")
     for slot in prog.slots:
-        out.append(f"static kont {slot} = []{{}};")
+        out.append(f"static kont {slot} = kont::make([]{{}});")
     if prog.slots:
         out.append("")
 

@@ -1,4 +1,7 @@
 import random
+import resource
+import shutil
+import subprocess
 
 import pytest
 
@@ -9,7 +12,7 @@ from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRProgram,
-    StagingError, ir_cell_op_count, ir_stmt_count, parse_tree,
+    StagingError, TreeData, ir_cell_op_count, ir_stmt_count, parse_tree,
     stage_reverse, stage_tree, tree_to_expr,
 )
 from adlc.syntax import parse
@@ -305,9 +308,10 @@ def test_optimize_leaves_input_unchanged():
 # --- emission ------------------------------------------------------------------------
 
 def test_emit_deterministic():
-    p = stage_reverse(IF_EXAMPLE)
-    assert emit_c(p) == emit_c(p)
-    assert emit_c(ir_optimize(p)) == emit_c(ir_optimize(p))
+    for p in (stage_reverse(IF_EXAMPLE), stage_reverse(WHILE_EXAMPLE),
+              stage_tree(TREE_BODY)):
+        assert emit_c(p) == emit_c(p)
+        assert emit_c(ir_optimize(p)) == emit_c(ir_optimize(p))
 
 
 def test_emit_while_has_reference_parameters():
@@ -356,58 +360,119 @@ def test_loop_composites_staged_matches_unstaged(name):
         assert ir_eval(po, x) == want
 
 
-@pytest.mark.skipif(__import__("shutil").which("g++") is None,
-                    reason="no C++ compiler available")
+# --- emitted C++ as a backend ----------------------------------------------------------
+
+CXX = ("g++", "-O1", "-std=c++17")
+CHILD_AS_BYTES = 1 << 30
+CHILD_TIMEOUT_S = 60.0
+needs_gxx = pytest.mark.skipif(shutil.which("g++") is None,
+                               reason="no C++ compiler available")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+
+
+def run_native(tmp_path, name: str, source: str) -> str:
+    """Compile emitted text plus a main with the suite's flags, run it as a
+    child under an address-space limit and a timeout, and return stdout."""
+    src, exe = tmp_path / f"{name}.cc", tmp_path / name
+    src.write_text(source)
+    r = subprocess.run([*CXX, str(src), "-o", str(exe)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, f"{name}:\n{r.stderr}"
+    out = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=CHILD_TIMEOUT_S,
+                         preexec_fn=_limit_address_space)
+    assert out.returncode == 0, f"{name}: exit code {out.returncode}"
+    return out.stdout
+
+
+def _bits(values) -> list[str]:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [float.fromhex(v).hex() if isinstance(v, str) else v.hex()
+            for v in values]
+
+
+def _cpp_tree(ns: str, t, decls: list) -> str:
+    """Declare a TreeData as constant C++ nodes named after `ns` (after the
+    `{ns}_leaf` that `decls` starts with); returns the root's name."""
+    if t is None:
+        return f"{ns}_leaf"
+    left, right = _cpp_tree(ns, t.left, decls), _cpp_tree(ns, t.right, decls)
+    name = f"{ns}_n{len(decls)}"
+    decls.append(f"  const {ns}::Tree {name}{{true, {t.value.hex()}, &{left}, &{right}}};")
+    return name
+
+
+def _full_tree(rng, depth):
+    if depth == 0:
+        return None
+    return TreeData(rng.uniform(0.75, 1.25), _full_tree(rng, depth - 1),
+                    _full_tree(rng, depth - 1))
+
+
+@needs_gxx
 def test_emitted_code_compiles_and_runs(tmp_path):
-    # compiling the emitted code is an extra beyond the test contract; when
-    # a compiler is around, execute it and compare with the IR executor
-    import subprocess
+    # every program goes into one translation unit, each in its own
+    # namespace (the emitted text includes no header); each prints its
+    # gradients with %a, which must equal ir_eval's bit for bit
+    rng = random.Random(20261018)
+    cases = [("square", ir_optimize(stage_reverse(SQUARE)), (3.0, -0.0, 0.0), None),
+             ("branch", stage_reverse(IF_EXAMPLE), (2.0, -2.0, -0.0), None),
+             ("loop", stage_reverse(WHILE_EXAMPLE), (8.0, 100.0), None),
+             ("nested", stage_reverse(parse(LOOP_COMPOSITES["nested-loops"])),
+              (8.0, 37.5), None),
+             ("tree", stage_tree(TREE_BODY), (2.0, 1.0),
+              parse_tree("(node 2.0 (node 1.5 (leaf) (leaf)) (node 3.0 (leaf) (leaf)))")),
+             ("tree6", ir_optimize(stage_tree(TREE_BODY)), (1.01, -0.0),
+              _full_tree(rng, 6))]
+    for i, name in enumerate(sorted(LOOP_COMPOSITES)):
+        cases.append((f"opt{i}", ir_optimize(stage_reverse(parse(LOOP_COMPOSITES[name]))),
+                      (8.0, 37.5, 0.3, 100.0, 3.0), None))
+    parts, body, want = [], [], []
+    for ns, prog, probes, tree in cases:
+        parts.append(f"namespace {ns} {{\n{emit_c(prog)}}}\n")
+        args = ""
+        if tree is not None:
+            decls = [f"  const {ns}::Tree {ns}_leaf{{false, 0, nullptr, nullptr}};"]
+            args = f"{_cpp_tree(ns, tree, decls)}, "
+            body += decls
+        for x in probes:
+            body.append(f'  printf("%a\\n", {ns}::snippet({args}{x.hex()}));')
+            want.append(ir_eval(prog, x, tree=tree))
+    main = "#include <cstdio>\nint main() {\n" + "\n".join(body) + "\n}\n"
+    got = run_native(tmp_path, "programs", "".join(parts) + main).split()
+    assert _bits(got) == _bits(want)
 
-    def run_cpp(name, text, harness, expect):
-        src = tmp_path / f"{name}.cc"
-        exe = tmp_path / name
-        src.write_text(text + harness)
-        r = subprocess.run(["g++", "-O1", "-std=c++17", str(src), "-o", str(exe)],
-                           capture_output=True, text=True)
-        assert r.returncode == 0, f"{name}:\n{r.stderr}"
-        out = subprocess.run([str(exe)], capture_output=True, text=True)
-        got = [float(v) for v in out.stdout.split()]
-        assert got == expect, f"{name}: {got} != {expect}"
 
-    sq = ir_optimize(stage_reverse(SQUARE))
-    run_cpp("square", emit_c(sq),
-            '#include <cstdio>\nint main() { printf("%.17g\\n", snippet(3.0)); }\n',
-            [ir_eval(sq, 3.0)])
+@needs_gxx
+def test_emitted_long_loop_is_linear(tmp_path):
+    # 10^4 iterations of the optimized countdown: a tape that copies its
+    # whole closure chain per iteration needs gigabytes here and fails
+    # under the address-space limit
+    n, c = 10_000, 0.999
+    prog = ir_optimize(stage_reverse(parse(
+        f"(lam x (letrec loop (lam t (if (> t 1.0) (app loop (* t {c!r})) t))"
+        " (app loop x)))")))
+    x = c ** -(n - 0.5)
+    main = ('#include <cstdio>\nint main() { printf("%a\\n", snippet('
+            f"{x.hex()})); }}\n")
+    want = ir_eval(prog, x)
+    assert abs(want - c ** n) <= 1e-9 * c ** n  # d/dx (x c^n): n iterations ran
+    got = run_native(tmp_path, "long_loop", emit_c(prog) + main).split()
+    assert _bits(got) == _bits([want])
 
-    br = stage_reverse(IF_EXAMPLE)
-    run_cpp("branch", emit_c(br),
-            '#include <cstdio>\nint main() { printf("%.17g %.17g\\n",'
-            " snippet(2.0), snippet(-2.0)); }\n",
-            [ir_eval(br, 2.0), ir_eval(br, -2.0)])
 
-    wh = stage_reverse(WHILE_EXAMPLE)
-    run_cpp("loop", emit_c(wh),
-            '#include <cstdio>\nint main() { printf("%.17g %.17g\\n",'
-            " snippet(8.0), snippet(100.0)); }\n",
-            [ir_eval(wh, 8.0), ir_eval(wh, 100.0)])
-
-    nst = stage_reverse(parse(LOOP_COMPOSITES["nested-loops"]))
-    run_cpp("nested", emit_c(nst),
-            '#include <cstdio>\nint main() { printf("%.17g %.17g\\n",'
-            " snippet(8.0), snippet(37.5)); }\n",
-            [ir_eval(nst, 8.0), ir_eval(nst, 37.5)])
-
-    tr = stage_tree(TREE_BODY)
-    tree_harness = (
-        "#include <cstdio>\n"
-        "int main() {\n"
-        "  Tree leaf{false, 0, nullptr, nullptr};\n"
-        "  Tree node3{true, 3.0, &leaf, &leaf};\n"
-        "  Tree inner{true, 1.5, &leaf, &leaf};\n"
-        "  Tree node2{true, 2.0, &inner, &leaf};\n"
-        '  printf("%.17g %.17g\\n", snippet(node3, 2.0), snippet(node2, 1.0));\n'
-        "}\n")
-    t3 = parse_tree("(node 3.0 (leaf) (leaf))")
-    t2 = parse_tree("(node 2.0 (node 1.5 (leaf) (leaf)) (leaf))")
-    run_cpp("tree", emit_c(tr), tree_harness,
-            [ir_eval(tr, 2.0, tree=t3), ir_eval(tr, 1.0, tree=t2)])
+def test_emitted_closures_need_no_header():
+    # continuations are ref-counted handles from the emitted prelude, not
+    # std::function; escaping cells are heap_cells, not shared_ptrs
+    loop = emit_c(ir_optimize(stage_reverse(WHILE_EXAMPLE)))
+    tree = emit_c(ir_optimize(stage_tree(TREE_BODY)))
+    for txt in (loop, tree):
+        assert "#include" not in txt
+        assert "std::function" not in txt and "make_shared" not in txt
+        assert "kont_fn" in txt
+    assert "kont::make(" in loop and "heap_cell " in loop
+    assert "kont1::make(" in tree
+    assert "kont_fn" not in emit_c(ir_optimize(stage_reverse(SQUARE)))
