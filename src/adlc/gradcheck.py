@@ -20,13 +20,12 @@ from typing import Callable
 from .forward import (
     forward_gradient_program, grad_forward_tagged, symbolic_gradient_program,
 )
-from .interp import apply_real
+from .interp import real_fn
 from .ir_eval import ir_eval
 from .lang import prepare
 from .reverse import reverse_gradient_program
 from .runtime import (
-    dual_fn, grad_cps_expr, grad_dual_expr, grad_functional_expr,
-    grad_tape_expr,
+    cps_gradient, dual_fn, dual_gradient, functional_gradient, tape_gradient,
 )
 from .staging import stage_reverse
 from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Var
@@ -53,23 +52,24 @@ def finite_diff(f: Callable[[float], float], x0: float,
 
 def primal_fn(f: Expr) -> Callable[[float], float]:
     """Evaluate a lambda program as an ordinary real function."""
-    return partial(apply_real, prepare(f)[0])
+    return real_fn(prepare(f)[0])
 
 
 def _interpreted(build: Callable[[Expr], Expr]):
-    """A mode that builds a gradient program once and evaluates it per call."""
-    return lambda f: partial(apply_real, build(f))
+    """A mode that builds and translates a gradient program once and runs
+    it per call."""
+    return lambda f: real_fn(build(f))
 
 
 # Every gradient mode: a builder that does the per-program work (prepare,
 # transform or stage) once and returns the derivative as a real function.
 MODES: dict[str, Callable[[Expr], Callable[[float], float]]] = {
-    "dual": lambda f: partial(grad_dual_expr, f),
+    "dual": dual_gradient,
     "forward": _interpreted(forward_gradient_program),
     "symbolic": _interpreted(symbolic_gradient_program),
-    "cps": lambda f: partial(grad_cps_expr, f),
-    "tape": lambda f: partial(grad_tape_expr, f),
-    "functional": lambda f: partial(grad_functional_expr, f),
+    "cps": cps_gradient,
+    "tape": tape_gradient,
+    "functional": functional_gradient,
     "reverse-target-shift": _interpreted(
         lambda f: reverse_gradient_program(f, "target-shift")),
     "reverse-meta-shift": _interpreted(

@@ -1,15 +1,39 @@
 """Call-by-value evaluator with delimited control and a mutable cell store.
 
-The machine is an explicit continuation-passing interpreter: the continuation
-is a stack of defunctionalized frames, so shift/reset needs no host-language
-control feature.  `shift` captures the frames up to the nearest reset marker
-and packages them as a callable value; invoking that value reinstates the
-frames under a fresh delimiter.
+A program is translated once and then run any number of times (Feeley &
+Lapalme, "Using Closures for Code Generation", 1987).  The translation is
+the CEK machine with its environment and its expression dispatch moved to
+translation time (Ager, Biernacki, Danvy & Midtgaard, "A Functional
+Correspondence between Evaluators and Abstract Machines", PPDP 2003):
+
+- every lambda body becomes a flat tuple of instructions with int opcodes;
+  an intermediate result gets a slot of its own, so operands, constants
+  included, are fetched from the activation and atoms need no frame;
+- every name becomes a slot of its lambda's activation, a list laid out as
+  [parameter, locals and constants..., captured values]; a closure copies
+  the values it captures when it is created;
+- the continuation is an explicit stack of return frames
+  (code, pc, activation, result slot, is-delimiter), so nesting depth costs
+  no Python stack.  `reset` pushes a delimiter; `shift` moves the frames
+  above the nearest delimiter, plus its own return point, into a
+  continuation value; applying that value pushes a delimiter and the frames
+  back.
+
+Every slot is written at most once per activation, so the first resumption
+of a continuation runs in the activations it captured, and each later one
+runs in copies of them: a resumption writes only the slots its frames have
+not reached yet, and never sees another resumption's writes.  A
+continuation that is resumed once, as in the target-shift reverse pass,
+costs no copy.
+
+Errors are raised at run time, at the point where the old tree walk met
+them: an unbound name in an untaken branch is not an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .syntax import (
     Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, Inl, Inr,
@@ -39,10 +63,9 @@ UNIT = _UnitType()
 
 @dataclass
 class Closure:
-    __slots__ = ("param", "body", "env")
-    param: str
-    body: Expr
-    env: dict
+    __slots__ = ("code", "vals")
+    code: _Code
+    vals: tuple
 
 
 @dataclass
@@ -70,12 +93,30 @@ class Cell:
     id: int
 
 
-@dataclass
 class Cont:
     """A captured delimited continuation, applicable like a closure."""
 
-    __slots__ = ("frames",)
-    frames: tuple
+    __slots__ = ("frames", "resumed")
+
+    def __init__(self, frames: list):
+        self.frames = frames
+        self.resumed = False
+
+    def resume(self) -> list:
+        """The frames to push for one resumption: the captured ones the
+        first time, and frames over fresh copies of their activations after
+        that."""
+        if not self.resumed:
+            self.resumed = True
+            return self.frames
+        copies: dict = {}
+        out = []
+        for code, pc, act, dest, delim in self.frames:
+            mine = copies.get(id(act))
+            if mine is None:
+                mine = copies[id(act)] = act.copy()
+            out.append((code, pc, mine, dest, delim))
+        return out
 
 
 class Store:
@@ -98,198 +139,438 @@ class Store:
         self.cells[c.id] = v
 
 
-_RESET = ("reset",)
+# ---------------------------------------------------------------------------
+# Instructions.  `d` is the result slot; every other operand is a slot.
+#   (ADD|MUL|GT|PAIR, d, a, b)    (FST|SND|INL|INR|REF|DEREF, d, a)
+#   (ASSIGN, d, cell, v)          (CELLCHK, cell)   check before v runs
+#   (APP, d, f, a)  (TAILAPP, f, a)  (RET, a)  (MOVE, d, a)  (JUMP, pc)
+#   (CASE, scrutinee, left slot, right slot, right pc)
+#   (LAM, d, code, capture slots)
+#   (RESET, d, pc after body)     (SHIFT, d, k slot, pc after body)
+#   (ERR, message)                (HALT,)
+
+# numbered, and tested in _run, by how often the gradient programs run them
+(SND, DEREF, FST, ADD, MUL, ASSIGN, PAIR, CELLCHK, REF, RET, APP, LAM, SHIFT,
+ TAILAPP, RESET, CASE, MOVE, JUMP, GT, INL, INR, ERR, HALT) = range(23)
+
+
+class _Code:
+    """One translated lambda body: its instructions and the initial values
+    of its locals (constants in place, None elsewhere)."""
+
+    __slots__ = ("instrs", "blank", "captures")
+
+    def __init__(self, instrs: tuple, blank: tuple, captures: tuple):
+        self.instrs = instrs
+        self.blank = blank
+        self.captures = captures  # for the top level: the env names
+
+
+_HALT_CODE = ((HALT,),)
+_PASS_CODE = ((RET, 0),)  # a delimiter that hands its value on
+
+
+class _Fn:
+    """Translation state of one lambda body."""
+
+    __slots__ = ("parent", "instrs", "scope", "caps", "capsrc", "blank")
+
+    def __init__(self, parent: _Fn | None, param: str | None):
+        self.parent = parent
+        self.instrs: list = []
+        self.scope: dict = {} if param is None else {param: 0}
+        self.caps: dict = {}      # name -> negative slot
+        self.capsrc: list = []    # where each capture comes from, outside
+        self.blank: list = []     # slot i + 1 starts as blank[i]
+
+    def finish(self) -> _Code:
+        return _Code(tuple(self.instrs), tuple(self.blank),
+                     tuple(reversed(self.capsrc)))
+
+
+def _resolve(fn: _Fn, name: str, env) -> int | None:
+    """The slot of name in fn, adding captures to fn and the lambdas around
+    it as needed; None when the name is unbound."""
+    path = []
+    f = fn
+    while True:
+        s = f.scope.get(name)
+        if s is None:
+            s = f.caps.get(name)
+        if s is not None:
+            break
+        path.append(f)
+        f = f.parent
+        if f is None:
+            if name not in env:
+                return None
+            s = name  # the top level captures from env, by name
+            break
+    for f in reversed(path):
+        slot = -1 - len(f.capsrc)
+        f.caps[name] = slot
+        f.capsrc.append(s)
+        s = slot
+    return s
+
+
+# steps the translator schedules after a subexpression
+(_BIN, _UN, _CHECK, _LET, _UNBIND, _SEQ, _CASE, _CASE_MID, _CASE_END,
+ _PATCH, _RET, _LAM_END, _EXPR) = range(13)
+# constructor -> (opcode, getter of its subexpressions in evaluation order)
+_UNOPS = {Fst: (FST, attrgetter("arg")), Snd: (SND, attrgetter("arg")),
+          Inl: (INL, attrgetter("arg")), Inr: (INR, attrgetter("arg")),
+          Ref: (REF, attrgetter("init")), Deref: (DEREF, attrgetter("cell"))}
+_BINOPS = {Add: (ADD, attrgetter("lhs", "rhs")), Mul: (MUL, attrgetter("lhs", "rhs")),
+           Greater: (GT, attrgetter("lhs", "rhs")), Pair: (PAIR, attrgetter("fst", "snd")),
+           Assign: (ASSIGN, attrgetter("cell", "value")), App: (APP, attrgetter("fn", "arg"))}
+_PASSES_TAIL = (App, Let, Seq, Case)
+_MISSING = object()
+
+
+def _translate(e: Expr, env, param: str | None = None) -> _Code:
+    """Translate e once, in one pass driven by an explicit work stack; names
+    not bound in e are looked up in env (any container of names).
+
+    `e` is the expression being translated.  A node either finishes at once
+    (atoms) or schedules the steps after its first subexpression and
+    descends into it.  Every expression leaves its result slot on `out`,
+    except one in tail position (`tail`), whose value the body returns: an
+    application there becomes a tail call, let, seq and case pass the
+    position on, and anything else is followed by a return."""
+    fn = _Fn(None, param)
+    scope, blank, instrs = fn.scope, fn.blank, fn.instrs
+    emit = instrs.append
+    work: list = []
+    out: list = []
+    push, pop = work.append, work.pop
+    tail = True
+
+    def atom(a):
+        """The slot of a constant or a bound name; None for anything else."""
+        cls = type(a)
+        if cls is Var:
+            s = scope.get(a.name)
+            return s if s is not None else _resolve(fn, a.name, env)
+        if cls is Const:
+            blank.append(a.value)
+            return len(blank)
+        if cls is Unit:
+            blank.append(UNIT)
+            return len(blank)
+        return None
+
+    while True:
+        if e is not None:
+            cls = type(e)
+            if tail and cls not in _PASSES_TAIL:
+                push((_RET,))
+                tail = False
+            unop = _UNOPS.get(cls)
+            binop = _BINOPS.get(cls) if unop is None else None
+            if unop is not None:
+                op, get = unop
+                a = get(e)
+                sa = atom(a)
+                if sa is None:
+                    push((_UN, op))
+                    e = a
+                else:
+                    blank.append(None)
+                    emit((op, len(blank), sa))
+                    out.append(len(blank))
+                    e = None
+            elif binop is not None:
+                op, get = binop
+                a, b = get(e)
+                sa, sb = atom(a), atom(b)
+                push((_BIN, op, sa, sb, tail))
+                if sb is None:
+                    push((_EXPR, b))
+                    if op == ASSIGN:  # the cell is checked before b runs
+                        push((_CHECK, sa))
+                e, tail = (a, False) if sa is None else (None, False)
+            elif cls is Let:
+                d = atom(e.bound)
+                if d is None:
+                    push((_LET, e.name, e.body, tail))
+                    e, tail = e.bound, False
+                else:  # an atom is bound by aliasing its slot
+                    push((_UNBIND, e.name, scope.get(e.name, _MISSING)))
+                    scope[e.name] = d
+                    e = e.body
+            elif cls is Seq:
+                push((_SEQ, e.second, tail))
+                e, tail = e.first, False
+            elif cls is Case:
+                push((_CASE, e, tail))
+                e, tail = e.scrutinee, False
+            elif cls is Lam:
+                push((_LAM_END,))
+                fn = _Fn(fn, e.param)
+                scope, blank, instrs = fn.scope, fn.blank, fn.instrs
+                emit = instrs.append
+                e, tail = e.body, True
+            elif cls is Reset or cls is Shift:
+                blank.append(None)
+                out.append(len(blank))  # the body, in tail position, adds none
+                if cls is Reset:
+                    head = (RESET, len(blank))
+                else:
+                    blank.append(None)
+                    head = (SHIFT, len(blank) - 1, len(blank))
+                    push((_UNBIND, e.name, scope.get(e.name, _MISSING)))
+                    scope[e.name] = len(blank)
+                push((_PATCH, len(instrs), head))
+                emit(None)
+                e, tail = e.body, True
+            else:
+                d = atom(e)
+                if d is None:
+                    emit((ERR, f"unbound variable: {e.name}" if cls is Var else
+                          f"cannot evaluate {e!r} (desugar first)"))
+                    blank.append(None)
+                    d = len(blank)
+                out.append(d)
+                e = None
+            continue
+        if not work:
+            return fn.finish()
+        item = pop()
+        kind = item[0]
+        if kind == _BIN:
+            _, op, sa, sb, t = item
+            if sb is None:
+                sb = out.pop()
+            if sa is None:
+                sa = out.pop()
+            if t:  # only an application keeps the tail position
+                emit((TAILAPP, sa, sb))
+            else:
+                blank.append(None)
+                emit((op, len(blank), sa, sb))
+                out.append(len(blank))
+        elif kind == _EXPR:
+            e = item[1]
+        elif kind == _UNBIND:
+            _, name, old = item
+            if old is _MISSING:
+                del scope[name]
+            else:
+                scope[name] = old
+        elif kind == _UN:
+            blank.append(None)
+            emit((item[1], len(blank), out.pop()))
+            out.append(len(blank))
+        elif kind == _LET:
+            _, name, e, tail = item
+            push((_UNBIND, name, scope.get(name, _MISSING)))
+            scope[name] = out.pop()
+        elif kind == _RET:
+            emit((RET, out.pop()))
+        elif kind == _CHECK:
+            emit((CELLCHK, out[-1] if item[1] is None else item[1]))
+        elif kind == _SEQ:
+            out.pop()
+            _, e, tail = item
+        elif kind == _CASE:
+            # left branch, then the right one; a non-tail case joins in d,
+            # and `jump` receives the left branch's jump over the right one
+            _, c, t = item
+            blank.extend((None, None))
+            ls, rs = len(blank) - 1, len(blank)
+            head = (CASE, out.pop(), ls, rs)
+            d = None
+            if not t:
+                blank.append(None)
+                d = len(blank)
+            jump: list = []
+            push((_CASE_END, d, jump))
+            push((_UNBIND, c.right_name, scope.get(c.right_name, _MISSING)))
+            push((_CASE_MID, d, jump, len(instrs), head, c.right_name, rs,
+                  c.right_body))
+            push((_UNBIND, c.left_name, scope.get(c.left_name, _MISSING)))
+            emit(None)
+            scope[c.left_name] = ls
+            e, tail = c.left_body, t
+        elif kind == _CASE_MID:
+            _, d, jump, at, head, name, rs, e = item
+            if d is not None:
+                emit((MOVE, d, out.pop()))
+                jump.append(len(instrs))
+                emit(None)
+            instrs[at] = head + (len(instrs),)
+            scope[name] = rs
+            tail = d is None
+        elif kind == _CASE_END:
+            _, d, jump = item
+            if d is not None:
+                emit((MOVE, d, out.pop()))
+                instrs[jump[0]] = (JUMP, len(instrs))
+                out.append(d)
+        elif kind == _PATCH:
+            instrs[item[1]] = item[2] + (len(instrs),)
+        else:  # _LAM_END
+            code = fn.finish()
+            fn = fn.parent
+            scope, blank, instrs = fn.scope, fn.blank, fn.instrs
+            emit = instrs.append
+            blank.append(None)
+            emit((LAM, len(blank), code, code.captures))
+            out.append(len(blank))
+
+
+def _run(code: _Code, act: list, store: Store):
+    """Run translated code from its first instruction in activation act."""
+    frames: list = [(_HALT_CODE, 0, [None], 0, True)]
+    push, pop = frames.append, frames.pop
+    cells = store.cells
+    instrs = code.instrs
+    pc = 0
+    while True:
+        ins = instrs[pc]
+        pc += 1
+        op = ins[0]
+        if op == SND:
+            v = act[ins[2]]
+            if type(v) is not PairV:
+                raise EvalError(f"projecting a non-pair (snd): {v!r}")
+            act[ins[1]] = v.snd
+        elif op == DEREF:
+            v = act[ins[2]]
+            if type(v) is not Cell:
+                raise EvalError(f"dereferencing a non-cell: {v!r}")
+            act[ins[1]] = cells[v.id]
+        elif op == FST:
+            v = act[ins[2]]
+            if type(v) is not PairV:
+                raise EvalError(f"projecting a non-pair (fst): {v!r}")
+            act[ins[1]] = v.fst
+        elif op == ADD:
+            a, b = act[ins[2]], act[ins[3]]
+            if type(a) is not float or type(b) is not float:
+                raise EvalError("arithmetic on non-reals (+)")
+            act[ins[1]] = a + b
+        elif op == MUL:
+            a, b = act[ins[2]], act[ins[3]]
+            if type(a) is not float or type(b) is not float:
+                raise EvalError("arithmetic on non-reals (*)")
+            act[ins[1]] = a * b
+        elif op == ASSIGN:
+            c = act[ins[2]]
+            if type(c) is not Cell:
+                raise EvalError("assigning a non-cell")
+            cells[c.id] = act[ins[3]]
+            act[ins[1]] = UNIT
+        elif op == PAIR:
+            act[ins[1]] = PairV(act[ins[2]], act[ins[3]])
+        elif op == CELLCHK:
+            if type(act[ins[1]]) is not Cell:
+                raise EvalError("assigning a non-cell")
+        elif op == REF:
+            act[ins[1]] = store.alloc(act[ins[2]])
+        elif op == RET:
+            v = act[ins[1]]
+            instrs, pc, act, d, _ = pop()
+            act[d] = v
+        elif op == APP:
+            f, a = act[ins[2]], act[ins[3]]
+            if type(f) is Closure:
+                push((instrs, pc, act, ins[1], False))
+                c = f.code
+                act = [a, *c.blank, *f.vals]
+                instrs, pc = c.instrs, 0
+            elif type(f) is Cont:
+                push((instrs, pc, act, ins[1], True))
+                frames.extend(f.resume())
+                instrs, pc, act, d, _ = pop()
+                act[d] = a
+            else:
+                raise EvalError("applying a non-closure")
+        elif op == LAM:
+            act[ins[1]] = Closure(ins[2], tuple([act[s] for s in ins[3]]))
+        elif op == SHIFT:
+            i = len(frames) - 1
+            while not frames[i][4]:
+                i -= 1
+            captured = frames[i + 1:]
+            del frames[i + 1:]
+            captured.append((instrs, ins[3], act, ins[1], False))
+            act[ins[2]] = Cont(captured)
+        elif op == TAILAPP:
+            f, a = act[ins[1]], act[ins[2]]
+            if type(f) is Closure:
+                c = f.code
+                act = [a, *c.blank, *f.vals]
+                instrs, pc = c.instrs, 0
+            elif type(f) is Cont:
+                push((_PASS_CODE, 0, [None], 0, True))
+                frames.extend(f.resume())
+                instrs, pc, act, d, _ = pop()
+                act[d] = a
+            else:
+                raise EvalError("applying a non-closure")
+        elif op == RESET:
+            push((instrs, ins[2], act, ins[1], True))
+        elif op == CASE:
+            v = act[ins[1]]
+            if type(v) is InlV:
+                act[ins[2]] = v.value
+            elif type(v) is InrV:
+                act[ins[3]] = v.value
+                pc = ins[4]
+            else:
+                raise EvalError(f"case on a non-sum: {v!r}")
+        elif op == MOVE:
+            act[ins[1]] = act[ins[2]]
+        elif op == JUMP:
+            pc = ins[1]
+        elif op == GT:
+            a, b = act[ins[2]], act[ins[3]]
+            if type(a) is not float or type(b) is not float:
+                raise EvalError("comparison on non-reals (>)")
+            act[ins[1]] = InlV(UNIT) if a > b else InrV(UNIT)
+        elif op == INL:
+            act[ins[1]] = InlV(act[ins[2]])
+        elif op == INR:
+            act[ins[1]] = InrV(act[ins[2]])
+        elif op == ERR:
+            raise EvalError(ins[1])
+        else:  # HALT
+            return act[0]
 
 
 def eval_expr(e: Expr, env: dict | None = None, store: Store | None = None):
-    """Evaluate a freshened, sugar-free expression; returns (value, store)."""
+    """Evaluate a sugar-free expression; returns (value, store).  Names
+    free in e are looked up in env."""
     env = {} if env is None else env
     store = store if store is not None else Store()
-    frames: list = [_RESET]
+    code = _translate(e, env)
+    act = [None, *code.blank, *[env[n] for n in code.captures]]
+    return _run(code, act, store), store
 
-    ctl: object = e
-    val: object = None
-    mode_eval = True
 
-    while True:
-        if mode_eval:
-            ee = ctl
-            match ee:
-                case Const(v):
-                    val, mode_eval = v, False
-                case Var(name):
-                    try:
-                        val = env[name]
-                    except KeyError:
-                        raise EvalError(f"unbound variable: {name}") from None
-                    mode_eval = False
-                case Unit():
-                    val, mode_eval = UNIT, False
-                case Lam(p, b):
-                    val, mode_eval = Closure(p, b, env), False
-                case Add(a, b):
-                    frames.append(("add1", b, env))
-                    ctl = a
-                case Mul(a, b):
-                    frames.append(("mul1", b, env))
-                    ctl = a
-                case Greater(a, b):
-                    frames.append(("gt1", b, env))
-                    ctl = a
-                case App(f, a):
-                    frames.append(("app_arg", a, env))
-                    ctl = f
-                case Let(n, bound, body):
-                    frames.append(("let", n, body, env))
-                    ctl = bound
-                case Seq(a, b):
-                    frames.append(("seq", b, env))
-                    ctl = a
-                case Pair(a, b):
-                    frames.append(("pair1", b, env))
-                    ctl = a
-                case Fst(a):
-                    frames.append(("fst",))
-                    ctl = a
-                case Snd(a):
-                    frames.append(("snd",))
-                    ctl = a
-                case Inl(a):
-                    frames.append(("inl",))
-                    ctl = a
-                case Inr(a):
-                    frames.append(("inr",))
-                    ctl = a
-                case Case(s, ln, lb, rn, rb):
-                    frames.append(("case", ln, lb, rn, rb, env))
-                    ctl = s
-                case Ref(a):
-                    frames.append(("ref",))
-                    ctl = a
-                case Deref(a):
-                    frames.append(("deref",))
-                    ctl = a
-                case Assign(c, v):
-                    frames.append(("assign1", v, env))
-                    ctl = c
-                case Reset(b):
-                    frames.append(_RESET)
-                    ctl = b
-                case Shift(n, b):
-                    # Capture up to (but not including) the nearest delimiter;
-                    # the delimiter stays in place around the shift body.
-                    i = len(frames) - 1
-                    while i >= 0 and frames[i][0] != "reset":
-                        i -= 1
-                    if i < 0:
-                        raise EvalError("shift without enclosing reset")
-                    k = Cont(tuple(frames[i + 1:]))
-                    del frames[i + 1:]
-                    env = {**env, n: k}
-                    ctl = b
-                case _:
-                    raise EvalError(f"cannot evaluate {ee!r} (desugar first)")
-        else:
-            if not frames:
-                return val, store
-            fr = frames.pop()
-            tag = fr[0]
-            if tag == "reset":
-                if not frames:
-                    return val, store
-                continue
-            elif tag == "add1":
-                frames.append(("add2", val))
-                ctl, env, mode_eval = fr[1], fr[2], True
-            elif tag == "add2":
-                a = fr[1]
-                if type(a) is not float or type(val) is not float:
-                    raise EvalError("arithmetic on non-reals (+)")
-                val = a + val
-            elif tag == "mul1":
-                frames.append(("mul2", val))
-                ctl, env, mode_eval = fr[1], fr[2], True
-            elif tag == "mul2":
-                a = fr[1]
-                if type(a) is not float or type(val) is not float:
-                    raise EvalError("arithmetic on non-reals (*)")
-                val = a * val
-            elif tag == "gt1":
-                frames.append(("gt2", val))
-                ctl, env, mode_eval = fr[1], fr[2], True
-            elif tag == "gt2":
-                a = fr[1]
-                if type(a) is not float or type(val) is not float:
-                    raise EvalError("comparison on non-reals (>)")
-                val = InlV(UNIT) if a > val else InrV(UNIT)
-            elif tag == "app_arg":
-                frames.append(("app_call", val))
-                ctl, env, mode_eval = fr[1], fr[2], True
-            elif tag == "app_call":
-                fn = fr[1]
-                if type(fn) is Closure:
-                    env = {**fn.env, fn.param: val}
-                    ctl, mode_eval = fn.body, True
-                elif type(fn) is Cont:
-                    frames.append(_RESET)
-                    frames.extend(fn.frames)
-                else:
-                    raise EvalError("applying a non-closure")
-            elif tag == "let":
-                env = {**fr[3], fr[1]: val}
-                ctl, mode_eval = fr[2], True
-            elif tag == "seq":
-                ctl, env, mode_eval = fr[1], fr[2], True
-            elif tag == "pair1":
-                frames.append(("pair2", val))
-                ctl, env, mode_eval = fr[1], fr[2], True
-            elif tag == "pair2":
-                val = PairV(fr[1], val)
-            elif tag == "fst":
-                if type(val) is not PairV:
-                    raise EvalError(f"projecting a non-pair (fst): {val!r}")
-                val = val.fst
-            elif tag == "snd":
-                if type(val) is not PairV:
-                    raise EvalError(f"projecting a non-pair (snd): {val!r}")
-                val = val.snd
-            elif tag == "inl":
-                val = InlV(val)
-            elif tag == "inr":
-                val = InrV(val)
-            elif tag == "case":
-                if type(val) is InlV:
-                    env = {**fr[5], fr[1]: val.value}
-                    ctl, mode_eval = fr[2], True
-                elif type(val) is InrV:
-                    env = {**fr[5], fr[3]: val.value}
-                    ctl, mode_eval = fr[4], True
-                else:
-                    raise EvalError(f"case on a non-sum: {val!r}")
-            elif tag == "ref":
-                val = store.alloc(val)
-            elif tag == "deref":
-                if type(val) is not Cell:
-                    raise EvalError(f"dereferencing a non-cell: {val!r}")
-                val = store.read(val)
-            elif tag == "assign1":
-                if type(val) is not Cell:
-                    raise EvalError("assigning a non-cell")
-                frames.append(("assign2", val))
-                ctl, env, mode_eval = fr[1], fr[2], True
-            elif tag == "assign2":
-                store.write(fr[1], val)
-                val = UNIT
-            else:
-                raise EvalError(f"unknown frame {tag}")
+_INPUT = "(input)"  # a name no parsed program can bind
+
+
+def real_fn(prog: Expr):
+    """A one-argument program, translated once, as a real function: each
+    call applies it to the argument in a fresh store, and the result must
+    be a real."""
+    code = _translate(App(prog, Var(_INPUT)), (), _INPUT)
+
+    def run(x: float) -> float:
+        v = _run(code, [x, *code.blank], Store())
+        if type(v) is not float:
+            raise EvalError("program did not return a real")
+        return v
+
+    return run
 
 
 def apply_real(prog: Expr, x: float) -> float:
     """Apply a one-argument program to a real; the result must be a real."""
-    v, _ = eval_expr(App(prog, Const(x)))
-    if type(v) is not float:
-        raise EvalError("program did not return a real")
-    return v
+    return real_fn(prog)(x)
 
 
 def render_value(v, store: Store | None = None) -> str:

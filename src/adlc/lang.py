@@ -88,10 +88,6 @@ def prepare(e: Expr) -> tuple[Expr, NameGen]:
     return freshen(desugar(e, gen), gen), gen
 
 
-def _is_atom(e: Expr) -> bool:
-    return isinstance(e, (Const, Var))
-
-
 def anf(e: Expr, gen: NameGen | None = None) -> Expr:
     """Convert the arithmetic fragment to A-normal form.
 

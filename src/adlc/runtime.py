@@ -10,6 +10,7 @@ state is the tag counter for nested forward invocations.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable
 
 from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Seq, Var
@@ -379,120 +380,197 @@ def grad_functional(f: Callable, x0, scalar=SCALAR_FLOAT):
 
 
 # ---------------------------------------------------------------------------
-# Expression bridges (arithmetic fragment only): compile object-language
-# programs onto the runtime combinators.  The interpreters bind names in
-# lexical environments, so programs run as written: no freshening, and `seq`
-# is the one sugar form that lands in the fragment.
+# Expression bridges (arithmetic fragment only): a program is translated once
+# into straight-line register code over (const, add, mul), which each runtime
+# then runs per call.  Names are resolved lexically at translation, so
+# programs run as written: no freshening, and `seq` is the one sugar form
+# that lands in the fragment.  Anything else becomes an instruction that
+# raises when the run reaches it, so translation itself never fails.
+
+_CONST, _ADD, _MUL, _FAIL = range(4)
+_NOT_A_LAM = "gradient target must be a one-argument lam"
+_ARITH = {Add: _ADD, Mul: _MUL}
+# pending steps of the translation, between subexpressions
+_OP, _BIND, _UNBIND, _DROP = range(4)
 
 
-def _arith_lambda(f: Expr) -> Lam:
-    if not isinstance(f, Lam):
-        raise RuntimeADError("gradient target must be a one-argument lam")
-    return f
+class ArithProgram:
+    """A one-argument program as register code: instruction i is
+    (_CONST, c, None), (_ADD|_MUL, a, b) or (_FAIL, message, None) and
+    writes register i + 1; register 0 is the argument."""
 
+    __slots__ = ("code", "result")
 
-def _interp_direct(e: Expr, env: dict, const, add, mul):
-    match e:
-        case Const(c):
-            return const(c)
-        case Var(name) if name in env:
-            return env[name]
-        case Add(a, b):
-            return add(_interp_direct(a, env, const, add, mul),
-                       _interp_direct(b, env, const, add, mul))
-        case Mul(a, b):
-            return mul(_interp_direct(a, env, const, add, mul),
-                       _interp_direct(b, env, const, add, mul))
-        case Let(n, bound, body):
-            v = _interp_direct(bound, env, const, add, mul)
-            return _interp_direct(body, {**env, n: v}, const, add, mul)
-        case Seq(a, b):
-            _interp_direct(a, env, const, add, mul)
-            return _interp_direct(b, env, const, add, mul)
-        case _:
-            raise RuntimeADError(f"not in the arithmetic fragment: {e!r}")
+    def __init__(self, f: Expr):
+        code: list = []
+        self.code = code
+        self.result = 0
+        if not isinstance(f, Lam):
+            code.append((_FAIL, _NOT_A_LAM, None))
+            return
+        scope = {f.param: 0}
+        out: list = []  # registers of translated subexpressions
+        work: list = [f.body]  # expressions, and (step, ...) tuples
+        while work:
+            e = work.pop()
+            cls = type(e)
+            if cls is tuple:
+                step = e[0]
+                if step == _OP:
+                    b, a = out.pop(), out.pop()
+                    code.append((e[1], a, b))
+                    out.append(len(code))
+                elif step == _BIND:  # a let's bound value is ready
+                    _, name, body = e
+                    work.append((_UNBIND, name, scope.get(name)))
+                    scope[name] = out.pop()
+                    work.append(body)
+                elif step == _UNBIND:  # and its body is done
+                    _, name, old = e
+                    if old is None:
+                        del scope[name]
+                    else:
+                        scope[name] = old
+                else:  # _DROP: the first half of a seq is done
+                    out.pop()
+                    work.append(e[1])
+            elif cls is Var and e.name in scope:
+                out.append(scope[e.name])
+            elif cls is Const:
+                code.append((_CONST, e.value, None))
+                out.append(len(code))
+            elif cls in _ARITH:
+                work.extend(((_OP, _ARITH[cls]), e.rhs, e.lhs))
+            elif cls is Let:
+                work.extend(((_BIND, e.name, e.body), e.bound))
+            elif cls is Seq:
+                work.extend(((_DROP, e.second), e.first))
+            else:  # the run stops here, so nothing after it is needed
+                code.append((_FAIL, f"not in the arithmetic fragment: {e!r}", None))
+                return
+        self.result = out.pop()
 
+    def run(self, x, const, add, mul):
+        """Direct style: the value of the body at x."""
+        regs = [x]
+        push = regs.append
+        for op, a, b in self.code:
+            if op == _ADD:
+                push(add(regs[a], regs[b]))
+            elif op == _MUL:
+                push(mul(regs[a], regs[b]))
+            elif op == _CONST:
+                push(const(a))
+            else:
+                raise RuntimeADError(a)
+        return regs[self.result]
 
-def _interp_cps(e: Expr, env: dict, num, combine_add, combine_mul, k):
-    match e:
-        case Const(c):
-            return k(num(c))
-        case Var(name) if name in env:
-            return k(env[name])
-        case Add(a, b):
-            return _interp_cps(a, env, num, combine_add, combine_mul,
-                               lambda va: _interp_cps(b, env, num, combine_add, combine_mul,
-                                                      lambda vb: combine_add(va, vb)(k)))
-        case Mul(a, b):
-            return _interp_cps(a, env, num, combine_add, combine_mul,
-                               lambda va: _interp_cps(b, env, num, combine_add, combine_mul,
-                                                      lambda vb: combine_mul(va, vb)(k)))
-        case Let(n, bound, body):
-            return _interp_cps(bound, env, num, combine_add, combine_mul,
-                               lambda v: _interp_cps(body, {**env, n: v},
-                                                     num, combine_add, combine_mul, k))
-        case Seq(a, b):
-            return _interp_cps(a, env, num, combine_add, combine_mul,
-                               lambda _: _interp_cps(b, env, num, combine_add, combine_mul, k))
-        case _:
-            raise RuntimeADError(f"not in the arithmetic fragment: {e!r}")
+    def run_cps(self, x, num, combine_add, combine_mul, k):
+        """Continuation-passing style: each operation gets the rest of the
+        run as its continuation, and k gets the body's value."""
+        regs = [x]
+        code, n = self.code, len(self.code)
+
+        def run_from(i):
+            while i < n:
+                op, a, b = code[i]
+                i += 1
+                if op == _CONST:
+                    regs.append(num(a))
+                elif op == _FAIL:
+                    raise RuntimeADError(a)
+                else:
+                    def rest(y, i=i):
+                        regs.append(y)
+                        return run_from(i)
+
+                    combine = combine_add if op == _ADD else combine_mul
+                    return combine(regs[a], regs[b])(rest)
+            return k(regs[self.result])
+
+        return run_from(0)
 
 
 def dual_fn(f: Expr):
     """Compile an arithmetic-fragment program to a host function over tagged
     duals, for use with the nesting gradient operators."""
-    lam = _arith_lambda(f)
-
-    def run(x):
-        return _interp_direct(lam.body, {lam.param: x}, lambda c: c, d_add, d_mul)
-
-    return run
+    if not isinstance(f, Lam):
+        raise RuntimeADError(_NOT_A_LAM)
+    p = ArithProgram(f)
+    return lambda x: p.run(x, _same, d_add, d_mul)
 
 
-def grad_dual_expr(f: Expr, x0: float) -> float:
+def _same(c):
+    return c
+
+
+def dual_gradient(f: Expr):
     """Dual-number gradient of an object-language program.  Constants are
     lifted with explicit zero tangents so tangent arithmetic matches the
     forward transformation operation for operation."""
-    f = _arith_lambda(f)
-    tag = next(_TAGS)
-    env = {f.param: Dual(x0, 1.0, tag)}
-    y = _interp_direct(f.body, env, lambda c: Dual(c, 0.0, tag), d_add, d_mul)
-    return y.d if type(y) is Dual and y.tag == tag else 0.0
+    p = ArithProgram(f)
+
+    def grad(x0: float) -> float:
+        tag = next(_TAGS)
+        y = p.run(Dual(x0, 1.0, tag), lambda c: Dual(c, 0.0, tag), d_add, d_mul)
+        return y.d if type(y) is Dual and y.tag == tag else 0.0
+
+    return grad
+
+
+def cps_gradient(f: Expr):
+    p = ArithProgram(f)
+
+    def grad(x0, run_out: list | None = None, trace: bool = False,
+             scalar=SCALAR_FLOAT):
+        def body(z):
+            return lambda k: p.run_cps(z, z._lift, operator.add, operator.mul, k)
+
+        return grad_cps(body, x0, scalar, run_out, trace)
+
+    return grad
+
+
+def tape_gradient(f: Expr):
+    p = ArithProgram(f)
+
+    def grad(x0: float, run_out: list | None = None, trace: bool = False) -> float:
+        def body(z):
+            return p.run(z, z._lift, operator.add, operator.mul)
+
+        return grad_tape(body, x0, run_out=run_out, trace=trace)
+
+    return grad
+
+
+def functional_gradient(f: Expr):
+    p = ArithProgram(f)
+
+    def grad(x0: float) -> float:
+        def body(z):
+            return lambda k: p.run_cps(z, z.run.num, fun_add, fun_mul, k)
+
+        return grad_functional(body, x0)
+
+    return grad
+
+
+def grad_dual_expr(f: Expr, x0: float) -> float:
+    return dual_gradient(f)(x0)
 
 
 def grad_cps_expr(f: Expr, x0, run_out: list | None = None,
                   trace: bool = False, scalar=SCALAR_FLOAT):
-    f = _arith_lambda(f)
-
-    def body(z):
-        return lambda k: _interp_cps(
-            f.body, {f.param: z}, lambda c: z._lift(c),
-            lambda a, b: a + b, lambda a, b: a * b, k)
-
-    return grad_cps(body, x0, scalar, run_out, trace)
+    return cps_gradient(f)(x0, run_out, trace, scalar)
 
 
 def grad_tape_expr(f: Expr, x0: float, run_out: list | None = None,
                    trace: bool = False) -> float:
-    f = _arith_lambda(f)
-
-    def body(z):
-        return _interp_direct(f.body, {f.param: z},
-                              lambda c: z._lift(c),
-                              lambda a, b: a + b, lambda a, b: a * b)
-
-    return grad_tape(body, x0, run_out=run_out, trace=trace)
+    return tape_gradient(f)(x0, run_out, trace)
 
 
 def grad_functional_expr(f: Expr, x0: float) -> float:
-    f = _arith_lambda(f)
-
-    def body(z):
-        return lambda k: _interp_cps(
-            f.body, {f.param: z}, lambda c: z.run.num(c),
-            fun_add, fun_mul, k)
-
-    return grad_functional(body, x0)
+    return functional_gradient(f)(x0)
 
 
 def grad_forward_over_reverse(f: Expr, x0: float) -> float:

@@ -1,8 +1,11 @@
+import sys
+import time
+
 import pytest
 
 from adlc.interp import EvalError, PairV, Store, UNIT, eval_expr, render_value
-from adlc.lang import desugar, freshen
-from adlc.syntax import parse
+from adlc.lang import desugar, freshen, prepare
+from adlc.syntax import Add, Const, Let, Var, parse
 
 
 def ev(src, env=None):
@@ -106,3 +109,115 @@ def test_render_value():
     store = Store()
     c = store.alloc(2.5)
     assert render_value(c, store) == "<cell 0 = 2.5>"
+
+
+# --- semantics the translated machine must keep ----------------------------------
+
+def test_reentrant_continuation_gets_its_own_activation():
+    # k is resumed again while its first resumption is still running; the
+    # second resumption must not overwrite the first one's `a`
+    src = ("(let r (ref 0.0) (reset (let a (shift k (seq (assign r k) (app k 1.0)))"
+           " (let inner (case (> a 1.5) u 0.0 v (app (deref r) 2.0)) (+ a inner)))))")
+    assert eval_expr(prepare(parse(src))[0])[0] == 3.0
+    assert ev(src) == 3.0
+
+
+def test_multi_shot_continuation_closures():
+    src = ("(let p (reset (let a (shift k (pair (app k 1.0) (app k 2.0))) (lam u a)))"
+           " (+ (app (fst p) 0.0) (* 10.0 (app (snd p) 0.0))))")
+    assert ev(src) == 21.0
+
+
+def test_continuation_resumed_after_its_reset_returned():
+    # the stored k runs twice, long after the shift's reset has returned
+    src = ("(let k (reset (let a (shift k k) (+ a 1.0)))"
+           " (+ (app k 1.0) (* 10.0 (app k 2.0))))")
+    assert ev(src) == 32.0
+
+
+def test_errors_come_at_run_time():
+    assert ev("(case (inl 1.0) a a b nope)") == 1.0
+    with pytest.raises(EvalError, match="^unbound variable: nope$"):
+        ev("(case (inr 1.0) a a b nope)")
+    assert ev("(app (lam x 2.0) (lam y nope))") == 2.0
+    with pytest.raises(EvalError, match="desugar first"):
+        ev("(case (inr 1.0) a a b (if a 1.0 2.0))")
+
+
+def test_error_order_follows_evaluation_order():
+    # the cell is checked before the value runs, as the tree walk did
+    with pytest.raises(EvalError, match="assigning a non-cell"):
+        ev("(assign 1.0 nope)")
+    with pytest.raises(EvalError, match="non-pair"):
+        ev("(+ (fst 1.0) nope)")
+    with pytest.raises(EvalError, match="unbound variable: nope"):
+        ev("(app 1.0 nope)")
+
+
+def test_shadowing_in_unfreshened_input():
+    assert ev("(let x 1.0 (let x (+ x 1.0) x))") == 2.0
+    assert ev("(let x 1.0 (+ (let x 5.0 x) x))") == 6.0
+    assert ev("(app (lam x (case (inl 2.0) x (* x x) y x)) 3.0)") == 4.0
+    assert ev("(let f (lam x (lam x x)) (app (app f 1.0) 2.0))") == 2.0
+
+
+def test_env_and_store_arguments():
+    store = Store()
+    c = store.alloc(5.0)
+    src = "(seq (assign c (+ (deref c) x)) (pair (deref c) (ref 0.0)))"
+    v, out = eval_expr(parse(src), env={"c": c, "x": 1.0}, store=store)
+    assert out is store
+    assert v.fst == 6.0 and v.snd.id == 1
+    assert store.cells == {0: 6.0, 1: 0.0}
+    # names free in a lambda body come from env too
+    assert ev("(app (lam y (* x y)) 3.0)", env={"x": 2.0}) == 6.0
+
+
+def test_real_fn_translates_once_and_runs_in_fresh_stores():
+    from adlc.interp import real_fn
+
+    fn = real_fn(parse("(lam x (let r (ref x) (seq (assign r (* (deref r) x)) (deref r))))"))
+    assert [fn(2.0), fn(3.0), fn(-0.5)] == [4.0, 9.0, 0.25]
+    with pytest.raises(EvalError, match="did not return a real"):
+        real_fn(parse("(lam x (pair x x))"))(1.0)
+
+
+# --- depth and linearity ------------------------------------------------------------
+
+def _let_chain(n):
+    e = Var(f"x{n}")
+    for i in range(n, 0, -1):
+        e = Let(f"x{i}", Add(Var(f"x{i - 1}") if i > 1 else Const(1.0), Const(1.0)), e)
+    return e
+
+
+def _best_time(fn, repeat=3):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_deep_programs_at_the_default_recursion_limit():
+    n = 10_000
+    nested = Var("x")
+    for _ in range(n):
+        nested = Add(Var("x"), nested)
+    chain = _let_chain(n)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert eval_expr(nested, env={"x": 1.0})[0] == n + 1.0
+        assert eval_expr(chain)[0] == n + 1.0
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_let_chain_time_is_linear():
+    # copying the environment at every let made this quadratic
+    small, large = _let_chain(5_000), _let_chain(20_000)
+    t_small = _best_time(lambda: eval_expr(small))
+    t_large = _best_time(lambda: eval_expr(large))
+    assert t_large < 10 * t_small, (t_small, t_large)

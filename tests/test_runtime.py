@@ -1,16 +1,25 @@
+import hashlib
+import os
+import sys
+
+import pytest
 from hypothesis import given, strategies as st
 
 from adlc.gradcheck import (
-    MODES, CorpusSpec, finite_diff, gradient_fn, primal_fn, random_program,
+    DEFAULT_PROBES, MODES, CorpusSpec, corpus, finite_diff, gradient_fn,
+    primal_fn, random_program,
 )
 from adlc.runtime import (
-    Dual, NumF, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr, grad_dual_expr,
-    grad_dual_tagged, grad_forward_over_reverse, grad_functional,
-    grad_functional_expr, grad_naive, grad_tape, grad_tape_expr, map_add,
-    merge, perturbation_confusion_probe,
+    Dual, NumF, RuntimeADError, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr,
+    grad_dual_expr, grad_dual_tagged, grad_forward_over_reverse,
+    grad_functional, grad_functional_expr, grad_naive, grad_tape,
+    grad_tape_expr, map_add, merge, perturbation_confusion_probe,
 )
 from adlc.reverse import grad_reverse_of_reverse
-from adlc.syntax import parse
+from adlc.syntax import Add, Const, Lam, Let, Var, parse
+
+PROGRAMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "programs")
 
 CUBIC = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
 PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -184,3 +193,78 @@ def test_bridges_run_programs_as_written():
                                           "reverse-meta-shift")}
         assert rev == {(6 * x * x).hex()}
         assert grad_forward_over_reverse(f, x).hex() == fns["reverse2"](x).hex()
+
+
+# --- translated bridges -------------------------------------------------------------
+
+SHADOWING = parse("(lam x (let y (* x x) (let y (* y x) (seq y (* y 2.0)))))")
+
+# sha256 over float.hex of each mode at DEFAULT_PROBES, one line per program,
+# as computed by the per-call tree-walking bridges these replaced
+BRIDGE_DIGESTS = {
+    "dual": "1195641683866d2d632adf1a6a2d6d507494eb4af7c0a1104219521aa9620f65",
+    "cps": "bba8f4251e5a336be96001978e33185f5caf76fbb064088b227144003df325ee",
+    "tape": "bba8f4251e5a336be96001978e33185f5caf76fbb064088b227144003df325ee",
+    "functional": "bba8f4251e5a336be96001978e33185f5caf76fbb064088b227144003df325ee",
+    "forward2": "3f027da8ae22abdc2049d8e6537fe5046204e3d41a5867649a3699303f714cb1",
+}
+# reverse2 over 40 programs of at most 8 ops and SHADOWING (transforming
+# twice nests deeply, so longer programs near the recursion limit)
+REVERSE2_DIGEST = "93f2d3a635ea30026ff9e6bacc5efad41310b0cffb369073252f5af55a8a6f7c"
+
+
+def _digest(mode, programs):
+    h = hashlib.sha256()
+    for f in programs:
+        fn = MODES[mode](f)
+        h.update(" ".join(fn(x).hex() for x in DEFAULT_PROBES).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_translated_bridges_keep_every_bit():
+    programs = corpus(CorpusSpec(42)) + [SHADOWING]
+    for mode, digest in BRIDGE_DIGESTS.items():
+        assert _digest(mode, programs) == digest, mode
+    short = corpus(CorpusSpec(42, count=40, ops_per_program=8))
+    assert _digest("reverse2", short + [SHADOWING]) == REVERSE2_DIGEST
+
+
+def test_bridge_errors_come_when_called_not_when_built():
+    with open(os.path.join(PROGRAMS, "halve_loop.sexp"), encoding="utf-8") as fh:
+        f = parse(fh.read())
+    fn = MODES["dual"](f)  # building succeeds
+    with pytest.raises(RuntimeADError) as info:
+        fn(8.0)
+    assert str(info.value) == (
+        "not in the arithmetic fragment: Letrec(name='loop', fn=Lam(param='t', "
+        "body=If(guard=Greater(lhs=Var(name='t'), rhs=Const(value=1.0)), "
+        "then=App(fn=Var(name='loop'), arg=Mul(lhs=Var(name='t'), "
+        "rhs=Const(value=0.5))), orelse=Var(name='t'))), "
+        "body=App(fn=Var(name='loop'), arg=Var(name='x')))")
+    for mode in ("cps", "tape", "functional", "forward2"):
+        built = MODES[mode](f)
+        with pytest.raises(RuntimeADError, match="not in the arithmetic fragment"):
+            built(8.0)
+    # an unbound name fails where the run reaches it, after earlier work
+    g = MODES["tape"](parse("(lam x (+ (* x x) y))"))
+    with pytest.raises(RuntimeADError, match="Var\\(name='y'\\)"):
+        g(1.0)
+    with pytest.raises(RuntimeADError, match="one-argument lam"):
+        MODES["cps"](parse("(* 2.0 3.0)"))(1.0)
+
+
+def test_bridges_run_deep_let_chains():
+    # translation and the direct-style runs take no Python stack per let
+    n = 5_000
+    body = Var(f"y{n}")
+    for i in range(n, 0, -1):
+        body = Let(f"y{i}", Add(Var(f"y{i - 1}") if i > 1 else Var("x"), Const(1.0)), body)
+    f = Lam("x", body)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert MODES["dual"](f)(2.0) == 1.0
+        assert MODES["tape"](f)(2.0) == 1.0
+        assert MODES["forward2"](f)(2.0) == 0.0
+    finally:
+        sys.setrecursionlimit(saved)

@@ -1,0 +1,144 @@
+"""Print one sha256 per artifact class, so two checkouts can be compared
+for byte identity of everything a user can observe.
+
+    python3 tools/identity.py [--root CHECKOUT] [--dump DIR]
+
+Classes:
+  gradients  float.hex of every gradient mode and the primal at
+             DEFAULT_PROBES, over CorpusSpec(42) and programs/*.sexp
+             (errors are recorded as their class and message)
+  reports    report_line of crosscheck(CorpusSpec(42))
+  cli        stdout, stderr and exit code of `adlc eval`, `grad --mode <each>`,
+             `check --seed 42 --json` and `demo`
+
+--root defaults to the checkout this script lives in; its src/ is put
+first on sys.path.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+# programs for `adlc eval`, beside the ones in programs/: closed terms that
+# exercise delimited control, the store, shadowing and run-time errors
+EVAL_PROGRAMS = (
+    "(+ 1.0 (* 2.0 3.0))",
+    "(reset (+ 1.0 (shift k (app k (app k 1.0)))))",
+    "(let r (ref 0.0) (reset (let a (shift k (seq (assign r k) (app k 1.0)))"
+    " (let inner (case (> a 1.5) u 0.0 v (app (deref r) 2.0)) (+ a inner)))))",
+    "(let p (reset (let a (shift k (pair (app k 1.0) (app k 2.0))) (lam u a)))"
+    " (+ (app (fst p) 0.0) (* 10.0 (app (snd p) 0.0))))",
+    "(let x 1.0 (let x (+ x 1.0) x))",
+    "(pair (ref 1.0) (inl (lam x x)))",
+    "(letrec f (lam t (if (> t 1.0) (app f (* t 0.5)) t)) (app f 8.0))",
+    "(case (inl 1.0) a a b nope)",
+    "(case (inr 1.0) a a b nope)",
+    "(fst 1.0)",
+)
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _err(ex: BaseException) -> str:
+    return f"{type(ex).__name__}: {ex}"
+
+
+def gradient_lines(root: str):
+    from adlc.gradcheck import (
+        DEFAULT_PROBES, MODES, CorpusSpec, corpus, primal_fn,
+    )
+    from adlc.syntax import parse
+
+    programs = [(f"corpus{i}", f) for i, f in enumerate(corpus(CorpusSpec(42)))]
+    for path in sorted(glob.glob(os.path.join(root, "programs", "*.sexp"))):
+        with open(path, encoding="utf-8") as fh:
+            programs.append((os.path.basename(path), parse(fh.read())))
+    builders = dict(MODES, primal=primal_fn)
+    for name, f in programs:
+        for mode, build in builders.items():
+            try:
+                fn = build(f)
+            except Exception as ex:  # recorded, not raised
+                yield f"{name}\t{mode}\tbuild\t{_err(ex)}"
+                continue
+            for x in DEFAULT_PROBES:
+                try:
+                    out = fn(x).hex()
+                except Exception as ex:  # recorded, not raised
+                    out = _err(ex)
+                yield f"{name}\t{mode}\t{x.hex()}\t{out}"
+
+
+def report_lines():
+    from adlc.gradcheck import CorpusSpec, crosscheck, report_line
+
+    return [report_line(r) for r in crosscheck(CorpusSpec(42))]
+
+
+def _cli(argv: list[str]) -> str:
+    from adlc.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as ex:
+            code = ex.code
+    return (f"$ adlc {' '.join(argv)}\n{out.getvalue()}"
+            f"stderr {err.getvalue()}exit {code}")
+
+
+def cli_lines(root: str):
+    from adlc.gradcheck import MODES
+
+    progs = sorted(glob.glob(os.path.join(root, "programs", "*.sexp")))
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, text in enumerate(EVAL_PROGRAMS):
+            path = os.path.join(tmp, f"eval{i}.sexp")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            progs.append(path)
+        for path in progs:
+            yield _cli(["eval", path]).replace(tmp, "<tmp>").replace(root, "<root>")
+    for path in sorted(glob.glob(os.path.join(root, "programs", "*.sexp"))):
+        for mode in MODES:
+            yield _cli(["grad", "--mode", mode, "--at", "-2,-0.5,0,1,3",
+                        path]).replace(root, "<root>")
+    yield _cli(["check", "--seed", "42", "--json"])
+    yield _cli(["demo"])
+
+
+def main() -> None:
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=here, help="checkout to fingerprint")
+    ap.add_argument("--dump", help="also write each class's lines to DUMP/<class>.txt")
+    args = ap.parse_args()
+    root = os.path.abspath(args.root)
+    sys.path.insert(0, os.path.join(root, "src"))
+    classes = (("gradients", lambda: gradient_lines(root)), ("reports", report_lines),
+               ("cli", lambda: cli_lines(root)))
+    for name, lines in classes:
+        lines = list(lines())
+        if args.dump:
+            os.makedirs(args.dump, exist_ok=True)
+            with open(os.path.join(args.dump, f"{name}.txt"), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        print(f"{name:<10}{_digest(lines)}")
+
+
+if __name__ == "__main__":
+    main()
