@@ -19,15 +19,16 @@ Correspondence between Evaluators and Abstract Machines", PPDP 2003):
   continuation value; applying that value pushes a delimiter and the frames
   back.
 
-Every slot is written at most once per activation, so the first resumption
-of a continuation runs in the activations it captured, and each later one
-runs in copies of them: a resumption writes only the slots its frames have
-not reached yet, and never sees another resumption's writes.  A
+Each instruction runs at most once in an activation and writes a slot of
+its own, so the first resumption of a continuation can run in the
+activations it captured, and each later one runs in copies of them: a
+resumption writes only the slots its frames have not reached yet, and
+never sees another resumption's writes.  A
 continuation that is resumed once, as in the target-shift reverse pass,
 costs no copy.
 
-Errors are raised at run time, at the point where the old tree walk met
-them: an unbound name in an untaken branch is not an error.
+Errors are raised at run time, in evaluation order: an unbound name in an
+untaken branch is not an error.
 """
 
 from __future__ import annotations
