@@ -62,7 +62,8 @@ def _interpreted(build: Callable[[Expr], Expr]):
 
 
 # Every gradient mode: a builder that does the per-program work (prepare,
-# transform or stage) once and returns the derivative as a real function.
+# transform, stage, translate) once and returns the derivative as a real
+# function.
 MODES: dict[str, Callable[[Expr], Callable[[float], float]]] = {
     "dual": dual_gradient,
     "forward": _interpreted(forward_gradient_program),

@@ -62,11 +62,17 @@ class _UnitType:
 UNIT = _UnitType()
 
 
-@dataclass
 class Closure:
+    """A lambda value: its translated body and the values it captured."""
+
     __slots__ = ("code", "vals")
-    code: _Code
-    vals: tuple
+
+    def __init__(self, code: _Code, vals: tuple):
+        self.code = code
+        self.vals = vals
+
+    def __repr__(self):
+        return "<closure>"
 
 
 @dataclass
@@ -102,6 +108,9 @@ class Cont:
     def __init__(self, frames: list):
         self.frames = frames
         self.resumed = False
+
+    def __repr__(self):
+        return "<continuation>"
 
     def resume(self) -> list:
         """The frames to push for one resumption: the captured ones the

@@ -154,6 +154,14 @@ def test_error_order_follows_evaluation_order():
         ev("(app 1.0 nope)")
 
 
+def test_errors_print_functions_as_rendered():
+    # no memory addresses or internal code in messages
+    with pytest.raises(EvalError, match=r"^projecting a non-pair \(fst\): <closure>$"):
+        ev("(fst (lam x x))")
+    with pytest.raises(EvalError, match="^dereferencing a non-cell: <continuation>$"):
+        ev("(deref (reset (shift k k)))")
+
+
 def test_shadowing_in_unfreshened_input():
     assert ev("(let x 1.0 (let x (+ x 1.0) x))") == 2.0
     assert ev("(let x 1.0 (+ (let x 5.0 x) x))") == 6.0
