@@ -26,7 +26,7 @@ from .reverse import (
 )
 from .runtime import (
     grad_cps, grad_forward_over_reverse, grad_functional,
-    grad_tape, merge, perturbation_confusion_probe,
+    grad_tape, perturbation_confusion_probe,
 )
 from .staging import parse_tree, stage_reverse, stage_tree
 from .syntax import Expr, parse, pretty
@@ -37,7 +37,7 @@ __all__ = [
     "fwd_transform", "grad_cps", "grad_forward",
     "grad_forward_over_reverse", "grad_forward_tagged", "grad_functional",
     "grad_reverse", "grad_reverse_of_reverse", "grad_symbolic", "grad_tape",
-    "gradient_descent", "ir_eval", "ir_optimize", "merge", "normalize_tail",
+    "gradient_descent", "ir_eval", "ir_optimize", "normalize_tail",
     "parse", "parse_tree", "perturbation_confusion_probe", "pretty",
     "random_program", "rev_transform_full_cps", "rev_transform_meta_shift",
     "rev_transform_target_shift", "stage_reverse", "stage_tree",

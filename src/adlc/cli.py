@@ -19,7 +19,7 @@ from .gradcheck import (
     gradient_descent, gradient_fn, report_json, report_line,
 )
 from .interp import eval_expr, render_value
-from .ir_eval import ir_eval
+from .ir_eval import DEFAULT_DEPTH_LIMIT, ir_eval
 from .ir_opt import ir_optimize
 from .lang import anf, prepare
 from .reverse import (
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=GRAD_MODES, required=True)
     sp.add_argument("--at", default="1.0", help="comma-separated probe list")
     sp.add_argument("--tree", help="tree input file for staged tree folds")
-    sp.add_argument("--depth-limit", type=int, default=None)
+    sp.add_argument("--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT)
     sp.add_argument("file")
 
     sp = sub.add_parser("check", help="cross-check gradient formulations")

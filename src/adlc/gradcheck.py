@@ -36,6 +36,8 @@ REVERSE_FAMILY = ("cps", "tape", "functional", "reverse-target-shift",
 ALL_MODES = FORWARD_FAMILY + REVERSE_FAMILY
 
 DEFAULT_PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+# relative tolerance between the forward and the reverse family
+FAMILY_TOL = 1e-10
 
 
 class DivergenceError(LangError):
@@ -150,7 +152,6 @@ class ProgramGradients:
     built once."""
 
     def __init__(self, f: Expr):
-        self.f = f
         self.fns = {mode: MODES[mode](f) for mode in ALL_MODES}
         self.primal = primal_fn(f)
 
@@ -174,16 +175,11 @@ def _rel_ok(a: float, b: float, tol: float) -> bool:
 
 
 def check_one(pg: ProgramGradients, program_id: int, probe: float,
-              h: float | None = None, fd_tol: float = 1e-4,
-              family_tol: float = 1e-10,
-              overrides: dict | None = None) -> GradReport:
+              h: float | None = None, fd_tol: float = 1e-4) -> GradReport:
     rep = GradReport(program_id, probe)
     try:
         for mode in ALL_MODES:
-            if overrides and mode in overrides:
-                rep.grads[mode] = overrides[mode](pg.f, probe)
-            else:
-                rep.grads[mode] = pg.grad(mode, probe)
+            rep.grads[mode] = pg.grad(mode, probe)
         rep.fd = finite_diff(pg.primal, probe, h)
         vals = list(rep.grads.values())
         rep.max_dev = max(abs(a - b) for a in vals for b in vals)
@@ -191,7 +187,7 @@ def check_one(pg: ProgramGradients, program_id: int, probe: float,
         rev = [rep.grads[m] for m in REVERSE_FAMILY]
         ok = all(v == fwd[0] for v in fwd)
         ok = ok and all(v == rev[0] for v in rev)
-        ok = ok and _rel_ok(rev[0], fwd[0], family_tol)
+        ok = ok and _rel_ok(rev[0], fwd[0], FAMILY_TOL)
         ok = ok and _rel_ok(rep.fd, fwd[0], fd_tol)
         rep.passed = ok
     except LangError as ex:
@@ -201,29 +197,25 @@ def check_one(pg: ProgramGradients, program_id: int, probe: float,
 
 
 def check_program(f: Expr, program_id: int, probes=DEFAULT_PROBES,
-                  h: float | None = None, fd_tol: float = 1e-4,
-                  family_tol: float = 1e-10,
-                  overrides: dict | None = None) -> list[GradReport]:
+                  h: float | None = None,
+                  fd_tol: float = 1e-4) -> list[GradReport]:
     """All probes for one program; construction failures become failing
     reports instead of exceptions."""
     try:
         pg = ProgramGradients(f)
     except LangError as ex:
         return [GradReport(program_id, p, error=str(ex)) for p in probes]
-    return [check_one(pg, program_id, p, h, fd_tol, family_tol, overrides)
-            for p in probes]
+    return [check_one(pg, program_id, p, h, fd_tol) for p in probes]
 
 
 def crosscheck(spec: CorpusSpec, probes=DEFAULT_PROBES,
-               h: float | None = None, fd_tol: float = 1e-4,
-               family_tol: float = 1e-10,
-               overrides: dict | None = None) -> list[GradReport]:
+               h: float | None = None,
+               fd_tol: float = 1e-4) -> list[GradReport]:
     """Run every mode on every (program, probe) cell; per-entry failures are
     recorded in the report rather than raised."""
     out: list[GradReport] = []
     for i in range(spec.count):
-        out.extend(check_program(random_program(spec, i), i, probes,
-                                 h, fd_tol, family_tol, overrides))
+        out.extend(check_program(random_program(spec, i), i, probes, h, fd_tol))
     return out
 
 

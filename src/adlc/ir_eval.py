@@ -8,8 +8,6 @@ loop stops with a diagnostic instead of spinning forever.
 
 from __future__ import annotations
 
-import os
-
 from .staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
     IRProgram, Return, SlotRead, SlotSet, StagingError, TreeData,
@@ -161,20 +159,11 @@ def _tree(v) -> TreeData:
     return v
 
 
-def resolve_depth_limit(depth_limit: int | None = None) -> int:
-    if depth_limit is not None:
-        return depth_limit
-    env = os.environ.get("ADLC_DEPTH_LIMIT")
-    if env:
-        return int(env)
-    return DEFAULT_DEPTH_LIMIT
-
-
 def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,
-            depth_limit: int | None = None) -> float:
+            depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
     """Execute the program entry on one real input (plus the runtime tree
     for tree-fold programs); returns the entry's result."""
-    m = _Machine(prog, resolve_depth_limit(depth_limit))
+    m = _Machine(prog, depth_limit)
     entry = prog.functions[prog.entry]
     kinds = [k for _, k in entry.params]
     if kinds and kinds[0] == "tree":

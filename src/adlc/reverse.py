@@ -21,11 +21,13 @@ rename instead.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable
 
 from .forward import TransformError, split_pair
 from .interp import apply_real
 from .lang import prepare
+from .runtime import adjoint_rule
 from .syntax import (
     Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
     Lam, Let, Letrec, Mul, NameGen, Pair, Ref, Reset, Seq, Shift, Snd, Unit,
@@ -75,31 +77,26 @@ def _smart_let(name: str, bound: Expr, body: Expr) -> Expr:
     return normalize_tail(Let(name, bound, body))
 
 
-def _accum(cell: Expr, delta: Expr) -> Expr:
-    # y1 += delta  desugars to  y1 := !y1 + delta
-    return Assign(cell, Add(Deref(cell), delta))
+# the adjoint rule's medium: an update is the term  cell := !cell + delta
+_TERMS = SimpleNamespace(
+    read=lambda _s, yd: Deref(yd), mul=Mul, seq=Seq,
+    accum=lambda _s, cell, delta: Assign(cell, Add(Deref(cell), delta)))
 
 
 def _arith_block(op: str, t1: Expr, t2: Expr, gen: NameGen, capture) -> Expr:
     """The shared +/* pattern: bind operand pairs, allocate the result with
     a zero adjoint cell, run the rest of the computation, then accumulate
-    backwards.  `capture()`, called once the operands are bound, returns
-    the continuation for the rest and the wrapper that delimits the block:
-    an object-level shift, or a translation-time continuation and no
-    wrapper."""
+    backwards by the adjoint rule.  `capture()`, called once the operands
+    are bound, returns the continuation for the rest and the wrapper that
+    delimits the block: an object-level shift, or a translation-time
+    continuation and no wrapper."""
     p1, a1, w1 = split_pair(t1, gen)
     p2, a2, w2 = split_pair(t2, gen)
     k, delimit = capture()
     y = gen.fresh()
-    yd = Snd(Var(y))
-    if op == "add":
-        primal = Add(p1, p2)
-        d1, d2 = Deref(yd), Deref(yd)
-    else:
-        primal = Mul(p1, p2)
-        d1, d2 = Mul(Deref(yd), p2), Mul(Deref(yd), p1)
-    block = Let(y, Pair(primal, Ref(Const(0.0))),
-                Seq(k(Var(y)), Seq(_accum(a1, d1), _accum(a2, d2))))
+    backward = adjoint_rule(_TERMS, None, op, p1, a1, p2, a2, Snd(Var(y)))
+    block = Let(y, Pair((Add if op == "add" else Mul)(p1, p2), Ref(Const(0.0))),
+                Seq(k(Var(y)), backward))
     return w1(w2(delimit(block)))
 
 

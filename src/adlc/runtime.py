@@ -148,15 +148,42 @@ def perturbation_confusion_probe() -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reverse runtimes: shared scalar algebra (floats, or tagged duals for
-# forward-over-reverse second derivatives)
+# Reverse runtimes, and the +/* adjoint rule that every reverse formulation
+# runs: these runtimes, the three reverse transformations and the IR stager.
+# A run holds its scalar algebra (floats, or tagged duals for
+# forward-over-reverse second derivatives) as `add` and `mul`, so
+# getattr(run, op) is the primal operation op.
 
-SCALAR_FLOAT = (lambda a, b: a + b, lambda a, b: a * b)
+
+def adjoint_rule(m, s, op: str, p1, a1, p2, a2, y):
+    """Backward step of y = p1 op p2, op "add" or "mul": add y's adjoint
+    into a1, then into a2, times the other operand for *, reading y's
+    adjoint once per update.  The medium m supplies read(s, y), mul(a, b),
+    accum(s, a, delta) and seq(u1, u2); each update is also the state the
+    next one reads.  That state is the adjoint list of a host run, updated
+    in place, or the functional runtime's immutable map; the stager, which
+    emits IR statements, and the transformations, which build terms, thread
+    None."""
+    d = m.read(s, y)
+    u = m.accum(s, a1, m.mul(d, p2) if op == "mul" else d)
+    d = m.read(u, y)
+    return m.seq(u, m.accum(u, a2, m.mul(d, p1) if op == "mul" else d))
+
+
+def later(_u1, u2):
+    """seq for a medium whose updates take effect as they are made."""
+    return u2
+
+
+SCALAR_FLOAT = (operator.add, operator.mul)
 SCALAR_DUAL = (d_add, d_mul)
 
 
 class _Run:
-    """Per-invocation adjoint storage; index order is creation order."""
+    """Per-invocation adjoint storage; index order is creation order.  It is
+    the adjoint rule's medium, its state the adjoint list."""
+
+    read, seq = staticmethod(operator.getitem), staticmethod(later)
 
     def __init__(self, scalar=SCALAR_FLOAT):
         self.adj: list = []
@@ -167,10 +194,27 @@ class _Run:
         self.adj.append(0.0)
         return len(self.adj) - 1
 
-    def accum(self, idx: int, delta) -> None:
+    def accum(self, adj: list, idx: int, delta) -> list:
         if self.trace is not None:
             self.trace.append((idx, delta))
-        self.adj[idx] = self.add(self.adj[idx], delta)
+        adj[idx] = self.add(adj[idx], delta)
+        return adj
+
+
+def _cps_op(op: str):
+    """RevNum's + or *: a function awaiting the delimited continuation."""
+    def combine(self, other):
+        other = self._lift(other)
+        run = self.run
+
+        def with_k(k):
+            y = RevNum(getattr(run, op)(self.x, other.x), run.slot(), run)
+            k(y)
+            adjoint_rule(run, run.adj, op, self.x, self.idx, other.x, other.idx, y.idx)
+
+        return with_k
+
+    return combine
 
 
 class RevNum:
@@ -186,35 +230,10 @@ class RevNum:
         self.run = run
 
     def _lift(self, v):
-        return v if isinstance(v, RevNum) else RevNum(v, self.run.slot(), self.run)
+        return v if isinstance(v, RevNum) else type(self)(v, self.run.slot(), self.run)
 
-    def __add__(self, other):
-        other = self._lift(other)
-        run = self.run
-
-        def with_k(k):
-            y = RevNum(run.add(self.x, other.x), run.slot(), run)
-            k(y)
-            run.accum(self.idx, run.adj[y.idx])
-            run.accum(other.idx, run.adj[y.idx])
-
-        return with_k
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        run = self.run
-
-        def with_k(k):
-            y = RevNum(run.mul(self.x, other.x), run.slot(), run)
-            k(y)
-            run.accum(self.idx, run.mul(other.x, run.adj[y.idx]))
-            run.accum(other.idx, run.mul(self.x, run.adj[y.idx]))
-
-        return with_k
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _cps_op("add")
+    __mul__ = __rmul__ = _cps_op("mul")
 
 
 def grad_cps(f: Callable, x0, scalar=SCALAR_FLOAT, run_out: list | None = None,
@@ -235,37 +254,26 @@ def grad_cps(f: Callable, x0, scalar=SCALAR_FLOAT, run_out: list | None = None,
     return run.adj[z.idx]
 
 
-class TapeNum:
-    """Reverse-mode number for the tape runtime; operations append
-    defunctionalized backward records replayed in reverse order."""
-
-    __slots__ = ("x", "idx", "run")
-
-    def __init__(self, x, idx: int, run):
-        self.x = x
-        self.idx = idx
-        self.run = run
-
-    def _lift(self, v):
-        return v if isinstance(v, TapeNum) else TapeNum(v, self.run.slot(), self.run)
-
-    def __add__(self, other):
+def _tape_op(op: str):
+    """TapeNum's + or *: record the adjoint rule's arguments on the tape."""
+    def combine(self, other):
         other = self._lift(other)
         run = self.run
-        y = TapeNum(run.add(self.x, other.x), run.slot(), run)
-        run.tape.append(("add", self.idx, other.idx, y.idx, self.x, other.x))
+        y = TapeNum(getattr(run, op)(self.x, other.x), run.slot(), run)
+        run.tape.append((op, self.x, self.idx, other.x, other.idx, y.idx))
         return y
 
-    __radd__ = __add__
+    return combine
 
-    def __mul__(self, other):
-        other = self._lift(other)
-        run = self.run
-        y = TapeNum(run.mul(self.x, other.x), run.slot(), run)
-        run.tape.append(("mul", self.idx, other.idx, y.idx, self.x, other.x))
-        return y
 
-    __rmul__ = __mul__
+class TapeNum(RevNum):
+    """Reverse-mode number for the tape runtime: the defunctionalized
+    RevNum, whose operations record their backward step instead of
+    awaiting a continuation."""
+
+    __slots__ = ()
+    __add__ = __radd__ = _tape_op("add")
+    __mul__ = __rmul__ = _tape_op("mul")
 
 
 class TapeRun(_Run):
@@ -274,14 +282,10 @@ class TapeRun(_Run):
         self.tape: list = []
 
     def replay(self) -> None:
-        """Play the recorded actions in reverse insertion order."""
-        for kind, a, b, y, ax, bx in reversed(self.tape):
-            if kind == "add":
-                self.accum(a, self.adj[y])
-                self.accum(b, self.adj[y])
-            else:
-                self.accum(a, self.mul(bx, self.adj[y]))
-                self.accum(b, self.mul(ax, self.adj[y]))
+        """Play the recorded steps in reverse insertion order."""
+        adj = self.adj
+        for op, p1, a1, p2, a2, y in reversed(self.tape):
+            adjoint_rule(self, adj, op, p1, a1, p2, a2, y)
 
 
 def grad_tape(f: Callable, x0, scalar=SCALAR_FLOAT, run_out: list | None = None,
@@ -313,19 +317,6 @@ class FunNum:
         self.run = run
 
 
-class FunRun:
-    """Id supply only; gradients live in immutable maps, never mutated."""
-
-    def __init__(self, scalar=SCALAR_FLOAT):
-        self.next_id = 0
-        self.add, self.mul = scalar
-
-    def num(self, x) -> FunNum:
-        n = FunNum(x, self.next_id, self)
-        self.next_id += 1
-        return n
-
-
 def map_get(m: dict, idx: int):
     return m.get(idx, 0.0)
 
@@ -337,42 +328,43 @@ def map_add(m: dict, idx: int, delta) -> dict:
     return out
 
 
-def merge(m1: dict, m2: dict) -> dict:
-    """Pointwise addition of adjoint maps; absent keys read as zero."""
-    out = dict(m1)
-    for k, v in m2.items():
-        out[k] = out.get(k, 0.0) + v
-    return out
+class FunRun:
+    """Id supply only; gradients live in immutable maps, never mutated.  As
+    the adjoint rule's medium it threads those maps."""
+
+    read, accum, seq = staticmethod(map_get), staticmethod(map_add), staticmethod(later)
+
+    def __init__(self, scalar=SCALAR_FLOAT):
+        self.next_id = 0
+        self.add, self.mul = scalar
+
+    def num(self, x) -> FunNum:
+        n = FunNum(x, self.next_id, self)
+        self.next_id += 1
+        return n
 
 
-def fun_add(a: FunNum, b: FunNum):
-    run = a.run
+def _fun_op(op: str):
+    """+ or * over FunNums: a function awaiting the continuation."""
+    def combine(a: FunNum, b: FunNum):
+        run = a.run
 
-    def with_k(k):
-        y = run.num(run.add(a.x, b.x))
-        m = k(y)
-        yd = map_get(m, y.idx)
-        return map_add(map_add(m, a.idx, yd), b.idx, yd)
+        def with_k(k):
+            y = run.num(getattr(run, op)(a.x, b.x))
+            return adjoint_rule(run, k(y), op, a.x, a.idx, b.x, b.idx, y.idx)
 
-    return with_k
+        return with_k
+
+    return combine
 
 
-def fun_mul(a: FunNum, b: FunNum):
-    run = a.run
-
-    def with_k(k):
-        y = run.num(run.mul(a.x, b.x))
-        m = k(y)
-        yd = map_get(m, y.idx)
-        m = map_add(m, a.idx, run.mul(b.x, yd))
-        return map_add(m, b.idx, run.mul(a.x, yd))
-
-    return with_k
+fun_add, fun_mul = _fun_op("add"), _fun_op("mul")
 
 
 def grad_functional(f: Callable, x0, scalar=SCALAR_FLOAT):
-    """Reverse-mode gradient without mutation: continuations return adjoint
-    maps merged by pointwise addition."""
+    """Reverse-mode gradient without mutation: each continuation returns
+    the adjoint map of the rest of the run, and each operation returns it
+    with its operands' adjoints added in."""
     run = FunRun(scalar)
     z = run.num(x0)
     m = f(z)(lambda r: {r.idx: 1.0})

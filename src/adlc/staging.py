@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lang import freshen
+from .runtime import adjoint_rule, later
 from .syntax import (
     Add, App, Const, Expr, Greater, If, LangError, Lam, Let, Letrec, Mul,
     NameGen, ParseError, Seq, Unit, Var, all_names, contains_control,
@@ -25,6 +26,9 @@ from .syntax import (
 Operand = "str | float"
 
 ENTRY = "snippet"
+INPUT = "in"  # the entry's real parameter
+# the free variables of a tree-fold body: left and right results, node value
+TREE_LEFT, TREE_RIGHT, TREE_VALUE = "l", "r", "v"
 TAPE_SLOT = "tape"
 TAPE_END = "tape_end"
 
@@ -313,22 +317,23 @@ class _Stager:
         self.emit(CellNew(d, 0.0))
         k(SNum(v, d))
         # backward, emitted after the rest of the computation
-        r1 = self.sym("t", "val")
-        self.emit(CellRead(r1, d))
-        if op == "add":
-            self.emit(CellAccum(s1.adj, r1))
-            r2 = self.sym("t", "val")
-            self.emit(CellRead(r2, d))
-            self.emit(CellAccum(s2.adj, r2))
-        else:
-            m1 = self.sym("t", "val")
-            self.emit(Bind(m1, "mul", (r1, s2.prim)))
-            self.emit(CellAccum(s1.adj, m1))
-            r2 = self.sym("t", "val")
-            self.emit(CellRead(r2, d))
-            m2 = self.sym("t", "val")
-            self.emit(Bind(m2, "mul", (r2, s1.prim)))
-            self.emit(CellAccum(s2.adj, m2))
+        adjoint_rule(self, None, op, s1.prim, s1.adj, s2.prim, s2.adj, d)
+
+    # the adjoint rule's medium: statements appended to the current block
+    def read(self, _s, cell: str) -> str:
+        t = self.sym("t", "val")
+        self.emit(CellRead(t, cell))
+        return t
+
+    def mul(self, a, b) -> str:
+        t = self.sym("t", "val")
+        self.emit(Bind(t, "mul", (a, b)))
+        return t
+
+    def accum(self, _s, cell: str, value) -> None:
+        self.emit(CellAccum(cell, value))
+
+    seq = staticmethod(later)
 
     def _cond(self, g: Expr, t: Expr, o: Expr, env: dict, k) -> None:
         def with_guard(sb):
@@ -453,24 +458,24 @@ def _stage(build) -> IRProgram:
     return prog
 
 
-def stage_reverse(f: Expr, input_symbol: str = "in") -> IRProgram:
+def stage_reverse(f: Expr) -> IRProgram:
     """Stage the reverse-mode gradient of a one-argument function.  Sugar
     forms if/letrec drive the conditional and loop generation schemes."""
     if contains_control(f):
         raise StagingError("shift/reset cannot be staged")
-    gen = NameGen(all_names(f) | {input_symbol})
+    gen = NameGen(all_names(f) | {INPUT})
     f = freshen(f, gen)
     if not isinstance(f, Lam):
         raise StagingError("staging target must be a one-argument lam")
 
     def build(st: _Stager) -> None:
-        entry = IRFunction(ENTRY, [(input_symbol, "val")])
+        entry = IRFunction(ENTRY, [(INPUT, "val")])
         st.functions[ENTRY] = entry
         d0 = st.named("d0", "cell")
 
         def body():
             st.emit(CellNew(d0, 0.0))
-            env = {f.param: SNum(input_symbol, d0)}
+            env = {f.param: SNum(INPUT, d0)}
             st.translate(f.body, env,
                          lambda s: st.emit(CellSet(st.num(s, "result").adj, 1.0)))
             r = st.sym("r", "val")
@@ -482,9 +487,7 @@ def stage_reverse(f: Expr, input_symbol: str = "in") -> IRProgram:
     return _stage(build)
 
 
-def stage_tree(body: Expr, input_symbol: str = "in",
-               left_name: str = "l", right_name: str = "r",
-               value_name: str = "v") -> IRProgram:
+def stage_tree(body: Expr) -> IRProgram:
     """Stage the gradient of a fold over a runtime binary tree.
 
     `body` combines the recursive results of the subtrees (free variables
@@ -494,12 +497,12 @@ def stage_tree(body: Expr, input_symbol: str = "in",
     """
     if contains_control(body):
         raise StagingError("shift/reset cannot be staged")
-    gen = NameGen(all_names(body) | {input_symbol, left_name, right_name, value_name})
+    gen = NameGen(all_names(body) | {INPUT, TREE_LEFT, TREE_RIGHT, TREE_VALUE})
     body = freshen(body, gen)
 
     def build(st: _Stager) -> None:
         tree_sym = "tree"
-        entry = IRFunction(ENTRY, [(tree_sym, "tree"), (input_symbol, "val")])
+        entry = IRFunction(ENTRY, [(tree_sym, "tree"), (INPUT, "val")])
         st.functions[ENTRY] = entry
         st.kinds[tree_sym] = "tree"
         d0 = st.named("d0", "cell")
@@ -533,7 +536,7 @@ def stage_tree(body: Expr, input_symbol: str = "in",
                 st.emit(Call(rec.name, (tl, c)))
 
             def orelse():
-                st.emit(Call(k0, (input_symbol, d0), indirect=True))
+                st.emit(Call(k0, (INPUT, d0), indirect=True))
 
             st.segment(cond.then, then)
             st.segment(cond.orelse, orelse)
@@ -555,9 +558,9 @@ def stage_tree(body: Expr, input_symbol: str = "in",
             dv = st.sym("d", "cell")
             st.emit(CellNew(dv, 0.0))
             env = {
-                left_name: SNum(kl.params[0][0], kl.params[1][0]),
-                right_name: SNum(kr.params[0][0], kr.params[1][0]),
-                value_name: SNum(v0, dv),
+                TREE_LEFT: SNum(kl.params[0][0], kl.params[1][0]),
+                TREE_RIGHT: SNum(kr.params[0][0], kr.params[1][0]),
+                TREE_VALUE: SNum(v0, dv),
             }
             st.translate(body, env, lambda s: st.emit(
                 Call(k0, (st.num(s, "fold result").prim,
@@ -620,9 +623,7 @@ def parse_tree(text: str) -> TreeData | None:
     return out
 
 
-def tree_to_expr(tree: TreeData | None, body: Expr,
-                 left_name: str = "l", right_name: str = "r",
-                 value_name: str = "v") -> Expr:
+def tree_to_expr(tree: TreeData | None, body: Expr) -> Expr:
     """Unfold a tree fold over a concrete tree into a plain object-language
     expression (free variable: the fold's input), for unstaged comparison."""
     gen = NameGen(all_names(body))
@@ -631,8 +632,8 @@ def tree_to_expr(tree: TreeData | None, body: Expr,
     def go(t: TreeData | None) -> Expr:
         if t is None:
             return Var("x")
-        sub = {left_name: go(t.left), right_name: go(t.right),
-               value_name: Const(t.value)}
+        sub = {TREE_LEFT: go(t.left), TREE_RIGHT: go(t.right),
+               TREE_VALUE: Const(t.value)}
 
         def subst(e: Expr) -> Expr:
             if isinstance(e, Var) and e.name in sub:

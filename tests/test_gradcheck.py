@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from adlc import gradcheck
 from adlc.gradcheck import (
     ALL_MODES, MODES, CorpusSpec, DivergenceError, ProgramGradients,
     check_one, crosscheck, finite_diff, gradient_descent, gradient_fn,
@@ -78,19 +79,19 @@ def test_crosscheck_small_corpus_all_pass():
     assert reports and all(r.passed for r in reports)
 
 
-def test_crosscheck_detects_corruption():
-    bad = {"dual": lambda f, x: 123.456}
-    reports = crosscheck(CorpusSpec(count=2), probes=(1.0,), overrides=bad)
+def test_crosscheck_detects_corruption(monkeypatch):
+    monkeypatch.setitem(gradcheck.MODES, "dual", lambda f: lambda x: 123.456)
+    reports = crosscheck(CorpusSpec(count=2), probes=(1.0,))
     assert all(not r.passed for r in reports)
 
 
-def test_crosscheck_records_errors_not_raises():
-    # an override that raises is recorded per entry
-    def boom(f, x):
+def test_crosscheck_records_errors_not_raises(monkeypatch):
+    # a mode that raises is recorded per entry
+    def boom(x):
         raise LangError("synthetic failure")
 
-    reports = crosscheck(CorpusSpec(count=2), probes=(1.0,),
-                         overrides={"tape": boom})
+    monkeypatch.setitem(gradcheck.MODES, "tape", lambda f: boom)
+    reports = crosscheck(CorpusSpec(count=2), probes=(1.0,))
     assert all(not r.passed and r.error for r in reports)
 
 

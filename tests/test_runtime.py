@@ -3,7 +3,6 @@ import os
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
 
 from adlc.gradcheck import (
     DEFAULT_PROBES, MODES, CorpusSpec, corpus, finite_diff, gradient_fn,
@@ -13,7 +12,7 @@ from adlc.runtime import (
     Dual, NumF, RuntimeADError, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr,
     grad_dual_expr, grad_dual_tagged, grad_forward_over_reverse,
     grad_functional, grad_functional_expr, grad_naive, grad_tape,
-    grad_tape_expr, map_add, merge, perturbation_confusion_probe,
+    grad_tape_expr, map_add, perturbation_confusion_probe,
 )
 from adlc.reverse import grad_reverse_of_reverse
 from adlc.syntax import Add, Const, Lam, Let, Var, parse
@@ -93,25 +92,6 @@ def test_grad_functional_values():
 def test_adjoint_map_point_update():
     assert map_add({"a": 1.0}, "a", 2.0) == {"a": 3.0}
     assert map_add({}, "b", 3.0) == {"b": 3.0}
-
-
-def test_merge_pointwise_sum():
-    assert merge({1: 1.0}, {1: 2.0, 2: 3.0}) == {1: 3.0, 2: 3.0}
-
-
-_maps = st.dictionaries(st.integers(0, 6),
-                        st.floats(min_value=-8, max_value=8, allow_nan=False,
-                                  width=16))
-
-
-@given(_maps, _maps, _maps)
-def test_merge_commutative_associative_identity(m1, m2, m3):
-    # exact-rational-friendly half-precision values keep float addition exact
-    assert merge(m1, m2) == merge(m2, m1)
-    a = merge(merge(m1, m2), m3)
-    b = merge(m1, merge(m2, m3))
-    assert a == b
-    assert merge(m1, {}) == m1
 
 
 # --- cross-formulation exactness ------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from adlc.emit import emit_c
 from adlc.gradcheck import CorpusSpec, random_program
-from adlc.ir_eval import IREvalError, ir_eval, resolve_depth_limit
+from adlc.ir_eval import IREvalError, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.staging import (
@@ -178,12 +178,6 @@ def test_depth_limit_enforced():
     p = stage_reverse(deep)
     with pytest.raises(IREvalError, match="depth limit"):
         ir_eval(p, 2.0, depth_limit=1)
-
-
-def test_depth_limit_env_override(monkeypatch):
-    monkeypatch.setenv("ADLC_DEPTH_LIMIT", "12345")
-    assert resolve_depth_limit(None) == 12345
-    assert resolve_depth_limit(7) == 7
 
 
 def test_letrec_non_loop_rejected():

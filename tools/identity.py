@@ -4,12 +4,22 @@ for byte identity of everything a user can observe.
     python3 tools/identity.py [--root CHECKOUT] [--dump DIR]
 
 Classes:
-  gradients  float.hex of every gradient mode and the primal at
-             DEFAULT_PROBES, over CorpusSpec(42) and programs/*.sexp
-             (errors are recorded as their class and message)
+  gradients  float.hex of every gradient mode, forward-over-reverse and the
+             primal at DEFAULT_PROBES, and the adjoint-update traces of the
+             cps and tape runtimes there, over CorpusSpec(42) and
+             programs/*.sexp
   reports    report_line of crosscheck(CorpusSpec(42))
   cli        stdout, stderr and exit code of `adlc eval`, `grad --mode <each>`,
+             `transform --mode <each>`, `codegen --opt none|all`,
              `check --seed 42 --json` and `demo`
+  transforms pretty of the forward, symbolic and three reverse gradient
+             programs, and of fwd_transform and each rev_transform_* of the
+             prepared program, over CorpusSpec(42) and programs/*.sexp
+  emitted    emit_c of stage_reverse over the same programs, and of
+             stage_tree of programs/tree_fold.sexp, each with and without
+             ir_optimize
+
+Every class records an error as its class and message instead of raising.
 
 --root defaults to the checkout this script lives in; its src/ is put
 first on sys.path.  Standard library only.
@@ -25,6 +35,7 @@ import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 
 # programs for `adlc eval`, beside the ones in programs/: closed terms that
 # exercise delimited control, the store, shadowing and run-time errors
@@ -56,18 +67,45 @@ def _err(ex: BaseException) -> str:
     return f"{type(ex).__name__}: {ex}"
 
 
-def gradient_lines(root: str):
-    from adlc.gradcheck import (
-        DEFAULT_PROBES, MODES, CorpusSpec, corpus, primal_fn,
-    )
+def _programs(root: str):
+    """(name, program) over CorpusSpec(42) and programs/*.sexp."""
+    from adlc.gradcheck import CorpusSpec, corpus
     from adlc.syntax import parse
 
     programs = [(f"corpus{i}", f) for i, f in enumerate(corpus(CorpusSpec(42)))]
     for path in sorted(glob.glob(os.path.join(root, "programs", "*.sexp"))):
         with open(path, encoding="utf-8") as fh:
             programs.append((os.path.basename(path), parse(fh.read())))
+    return programs
+
+
+def _attempt(build) -> str:
+    try:
+        return build()
+    except Exception as ex:  # recorded, not raised
+        return _err(ex)
+
+
+def _trace(grad):
+    """A gradient function whose value is its run's adjoint-update trace."""
+    def run(x):
+        runs: list = []
+        grad(x, run_out=runs, trace=True)
+        return ";".join(f"{i}:{d.hex()}" for i, d in runs[0].trace)
+    return run
+
+
+def gradient_lines(root: str):
+    from adlc.gradcheck import DEFAULT_PROBES, MODES, primal_fn
+    from adlc.runtime import (
+        cps_gradient, grad_forward_over_reverse, tape_gradient,
+    )
+
     builders = dict(MODES, primal=primal_fn)
-    for name, f in programs:
+    builders["forward-over-reverse"] = lambda f: partial(grad_forward_over_reverse, f)
+    builders["trace-cps"] = lambda f: _trace(cps_gradient(f))
+    builders["trace-tape"] = lambda f: _trace(tape_gradient(f))
+    for name, f in _programs(root):
         for mode, build in builders.items():
             try:
                 fn = build(f)
@@ -76,10 +114,57 @@ def gradient_lines(root: str):
                 continue
             for x in DEFAULT_PROBES:
                 try:
-                    out = fn(x).hex()
+                    out = fn(x)
+                    out = out if isinstance(out, str) else out.hex()
                 except Exception as ex:  # recorded, not raised
                     out = _err(ex)
                 yield f"{name}\t{mode}\t{x.hex()}\t{out}"
+
+
+def _of_prepared(transform):
+    """The transform of the prepared program, with prepare's name supply."""
+    from adlc.lang import prepare
+
+    def run(f):
+        e, gen = prepare(f)
+        return transform(e, gen)
+    return run
+
+
+def transform_lines(root: str):
+    from adlc.forward import (
+        forward_gradient_program, fwd_transform, symbolic_gradient_program,
+    )
+    from adlc.reverse import (
+        VARIANTS, reverse_gradient_program, rev_transform_full_cps,
+        rev_transform_meta_shift, rev_transform_target_shift,
+    )
+    from adlc.syntax import pretty
+
+    builders = {"forward": forward_gradient_program,
+                "symbolic": symbolic_gradient_program}
+    for v in VARIANTS:
+        builders[f"reverse-{v}"] = partial(reverse_gradient_program, variant=v)
+    for t in (fwd_transform, rev_transform_target_shift,
+              rev_transform_meta_shift, rev_transform_full_cps):
+        builders[t.__name__] = _of_prepared(t)
+    for name, f in _programs(root):
+        for what, build in builders.items():
+            yield f"{name}\t{what}\t{_attempt(lambda: pretty(build(f)))}"
+
+
+def emitted_lines(root: str):
+    from adlc.emit import emit_c
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import stage_reverse, stage_tree
+    from adlc.syntax import parse
+
+    staged = [(name, stage_reverse, f) for name, f in _programs(root)]
+    with open(os.path.join(root, "programs", "tree_fold.sexp"), encoding="utf-8") as fh:
+        staged.append(("tree_fold.sexp:tree", stage_tree, parse(fh.read())))
+    for name, stage, f in staged:
+        yield f"{name}\tnone\n{_attempt(lambda: emit_c(stage(f)))}"
+        yield f"{name}\tall\n{_attempt(lambda: emit_c(ir_optimize(stage(f))))}"
 
 
 def report_lines():
@@ -102,6 +187,7 @@ def _cli(argv: list[str]) -> str:
 
 
 def cli_lines(root: str):
+    from adlc.cli import TRANSFORM_MODES
     from adlc.gradcheck import MODES
 
     progs = sorted(glob.glob(os.path.join(root, "programs", "*.sexp")))
@@ -117,6 +203,13 @@ def cli_lines(root: str):
         for mode in MODES:
             yield _cli(["grad", "--mode", mode, "--at", "-2,-0.5,0,1,3",
                         path]).replace(root, "<root>")
+        for mode in TRANSFORM_MODES:
+            yield _cli(["transform", "--mode", mode, path]).replace(root, "<root>")
+        for opt in ("none", "all"):
+            yield _cli(["codegen", "--opt", opt, path]).replace(root, "<root>")
+    tree_fold = os.path.join(root, "programs", "tree_fold.sexp")
+    for opt in ("none", "all"):
+        yield _cli(["codegen", "--opt", opt, "--tree", tree_fold]).replace(root, "<root>")
     yield _cli(["check", "--seed", "42", "--json"])
     yield _cli(["demo"])
 
@@ -130,7 +223,9 @@ def main() -> None:
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
     classes = (("gradients", lambda: gradient_lines(root)), ("reports", report_lines),
-               ("cli", lambda: cli_lines(root)))
+               ("cli", lambda: cli_lines(root)),
+               ("transforms", lambda: transform_lines(root)),
+               ("emitted", lambda: emitted_lines(root)))
     for name, lines in classes:
         lines = list(lines())
         if args.dump:
