@@ -19,18 +19,18 @@ Output is stable across runs: two-space indent, LF line endings.
 from __future__ import annotations
 
 from .staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Return, SlotRead, SlotSet, TAPE_END, walk,
+    OP_KINDS, TAPE_END, TAPE_SLOT, Bind, Call, CellAccum, CellNew, CellRead,
+    CellSet, ClosureNew, Cond, IRFunction, IRProgram, Return, SlotRead,
+    SlotSet, kinds, walk,
 )
 from .syntax import fmt_float
 
-_OPS = {"add": "+", "mul": "*", "greater": ">"}
-_TREE_FIELDS = {
-    "tree_value": "{}.value",
-    "tree_left": "{}.left()",
-    "tree_right": "{}.right()",
-    "tree_nonempty": "{}.notEmpty",
-}
+# a Bind's right-hand side, per op
+_OPS = {"add": "{} + {}", "mul": "{} * {}", "greater": "{} > {}",
+        "tree_value": "{}.value", "tree_left": "{}.left()",
+        "tree_right": "{}.right()", "tree_nonempty": "{}.notEmpty"}
+# the C type per symbol kind; a "fun" symbol's depends on its arity
+_TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool"}
 _KONT = {0: "kont", 2: "kont1"}
 
 # Header-free on purpose: parsing <functional> and <memory> took about half
@@ -78,42 +78,28 @@ class _Emitter:
     def __init__(self, prog: IRProgram):
         self.prog = prog
         self.fun_arity: dict[str, int] = {}
-        # per function: symbol -> kind, and the set of local cells that
-        # escape into closures (emitted on the heap)
-        self.kinds: dict[str, dict[str, str]] = {}
+        self.kinds = kinds(prog.functions)
+        # per function: the cells it creates that escape into closures
+        # (emitted on the heap)
         self.heap_cells: dict[str, set] = {}
         self._analyze()
 
     def _analyze(self) -> None:
         for fn in self.prog.functions.values():
-            kinds = {p: k for p, k in fn.params}
-            heap = set()
+            local, captured = set(), set()
             for s in walk(fn.body):
                 match s:
                     case CellNew(dest, _):
-                        kinds[dest] = "local_cell"
-                    case CellRead(dest, _):
-                        kinds[dest] = "val"
-                    case Bind(dest, op, _):
-                        kinds[dest] = "bool" if op in ("greater", "tree_nonempty") \
-                            else ("tree" if op in ("tree_left", "tree_right") else "val")
+                        local.add(dest)
                     case ClosureNew(dest, f, captures):
-                        kinds[dest] = "fun"
+                        captured.update(captures)
                         target = self.prog.functions.get(f)
                         if target is not None:
                             self.fun_arity[dest] = len(target.params) - len(captures)
-                    case SlotRead(dest, _):
-                        kinds[dest] = "fun"
                     case Call(target, args, indirect):
                         if indirect:
                             self.fun_arity.setdefault(target, len(args))
-            for s in walk(fn.body):
-                if isinstance(s, ClosureNew):
-                    for c in s.captures:
-                        if isinstance(c, str) and kinds.get(c) == "local_cell":
-                            heap.add(c)
-            self.kinds[fn.name] = kinds
-            self.heap_cells[fn.name] = heap
+            self.heap_cells[fn.name] = local & captured
         for fn in self.prog.functions.values():
             for p, k in fn.params:
                 if k == "fun":
@@ -123,22 +109,13 @@ class _Emitter:
         return _KONT.get(self.fun_arity.get(sym, 0), "kont")
 
     def param(self, p: str, k: str) -> str:
-        if k == "val":
-            return f"double {p}"
-        if k == "cell":
-            return f"double& {p}"
-        if k == "fun":
-            return f"{self.kont_type(p)} {p}"
-        if k == "tree":
-            return f"Tree {p}"
-        return f"bool {p}"
+        return f"{self.kont_type(p) if k == 'fun' else _TYPES[k]} {p}"
 
     def signature(self, fn: IRFunction, ret: str) -> str:
         params = ", ".join(self.param(p, k) for p, k in fn.params)
         return f"{ret} {fn.name}({params})"
 
     def emit_function(self, fn: IRFunction, ret: str, out: list) -> None:
-        kinds = self.kinds[fn.name]
         heap = self.heap_cells[fn.name]
 
         def operand(o) -> str:
@@ -169,8 +146,7 @@ class _Emitter:
             # by-value for everything except plain (non-heap) cells, whose
             # underlying object outlives the closure's invocation
             refs = [c for c in lam_caps
-                    if isinstance(c, str)
-                    and kinds.get(c) in ("cell", "local_cell") and c not in heap]
+                    if self.kinds.get(c) == "cell" and c not in heap]
             if refs:
                 return "=, " + ", ".join(f"&{c}" for c in refs)
             return "="
@@ -183,15 +159,8 @@ class _Emitter:
 
             match s:
                 case Bind(dest, op, args):
-                    if op in _OPS:
-                        a, b = (operand(x) for x in args)
-                        ty = "bool" if op == "greater" else "double"
-                        line(f"{ty} {dest} = {a} {_OPS[op]} {b};")
-                    else:
-                        ty = "Tree" if op in ("tree_left", "tree_right") else \
-                            ("bool" if op == "tree_nonempty" else "double")
-                        line(f"{ty} {dest} = "
-                             f"{_TREE_FIELDS[op].format(operand(args[0]))};")
+                    line(f"{_TYPES[OP_KINDS[op]]} {dest} = "
+                         f"{_OPS[op].format(*map(operand, args))};")
                 case CellNew(dest, init):
                     if dest in heap:
                         line(f"heap_cell {dest}({operand(init)});")
@@ -251,7 +220,8 @@ def emit_c(prog: IRProgram) -> str:
     """Render the program as compilable C++-flavored source text."""
     em = _Emitter(prog)
     out: list[str] = []
-    uses_fun = bool(em.fun_arity) or bool(prog.slots)
+    uses_tape = TAPE_END in prog.functions
+    uses_fun = bool(em.fun_arity) or uses_tape
     uses_tree = any(k == "tree" for fn in prog.functions.values()
                     for _, k in fn.params)
     uses_heap = any(em.heap_cells.values())
@@ -269,9 +239,8 @@ def emit_c(prog: IRProgram) -> str:
                    "{ return rp ? *rp : Tree{false, 0, nullptr, nullptr}; }")
         out.append("};")
         out.append("")
-    for slot in prog.slots:
-        out.append(f"static kont {slot} = kont::make([]{{}});")
-    if prog.slots:
+    if uses_tape:
+        out.append(f"static kont {TAPE_SLOT} = kont::make([]{{}});")
         out.append("")
 
     names = [n for n in prog.functions if n != prog.entry]

@@ -9,8 +9,9 @@ loop stops with a diagnostic instead of spinning forever.
 from __future__ import annotations
 
 from .staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRProgram, Return, SlotRead, SlotSet, StagingError, TreeData,
+    TAPE_END, TAPE_SLOT, Bind, Call, CellAccum, CellNew, CellRead, CellSet,
+    ClosureNew, Cond, IRProgram, Return, SlotRead, SlotSet, StagingError,
+    TreeData,
 )
 
 DEFAULT_DEPTH_LIMIT = 100_000
@@ -28,18 +29,12 @@ class _Closure:
         self.captures = captures
 
 
-class _Frame:
-    __slots__ = ("locals",)
-
-    def __init__(self):
-        self.locals = {}
-
-
 class _Machine:
     def __init__(self, prog: IRProgram, depth_limit: int):
         self.prog = prog
         self.cells: list = []
-        self.slots = {s: _Closure("tape_end", ()) for s in prog.slots}
+        self.slots = ({TAPE_SLOT: _Closure(TAPE_END, ())}
+                      if TAPE_END in prog.functions else {})
         self.depth = 0
         self.depth_limit = depth_limit
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Return, SlotRead, SlotSet, uses, walk,
+    TAPE_END, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew,
+    Cond, IRFunction, IRProgram, SlotRead, SlotSet, map_operands, uses, walk,
 )
 
 _UNKNOWN = object()
@@ -28,18 +28,9 @@ def _has_control(block) -> bool:
 def _escaping_syms(prog: IRProgram) -> set:
     """Symbols whose value leaves the defining frame (call arguments,
     closure captures, slot stores); cells among them may be aliased."""
-    out: set = set()
-    for fn in prog.functions.values():
-        for s in walk(fn.body):
-            if isinstance(s, Call):
-                out.update(a for a in s.args if isinstance(a, str))
-                if s.indirect:
-                    out.add(s.target)
-            elif isinstance(s, ClosureNew):
-                out.update(c for c in s.captures if isinstance(c, str))
-            elif isinstance(s, SlotSet) and isinstance(s.value, str):
-                out.add(s.value)
-    return out
+    return {o for fn in prog.functions.values() for s in walk(fn.body)
+            if type(s) in (Call, ClosureNew, SlotSet)
+            for o in uses(s) if isinstance(o, str)}
 
 
 def _read_cells(prog: IRProgram) -> set:
@@ -86,7 +77,7 @@ class _Folder:
                     self.changed = True
                 else:
                     cells[s.cell] = (v, False)
-                    out.append(CellSet(self.resolve(s.cell), v))
+                    out.append(map_operands(s, self.resolve))
             elif cls is CellAccum:
                 v = self.resolve(s.value)
                 state = cells.get(s.cell)
@@ -101,27 +92,14 @@ class _Folder:
                 else:
                     if state is not None:
                         cells[s.cell] = (_UNKNOWN, False)
-                    out.append(CellAccum(self.resolve(s.cell), v))
+                    out.append(map_operands(s, self.resolve))
             elif cls is CellRead:
                 state = cells.get(s.cell)
                 if state is not None and state[0] is not _UNKNOWN:
                     self.env[s.dest] = state[0]
                     self.changed = True
                 else:
-                    out.append(CellRead(s.dest, self.resolve(s.cell)))
-            elif cls is Call:
-                for c in cells:
-                    if not cells[c][1]:
-                        cells[c] = (_UNKNOWN, False)
-                out.append(Call(self.resolve(s.target) if s.indirect else s.target,
-                                tuple(self.resolve(a) for a in s.args), s.indirect))
-            elif cls is ClosureNew:
-                out.append(ClosureNew(s.dest, s.fn,
-                                      tuple(self.resolve(c) for c in s.captures)))
-            elif cls is SlotRead:
-                out.append(SlotRead(s.dest, s.slot))
-            elif cls is SlotSet:
-                out.append(SlotSet(s.slot, self.resolve(s.value)))
+                    out.append(map_operands(s, self.resolve))
             elif cls is Cond:
                 g = self.resolve(s.guard)
                 if isinstance(g, bool):
@@ -134,10 +112,12 @@ class _Folder:
                     if not cells[c][1]:
                         cells[c] = (_UNKNOWN, False)
                 out.append(Cond(g, then, orelse))
-            elif cls is Return:
-                out.append(Return(self.resolve(s.value)))
             else:
-                out.append(s)
+                if cls is Call:
+                    for c in cells:
+                        if not cells[c][1]:
+                            cells[c] = (_UNKNOWN, False)
+                out.append(map_operands(s, self.resolve))
         return out
 
     def _emit_add(self, a, b, out: list):
@@ -239,9 +219,7 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
 
 
 def _reachable_functions(prog: IRProgram) -> set:
-    seen = {prog.entry}
-    if prog.slots:
-        seen.add("tape_end")
+    seen = {prog.entry} | ({TAPE_END} & prog.functions.keys())
     work = list(seen)
     while work:
         fn = prog.functions.get(work.pop())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import partial
 from typing import Callable
 
 from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Seq, Var
@@ -236,15 +237,12 @@ class RevNum:
     __mul__ = __rmul__ = _cps_op("mul")
 
 
-def grad_cps(f: Callable, x0, scalar=SCALAR_FLOAT, run_out: list | None = None,
-             trace: bool = False):
+def grad_cps(f: Callable, x0, scalar=SCALAR_FLOAT, trace: list | None = None):
     """Reverse-mode gradient via nested continuations: run forward, set the
-    final adjoint to 1, unwind accumulating adjoints, read the input's."""
+    final adjoint to 1, unwind accumulating adjoints, read the input's.  A
+    trace list gets the run's (slot, delta) adjoint updates appended."""
     run = _Run(scalar)
-    if trace:
-        run.trace = []
-    if run_out is not None:
-        run_out.append(run)
+    run.trace = trace
     z = RevNum(x0, run.slot(), run)
 
     def final(r: RevNum):
@@ -288,15 +286,11 @@ class TapeRun(_Run):
             adjoint_rule(self, adj, op, p1, a1, p2, a2, y)
 
 
-def grad_tape(f: Callable, x0, scalar=SCALAR_FLOAT, run_out: list | None = None,
-              trace: bool = False):
+def grad_tape(f: Callable, x0, scalar=SCALAR_FLOAT, trace: list | None = None):
     """Reverse-mode gradient via a per-run tape: record forward, replay
-    backward."""
+    backward.  A trace list gets the run's adjoint updates appended."""
     run = TapeRun(scalar)
-    if trace:
-        run.trace = []
-    if run_out is not None:
-        run_out.append(run)
+    run.trace = trace
     z = TapeNum(x0, run.slot(), run)
     y = f(z)
     run.adj[y.idx] = 1.0
@@ -460,10 +454,12 @@ class ArithProgram:
     def run_cps(self, x, num, combine_add, combine_mul, k):
         """Continuation-passing style: each operation gets the rest of the
         run as its continuation, and k gets the body's value."""
-        regs = [x]
+        regs: list = []
         code, n = self.code, len(self.code)
 
-        def run_from(i):
+        def resume(i, y):
+            """Write register i (y), then run from instruction i."""
+            regs.append(y)
             while i < n:
                 op, a, b = code[i]
                 i += 1
@@ -472,15 +468,11 @@ class ArithProgram:
                 elif op == _FAIL:
                     raise RuntimeADError(a)
                 else:
-                    def rest(y, i=i):
-                        regs.append(y)
-                        return run_from(i)
-
                     combine = combine_add if op == _ADD else combine_mul
-                    return combine(regs[a], regs[b])(rest)
+                    return combine(regs[a], regs[b])(partial(resume, i))
             return k(regs[self.result])
 
-        return run_from(0)
+        return resume(0, x)
 
 
 def dual_fn(f: Expr):
@@ -513,12 +505,11 @@ def dual_gradient(f: Expr):
 def cps_gradient(f: Expr):
     p = ArithProgram(f)
 
-    def grad(x0, run_out: list | None = None, trace: bool = False,
-             scalar=SCALAR_FLOAT):
+    def grad(x0, trace: list | None = None, scalar=SCALAR_FLOAT):
         def body(z):
             return lambda k: p.run_cps(z, z._lift, operator.add, operator.mul, k)
 
-        return grad_cps(body, x0, scalar, run_out, trace)
+        return grad_cps(body, x0, scalar, trace)
 
     return grad
 
@@ -526,11 +517,11 @@ def cps_gradient(f: Expr):
 def tape_gradient(f: Expr):
     p = ArithProgram(f)
 
-    def grad(x0: float, run_out: list | None = None, trace: bool = False) -> float:
+    def grad(x0: float, trace: list | None = None) -> float:
         def body(z):
             return p.run(z, z._lift, operator.add, operator.mul)
 
-        return grad_tape(body, x0, run_out=run_out, trace=trace)
+        return grad_tape(body, x0, trace=trace)
 
     return grad
 
@@ -551,14 +542,12 @@ def grad_dual_expr(f: Expr, x0: float) -> float:
     return dual_gradient(f)(x0)
 
 
-def grad_cps_expr(f: Expr, x0, run_out: list | None = None,
-                  trace: bool = False, scalar=SCALAR_FLOAT):
-    return cps_gradient(f)(x0, run_out, trace, scalar)
+def grad_cps_expr(f: Expr, x0, trace: list | None = None, scalar=SCALAR_FLOAT):
+    return cps_gradient(f)(x0, trace, scalar)
 
 
-def grad_tape_expr(f: Expr, x0: float, run_out: list | None = None,
-                   trace: bool = False) -> float:
-    return tape_gradient(f)(x0, run_out, trace)
+def grad_tape_expr(f: Expr, x0: float, trace: list | None = None) -> float:
+    return tape_gradient(f)(x0, trace)
 
 
 def grad_functional_expr(f: Expr, x0: float) -> float:

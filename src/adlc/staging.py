@@ -13,7 +13,7 @@ capture tuple, so the IR stays first-order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .lang import freshen
 from .runtime import adjoint_rule, later
@@ -22,8 +22,6 @@ from .syntax import (
     NameGen, ParseError, Seq, Unit, Var, all_names, contains_control,
     map_children, _Parser, _tokenize,
 )
-
-Operand = "str | float"
 
 ENTRY = "snippet"
 INPUT = "in"  # the entry's real parameter
@@ -44,7 +42,7 @@ class StagingError(LangError):
 @dataclass
 class Bind:
     dest: str
-    op: str  # add | mul | greater | tree_value | tree_left | tree_right | tree_nonempty
+    op: str  # a key of OP_KINDS
     args: tuple
 
 
@@ -119,15 +117,39 @@ class IRFunction:
 
 @dataclass
 class IRProgram:
-    functions: dict
+    functions: dict  # with a TAPE_END function exactly when TAPE_SLOT is used
     entry: str
-    slots: tuple = ()  # program slots holding a backward-chain closure
 
 
 # ---------------------------------------------------------------------------
-# Statement kernel.  A new statement class must be known to `uses` and
-# `defs` (and to the statement transformers: the folder, DCE, ir_eval and
-# emit); every analysis walks blocks through these three.
+# Statement kernel: the one declaration of the IR's shape.  STMTS gives, per
+# statement class, its operand fields in read order (a starred field holds a
+# tuple of operands; an indirect Call's target is one, a direct Call's names
+# a function) and the kind of the symbol it defines in `dest` (None if it
+# defines none; a Bind's is the kind of its op's result).  `uses`, `defs`,
+# `map_operands` and `kinds` read it; a new statement class is one row here
+# plus its arm in the passes that act on it.
+
+OP_KINDS = {"add": "val", "mul": "val", "greater": "bool",
+            "tree_value": "val", "tree_left": "tree", "tree_right": "tree",
+            "tree_nonempty": "bool"}
+
+STMTS = {
+    Bind: (("*args",), OP_KINDS),
+    CellNew: (("init",), "cell"),
+    CellRead: (("cell",), "val"),
+    CellAccum: (("cell", "value"), None),
+    CellSet: (("cell", "value"), None),
+    ClosureNew: (("*captures",), "fun"),
+    Call: (("target", "*args"), None),
+    SlotRead: ((), "fun"),
+    SlotSet: (("value",), None),
+    Cond: (("guard",), None),
+    Return: (("value",), None),
+}
+# per class: (field, holds a tuple) for each operand field
+_OPERANDS = {cls: tuple((f.lstrip("*"), f[0] == "*") for f in fields)
+             for cls, (fields, _kind) in STMTS.items()}
 
 
 def walk(block: list):
@@ -142,34 +164,45 @@ def walk(block: list):
             stack.extend(s.then[::-1])
 
 
+def _operand_fields(s) -> tuple:
+    fields = _OPERANDS[type(s)]
+    return fields[1:] if type(s) is Call and not s.indirect else fields
+
+
 def uses(s) -> list:
     """Operands the statement reads: symbols or literals, in field order."""
-    cls = type(s)
-    if cls is Bind:
-        return list(s.args)
-    if cls is CellNew:
-        return [s.init]
-    if cls is CellRead:
-        return [s.cell]
-    if cls is CellAccum or cls is CellSet:
-        return [s.cell, s.value]
-    if cls is ClosureNew:
-        return list(s.captures)
-    if cls is Call:
-        return ([s.target] if s.indirect else []) + list(s.args)
-    if cls is SlotSet or cls is Return:
-        return [s.value]
-    if cls is Cond:
-        return [s.guard]
-    return []
-
-
-_DEFINING = (Bind, CellNew, CellRead, ClosureNew, SlotRead)
+    out: list = []
+    for name, many in _operand_fields(s):
+        if many:
+            out.extend(getattr(s, name))
+        else:
+            out.append(getattr(s, name))
+    return out
 
 
 def defs(s) -> list:
     """Symbols the statement defines."""
-    return [s.dest] if type(s) in _DEFINING else []
+    return [s.dest] if STMTS[type(s)][1] is not None else []
+
+
+def map_operands(s, f):
+    """A copy of the statement with f applied to each operand."""
+    return replace(s, **{name: tuple(map(f, getattr(s, name))) if many
+                         else f(getattr(s, name))
+                         for name, many in _operand_fields(s)})
+
+
+def kinds(functions: dict) -> dict:
+    """The kind of every symbol of the functions, from their parameters and
+    the statements that define them."""
+    out: dict = {}
+    for fn in functions.values():
+        out.update(fn.params)
+        for s in walk(fn.body):
+            kind = STMTS[type(s)][1]
+            if kind is not None:
+                out[s.dest] = kind[s.op] if kind is OP_KINDS else kind
+    return out
 
 
 def ir_stmt_count(p: IRProgram) -> int:
@@ -197,11 +230,6 @@ class SBool:
 
 
 @dataclass(frozen=True)
-class STree:
-    sym: str
-
-
-@dataclass(frozen=True)
 class SLoop:
     fn: str
 
@@ -211,23 +239,23 @@ class _Stager:
         self.counter = 0
         self.functions: dict[str, IRFunction] = {}
         self.block: list = []
-        self.kinds: dict[str, str] = {}
+        self.names: set[str] = set()
         self.uses_tape = False
         self.pending_chain: str | None = None
 
-    def sym(self, prefix: str, kind: str) -> str:
+    def sym(self, prefix: str) -> str:
         self.counter += 1
         s = f"{prefix}{self.counter}"
-        self.kinds[s] = kind
+        self.names.add(s)
         return s
 
-    def named(self, name: str, kind: str) -> str:
+    def named(self, name: str) -> str:
         """Prefer the bare name (matching the shapes in emitted-code
         listings); fall back to a counter suffix on collision."""
-        if name not in self.kinds:
-            self.kinds[name] = kind
+        if name not in self.names:
+            self.names.add(name)
             return name
-        return self.sym(name, kind)
+        return self.sym(name)
 
     def emit(self, stmt) -> None:
         self.block.append(stmt)
@@ -266,7 +294,7 @@ class _Stager:
     def translate(self, e: Expr, env: dict, k) -> None:
         match e:
             case Const(c):
-                d = self.sym("d", "cell")
+                d = self.sym("d")
                 self.emit(CellNew(d, 0.0))
                 k(SNum(c, d))
             case Var(name):
@@ -284,7 +312,7 @@ class _Stager:
             case Greater(e1, e2):
                 def cmp2(s1):
                     def cmp3(s2):
-                        g = self.sym("g", "bool")
+                        g = self.sym("g")
                         self.emit(Bind(g, "greater",
                                        (self.num(s1, "guard operand").prim,
                                         self.num(s2, "guard operand").prim)))
@@ -311,9 +339,9 @@ class _Stager:
                 raise StagingError(f"form not supported by staging: {e!r}")
 
     def _arith(self, op: str, s1: SNum, s2: SNum, k) -> None:
-        v = self.sym("v", "val")
+        v = self.sym("v")
         self.emit(Bind(v, op, (s1.prim, s2.prim)))
-        d = self.sym("d", "cell")
+        d = self.sym("d")
         self.emit(CellNew(d, 0.0))
         k(SNum(v, d))
         # backward, emitted after the rest of the computation
@@ -321,12 +349,12 @@ class _Stager:
 
     # the adjoint rule's medium: statements appended to the current block
     def read(self, _s, cell: str) -> str:
-        t = self.sym("t", "val")
+        t = self.sym("t")
         self.emit(CellRead(t, cell))
         return t
 
     def mul(self, a, b) -> str:
-        t = self.sym("t", "val")
+        t = self.sym("t")
         self.emit(Bind(t, "mul", (a, b)))
         return t
 
@@ -341,8 +369,8 @@ class _Stager:
                 raise StagingError("if guard must stage to a comparison")
             # lift the continuation to a named function so its body is
             # emitted exactly once
-            kf = self.function("k", [(self.named("x", "val"), "val"),
-                                     (self.named("d", "cell"), "cell")])
+            kf = self.function("k", [(self.named("x"), "val"),
+                                     (self.named("d"), "cell")])
             zx, zd = kf.params[0][0], kf.params[1][0]
             self.segment(kf.body, lambda: k(SNum(zx, zd)))
             cond = Cond(sb.sym, [], [])
@@ -359,21 +387,21 @@ class _Stager:
     def _loop(self, fname: str, param: str, fbody: Expr, arg: Expr,
               env: dict, k) -> None:
         self.uses_tape = True
-        lf = self.function("loop", [(self.named("x", "val"), "val"),
-                                    (self.named("d", "cell"), "cell")])
+        lf = self.function("loop", [(self.named("x"), "val"),
+                                    (self.named("d"), "cell")])
         x, d = lf.params[0][0], lf.params[1][0]
         loop_env = {**env, fname: SLoop(lf.name), param: SNum(x, d)}
         self.segment(lf.body, lambda: self.translate(fbody, loop_env, k))
 
         def call_site(sa):
             sa = self.num(sa, "loop argument")
-            saved = self.sym("k", "fun")
+            saved = self.sym("k")
             self.emit(SlotRead(saved, TAPE_SLOT))
-            empty = self.sym("k", "fun")
+            empty = self.sym("k")
             self.emit(ClosureNew(empty, TAPE_END, ()))
             self.emit(SlotSet(TAPE_SLOT, empty))
             self.emit(Call(lf.name, (sa.prim, sa.adj)))
-            unwind = self.sym("k", "fun")
+            unwind = self.sym("k")
             self.emit(SlotRead(unwind, TAPE_SLOT))
             self.emit(Call(unwind, (), indirect=True))
             self.emit(SlotSet(TAPE_SLOT, saved))
@@ -388,10 +416,10 @@ class _Stager:
 
         def with_arg(sb):
             sb = self.num(sb, "loop argument")
-            old = self.sym("k", "fun")
+            old = self.sym("k")
             self.emit(SlotRead(old, TAPE_SLOT))
             bw = self.function("loop_bwd", [])
-            kn = self.sym("k", "fun")
+            kn = self.sym("k")
             self.emit(ClosureNew(kn, bw.name, ()))
             self.emit(SlotSet(TAPE_SLOT, kn))
             self.emit(Call(lf_name, (sb.prim, sb.adj)))
@@ -419,7 +447,7 @@ def _free_syms(fn: IRFunction) -> list[str]:
     return free
 
 
-def _lambda_lift(prog: IRProgram, kinds: dict[str, str]) -> None:
+def _lambda_lift(prog: IRProgram) -> None:
     """Append each function's free symbols to its parameter list and to
     every call site and closure creation, iterating to fixpoint."""
     for _ in range(40):
@@ -428,9 +456,10 @@ def _lambda_lift(prog: IRProgram, kinds: dict[str, str]) -> None:
         lifted = {n: fs for n, fs in lifted.items() if fs}
         if not lifted:
             return
+        kind = kinds(prog.functions)
         for name, fs in lifted.items():
             prog.functions[name].params.extend(
-                (s, kinds.get(s, "val")) for s in fs)
+                (s, kind[s]) for s in fs)
 
         for fn in prog.functions.values():
             for s in walk(fn.body):
@@ -449,12 +478,10 @@ def _stage(build) -> IRProgram:
     st = _Stager()
     prog_fns = st.functions
     build(st)
-    slots = ()
     if st.uses_tape:
         st.functions[TAPE_END] = IRFunction(TAPE_END, [])
-        slots = (TAPE_SLOT,)
-    prog = IRProgram(prog_fns, ENTRY, slots)
-    _lambda_lift(prog, st.kinds)
+    prog = IRProgram(prog_fns, ENTRY)
+    _lambda_lift(prog)
     return prog
 
 
@@ -471,14 +498,14 @@ def stage_reverse(f: Expr) -> IRProgram:
     def build(st: _Stager) -> None:
         entry = IRFunction(ENTRY, [(INPUT, "val")])
         st.functions[ENTRY] = entry
-        d0 = st.named("d0", "cell")
+        d0 = st.named("d0")
 
         def body():
             st.emit(CellNew(d0, 0.0))
             env = {f.param: SNum(INPUT, d0)}
             st.translate(f.body, env,
                          lambda s: st.emit(CellSet(st.num(s, "result").adj, 1.0)))
-            r = st.sym("r", "val")
+            r = st.sym("r")
             st.emit(CellRead(r, d0))
             st.emit(Return(r))
 
@@ -504,34 +531,33 @@ def stage_tree(body: Expr) -> IRProgram:
         tree_sym = "tree"
         entry = IRFunction(ENTRY, [(tree_sym, "tree"), (INPUT, "val")])
         st.functions[ENTRY] = entry
-        st.kinds[tree_sym] = "tree"
-        d0 = st.named("d0", "cell")
+        d0 = st.named("d0")
 
         # final continuation: set the fold result's adjoint to 1
-        ktop = st.function("k", [(st.sym("x", "val"), "val"),
-                                 (st.sym("d", "cell"), "cell")])
+        ktop = st.function("k", [(st.sym("x"), "val"),
+                                 (st.sym("d"), "cell")])
         ktop.body.append(CellSet(ktop.params[1][0], 1.0))
 
         # rec(t, k0): traverse left, then right, then combine
-        rec = st.function("rec", [(st.sym("t", "tree"), "tree"),
-                                  (st.sym("k", "fun"), "fun")])
+        rec = st.function("rec", [(st.sym("t"), "tree"),
+                                  (st.sym("k"), "fun")])
         t_p, k0 = rec.params[0][0], rec.params[1][0]
 
-        kl = st.function("k_left", [(st.sym("x", "val"), "val"),
-                                    (st.sym("d", "cell"), "cell")])
-        kr = st.function("k_right", [(st.sym("x", "val"), "val"),
-                                     (st.sym("d", "cell"), "cell")])
+        kl = st.function("k_left", [(st.sym("x"), "val"),
+                                    (st.sym("d"), "cell")])
+        kr = st.function("k_right", [(st.sym("x"), "val"),
+                                     (st.sym("d"), "cell")])
 
         def rec_body():
-            g = st.sym("g", "bool")
+            g = st.sym("g")
             st.emit(Bind(g, "tree_nonempty", (t_p,)))
             cond = Cond(g, [], [])
             st.emit(cond)
 
             def then():
-                tl = st.sym("t", "tree")
+                tl = st.sym("t")
                 st.emit(Bind(tl, "tree_left", (t_p,)))
-                c = st.sym("k", "fun")
+                c = st.sym("k")
                 st.emit(ClosureNew(c, kl.name, ()))
                 st.emit(Call(rec.name, (tl, c)))
 
@@ -544,18 +570,18 @@ def stage_tree(body: Expr) -> IRProgram:
         st.segment(rec.body, rec_body)
 
         def kl_body():
-            tr = st.sym("t", "tree")
+            tr = st.sym("t")
             st.emit(Bind(tr, "tree_right", (t_p,)))
-            c = st.sym("k", "fun")
+            c = st.sym("k")
             st.emit(ClosureNew(c, kr.name, ()))
             st.emit(Call(rec.name, (tr, c)))
 
         st.segment(kl.body, kl_body)
 
         def kr_body():
-            v0 = st.sym("v", "val")
+            v0 = st.sym("v")
             st.emit(Bind(v0, "tree_value", (t_p,)))
-            dv = st.sym("d", "cell")
+            dv = st.sym("d")
             st.emit(CellNew(dv, 0.0))
             env = {
                 TREE_LEFT: SNum(kl.params[0][0], kl.params[1][0]),
@@ -570,10 +596,10 @@ def stage_tree(body: Expr) -> IRProgram:
 
         def entry_body():
             st.emit(CellNew(d0, 0.0))
-            c = st.sym("k", "fun")
+            c = st.sym("k")
             st.emit(ClosureNew(c, ktop.name, ()))
             st.emit(Call(rec.name, (tree_sym, c)))
-            r = st.sym("r", "val")
+            r = st.sym("r")
             st.emit(CellRead(r, d0))
             st.emit(Return(r))
 

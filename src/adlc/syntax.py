@@ -268,9 +268,6 @@ class NameGen:
 # ---------------------------------------------------------------------------
 # Parsing
 
-IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_'-]*")
-FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
       | (?P<comment>;[^\n]*)

@@ -2,6 +2,8 @@
 expressions, staging.walk/uses/defs over IR statements, and the passes
 built on them."""
 
+import copy
+import os
 import sys
 from dataclasses import fields
 
@@ -15,7 +17,8 @@ from adlc.reverse import (
 )
 from adlc.staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    Return, SlotRead, SlotSet, defs, uses, walk,
+    Return, SlotRead, SlotSet, defs, kinds, map_operands, stage_reverse,
+    stage_tree, uses, walk,
 )
 from adlc.syntax import (
     Const, Expr, Lam, Var, children, map_children, parse, pretty,
@@ -90,6 +93,44 @@ _STMTS = [
 def test_uses_and_defs(stmt, used, defined):
     assert uses(stmt) == used
     assert defs(stmt) == defined
+
+
+@pytest.mark.parametrize("stmt,used,defined", _STMTS,
+                         ids=[type(s).__name__ for s, _, _ in _STMTS])
+def test_map_operands(stmt, used, defined):
+    before = copy.deepcopy(stmt)
+
+    def f(o):
+        return ("mapped", o)
+
+    out = map_operands(stmt, f)
+    assert type(out) is type(stmt)
+    assert uses(out) == [f(o) for o in used]
+    assert defs(out) == defined
+    assert stmt == before
+
+
+def _program(name: str) -> str:
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "programs", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("prog", [
+    stage_reverse(parse(_program("halve_loop.sexp"))),
+    stage_tree(parse(_program("tree_fold.sexp")))], ids=["loop", "tree"])
+def test_kinds_cover_every_symbol(prog):
+    kind = kinds(prog.functions)
+    assert set(kind.values()) <= {"val", "cell", "fun", "tree", "bool"}
+    for fn in prog.functions.values():
+        for p, k in fn.params:
+            assert kind[p] == k
+        for s in walk(fn.body):
+            for d in defs(s):
+                assert d in kind
+            if type(s) is CellNew:
+                assert kind[s.dest] == "cell"
 
 
 def test_ir_walk_is_preorder_then_before_orelse():

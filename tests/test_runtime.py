@@ -1,5 +1,7 @@
 import hashlib
+import math
 import os
+import random
 import sys
 
 import pytest
@@ -15,7 +17,7 @@ from adlc.runtime import (
     grad_tape_expr, map_add, perturbation_confusion_probe,
 )
 from adlc.reverse import grad_reverse_of_reverse
-from adlc.syntax import Add, Const, Lam, Let, Var, parse
+from adlc.syntax import Add, Const, Lam, Let, Mul, Var, parse
 
 PROGRAMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "programs")
@@ -115,11 +117,11 @@ def test_tape_update_sequence_equals_cps():
     for i in range(spec.count):
         f = random_program(spec, i)
         for x in (-1.0, 0.5, 2.0):
-            cps_runs, tape_runs = [], []
-            grad_cps_expr(f, x, run_out=cps_runs, trace=True)
-            grad_tape_expr(f, x, run_out=tape_runs, trace=True)
-            assert cps_runs[0].trace == tape_runs[0].trace
-            assert len(cps_runs[0].trace) > 0 or "y1" not in str(f)
+            cps_trace, tape_trace = [], []
+            grad_cps_expr(f, x, trace=cps_trace)
+            grad_tape_expr(f, x, trace=tape_trace)
+            assert cps_trace == tape_trace
+            assert len(cps_trace) > 0 or "y1" not in str(f)
 
 
 def test_dual_matches_finite_differences():
@@ -246,5 +248,41 @@ def test_bridges_run_deep_let_chains():
         assert MODES["dual"](f)(2.0) == 1.0
         assert MODES["tape"](f)(2.0) == 1.0
         assert MODES["forward2"](f)(2.0) == 0.0
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def _seeded_chain(n: int, seed: int):
+    """y_t = y_(t-1) op p for t = 1..n (y_0 is the input), op + or *, p a
+    constant in [0.5, 1.5], the input or, for +, an earlier y; so values
+    grow at most geometrically and stay finite."""
+    rng = random.Random(f"chain:{seed}")
+    names = ["x"]
+    lets = []
+    for t in range(1, n + 1):
+        r = rng.random()
+        op = Add if rng.random() < 0.5 else Mul
+        p = (Const(rng.uniform(0.5, 1.5)) if r < 0.6 else Var("x")
+             if r < 0.8 or op is Mul else Var(rng.choice(names)))
+        lets.append((f"y{t}", op(Var(names[-1]), p)))
+        names.append(f"y{t}")
+    body = Var(names[-1])
+    for name, rhs in reversed(lets):
+        body = Let(name, rhs, body)
+    return Lam("x", body)
+
+
+def test_cps_runtimes_nest_two_frames_per_operation():
+    # the continuation-passing runs take two Python frames per operation,
+    # so 400 operations fit under a recursion limit of 1000
+    f = _seeded_chain(400, 1)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for x in (-0.5, 0.5, 1.0):
+            g = grad_cps_expr(f, x)
+            assert math.isfinite(g)
+            assert g.hex() == grad_functional_expr(f, x).hex() == grad_tape_expr(f, x).hex()
+            grad_forward_over_reverse(f, x)
     finally:
         sys.setrecursionlimit(saved)

@@ -4,10 +4,13 @@ for byte identity of everything a user can observe.
     python3 tools/identity.py [--root CHECKOUT] [--dump DIR]
 
 Classes:
-  gradients  float.hex of every gradient mode, forward-over-reverse and the
-             primal at DEFAULT_PROBES, and the adjoint-update traces of the
-             cps and tape runtimes there, over CorpusSpec(42) and
-             programs/*.sexp
+  gradients  float.hex of every gradient mode, forward-over-reverse, the
+             primal and ir_eval of the optimized staged program (staged-opt)
+             at DEFAULT_PROBES, and the adjoint-update traces of the cps and
+             tape runtimes there, over CorpusSpec(42) and programs/*.sexp;
+             and ir_eval of stage_tree of programs/tree_fold.sexp, with and
+             without ir_optimize, at DEFAULT_PROBES on programs/tree_single.tree,
+             the empty tree and complete trees of depth 1 to 4
   reports    report_line of crosscheck(CorpusSpec(42))
   cli        stdout, stderr and exit code of `adlc eval`, `grad --mode <each>`,
              `transform --mode <each>`, `codegen --opt none|all`,
@@ -30,7 +33,9 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import inspect
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -87,22 +92,71 @@ def _attempt(build) -> str:
 
 
 def _trace(grad):
-    """A gradient function whose value is its run's adjoint-update trace."""
+    """A gradient function whose value is its run's adjoint-update trace.
+    Checkouts whose runtimes take `run_out` and a `trace` flag instead of a
+    trace list are asked the way they take it."""
     def run(x):
-        runs: list = []
-        grad(x, run_out=runs, trace=True)
-        return ";".join(f"{i}:{d.hex()}" for i, d in runs[0].trace)
+        trace: list = []
+        if "run_out" in inspect.signature(grad).parameters:
+            runs: list = []
+            grad(x, run_out=runs, trace=True)
+            trace = runs[0].trace
+        else:
+            grad(x, trace=trace)
+        return ";".join(f"{i}:{d.hex()}" for i, d in trace)
     return run
+
+
+def _complete_tree(depth: int, values):
+    """A complete tree of the given depth, its node values drawn in
+    pre-order from `values`."""
+    from adlc.staging import TreeData
+
+    if depth == 0:
+        return None
+    v = next(values)
+    left = _complete_tree(depth - 1, values)
+    return TreeData(v, left, _complete_tree(depth - 1, values))
+
+
+def _tree_fold_lines(root: str):
+    from adlc.gradcheck import DEFAULT_PROBES
+    from adlc.ir_eval import ir_eval
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import parse_tree, stage_tree
+    from adlc.syntax import parse
+
+    with open(os.path.join(root, "programs", "tree_fold.sexp"), encoding="utf-8") as fh:
+        body = parse(fh.read())
+    with open(os.path.join(root, "programs", "tree_single.tree"), encoding="utf-8") as fh:
+        trees = [("tree_single.tree", parse_tree(fh.read())), ("empty", None)]
+    trees += [(f"complete{d}", _complete_tree(d, itertools.count(0.5, 0.25)))
+              for d in range(1, 5)]
+    for opt in ("none", "all"):
+        try:
+            prog = stage_tree(body)
+            prog = ir_optimize(prog) if opt == "all" else prog
+        except Exception as ex:  # recorded, not raised
+            yield f"tree_fold.sexp\t{opt}\tbuild\t{_err(ex)}"
+            continue
+        for name, tree in trees:
+            for x in DEFAULT_PROBES:
+                out = _attempt(lambda: ir_eval(prog, x, tree=tree).hex())
+                yield f"tree_fold.sexp:{name}\t{opt}\t{x.hex()}\t{out}"
 
 
 def gradient_lines(root: str):
     from adlc.gradcheck import DEFAULT_PROBES, MODES, primal_fn
+    from adlc.ir_eval import ir_eval
+    from adlc.ir_opt import ir_optimize
     from adlc.runtime import (
         cps_gradient, grad_forward_over_reverse, tape_gradient,
     )
+    from adlc.staging import stage_reverse
 
     builders = dict(MODES, primal=primal_fn)
     builders["forward-over-reverse"] = lambda f: partial(grad_forward_over_reverse, f)
+    builders["staged-opt"] = lambda f: partial(ir_eval, ir_optimize(stage_reverse(f)))
     builders["trace-cps"] = lambda f: _trace(cps_gradient(f))
     builders["trace-tape"] = lambda f: _trace(tape_gradient(f))
     for name, f in _programs(root):
@@ -119,6 +173,7 @@ def gradient_lines(root: str):
                 except Exception as ex:  # recorded, not raised
                     out = _err(ex)
                 yield f"{name}\t{mode}\t{x.hex()}\t{out}"
+    yield from _tree_fold_lines(root)
 
 
 def _of_prepared(transform):
