@@ -16,7 +16,11 @@ operand cells.  They differ in who owns the control flow:
 Outputs of the last two contain no shift/reset nodes at all.  Tail-call
 wrappers and case-join bindings are normalized while terms are built:
 eta-redexes over a variable head collapse and lets binding a bare variable
-rename instead.
+rename instead.  The renaming is a substitution carried during translation,
+one map per top-level translation (binders are unique after freshen): a let
+whose bound value translates to a variable records name -> variable, and the
+Var rules read the map, so no built term is walked again and both
+translations stay linear in program size.
 """
 
 from __future__ import annotations
@@ -71,10 +75,6 @@ def _wavy_let(name: str, bound: Expr, body_of: Callable[[Expr], Expr]) -> Expr:
     if isinstance(bound, Var):
         return body_of(bound)
     return Let(name, bound, body_of(Var(name)))
-
-
-def _smart_let(name: str, bound: Expr, body: Expr) -> Expr:
-    return normalize_tail(Let(name, bound, body))
 
 
 # the adjoint rule's medium: an update is the term  cell := !cell + delta
@@ -156,15 +156,17 @@ def rev_transform_meta_shift(e: Expr, gen: NameGen | None = None,
     shift/reset nodes."""
     _check_source(e)
     gen = gen or NameGen(all_names(e))
-    return _t10(e, mk or (lambda m: m), gen)
+    return _t10(e, mk or (lambda m: m), gen, {})
 
 
-def _t10(e: Expr, mk: MetaK, gen: NameGen) -> Expr:
+def _t10(e: Expr, mk: MetaK, gen: NameGen, ren: dict[str, Var]) -> Expr:
     rec = _t10
     match e:
         case Const():
             return mk(Pair(e, Ref(Const(0.0))))
-        case Unit() | Var():
+        case Var(name):
+            return mk(ren.get(name, e))
+        case Unit():
             return mk(e)
         case Add(e1, e2) | Mul(e1, e2):
             op = "add" if isinstance(e, Add) else "mul"
@@ -172,19 +174,19 @@ def _t10(e: Expr, mk: MetaK, gen: NameGen) -> Expr:
             return rec(e1,
                        lambda t1: rec(e2,
                                       lambda t2: _arith_block(op, t1, t2, gen, capture),
-                                      gen),
-                       gen)
+                                      gen, ren),
+                       gen, ren)
         case Greater(e1, e2):
             def g2(t1):
                 def g3(t2):
                     p1, _, w1 = split_pair(t1, gen)
                     p2, _, w2 = split_pair(t2, gen)
                     return w1(w2(mk(Greater(p1, p2))))
-                return rec(e2, g3, gen)
-            return rec(e1, g2, gen)
+                return rec(e2, g3, gen, ren)
+            return rec(e1, g2, gen, ren)
         case Lam(p, b):
             k = gen.fresh("k")
-            body = rec(b, lambda m: App(Var(k), m), gen)
+            body = rec(b, lambda m: App(Var(k), m), gen, ren)
             return mk(Lam(p, Lam(k, body)))
         case App(e1, e2):
             a = gen.fresh()
@@ -192,14 +194,20 @@ def _t10(e: Expr, mk: MetaK, gen: NameGen) -> Expr:
                        lambda m: rec(e2,
                                      lambda n: App(App(m, n),
                                                    _wavy_lam(a, mk(Var(a)))),
-                                     gen),
-                       gen)
+                                     gen, ren),
+                       gen, ren)
         case Let(n, e1, e2):
-            return rec(e1, lambda v1: _smart_let(n, v1, rec(e2, mk, gen)), gen)
+            def bind(v1):
+                if isinstance(v1, Var):
+                    ren[n] = v1
+                    return rec(e2, mk, gen, ren)
+                return Let(n, v1, rec(e2, mk, gen, ren))
+            return rec(e1, bind, gen, ren)
         case Fst(a) | Snd(a) | Inl(a) | Inr(a) | Ref(a) | Deref(a):
-            return rec(a, lambda v: mk(type(e)(v)), gen)
+            return rec(a, lambda v: mk(type(e)(v)), gen, ren)
         case Pair(a, b) | Assign(a, b):
-            return rec(a, lambda va: rec(b, lambda vb: mk(type(e)(va, vb)), gen), gen)
+            return rec(a, lambda va: rec(b, lambda vb: mk(type(e)(va, vb)), gen, ren),
+                       gen, ren)
         case Case(s, ln, lb, rn, rb):
             def with_scrut(v):
                 a = gen.fresh()
@@ -208,9 +216,9 @@ def _t10(e: Expr, mk: MetaK, gen: NameGen) -> Expr:
                 return _wavy_let(
                     k1, k1val,
                     lambda kref: Case(v,
-                                      ln, _t10(lb, lambda m: App(kref, m), gen),
-                                      rn, _t10(rb, lambda m: App(kref, m), gen)))
-            return rec(s, with_scrut, gen)
+                                      ln, rec(lb, lambda m: App(kref, m), gen, ren),
+                                      rn, rec(rb, lambda m: App(kref, m), gen, ren)))
+            return rec(s, with_scrut, gen, ren)
         case _:
             raise TransformError(f"cannot reverse-transform {e!r} (desugar first)")
 
@@ -225,24 +233,26 @@ def rev_transform_full_cps(e: Expr, gen: NameGen | None = None) -> Expr:
     the translator nor in its output."""
     _check_source(e)
     gen = gen or NameGen(all_names(e))
-    return _t11(e, gen)(lambda m: m)
+    return _t11(e, gen, {})(lambda m: m)
 
 
-def _t11(e: Expr, gen: NameGen):
+def _t11(e: Expr, gen: NameGen, ren: dict[str, Var]):
     match e:
         case Const():
             return lambda k: k(Pair(e, Ref(Const(0.0))))
-        case Unit() | Var():
+        case Var(name):
+            return lambda k: k(ren.get(name, e))
+        case Unit():
             return lambda k: k(e)
         case Add(e1, e2) | Mul(e1, e2):
             op = "add" if isinstance(e, Add) else "mul"
-            c1, c2 = _t11(e1, gen), _t11(e2, gen)
+            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
             # dynamic lets for p1/p2 preserve sharing, evaluation order,
             # and asymptotic complexity
             return lambda k: c1(lambda p1: c2(lambda p2: _arith_block(
                 op, p1, p2, gen, lambda: (k, _no_delimiter))))
         case Greater(e1, e2):
-            c1, c2 = _t11(e1, gen), _t11(e2, gen)
+            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
 
             def run(k):
                 def j1(t1):
@@ -254,14 +264,14 @@ def _t11(e: Expr, gen: NameGen):
                 return c1(j1)
             return run
         case Lam(p, b):
-            cb = _t11(b, gen)
+            cb = _t11(b, gen, ren)
 
             def run(k):
                 kv = gen.fresh("k")
                 return k(Lam(p, Lam(kv, cb(lambda m: App(Var(kv), m)))))
             return run
         case App(e1, e2):
-            c1, c2 = _t11(e1, gen), _t11(e2, gen)
+            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
 
             def run(k):
                 a = gen.fresh()
@@ -269,17 +279,25 @@ def _t11(e: Expr, gen: NameGen):
                     lambda n: App(App(m, n), _wavy_lam(a, k(Var(a))))))
             return run
         case Let(n, e1, e2):
-            c1, c2 = _t11(e1, gen), _t11(e2, gen)
-            return lambda k: c1(lambda y1: _smart_let(n, y1, c2(k)))
+            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
+
+            def run(k):
+                def bind(y1):
+                    if isinstance(y1, Var):
+                        ren[n] = y1
+                        return c2(k)
+                    return Let(n, y1, c2(k))
+                return c1(bind)
+            return run
         case Fst(a) | Snd(a) | Inl(a) | Inr(a) | Ref(a) | Deref(a):
-            c, cons = _t11(a, gen), type(e)
+            c, cons = _t11(a, gen, ren), type(e)
             return lambda k: c(lambda y: k(cons(y)))
         case Pair(a, b) | Assign(a, b):
-            ca, cb, cons = _t11(a, gen), _t11(b, gen), type(e)
+            ca, cb, cons = _t11(a, gen, ren), _t11(b, gen, ren), type(e)
             return lambda k: ca(lambda y1: cb(lambda y2: k(cons(y1, y2))))
         case Case(s, ln, lb, rn, rb):
-            cs = _t11(s, gen)
-            cl, cr = _t11(lb, gen), _t11(rb, gen)
+            cs = _t11(s, gen, ren)
+            cl, cr = _t11(lb, gen, ren), _t11(rb, gen, ren)
 
             def run(k):
                 a = gen.fresh()
@@ -321,7 +339,7 @@ def reverse_gradient_program(f: Expr, variant: str = "meta-shift") -> Expr:
         tf = rev_transform_meta_shift(f, gen)
         run = App(App(tf, Var(xh)), set_one)
     elif variant == "full-cps":
-        run = _t11(f, gen)(lambda m: App(App(m, Var(xh)), set_one))
+        run = _t11(f, gen, {})(lambda m: App(App(m, Var(xh)), set_one))
     else:
         raise TransformError(f"unknown reverse variant {variant!r}")
 

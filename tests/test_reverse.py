@@ -1,18 +1,21 @@
+import sys
+
 import pytest
 
 from adlc.forward import TransformError, grad_forward, grad_forward_tagged
 from adlc.gradcheck import CorpusSpec, random_program
-from adlc.interp import eval_expr
-from adlc.lang import desugar, freshen
+from adlc.interp import apply_real, eval_expr
+from adlc.lang import desugar, freshen, prepare
 from adlc.reverse import (
     VARIANTS, grad_reverse, grad_reverse_of_reverse, normalize_tail,
     rev_transform_full_cps, rev_transform_meta_shift,
     rev_transform_target_shift, reverse_gradient_program,
 )
 from adlc.syntax import (
-    App, Assign, Const, Lam, Let, Pair, Ref, Shift, Var, children,
-    contains_control, parse,
+    App, Assign, Const, Lam, Let, Pair, Ref, Shift, Var, all_names, children,
+    contains_control, parse, pretty,
 )
+from scaling import call_events, seeded_chain
 
 CUBIC = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
 SQUARE = parse("(lam x (* x x))")
@@ -119,6 +122,56 @@ def test_normalize_non_redex_unchanged():
     assert normalize_tail(e) == e
     e2 = Lam("a", App(Var("a"), Var("a")))
     assert normalize_tail(e2) == e2
+
+
+# --- cost of translation -----------------------------------------------------
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_translation_calls_grow_linearly(variant):
+    # Python call events are deterministic, unlike wall time: doubling the
+    # chain must at most about double the work of building its gradient
+    small, large = (call_events(reverse_gradient_program, f, variant)
+                    for f in (seeded_chain(50, 1), seeded_chain(100, 1)))
+    assert large / small <= 2.2
+
+
+@pytest.mark.parametrize("variant", ["meta-shift", "full-cps"])
+def test_let_renaming_does_not_leak_between_translations(variant):
+    # fresh names repeat across programs, so a renaming recorded while
+    # translating one program must not reach the next one; b is the
+    # second-order input grad_reverse_of_reverse builds, with lets of pairs
+    # that stay lets and names that a's renamed lets also use
+    spec = CorpusSpec()
+    a = random_program(spec, 3)
+    b = reverse_gradient_program(random_program(spec, 0))
+    assert all_names(prepare(a)[0]) & all_names(prepare(b)[0])
+    first = pretty(reverse_gradient_program(b, variant))
+    reverse_gradient_program(a, variant)
+    again = reverse_gradient_program(b, variant)
+    assert pretty(again) == first
+    assert apply_real(again, 0.5) == grad_reverse(b, 0.5, "target-shift")
+
+
+def _frames_in_use() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize("variant", ["meta-shift", "full-cps"])
+def test_translation_fits_the_default_recursion_limit(variant):
+    # the CPS translators nest Python frames per let; a 120-op chain must
+    # fit in the default limit of 1000 frames, counted from this test's
+    # frame, so the renaming may add no frame per let
+    f = seeded_chain(120, 1)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000 + _frames_in_use())
+    try:
+        prog = reverse_gradient_program(f, variant)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert not contains_control(prog)
 
 
 # --- gradient values ----------------------------------------------------------

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import random
 import sys
 
 import pytest
@@ -17,7 +16,8 @@ from adlc.runtime import (
     grad_tape_expr, map_add, perturbation_confusion_probe,
 )
 from adlc.reverse import grad_reverse_of_reverse
-from adlc.syntax import Add, Const, Lam, Let, Mul, Var, parse
+from adlc.syntax import Add, Const, Lam, Let, Var, parse
+from scaling import seeded_chain
 
 PROGRAMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "programs")
@@ -252,30 +252,10 @@ def test_bridges_run_deep_let_chains():
         sys.setrecursionlimit(saved)
 
 
-def _seeded_chain(n: int, seed: int):
-    """y_t = y_(t-1) op p for t = 1..n (y_0 is the input), op + or *, p a
-    constant in [0.5, 1.5], the input or, for +, an earlier y; so values
-    grow at most geometrically and stay finite."""
-    rng = random.Random(f"chain:{seed}")
-    names = ["x"]
-    lets = []
-    for t in range(1, n + 1):
-        r = rng.random()
-        op = Add if rng.random() < 0.5 else Mul
-        p = (Const(rng.uniform(0.5, 1.5)) if r < 0.6 else Var("x")
-             if r < 0.8 or op is Mul else Var(rng.choice(names)))
-        lets.append((f"y{t}", op(Var(names[-1]), p)))
-        names.append(f"y{t}")
-    body = Var(names[-1])
-    for name, rhs in reversed(lets):
-        body = Let(name, rhs, body)
-    return Lam("x", body)
-
-
 def test_cps_runtimes_nest_two_frames_per_operation():
     # the continuation-passing runs take two Python frames per operation,
     # so 400 operations fit under a recursion limit of 1000
-    f = _seeded_chain(400, 1)
+    f = seeded_chain(400, 1)
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
