@@ -30,8 +30,13 @@ from .staging import stage_reverse, stage_tree, parse_tree
 from .syntax import LangError, Lam, fmt_float, parse, pretty
 
 GRAD_MODES = tuple(MODES)
-TRANSFORM_MODES = ("forward", "reverse-target-shift", "reverse-meta-shift",
-                   "reverse-cps-full")
+TRANSFORMS = {
+    "forward": fwd_transform,
+    "reverse-target-shift": rev_transform_target_shift,
+    "reverse-meta-shift": rev_transform_meta_shift,
+    "reverse-cps-full": rev_transform_full_cps,
+}
+TRANSFORM_MODES = tuple(TRANSFORMS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="cross-check gradient formulations")
     sp.add_argument("--at", default=None, help="comma-separated probe list")
-    sp.add_argument("--h", type=float, default=None, help="finite-difference step")
-    sp.add_argument("--tol", type=float, default=1e-4, help="finite-difference tolerance")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("file", nargs="?", help="check one program instead of the corpus")
@@ -138,13 +141,7 @@ def _dispatch(args) -> int:
             print(pretty(anf(e)))
     elif cmd == "transform":
         e, gen = prepare(_read_program(args.file))
-        t = {
-            "forward": fwd_transform,
-            "reverse-target-shift": rev_transform_target_shift,
-            "reverse-meta-shift": rev_transform_meta_shift,
-            "reverse-cps-full": rev_transform_full_cps,
-        }[args.mode]
-        print(pretty(t(e, gen)))
+        print(pretty(TRANSFORMS[args.mode](e, gen)))
     elif cmd == "grad":
         grad = _grad_fn(args, _read_program(args.file))
         for x in _probes(args.at):
@@ -177,10 +174,10 @@ def _check(args) -> int:
     probes = _probes(args.at) if args.at else list(DEFAULT_PROBES)
     if args.file:
         f = _read_program(args.file)
-        reports = check_program(f, 0, probes, args.h, args.tol)
+        reports = check_program(f, 0, probes)
     else:
         spec = CorpusSpec(seed=args.seed)
-        reports = crosscheck(spec, probes, args.h, args.tol)
+        reports = crosscheck(spec, probes)
     if args.json:
         print(json.dumps([report_json(r) for r in reports], indent=2))
     else:

@@ -19,16 +19,12 @@ Output is stable across runs: two-space indent, LF line endings.
 from __future__ import annotations
 
 from .staging import (
-    OP_KINDS, TAPE_END, TAPE_SLOT, Bind, Call, CellAccum, CellNew, CellRead,
+    OPS, TAPE_END, TAPE_SLOT, Bind, Call, CellAccum, CellNew, CellRead,
     CellSet, ClosureNew, Cond, IRFunction, IRProgram, Return, SlotRead,
     SlotSet, kinds, walk,
 )
 from .syntax import fmt_float
 
-# a Bind's right-hand side, per op
-_OPS = {"add": "{} + {}", "mul": "{} * {}", "greater": "{} > {}",
-        "tree_value": "{}.value", "tree_left": "{}.left()",
-        "tree_right": "{}.right()", "tree_nonempty": "{}.notEmpty"}
 # the C type per symbol kind; a "fun" symbol's depends on its arity
 _TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool"}
 _KONT = {0: "kont", 2: "kont1"}
@@ -159,8 +155,8 @@ class _Emitter:
 
             match s:
                 case Bind(dest, op, args):
-                    line(f"{_TYPES[OP_KINDS[op]]} {dest} = "
-                         f"{_OPS[op].format(*map(operand, args))};")
+                    kind, _, text = OPS[op]
+                    line(f"{_TYPES[kind]} {dest} = {text.format(*map(operand, args))};")
                 case CellNew(dest, init):
                     if dest in heap:
                         line(f"heap_cell {dest}({operand(init)});")

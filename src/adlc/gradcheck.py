@@ -36,8 +36,10 @@ REVERSE_FAMILY = ("cps", "tape", "functional", "reverse-target-shift",
 ALL_MODES = FORWARD_FAMILY + REVERSE_FAMILY
 
 DEFAULT_PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-# relative tolerance between the forward and the reverse family
+# relative tolerances: between the forward and the reverse family, and
+# between the forward family and finite differences
 FAMILY_TOL = 1e-10
+FD_TOL = 1e-4
 
 
 class DivergenceError(LangError):
@@ -174,13 +176,12 @@ def _rel_ok(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
-def check_one(pg: ProgramGradients, program_id: int, probe: float,
-              h: float | None = None, fd_tol: float = 1e-4) -> GradReport:
+def check_one(pg: ProgramGradients, program_id: int, probe: float) -> GradReport:
     rep = GradReport(program_id, probe)
     try:
         for mode in ALL_MODES:
             rep.grads[mode] = pg.grad(mode, probe)
-        rep.fd = finite_diff(pg.primal, probe, h)
+        rep.fd = finite_diff(pg.primal, probe)
         vals = list(rep.grads.values())
         rep.max_dev = max(abs(a - b) for a in vals for b in vals)
         fwd = [rep.grads[m] for m in FORWARD_FAMILY]
@@ -188,7 +189,7 @@ def check_one(pg: ProgramGradients, program_id: int, probe: float,
         ok = all(v == fwd[0] for v in fwd)
         ok = ok and all(v == rev[0] for v in rev)
         ok = ok and _rel_ok(rev[0], fwd[0], FAMILY_TOL)
-        ok = ok and _rel_ok(rep.fd, fwd[0], fd_tol)
+        ok = ok and _rel_ok(rep.fd, fwd[0], FD_TOL)
         rep.passed = ok
     except LangError as ex:
         rep.error = str(ex)
@@ -196,26 +197,23 @@ def check_one(pg: ProgramGradients, program_id: int, probe: float,
     return rep
 
 
-def check_program(f: Expr, program_id: int, probes=DEFAULT_PROBES,
-                  h: float | None = None,
-                  fd_tol: float = 1e-4) -> list[GradReport]:
+def check_program(f: Expr, program_id: int,
+                  probes=DEFAULT_PROBES) -> list[GradReport]:
     """All probes for one program; construction failures become failing
     reports instead of exceptions."""
     try:
         pg = ProgramGradients(f)
     except LangError as ex:
         return [GradReport(program_id, p, error=str(ex)) for p in probes]
-    return [check_one(pg, program_id, p, h, fd_tol) for p in probes]
+    return [check_one(pg, program_id, p) for p in probes]
 
 
-def crosscheck(spec: CorpusSpec, probes=DEFAULT_PROBES,
-               h: float | None = None,
-               fd_tol: float = 1e-4) -> list[GradReport]:
+def crosscheck(spec: CorpusSpec, probes=DEFAULT_PROBES) -> list[GradReport]:
     """Run every mode on every (program, probe) cell; per-entry failures are
     recorded in the report rather than raised."""
     out: list[GradReport] = []
     for i in range(spec.count):
-        out.extend(check_program(random_program(spec, i), i, probes, h, fd_tol))
+        out.extend(check_program(random_program(spec, i), i, probes))
     return out
 
 

@@ -9,9 +9,9 @@ loop stops with a diagnostic instead of spinning forever.
 from __future__ import annotations
 
 from .staging import (
-    TAPE_END, TAPE_SLOT, Bind, Call, CellAccum, CellNew, CellRead, CellSet,
-    ClosureNew, Cond, IRProgram, Return, SlotRead, SlotSet, StagingError,
-    TreeData,
+    OPS, TAPE_END, TAPE_SLOT, Bind, Call, CellAccum, CellNew, CellRead,
+    CellSet, ClosureNew, Cond, IRProgram, Return, SlotRead, SlotSet,
+    StagingError, TreeData,
 )
 
 DEFAULT_DEPTH_LIMIT = 100_000
@@ -127,31 +127,16 @@ class _Machine:
 
     def prim(self, env: dict, op: str, args: tuple):
         a = [self.operand(env, x) for x in args]
-        if op == "add":
-            return a[0] + a[1]
-        if op == "mul":
-            return a[0] * a[1]
-        if op == "greater":
-            return a[0] > a[1]
-        if op == "tree_nonempty":
-            return a[0] is not None
-        if op == "tree_value":
-            return _tree(a[0]).value
-        if op == "tree_left":
-            return _tree(a[0]).left
-        if op == "tree_right":
-            return _tree(a[0]).right
-        raise IREvalError(f"unknown operation {op!r}")
+        try:
+            return OPS[op][1](*a)
+        except KeyError:  # no op function raises one
+            raise IREvalError(f"unknown operation {op!r}") from None
+        except AttributeError:  # only a tree op reads attributes
+            raise IREvalError("tree operation on a non-tree (empty tree?)") from None
 
 
 _TAIL = object()
 _RET = object()
-
-
-def _tree(v) -> TreeData:
-    if not isinstance(v, TreeData):
-        raise IREvalError("tree operation on a non-tree (empty tree?)")
-    return v
 
 
 def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,

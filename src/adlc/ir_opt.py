@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .staging import (
-    TAPE_END, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew,
-    Cond, IRFunction, IRProgram, SlotRead, SlotSet, map_operands, uses, walk,
+    OPS, TAPE_END, Bind, Call, CellAccum, CellNew, CellRead, CellSet,
+    ClosureNew, Cond, IRFunction, IRProgram, SlotRead, SlotSet, map_operands,
+    uses, walk,
 )
 
 _UNKNOWN = object()
@@ -138,13 +139,8 @@ class _Folder:
     def _bind(self, s: Bind, out: list) -> None:
         args = tuple(self.resolve(a) for a in s.args)
         op = s.op
-        lit = all(isinstance(a, float) for a in args)
-        if op == "add" and lit:
-            self.env[s.dest] = args[0] + args[1]
-        elif op == "mul" and lit:
-            self.env[s.dest] = args[0] * args[1]
-        elif op == "greater" and lit:
-            self.env[s.dest] = args[0] > args[1]
+        if all(isinstance(a, float) for a in args):
+            self.env[s.dest] = OPS[op][1](*args)
         elif op == "add" and args[0] == 0.0 and isinstance(args[0], float):
             self.env[s.dest] = args[1]
         elif op == "add" and args[1] == 0.0 and isinstance(args[1], float):

@@ -17,10 +17,11 @@ Outputs of the last two contain no shift/reset nodes at all.  Tail-call
 wrappers and case-join bindings are normalized while terms are built:
 eta-redexes over a variable head collapse and lets binding a bare variable
 rename instead.  The renaming is a substitution carried during translation,
-one map per top-level translation (binders are unique after freshen): a let
-whose bound value translates to a variable records name -> variable, and the
-Var rules read the map, so no built term is walked again and both
-translations stay linear in program size.
+one map per top-level translation (binders are unique after freshen, which
+the entry points apply when not handed a name supply): a let whose bound
+value translates to a variable records name -> variable, and the Var rules
+read the map, so no built term is walked again and both translations stay
+linear in program size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 from .forward import TransformError, split_pair
 from .interp import apply_real
-from .lang import prepare
+from .lang import freshen, prepare
 from .runtime import adjoint_rule
 from .syntax import (
     Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
@@ -43,25 +44,14 @@ MetaK = Callable[[Expr], Expr]
 VARIANTS = ("target-shift", "meta-shift", "full-cps")
 
 
-def _rename(e: Expr, old: str, new: str) -> Expr:
-    """Occurrence renaming of a free variable; safe post-freshen because no
-    inner binder reuses the name."""
-    if isinstance(e, Var):
-        return Var(new) if e.name == old else e
-    return map_children(e, _rename, old, new)
-
-
 def normalize_tail(e: Expr) -> Expr:
-    """Contractions applied to construction-time tail wrappers:
-    lam y. (k y) -> k for a variable head k, and let y = y1 in e -> e with
-    y renamed to y1.  Both are pure renamings; contraction over a compound
-    head is not performed since it would relocate its effects.  Anything
-    else is returned unchanged."""
+    """Eta contraction of a construction-time tail wrapper: lam y. (k y) ->
+    k for a variable head k.  Contraction over a compound head is not
+    performed since it would relocate its effects.  Anything else is
+    returned unchanged."""
     match e:
         case Lam(p, App(Var(f), Var(a))) if a == p and f != p:
             return Var(f)
-        case Let(n, Var(z), body):
-            return _rename(body, n, z)
         case _:
             return e
 
@@ -149,14 +139,15 @@ def rev_transform_target_shift(e: Expr, gen: NameGen | None = None) -> Expr:
 # translation continuations); output is pure CPS.
 
 
-def rev_transform_meta_shift(e: Expr, gen: NameGen | None = None,
-                             mk: MetaK | None = None) -> Expr:
+def rev_transform_meta_shift(e: Expr, gen: NameGen | None = None) -> Expr:
     """Translate with the control effects resolved during translation; the
     output threads explicit continuation parameters and contains no
     shift/reset nodes."""
     _check_source(e)
-    gen = gen or NameGen(all_names(e))
-    return _t10(e, mk or (lambda m: m), gen, {})
+    if gen is None:  # a supply comes with freshened input, as from prepare
+        gen = NameGen(all_names(e))
+        e = freshen(e, gen)
+    return _t10(e, lambda m: m, gen, {})
 
 
 def _t10(e: Expr, mk: MetaK, gen: NameGen, ren: dict[str, Var]) -> Expr:
@@ -232,7 +223,9 @@ def rev_transform_full_cps(e: Expr, gen: NameGen | None = None) -> Expr:
     """Fully CPS meta-level translation; no shift/reset anywhere, neither in
     the translator nor in its output."""
     _check_source(e)
-    gen = gen or NameGen(all_names(e))
+    if gen is None:  # a supply comes with freshened input, as from prepare
+        gen = NameGen(all_names(e))
+        e = freshen(e, gen)
     return _t11(e, gen, {})(lambda m: m)
 
 
@@ -335,11 +328,9 @@ def reverse_gradient_program(f: Expr, variant: str = "meta-shift") -> Expr:
         tf = rev_transform_target_shift(f, gen)
         zh = gen.fresh("z")
         run = Reset(Let(zh, App(tf, Var(xh)), Assign(Snd(Var(zh)), Const(1.0))))
-    elif variant == "meta-shift":
-        tf = rev_transform_meta_shift(f, gen)
-        run = App(App(tf, Var(xh)), set_one)
-    elif variant == "full-cps":
-        run = _t11(f, gen, {})(lambda m: App(App(m, Var(xh)), set_one))
+    elif variant in ("meta-shift", "full-cps"):
+        t = rev_transform_meta_shift if variant == "meta-shift" else rev_transform_full_cps
+        run = App(App(t(f, gen), Var(xh)), set_one)
     else:
         raise TransformError(f"unknown reverse variant {variant!r}")
 

@@ -151,9 +151,8 @@ def perturbation_confusion_probe() -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Reverse runtimes, and the +/* adjoint rule that every reverse formulation
 # runs: these runtimes, the three reverse transformations and the IR stager.
-# A run holds its scalar algebra (floats, or tagged duals for
-# forward-over-reverse second derivatives) as `add` and `mul`, so
-# getattr(run, op) is the primal operation op.
+# The runtimes compute with the host's + and *, so a run's number type is
+# whatever its input is: a tagged dual input gives forward-over-reverse.
 
 
 def adjoint_rule(m, s, op: str, p1, a1, p2, a2, y):
@@ -176,20 +175,16 @@ def later(_u1, u2):
     return u2
 
 
-SCALAR_FLOAT = (operator.add, operator.mul)
-SCALAR_DUAL = (d_add, d_mul)
-
-
 class _Run:
     """Per-invocation adjoint storage; index order is creation order.  It is
     the adjoint rule's medium, its state the adjoint list."""
 
-    read, seq = staticmethod(operator.getitem), staticmethod(later)
+    read, mul, seq = (staticmethod(operator.getitem), staticmethod(operator.mul),
+                      staticmethod(later))
 
-    def __init__(self, scalar=SCALAR_FLOAT):
+    def __init__(self, trace: list | None = None):
         self.adj: list = []
-        self.add, self.mul = scalar
-        self.trace: list | None = None
+        self.trace = trace
 
     def slot(self) -> int:
         self.adj.append(0.0)
@@ -198,18 +193,20 @@ class _Run:
     def accum(self, adj: list, idx: int, delta) -> list:
         if self.trace is not None:
             self.trace.append((idx, delta))
-        adj[idx] = self.add(adj[idx], delta)
+        adj[idx] = adj[idx] + delta
         return adj
 
 
 def _cps_op(op: str):
     """RevNum's + or *: a function awaiting the delimited continuation."""
+    prim = getattr(operator, op)
+
     def combine(self, other):
         other = self._lift(other)
         run = self.run
 
         def with_k(k):
-            y = RevNum(getattr(run, op)(self.x, other.x), run.slot(), run)
+            y = RevNum(prim(self.x, other.x), run.slot(), run)
             k(y)
             adjoint_rule(run, run.adj, op, self.x, self.idx, other.x, other.idx, y.idx)
 
@@ -237,12 +234,11 @@ class RevNum:
     __mul__ = __rmul__ = _cps_op("mul")
 
 
-def grad_cps(f: Callable, x0, scalar=SCALAR_FLOAT, trace: list | None = None):
+def grad_cps(f: Callable, x0, trace: list | None = None):
     """Reverse-mode gradient via nested continuations: run forward, set the
     final adjoint to 1, unwind accumulating adjoints, read the input's.  A
     trace list gets the run's (slot, delta) adjoint updates appended."""
-    run = _Run(scalar)
-    run.trace = trace
+    run = _Run(trace)
     z = RevNum(x0, run.slot(), run)
 
     def final(r: RevNum):
@@ -254,10 +250,12 @@ def grad_cps(f: Callable, x0, scalar=SCALAR_FLOAT, trace: list | None = None):
 
 def _tape_op(op: str):
     """TapeNum's + or *: record the adjoint rule's arguments on the tape."""
+    prim = getattr(operator, op)
+
     def combine(self, other):
         other = self._lift(other)
         run = self.run
-        y = TapeNum(getattr(run, op)(self.x, other.x), run.slot(), run)
+        y = TapeNum(prim(self.x, other.x), run.slot(), run)
         run.tape.append((op, self.x, self.idx, other.x, other.idx, y.idx))
         return y
 
@@ -275,8 +273,8 @@ class TapeNum(RevNum):
 
 
 class TapeRun(_Run):
-    def __init__(self, scalar=SCALAR_FLOAT):
-        super().__init__(scalar)
+    def __init__(self, trace: list | None = None):
+        super().__init__(trace)
         self.tape: list = []
 
     def replay(self) -> None:
@@ -286,11 +284,10 @@ class TapeRun(_Run):
             adjoint_rule(self, adj, op, p1, a1, p2, a2, y)
 
 
-def grad_tape(f: Callable, x0, scalar=SCALAR_FLOAT, trace: list | None = None):
+def grad_tape(f: Callable, x0, trace: list | None = None):
     """Reverse-mode gradient via a per-run tape: record forward, replay
     backward.  A trace list gets the run's adjoint updates appended."""
-    run = TapeRun(scalar)
-    run.trace = trace
+    run = TapeRun(trace)
     z = TapeNum(x0, run.slot(), run)
     y = f(z)
     run.adj[y.idx] = 1.0
@@ -326,11 +323,11 @@ class FunRun:
     """Id supply only; gradients live in immutable maps, never mutated.  As
     the adjoint rule's medium it threads those maps."""
 
-    read, accum, seq = staticmethod(map_get), staticmethod(map_add), staticmethod(later)
+    read, mul, accum, seq = (staticmethod(map_get), staticmethod(operator.mul),
+                             staticmethod(map_add), staticmethod(later))
 
-    def __init__(self, scalar=SCALAR_FLOAT):
+    def __init__(self):
         self.next_id = 0
-        self.add, self.mul = scalar
 
     def num(self, x) -> FunNum:
         n = FunNum(x, self.next_id, self)
@@ -340,11 +337,13 @@ class FunRun:
 
 def _fun_op(op: str):
     """+ or * over FunNums: a function awaiting the continuation."""
+    prim = getattr(operator, op)
+
     def combine(a: FunNum, b: FunNum):
         run = a.run
 
         def with_k(k):
-            y = run.num(getattr(run, op)(a.x, b.x))
+            y = run.num(prim(a.x, b.x))
             return adjoint_rule(run, k(y), op, a.x, a.idx, b.x, b.idx, y.idx)
 
         return with_k
@@ -355,11 +354,11 @@ def _fun_op(op: str):
 fun_add, fun_mul = _fun_op("add"), _fun_op("mul")
 
 
-def grad_functional(f: Callable, x0, scalar=SCALAR_FLOAT):
+def grad_functional(f: Callable, x0):
     """Reverse-mode gradient without mutation: each continuation returns
     the adjoint map of the rest of the run, and each operation returns it
     with its operands' adjoints added in."""
-    run = FunRun(scalar)
+    run = FunRun()
     z = run.num(x0)
     m = f(z)(lambda r: {r.idx: 1.0})
     return map_get(m, z.idx)
@@ -505,11 +504,11 @@ def dual_gradient(f: Expr):
 def cps_gradient(f: Expr):
     p = ArithProgram(f)
 
-    def grad(x0, trace: list | None = None, scalar=SCALAR_FLOAT):
+    def grad(x0, trace: list | None = None):
         def body(z):
             return lambda k: p.run_cps(z, z._lift, operator.add, operator.mul, k)
 
-        return grad_cps(body, x0, scalar, trace)
+        return grad_cps(body, x0, trace)
 
     return grad
 
@@ -521,7 +520,7 @@ def tape_gradient(f: Expr):
         def body(z):
             return p.run(z, z._lift, operator.add, operator.mul)
 
-        return grad_tape(body, x0, trace=trace)
+        return grad_tape(body, x0, trace)
 
     return grad
 
@@ -542,8 +541,8 @@ def grad_dual_expr(f: Expr, x0: float) -> float:
     return dual_gradient(f)(x0)
 
 
-def grad_cps_expr(f: Expr, x0, trace: list | None = None, scalar=SCALAR_FLOAT):
-    return cps_gradient(f)(x0, trace, scalar)
+def grad_cps_expr(f: Expr, x0, trace: list | None = None):
+    return cps_gradient(f)(x0, trace)
 
 
 def grad_tape_expr(f: Expr, x0: float, trace: list | None = None) -> float:
@@ -555,8 +554,8 @@ def grad_functional_expr(f: Expr, x0: float) -> float:
 
 
 def grad_forward_over_reverse(f: Expr, x0: float) -> float:
-    """Second derivative in one pass: the reverse runtime runs with tagged
-    duals as its scalar type, so the input adjoint carries a tangent."""
+    """Second derivative in one pass: the reverse runtime runs on a tagged
+    dual input, so the input adjoint carries a tangent."""
     tag = next(_TAGS)
-    g = grad_cps_expr(f, Dual(x0, 1.0, tag), scalar=SCALAR_DUAL)
+    g = grad_cps_expr(f, Dual(x0, 1.0, tag))
     return g.d if type(g) is Dual and g.tag == tag else 0.0

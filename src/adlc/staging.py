@@ -13,6 +13,7 @@ capture tuple, so the IR stays first-order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 from .lang import freshen
@@ -42,7 +43,7 @@ class StagingError(LangError):
 @dataclass
 class Bind:
     dest: str
-    op: str  # a key of OP_KINDS
+    op: str  # a key of OPS
     args: tuple
 
 
@@ -128,14 +129,23 @@ class IRProgram:
 # a function) and the kind of the symbol it defines in `dest` (None if it
 # defines none; a Bind's is the kind of its op's result).  `uses`, `defs`,
 # `map_operands` and `kinds` read it; a new statement class is one row here
-# plus its arm in the passes that act on it.
+# plus its arm in the passes that act on it.  OPS gives, per Bind op, the kind
+# of its result, the host function that computes it (ir_eval runs it and
+# ir_opt folds literal operands with it; a tree op's operand is never a
+# literal) and its C text.
 
-OP_KINDS = {"add": "val", "mul": "val", "greater": "bool",
-            "tree_value": "val", "tree_left": "tree", "tree_right": "tree",
-            "tree_nonempty": "bool"}
+OPS = {
+    "add": ("val", operator.add, "{} + {}"),
+    "mul": ("val", operator.mul, "{} * {}"),
+    "greater": ("bool", operator.gt, "{} > {}"),
+    "tree_value": ("val", operator.attrgetter("value"), "{}.value"),
+    "tree_left": ("tree", operator.attrgetter("left"), "{}.left()"),
+    "tree_right": ("tree", operator.attrgetter("right"), "{}.right()"),
+    "tree_nonempty": ("bool", lambda t: t is not None, "{}.notEmpty"),
+}
 
 STMTS = {
-    Bind: (("*args",), OP_KINDS),
+    Bind: (("*args",), OPS),
     CellNew: (("init",), "cell"),
     CellRead: (("cell",), "val"),
     CellAccum: (("cell", "value"), None),
@@ -201,7 +211,7 @@ def kinds(functions: dict) -> dict:
         for s in walk(fn.body):
             kind = STMTS[type(s)][1]
             if kind is not None:
-                out[s.dest] = kind[s.op] if kind is OP_KINDS else kind
+                out[s.dest] = kind[s.op][0] if kind is OPS else kind
     return out
 
 

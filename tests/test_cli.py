@@ -107,6 +107,13 @@ def test_check_single_program(capsys, programs):
     assert out.strip().endswith("pass")
 
 
+def test_check_tolerance_is_not_settable(capsys, programs):
+    # no flag can loosen a check
+    with pytest.raises(SystemExit) as ei:
+        run(["check", "--tol", "1e-3", programs["cubic.sexp"]])
+    assert ei.value.code == 1
+
+
 def test_check_json(capsys, programs):
     assert run(["check", programs["cubic.sexp"], "--at", "1.0,2.0",
                 "--json"]) == 0

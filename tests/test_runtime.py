@@ -111,6 +111,17 @@ def test_reverse_runtimes_bitwise_equal_on_corpus():
             assert a == grad_reverse(f, x, "target-shift")
 
 
+def test_reverse_runtimes_on_tagged_duals_are_forward_over_reverse():
+    # a run's number type is its input's: on a tagged dual input, every
+    # reverse runtime's input adjoint carries the second derivative
+    for f in corpus(CorpusSpec(42, count=60)):
+        for x in DEFAULT_PROBES:
+            want = grad_forward_over_reverse(f, x).hex()
+            for grad in (grad_cps_expr, grad_tape_expr, grad_functional_expr):
+                g = grad(f, Dual(x, 1.0, 1))
+                assert (g.d if type(g) is Dual else 0.0).hex() == want
+
+
 def test_tape_update_sequence_equals_cps():
     # the tape is defunctionalized CPS: identical adjoint-update sequences
     spec = CorpusSpec(count=25)

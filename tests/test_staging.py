@@ -11,9 +11,9 @@ from adlc.ir_eval import IREvalError, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRProgram,
-    StagingError, TreeData, ir_cell_op_count, ir_stmt_count, parse_tree,
-    stage_reverse, stage_tree, tree_to_expr,
+    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
+    IRProgram, Return, StagingError, TreeData, ir_cell_op_count,
+    ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
 from adlc.syntax import parse
 
@@ -286,6 +286,36 @@ def test_optimize_sound_at_random_probes():
         for _ in range(20):
             x = rng.uniform(-4.0, 4.0)
             assert ir_eval(p, x, tree=tree) == ir_eval(po, x, tree=tree)
+
+
+def _entry(*body) -> IRProgram:
+    return IRProgram({"snippet": IRFunction("snippet", [("in", "val")], list(body))},
+                     "snippet")
+
+
+LITERALS = (0.0, -0.0, 1.5, -1.5, float("inf"), float("-inf"), float("nan"),
+            1e300, 1e-300)
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "greater"])
+def test_literal_fold_matches_ir_eval_bitwise(op):
+    for a in LITERALS:
+        for b in LITERALS:
+            if op == "greater":
+                p = _entry(Bind("g", op, (a, b)), Cond("g", [Return(1.0)], [Return(0.0)]))
+            else:
+                p = _entry(Bind("r", op, (a, b)), Return("r"))
+            po = ir_optimize(p)
+            assert not any(isinstance(s, (Bind, Cond)) for s in _all_stmts(po))
+            assert ir_eval(po, 0.0).hex() == ir_eval(p, 0.0).hex()
+
+
+def test_ir_eval_op_errors():
+    with pytest.raises(IREvalError, match="unknown operation 'sub'"):
+        ir_eval(_entry(Bind("r", "sub", ("in", 1.0)), Return("r")), 1.0)
+    for op in ("tree_value", "tree_left", "tree_right"):
+        with pytest.raises(IREvalError, match="non-tree"):
+            ir_eval(_entry(Bind("r", op, ("in",)), Return("r")), 1.0)
 
 
 def test_optimize_leaves_input_unchanged():

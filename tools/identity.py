@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
-import inspect
 import io
 import itertools
 import os
@@ -92,17 +91,10 @@ def _attempt(build) -> str:
 
 
 def _trace(grad):
-    """A gradient function whose value is its run's adjoint-update trace.
-    Checkouts whose runtimes take `run_out` and a `trace` flag instead of a
-    trace list are asked the way they take it."""
+    """A gradient function whose value is its run's adjoint-update trace."""
     def run(x):
         trace: list = []
-        if "run_out" in inspect.signature(grad).parameters:
-            runs: list = []
-            grad(x, run_out=runs, trace=True)
-            trace = runs[0].trace
-        else:
-            grad(x, trace=trace)
+        grad(x, trace=trace)
         return ";".join(f"{i}:{d.hex()}" for i, d in trace)
     return run
 
