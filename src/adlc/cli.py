@@ -40,6 +40,11 @@ TRANSFORM_MODES = tuple(TRANSFORMS)
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; a prefix of a flag is an unknown flag."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 

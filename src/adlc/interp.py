@@ -27,19 +27,37 @@ never sees another resumption's writes.  A
 continuation that is resumed once, as in the target-shift reverse pass,
 costs no copy.
 
+`if` and `letrec` are expanded as the translator meets them
+(`lang.desugar_node`, binder names no program can write), so a program
+runs as written, with no recursive desugaring pass.
+
 Errors are raised at run time, in evaluation order: an unbound name in an
 untaken branch is not an error.
+
+The operator-overloading AD runtimes (`runtime`) run programs on this
+machine with their own numbers, which derive from `Num` and keep the
+primal in `.x`.  After the float fast path, `+` and `*` on a `Num` operand
+use the host operators, and `>` compares primals.  An operation may
+return `Shifted(y, after)`, the paper's `shift { k => ...; k(y); backward }`:
+the run goes on with y under a delimiter frame put just above the nearest
+delimiter, and when the delimited rest returns v, that frame returns
+after(v).  A seed frame directly under the program, not a delimiter, maps
+the program's value before any after runs.  So an operation nests no
+Python frame.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, attrgetter, mul
+from typing import Callable, NamedTuple
 
+from .lang import desugar_node
 from .syntax import (
-    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, Inl, Inr,
-    LangError, Lam, Let, Mul, Pair, Ref, Reset, Seq, Shift, Snd, Unit, Var,
-    fmt_float,
+    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
+    LangError, Lam, Let, Letrec, Mul, Pair, Ref, Reset, Seq, Shift, Snd, Unit,
+    Var, fmt_float,
 )
 
 
@@ -129,6 +147,26 @@ class Cont:
         return out
 
 
+class Num:
+    """Base class of the runtimes' number types; `.x` is the primal."""
+
+    __slots__ = ()
+
+
+_REAL = (float, Num)
+
+
+class Shifted(NamedTuple):
+    """An operation's result y awaiting the rest of the run, and after,
+    which maps the rest's value to the whole's; on the host, k's result."""
+
+    y: object
+    after: Callable
+
+    def __call__(self, k):
+        return self.after(k(self.y))
+
+
 class Store:
     """Cell heap; ids are never reused within one evaluation."""
 
@@ -158,10 +196,11 @@ class Store:
 #   (LAM, d, code, capture slots)
 #   (RESET, d, pc after body)     (SHIFT, d, k slot, pc after body)
 #   (ERR, message)                (HALT,)
+#   (HOOK, check)                 act[0] = act[1](act[0]); a seed checks first
 
 # numbered, and tested in _run, by how often the gradient programs run them
 (SND, DEREF, FST, ADD, MUL, ASSIGN, PAIR, CELLCHK, REF, RET, APP, LAM, SHIFT,
- TAILAPP, RESET, CASE, MOVE, JUMP, GT, INL, INR, ERR, HALT) = range(23)
+ TAILAPP, RESET, CASE, MOVE, JUMP, GT, INL, INR, HOOK, ERR, HALT) = range(24)
 
 
 class _Code:
@@ -178,6 +217,9 @@ class _Code:
 
 _HALT_CODE = ((HALT,),)
 _PASS_CODE = ((RET, 0),)  # a delimiter that hands its value on
+# frames over [value, host function]: a Shifted's after, and the seed
+_AFTER_CODE = ((HOOK, False), (RET, 0))
+_SEED_CODE = ((HOOK, True), (RET, 0))
 
 
 class _Fn:
@@ -234,7 +276,7 @@ _UNOPS = {Fst: (FST, attrgetter("arg")), Snd: (SND, attrgetter("arg")),
 _BINOPS = {Add: (ADD, attrgetter("lhs", "rhs")), Mul: (MUL, attrgetter("lhs", "rhs")),
            Greater: (GT, attrgetter("lhs", "rhs")), Pair: (PAIR, attrgetter("fst", "snd")),
            Assign: (ASSIGN, attrgetter("cell", "value")), App: (APP, attrgetter("fn", "arg"))}
-_PASSES_TAIL = (App, Let, Seq, Case)
+_PASSES_TAIL = (App, Let, Seq, Case, If, Letrec)
 _MISSING = object()
 
 
@@ -249,6 +291,7 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
     application there becomes a tail call, let, seq and case pass the
     position on, and anything else is followed by a return."""
     fn = _Fn(None, param)
+    fresh = map("(sugar{})".format, itertools.count()).__next__  # unwritable
     scope, blank, instrs = fn.scope, fn.blank, fn.instrs
     emit = instrs.append
     work: list = []
@@ -321,6 +364,8 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
                 scope, blank, instrs = fn.scope, fn.blank, fn.instrs
                 emit = instrs.append
                 e, tail = e.body, True
+            elif cls is If or cls is Letrec:
+                e = desugar_node(e, fresh)
             elif cls is Reset or cls is Shift:
                 blank.append(None)
                 out.append(len(blank))  # the body, in tail position, adds none
@@ -337,8 +382,7 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             else:
                 d = atom(e)
                 if d is None:
-                    emit((ERR, f"unbound variable: {e.name}" if cls is Var else
-                          f"cannot evaluate {e!r} (desugar first)"))
+                    emit((ERR, f"unbound variable: {e.name}"))
                     blank.append(None)
                     d = len(blank)
                 out.append(d)
@@ -430,9 +474,37 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             out.append(len(blank))
 
 
-def _run(code: _Code, act: list, store: Store):
-    """Run translated code from its first instruction in activation act."""
+def _overloaded(frames: list, op, a, b, sym: str):
+    """a op b where an operand is not a float: the host operation on
+    runtime numbers.  A Shifted result puts its after in a delimiter frame
+    just above the nearest delimiter, and the run continues with its y."""
+    if not (isinstance(a, _REAL) and isinstance(b, _REAL)):
+        raise EvalError(f"arithmetic on non-reals ({sym})")
+    y = op(a, b)
+    if type(y) is not Shifted:
+        return y
+    i = len(frames) - 1
+    while not frames[i][4]:
+        i -= 1
+    frames.insert(i + 1, (_AFTER_CODE, 0, [None, y.after], 0, True))
+    return y.y
+
+
+def _primal(v):
+    while isinstance(v, Num):
+        v = v.x
+    if type(v) is not float:
+        raise EvalError("comparison on non-reals (>)")
+    return v
+
+
+def _run(code: _Code, act: list, store: Store, seed=None):
+    """Run translated code from its first instruction in activation act;
+    seed, when given, maps the program's value, which must be a real, to
+    the run's (see the module docstring)."""
     frames: list = [(_HALT_CODE, 0, [None], 0, True)]
+    if seed is not None:
+        frames.append((_SEED_CODE, 0, [None, seed], 0, False))
     push, pop = frames.append, frames.pop
     cells = store.cells
     instrs = code.instrs
@@ -458,14 +530,16 @@ def _run(code: _Code, act: list, store: Store):
             act[ins[1]] = v.fst
         elif op == ADD:
             a, b = act[ins[2]], act[ins[3]]
-            if type(a) is not float or type(b) is not float:
-                raise EvalError("arithmetic on non-reals (+)")
-            act[ins[1]] = a + b
+            if type(a) is float and type(b) is float:
+                act[ins[1]] = a + b
+            else:
+                act[ins[1]] = _overloaded(frames, add, a, b, "+")
         elif op == MUL:
             a, b = act[ins[2]], act[ins[3]]
-            if type(a) is not float or type(b) is not float:
-                raise EvalError("arithmetic on non-reals (*)")
-            act[ins[1]] = a * b
+            if type(a) is float and type(b) is float:
+                act[ins[1]] = a * b
+            else:
+                act[ins[1]] = _overloaded(frames, mul, a, b, "*")
         elif op == ASSIGN:
             c = act[ins[2]]
             if type(c) is not Cell:
@@ -538,12 +612,17 @@ def _run(code: _Code, act: list, store: Store):
         elif op == GT:
             a, b = act[ins[2]], act[ins[3]]
             if type(a) is not float or type(b) is not float:
-                raise EvalError("comparison on non-reals (>)")
+                a, b = _primal(a), _primal(b)
             act[ins[1]] = InlV(UNIT) if a > b else InrV(UNIT)
         elif op == INL:
             act[ins[1]] = InlV(act[ins[2]])
         elif op == INR:
             act[ins[1]] = InrV(act[ins[2]])
+        elif op == HOOK:
+            v = act[0]
+            if ins[1] and not isinstance(v, _REAL):
+                raise EvalError("program did not return a real")
+            act[0] = act[1](v)
         elif op == ERR:
             raise EvalError(ins[1])
         else:  # HALT
@@ -565,13 +644,18 @@ _INPUT = "(input)"  # a name no parsed program can bind
 
 def real_fn(prog: Expr):
     """A one-argument program, translated once, as a real function: each
-    call applies it to the argument in a fresh store, and the result must
-    be a real."""
-    code = _translate(App(prog, Var(_INPUT)), (), _INPUT)
+    call applies it in a fresh store to x, a float or a runtime number, and
+    the result must be one too.  A runtime that shifts passes the seed of
+    its backward pass, and gets the value the seed and the afters give (see
+    the module docstring)."""
+    if type(prog) is Lam:  # the body is the code, the parameter its slot 0
+        code = _translate(prog.body, (), prog.param)
+    else:
+        code = _translate(App(prog, Var(_INPUT)), (), _INPUT)
 
-    def run(x: float) -> float:
-        v = _run(code, [x, *code.blank], Store())
-        if type(v) is not float:
+    def run(x, seed=None):
+        v = _run(code, [x, *code.blank], Store(), seed)
+        if seed is None and not isinstance(v, _REAL):
             raise EvalError("program did not return a real")
         return v
 

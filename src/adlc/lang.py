@@ -12,31 +12,45 @@ class AnfError(LangError):
     pass
 
 
-def desugar(e: Expr, gen: NameGen | None = None) -> Expr:
-    """Expand if/letrec/seq into core forms.
+def _same(e: Expr) -> Expr:
+    return e
+
+
+_SUGAR = (If, Letrec, Seq)
+
+
+def desugar_node(e: Expr, fresh, go=_same) -> Expr:
+    """A sugar node (if, letrec, seq) expanded one level into core forms,
+    with go applied to each subexpression in order and fresh() naming each
+    new binder.
 
     if b then t else e       =>  case b of _ => t or _ => e
     letrec f = \\x.e1 in e2  =>  let f0 = \\f1. \\x. let f = f1 f1 in e1
                                  in let f = f0 f0 in e2
     e1 ; e2                   =>  let _ = e1 in e2   (fresh unused name)
     """
+    match e:
+        case If(g, t, o):
+            return Case(go(g), fresh(), go(t), fresh(), go(o))
+        case Letrec(fname, Lam(param, fbody), body):
+            f0 = fresh()
+            f1 = fresh()
+            inner = Lam(f1, Lam(param, Let(fname, App(Var(f1), Var(f1)), go(fbody))))
+            return Let(f0, inner, Let(fname, App(Var(f0), Var(f0)), go(body)))
+        case Letrec():
+            raise LangError(f"cannot desugar {e!r}")
+        case Seq(a, b):
+            return Let(fresh(), go(a), go(b))
+
+
+def desugar(e: Expr, gen: NameGen | None = None) -> Expr:
+    """Expand if/letrec/seq into core forms everywhere (desugar_node)."""
     gen = gen or NameGen(all_names(e))
 
     def go(e: Expr) -> Expr:
-        match e:
-            case If(g, t, o):
-                return Case(go(g), gen.fresh(), go(t), gen.fresh(), go(o))
-            case Letrec(fname, Lam(param, fbody), body):
-                f0 = gen.fresh()
-                f1 = gen.fresh()
-                inner = Lam(f1, Lam(param, Let(fname, App(Var(f1), Var(f1)), go(fbody))))
-                return Let(f0, inner, Let(fname, App(Var(f0), Var(f0)), go(body)))
-            case Letrec():
-                raise LangError(f"cannot desugar {e!r}")
-            case Seq(a, b):
-                return Let(gen.fresh(), go(a), go(b))
-            case _:
-                return map_children(e, go)
+        if type(e) in _SUGAR:
+            return desugar_node(e, gen.fresh, go)
+        return map_children(e, go)
 
     return go(e)
 

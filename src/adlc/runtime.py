@@ -2,6 +2,15 @@
 formulations (explicit CPS, tape, purely functional), and their composition
 for second derivatives.
 
+Each runtime is operator overloading on a number type derived from
+`interp.Num`, and an object-language program runs on it in the CEK machine
+(`interp.real_fn`), whole language included.  The explicit-CPS and
+functional `+` and `*` return `interp.Shifted`, the paper's
+`shift { k => val y = ...; k(y); backward }`; host functions call it with
+their continuation.  A float operand is lifted where it meets a runtime
+number (the paper's implicit `Double => NumR`) and operands keep their
+source order; arithmetic on constants alone stays on floats.
+
 Every reverse runtime keeps adjoints in a dense per-run array indexed by
 creation order, so runs are independent and re-entrant.  The only shared
 state is the tag counter for nested forward invocations.
@@ -14,7 +23,8 @@ import operator
 from functools import partial
 from typing import Callable
 
-from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Seq, Var
+from .interp import Num, Shifted, real_fn
+from .syntax import Expr, LangError, Lam, contains_control
 
 _TAGS = itertools.count(1)
 
@@ -59,29 +69,23 @@ def grad_naive(f: Callable, x0: float) -> float:
     return y.d if isinstance(y, NumF) else 0.0
 
 
-class Dual:
-    """Tagged dual number; values carrying a lower tag are constants with
-    respect to a higher-tag derivative."""
+class _Overloaded(Num):
+    """+ and * as combine(a, b), operands in source order, a float operand
+    lifted first."""
 
-    __slots__ = ("x", "d", "tag")
-
-    def __init__(self, x, d, tag: int):
-        self.x = x
-        self.d = d
-        self.tag = tag
-
-    def __repr__(self):
-        return f"Dual({self.x!r}, {self.d!r}, tag={self.tag})"
+    __slots__ = ()
 
     def __add__(self, other):
-        return d_add(self, other)
+        return self._add(self, self._lift(other))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return self._add(self._lift(other), self)
 
     def __mul__(self, other):
-        return d_mul(self, other)
+        return self._mul(self, self._lift(other))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self._mul(self._lift(other), self)
 
 
 def _tag_of(v) -> int:
@@ -108,6 +112,25 @@ def d_mul(a, b):
     if ta > tb:
         return Dual(d_mul(a.x, b), d_mul(a.d, b), ta)
     return Dual(d_mul(a, b.x), d_mul(a, b.d), tb)
+
+
+class Dual(_Overloaded):
+    """Tagged dual number; values carrying a lower tag are constants with
+    respect to a higher-tag derivative, floats with respect to every one."""
+
+    __slots__ = ("x", "d", "tag")
+    _add, _mul = staticmethod(d_add), staticmethod(d_mul)
+
+    def __init__(self, x, d, tag: int):
+        self.x = x
+        self.d = d
+        self.tag = tag
+
+    def __repr__(self):
+        return f"Dual({self.x!r}, {self.d!r}, tag={self.tag})"
+
+    def _lift(self, v):
+        return v
 
 
 def grad_dual_tagged(f: Callable, x0) -> float:
@@ -197,32 +220,35 @@ class _Run:
         return adj
 
 
-def _cps_op(op: str):
-    """RevNum's + or *: a function awaiting the delimited continuation."""
+def _shift_op(op: str):
+    """RevNum's + or *: shift to the rest of the run, whose value is the
+    run's adjoint state, and return that state with the operands' adjoints
+    added in."""
     prim = getattr(operator, op)
 
-    def combine(self, other):
-        other = self._lift(other)
-        run = self.run
-
-        def with_k(k):
-            y = RevNum(prim(self.x, other.x), run.slot(), run)
-            k(y)
-            adjoint_rule(run, run.adj, op, self.x, self.idx, other.x, other.idx, y.idx)
-
-        return with_k
+    def combine(a, b):
+        run = a.run
+        y = RevNum(prim(a.x, b.x), run.slot(), run)
+        return Shifted(y, lambda s: adjoint_rule(
+            run, s, op, a.x, a.idx, b.x, b.idx, y.idx))
 
     return combine
 
 
-class RevNum:
-    """Reverse-mode number for the continuation-passing runtime: a primal
-    and an adjoint slot id.  + and * return functions awaiting the delimited
-    continuation, per the explicit-CPS formulation."""
+fun_add, fun_mul = _shift_op("add"), _shift_op("mul")  # RevNum's + and *
+
+
+class RevNum(_Overloaded):
+    """Reverse-mode number, the paper's NumR: a primal and an adjoint slot
+    id of its run.  + and * shift: they return the result awaiting the
+    delimited continuation.  The run is the adjoint rule's medium: a _Run
+    updates its list in place (the explicit-CPS runtime), and a FunRun
+    threads immutable maps (the functional runtime)."""
 
     __slots__ = ("x", "idx", "run")
+    _add, _mul = staticmethod(fun_add), staticmethod(fun_mul)
 
-    def __init__(self, x, idx: int, run: _Run):
+    def __init__(self, x, idx: int, run):
         self.x = x
         self.idx = idx
         self.run = run
@@ -230,19 +256,19 @@ class RevNum:
     def _lift(self, v):
         return v if isinstance(v, RevNum) else type(self)(v, self.run.slot(), self.run)
 
-    __add__ = __radd__ = _cps_op("add")
-    __mul__ = __rmul__ = _cps_op("mul")
-
 
 def grad_cps(f: Callable, x0, trace: list | None = None):
     """Reverse-mode gradient via nested continuations: run forward, set the
-    final adjoint to 1, unwind accumulating adjoints, read the input's.  A
-    trace list gets the run's (slot, delta) adjoint updates appended."""
+    final adjoint to 1, unwind accumulating adjoints, read the input's.  f
+    returns its result awaiting the continuation.  A trace list gets the
+    run's (slot, delta) adjoint updates appended."""
     run = _Run(trace)
     z = RevNum(x0, run.slot(), run)
 
-    def final(r: RevNum):
-        run.adj[r.idx] = 1.0
+    def final(r):
+        if isinstance(r, RevNum):
+            run.adj[r.idx] = 1.0
+        return run.adj
 
     f(z)(final)
     return run.adj[z.idx]
@@ -252,11 +278,10 @@ def _tape_op(op: str):
     """TapeNum's + or *: record the adjoint rule's arguments on the tape."""
     prim = getattr(operator, op)
 
-    def combine(self, other):
-        other = self._lift(other)
-        run = self.run
-        y = TapeNum(prim(self.x, other.x), run.slot(), run)
-        run.tape.append((op, self.x, self.idx, other.x, other.idx, y.idx))
+    def combine(a, b):
+        run = a.run
+        y = TapeNum(prim(a.x, b.x), run.slot(), run)
+        run.tape.append((op, a.x, a.idx, b.x, b.idx, y.idx))
         return y
 
     return combine
@@ -268,8 +293,7 @@ class TapeNum(RevNum):
     awaiting a continuation."""
 
     __slots__ = ()
-    __add__ = __radd__ = _tape_op("add")
-    __mul__ = __rmul__ = _tape_op("mul")
+    _add, _mul = staticmethod(_tape_op("add")), staticmethod(_tape_op("mul"))
 
 
 class TapeRun(_Run):
@@ -290,22 +314,14 @@ def grad_tape(f: Callable, x0, trace: list | None = None):
     run = TapeRun(trace)
     z = TapeNum(x0, run.slot(), run)
     y = f(z)
-    run.adj[y.idx] = 1.0
+    if isinstance(y, TapeNum):
+        run.adj[y.idx] = 1.0
     run.replay()
     return run.adj[z.idx]
 
 
 # ---------------------------------------------------------------------------
 # Purely functional reverse mode (reified adjoint store)
-
-
-class FunNum:
-    __slots__ = ("x", "idx", "run")
-
-    def __init__(self, x, idx: int, run):
-        self.x = x
-        self.idx = idx
-        self.run = run
 
 
 def map_get(m: dict, idx: int):
@@ -327,31 +343,7 @@ class FunRun:
                              staticmethod(map_add), staticmethod(later))
 
     def __init__(self):
-        self.next_id = 0
-
-    def num(self, x) -> FunNum:
-        n = FunNum(x, self.next_id, self)
-        self.next_id += 1
-        return n
-
-
-def _fun_op(op: str):
-    """+ or * over FunNums: a function awaiting the continuation."""
-    prim = getattr(operator, op)
-
-    def combine(a: FunNum, b: FunNum):
-        run = a.run
-
-        def with_k(k):
-            y = run.num(prim(a.x, b.x))
-            return adjoint_rule(run, k(y), op, a.x, a.idx, b.x, b.idx, y.idx)
-
-        return with_k
-
-    return combine
-
-
-fun_add, fun_mul = _fun_op("add"), _fun_op("mul")
+        self.slot = itertools.count().__next__
 
 
 def grad_functional(f: Callable, x0):
@@ -359,182 +351,62 @@ def grad_functional(f: Callable, x0):
     the adjoint map of the rest of the run, and each operation returns it
     with its operands' adjoints added in."""
     run = FunRun()
-    z = run.num(x0)
-    m = f(z)(lambda r: {r.idx: 1.0})
+    z = RevNum(x0, run.slot(), run)
+    m = f(z)(lambda r: {r.idx: 1.0} if isinstance(r, RevNum) else {})
     return map_get(m, z.idx)
 
 
 # ---------------------------------------------------------------------------
-# Expression bridges (arithmetic fragment only): a program is translated once
-# into straight-line register code over (const, add, mul), which each runtime
-# then runs per call.  Names are resolved lexically at translation, so
-# programs run as written: no freshening, and `seq` is the one sugar form
-# that lands in the fragment.  Anything else becomes an instruction that
-# raises when the run reaches it, so translation itself never fails.
+# Expression bridges: each runtime is the CEK machine run on its number
+# type.  A program is translated once and runs as written (no freshening),
+# and errors come when the run reaches them, as the machine's do.
 
-_CONST, _ADD, _MUL, _FAIL = range(4)
 _NOT_A_LAM = "gradient target must be a one-argument lam"
-_ARITH = {Add: _ADD, Mul: _MUL}
-# pending steps of the translation, between subexpressions
-_OP, _BIND, _UNBIND, _DROP = range(4)
 
 
-class ArithProgram:
-    """A one-argument program as register code: instruction i is
-    (_CONST, c, None), (_ADD|_MUL, a, b) or (_FAIL, message, None) and
-    writes register i + 1; register 0 is the argument."""
+def _machine(f: Expr, shifts: bool = False):
+    """interp.real_fn(f), or, for a target the runtime cannot run, a
+    function that raises RuntimeADError when called.  A runtime that shifts
+    delimits every operation, so the program's own shift/reset would meet
+    its delimiters."""
+    if not isinstance(f, Lam):
+        err = _NOT_A_LAM
+    elif shifts and contains_control(f):
+        err = "shift/reset in a program for the cps or functional runtime"
+    else:
+        return real_fn(f)
 
-    __slots__ = ("code", "result")
+    def fail(x, seed=None):
+        raise RuntimeADError(err)
 
-    def __init__(self, f: Expr):
-        code: list = []
-        self.code = code
-        self.result = 0
-        if not isinstance(f, Lam):
-            code.append((_FAIL, _NOT_A_LAM, None))
-            return
-        scope = {f.param: 0}
-        out: list = []  # registers of translated subexpressions
-        work: list = [f.body]  # expressions, and (step, ...) tuples
-        while work:
-            e = work.pop()
-            cls = type(e)
-            if cls is tuple:
-                step = e[0]
-                if step == _OP:
-                    b, a = out.pop(), out.pop()
-                    code.append((e[1], a, b))
-                    out.append(len(code))
-                elif step == _BIND:  # a let's bound value is ready
-                    _, name, body = e
-                    work.append((_UNBIND, name, scope.get(name)))
-                    scope[name] = out.pop()
-                    work.append(body)
-                elif step == _UNBIND:  # and its body is done
-                    _, name, old = e
-                    if old is None:
-                        del scope[name]
-                    else:
-                        scope[name] = old
-                else:  # _DROP: the first half of a seq is done
-                    out.pop()
-                    work.append(e[1])
-            elif cls is Var and e.name in scope:
-                out.append(scope[e.name])
-            elif cls is Const:
-                code.append((_CONST, e.value, None))
-                out.append(len(code))
-            elif cls in _ARITH:
-                work.extend(((_OP, _ARITH[cls]), e.rhs, e.lhs))
-            elif cls is Let:
-                work.extend(((_BIND, e.name, e.body), e.bound))
-            elif cls is Seq:
-                work.extend(((_DROP, e.second), e.first))
-            else:  # the run stops here, so nothing after it is needed
-                code.append((_FAIL, f"not in the arithmetic fragment: {e!r}", None))
-                return
-        self.result = out.pop()
-
-    def run(self, x, const, add, mul):
-        """Direct style: the value of the body at x."""
-        regs = [x]
-        push = regs.append
-        for op, a, b in self.code:
-            if op == _ADD:
-                push(add(regs[a], regs[b]))
-            elif op == _MUL:
-                push(mul(regs[a], regs[b]))
-            elif op == _CONST:
-                push(const(a))
-            else:
-                raise RuntimeADError(a)
-        return regs[self.result]
-
-    def run_cps(self, x, num, combine_add, combine_mul, k):
-        """Continuation-passing style: each operation gets the rest of the
-        run as its continuation, and k gets the body's value."""
-        regs: list = []
-        code, n = self.code, len(self.code)
-
-        def resume(i, y):
-            """Write register i (y), then run from instruction i."""
-            regs.append(y)
-            while i < n:
-                op, a, b = code[i]
-                i += 1
-                if op == _CONST:
-                    regs.append(num(a))
-                elif op == _FAIL:
-                    raise RuntimeADError(a)
-                else:
-                    combine = combine_add if op == _ADD else combine_mul
-                    return combine(regs[a], regs[b])(partial(resume, i))
-            return k(regs[self.result])
-
-        return resume(0, x)
+    return fail
 
 
 def dual_fn(f: Expr):
-    """Compile an arithmetic-fragment program to a host function over tagged
-    duals, for use with the nesting gradient operators."""
+    """A program as a host function over tagged duals, for use with the
+    nesting gradient operators."""
     if not isinstance(f, Lam):
         raise RuntimeADError(_NOT_A_LAM)
-    p = ArithProgram(f)
-    return lambda x: p.run(x, _same, d_add, d_mul)
-
-
-def _same(c):
-    return c
+    return real_fn(f)
 
 
 def dual_gradient(f: Expr):
-    """Dual-number gradient of an object-language program.  Constants are
-    lifted with explicit zero tangents so tangent arithmetic matches the
-    forward transformation operation for operation."""
-    p = ArithProgram(f)
-
-    def grad(x0: float) -> float:
-        tag = next(_TAGS)
-        y = p.run(Dual(x0, 1.0, tag), lambda c: Dual(c, 0.0, tag), d_add, d_mul)
-        return y.d if type(y) is Dual and y.tag == tag else 0.0
-
-    return grad
+    """Dual-number gradient of an object-language program."""
+    return partial(grad_dual_tagged, _machine(f))
 
 
 def cps_gradient(f: Expr):
-    p = ArithProgram(f)
-
-    def grad(x0, trace: list | None = None):
-        def body(z):
-            return lambda k: p.run_cps(z, z._lift, operator.add, operator.mul, k)
-
-        return grad_cps(body, x0, trace)
-
-    return grad
+    run = _machine(f, shifts=True)
+    return lambda x0, trace=None: grad_cps(lambda z: partial(run, z), x0, trace)
 
 
 def tape_gradient(f: Expr):
-    p = ArithProgram(f)
-
-    def grad(x0: float, trace: list | None = None) -> float:
-        def body(z):
-            return p.run(z, z._lift, operator.add, operator.mul)
-
-        return grad_tape(body, x0, trace)
-
-    return grad
+    return partial(grad_tape, _machine(f))
 
 
 def functional_gradient(f: Expr):
-    p = ArithProgram(f)
-
-    def grad(x0: float) -> float:
-        def body(z):
-            return lambda k: p.run_cps(z, z.run.num, fun_add, fun_mul, k)
-
-        return grad_functional(body, x0)
-
-    return grad
+    run = _machine(f, shifts=True)
+    return lambda x0: grad_functional(lambda z: partial(run, z), x0)
 
 
 def grad_dual_expr(f: Expr, x0: float) -> float:

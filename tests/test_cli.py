@@ -107,6 +107,15 @@ def test_check_single_program(capsys, programs):
     assert out.strip().endswith("pass")
 
 
+def test_option_abbreviations_are_not_accepted(capsys, programs):
+    # --h would be --help, and --mod --mode: both exit 1 as unknown flags
+    for argv in (["check", "--h", "1e-3", programs["cubic.sexp"]],
+                 ["grad", "--mod", "dual", programs["cubic.sexp"]]):
+        with pytest.raises(SystemExit) as ei:
+            run(argv)
+        assert ei.value.code == 1
+
+
 def test_check_tolerance_is_not_settable(capsys, programs):
     # no flag can loosen a check
     with pytest.raises(SystemExit) as ei:
@@ -169,7 +178,7 @@ def test_depth_limit_flag(capsys, programs):
 
 
 def test_check_exit_2_when_modes_cannot_agree(capsys, tmp_path):
-    # control flow is outside the runtime bridges' fragment; the failure is
+    # control flow is outside symbolic's ANF fragment; the failure is
     # recorded per entry and surfaces as exit code 2
     f = tmp_path / "branchy.sexp"
     f.write_text("(lam x (if (> x 0.0) (* x x) (+ x x)))\n")
@@ -191,14 +200,14 @@ def test_codegen_tree(capsys, programs):
 
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
-CONTROL_FLOW_MODES = ("forward", "reverse-target-shift", "reverse-meta-shift",
+CONTROL_FLOW_MODES = ("forward", "dual", "cps", "tape", "functional",
+                      "reverse-target-shift", "reverse-meta-shift",
                       "reverse-cps-full", "staged")
 
 
 @pytest.mark.parametrize("mode", CONTROL_FLOW_MODES)
 def test_grad_control_flow_builds_only_the_chosen_mode(capsys, mode):
-    # the runtime bridges and symbolic's ANF reject these programs; the
-    # chosen mode handles them
+    # symbolic's ANF rejects these programs; the chosen mode handles them
     assert run(["grad", "--mode", mode, "--at", "8.0",
                 str(PROGRAMS / "halve_loop.sexp")]) == 0
     assert capsys.readouterr().out == "0.125\n"
@@ -224,7 +233,7 @@ def test_descend_rejects_second_order_modes(capsys, programs):
 def test_grad_program_errors_exit_1(capsys, tmp_path):
     f = tmp_path / "bad.sexp"
     for src, mode, msg in (("(lam x (pair x x))", "forward", "did not return a real"),
-                           ("(lam x y)", "dual", "not in the arithmetic fragment")):
+                           ("(lam x y)", "dual", "unbound variable: y")):
         f.write_text(src + "\n")
         assert run(["grad", "--mode", mode, str(f)]) == 1
         assert msg in capsys.readouterr().err

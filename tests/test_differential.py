@@ -3,17 +3,20 @@ mutable state, pairs, sums, conditionals and higher-order functions, checked
 across the transformation paths (and finite differences where smooth)."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from adlc.forward import grad_forward
-from adlc.gradcheck import finite_diff, primal_fn
+from adlc.gradcheck import MODES, finite_diff, primal_fn
 from adlc.reverse import VARIANTS, grad_reverse
+from adlc.runtime import grad_forward_over_reverse
 from adlc.syntax import (
     Add, Const, Expr, Fst, Greater, If, Lam, Let, Mul, Pair, Snd, Var, parse,
 )
 
 PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 FEATURE_CASES = [
     # mutable state in the source: r = ref x; r := !r * x; !r  is x^2
@@ -121,3 +124,27 @@ def test_fuzz_staged_branching_bitwise_vs_unstaged():
             assert ir_eval(po, x) == want
             checked += 1
     assert checked == 360
+
+
+def test_runtimes_run_control_flow_bitwise_with_their_families():
+    # the runtimes are the CEK machine on their number types: on the fuzz
+    # programs above, the feature cases and the two control-flow programs,
+    # each agrees bit for bit with its family's reference
+    programs = [parse(src) for src, _ in FEATURE_CASES]
+    for name in ("halve_loop", "sign_square"):
+        with open(PROGRAMS / f"{name}.sexp", encoding="utf-8") as fh:
+            programs.append(parse(fh.read()))
+    for seed, count, depth, kinds in ((1318, 120, 4, dict(with_if=False)),
+                                      (97, 120, 4, dict(with_if=True)),
+                                      (5521, 60, 3, dict(with_if=True, with_pairs=False))):
+        rng = random.Random(seed)
+        programs += [Lam("x", _gen_expr(rng, depth, [], **kinds)) for _ in range(count)]
+    family = {"dual": "forward", "cps": "reverse-target-shift",
+              "tape": "reverse-target-shift", "functional": "reverse-target-shift"}
+    for f in programs:
+        fns = {m: MODES[m](f) for m in (*family, *family.values(), "forward2")}
+        for x in PROBES:
+            for mode, ref in family.items():
+                assert fns[mode](x).hex() == fns[ref](x).hex(), (mode, f, x)
+            want = grad_forward_over_reverse(f, x)
+            assert abs(fns["forward2"](x) - want) <= 1e-12 * max(1.0, abs(want))

@@ -140,8 +140,11 @@ def test_errors_come_at_run_time():
     with pytest.raises(EvalError, match="^unbound variable: nope$"):
         ev("(case (inr 1.0) a a b nope)")
     assert ev("(app (lam x 2.0) (lam y nope))") == 2.0
-    with pytest.raises(EvalError, match="desugar first"):
+    # sugar is expanded as it is translated, so the if runs, and its guard
+    # names the other branch's binder
+    with pytest.raises(EvalError, match="^unbound variable: a$"):
         ev("(case (inr 1.0) a a b (if a 1.0 2.0))")
+    assert ev("(case (inr 1.0) a a b (if (> b 0.5) 1.0 2.0))") == 1.0
 
 
 def test_error_order_follows_evaluation_order():

@@ -248,7 +248,7 @@ def cli_lines(root: str):
             yield _cli(["eval", path]).replace(tmp, "<tmp>").replace(root, "<root>")
     for path in sorted(glob.glob(os.path.join(root, "programs", "*.sexp"))):
         for mode in MODES:
-            yield _cli(["grad", "--mode", mode, "--at", "-2,-0.5,0,1,3",
+            yield _cli(["grad", "--mode", mode, "--at=-2,-0.5,0,1,3",
                         path]).replace(root, "<root>")
         for mode in TRANSFORM_MODES:
             yield _cli(["transform", "--mode", mode, path]).replace(root, "<root>")
