@@ -39,11 +39,11 @@ machine with their own numbers, which derive from `Num` and keep the
 primal in `.x`.  After the float fast path, `+` and `*` on a `Num` operand
 use the host operators, and `>` compares primals.  An operation may
 return `Shifted(y, after)`, the paper's `shift { k => ...; k(y); backward }`:
-the run goes on with y under a delimiter frame put just above the nearest
-delimiter, and when the delimited rest returns v, that frame returns
-after(v).  A seed frame directly under the program, not a delimiter, maps
-the program's value before any after runs.  So an operation nests no
-Python frame.
+the run goes on with y and keeps after in a list.  When the program
+returns, `real_fn` maps its value by the seed its caller passes (the
+continuation of the whole run) and then by each after, the latest first.
+So an operation nests no Python frame.  A run whose operations shift
+delimits every one of them, so its program must not use shift or reset.
 """
 
 from __future__ import annotations
@@ -196,11 +196,10 @@ class Store:
 #   (LAM, d, code, capture slots)
 #   (RESET, d, pc after body)     (SHIFT, d, k slot, pc after body)
 #   (ERR, message)                (HALT,)
-#   (HOOK, check)                 act[0] = act[1](act[0]); a seed checks first
 
 # numbered, and tested in _run, by how often the gradient programs run them
 (SND, DEREF, FST, ADD, MUL, ASSIGN, PAIR, CELLCHK, REF, RET, APP, LAM, SHIFT,
- TAILAPP, RESET, CASE, MOVE, JUMP, GT, INL, INR, HOOK, ERR, HALT) = range(24)
+ TAILAPP, RESET, CASE, MOVE, JUMP, GT, INL, INR, ERR, HALT) = range(23)
 
 
 class _Code:
@@ -217,9 +216,6 @@ class _Code:
 
 _HALT_CODE = ((HALT,),)
 _PASS_CODE = ((RET, 0),)  # a delimiter that hands its value on
-# frames over [value, host function]: a Shifted's after, and the seed
-_AFTER_CODE = ((HOOK, False), (RET, 0))
-_SEED_CODE = ((HOOK, True), (RET, 0))
 
 
 class _Fn:
@@ -474,19 +470,18 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             out.append(len(blank))
 
 
-def _overloaded(frames: list, op, a, b, sym: str):
+def _overloaded(afters: list | None, op, a, b, sym: str):
     """a op b where an operand is not a float: the host operation on
-    runtime numbers.  A Shifted result puts its after in a delimiter frame
-    just above the nearest delimiter, and the run continues with its y."""
+    runtime numbers.  A Shifted result adds its after to afters, and the
+    run continues with its y."""
     if not (isinstance(a, _REAL) and isinstance(b, _REAL)):
         raise EvalError(f"arithmetic on non-reals ({sym})")
     y = op(a, b)
     if type(y) is not Shifted:
         return y
-    i = len(frames) - 1
-    while not frames[i][4]:
-        i -= 1
-    frames.insert(i + 1, (_AFTER_CODE, 0, [None, y.after], 0, True))
+    if afters is None:
+        raise EvalError(f"a shifting operation ({sym}) outside a runtime's run")
+    afters.append(y.after)
     return y.y
 
 
@@ -498,13 +493,10 @@ def _primal(v):
     return v
 
 
-def _run(code: _Code, act: list, store: Store, seed=None):
+def _run(code: _Code, act: list, store: Store, afters: list | None = None):
     """Run translated code from its first instruction in activation act;
-    seed, when given, maps the program's value, which must be a real, to
-    the run's (see the module docstring)."""
+    afters, when given, gets the after of each shifting operation."""
     frames: list = [(_HALT_CODE, 0, [None], 0, True)]
-    if seed is not None:
-        frames.append((_SEED_CODE, 0, [None, seed], 0, False))
     push, pop = frames.append, frames.pop
     cells = store.cells
     instrs = code.instrs
@@ -533,13 +525,13 @@ def _run(code: _Code, act: list, store: Store, seed=None):
             if type(a) is float and type(b) is float:
                 act[ins[1]] = a + b
             else:
-                act[ins[1]] = _overloaded(frames, add, a, b, "+")
+                act[ins[1]] = _overloaded(afters, add, a, b, "+")
         elif op == MUL:
             a, b = act[ins[2]], act[ins[3]]
             if type(a) is float and type(b) is float:
                 act[ins[1]] = a * b
             else:
-                act[ins[1]] = _overloaded(frames, mul, a, b, "*")
+                act[ins[1]] = _overloaded(afters, mul, a, b, "*")
         elif op == ASSIGN:
             c = act[ins[2]]
             if type(c) is not Cell:
@@ -618,11 +610,6 @@ def _run(code: _Code, act: list, store: Store, seed=None):
             act[ins[1]] = InlV(act[ins[2]])
         elif op == INR:
             act[ins[1]] = InrV(act[ins[2]])
-        elif op == HOOK:
-            v = act[0]
-            if ins[1] and not isinstance(v, _REAL):
-                raise EvalError("program did not return a real")
-            act[0] = act[1](v)
         elif op == ERR:
             raise EvalError(ins[1])
         else:  # HALT
@@ -630,7 +617,7 @@ def _run(code: _Code, act: list, store: Store, seed=None):
 
 
 def eval_expr(e: Expr, env: dict | None = None, store: Store | None = None):
-    """Evaluate a sugar-free expression; returns (value, store).  Names
+    """Evaluate an expression; returns (value, store).  Names
     free in e are looked up in env."""
     env = {} if env is None else env
     store = store if store is not None else Store()
@@ -646,17 +633,19 @@ def real_fn(prog: Expr):
     """A one-argument program, translated once, as a real function: each
     call applies it in a fresh store to x, a float or a runtime number, and
     the result must be one too.  A runtime that shifts passes the seed of
-    its backward pass, and gets the value the seed and the afters give (see
-    the module docstring)."""
-    if type(prog) is Lam:  # the body is the code, the parameter its slot 0
-        code = _translate(prog.body, (), prog.param)
-    else:
-        code = _translate(App(prog, Var(_INPUT)), (), _INPUT)
+    its backward pass, and gets the value the seed and then the afters,
+    latest first, give (see the module docstring)."""
+    code = _translate(App(prog, Var(_INPUT)), (), _INPUT)
 
     def run(x, seed=None):
-        v = _run(code, [x, *code.blank], Store(), seed)
-        if seed is None and not isinstance(v, _REAL):
+        afters: list = []
+        v = _run(code, [x, *code.blank], Store(), afters)
+        if not isinstance(v, _REAL):
             raise EvalError("program did not return a real")
+        if seed is not None:
+            v = seed(v)
+        for after in reversed(afters):
+            v = after(v)
         return v
 
     return run

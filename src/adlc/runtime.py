@@ -8,7 +8,8 @@ Each runtime is operator overloading on a number type derived from
 functional `+` and `*` return `interp.Shifted`, the paper's
 `shift { k => val y = ...; k(y); backward }`; host functions call it with
 their continuation.  A float operand is lifted where it meets a runtime
-number (the paper's implicit `Double => NumR`) and operands keep their
+number (the paper's implicit `Double => NumR`; the tagged `Dual` of the
+nesting operators reads it as a constant instead) and operands keep their
 source order; arithmetic on constants alone stays on floats.
 
 Every reverse runtime keeps adjoints in a dense per-run array indexed by
@@ -37,38 +38,6 @@ class RuntimeADError(LangError):
 # Dual numbers
 
 
-class NumF:
-    """Naive primal/tangent pair; exhibits perturbation confusion when
-    gradient calls nest."""
-
-    __slots__ = ("x", "d")
-
-    def __init__(self, x: float, d: float):
-        self.x = x
-        self.d = d
-
-    @staticmethod
-    def lift(v):
-        return v if isinstance(v, NumF) else NumF(float(v), 0.0)
-
-    def __add__(self, other):
-        other = NumF.lift(other)
-        return NumF(self.x + other.x, self.d + other.d)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = NumF.lift(other)
-        return NumF(self.x * other.x, self.d * other.x + other.d * self.x)
-
-    __rmul__ = __mul__
-
-
-def grad_naive(f: Callable, x0: float) -> float:
-    y = f(NumF(x0, 1.0))
-    return y.d if isinstance(y, NumF) else 0.0
-
-
 class _Overloaded(Num):
     """+ and * as combine(a, b), operands in source order, a float operand
     lifted first."""
@@ -86,6 +55,35 @@ class _Overloaded(Num):
 
     def __rmul__(self, other):
         return self._mul(self._lift(other), self)
+
+
+class NumF(_Overloaded):
+    """Untagged primal/tangent pair, a float lifted with a zero tangent.
+    One derivative per run needs no tag: the dual mode runs on it, and its
+    tangents are the forward transformation's, operation for operation.
+    Exhibits perturbation confusion when gradient calls nest."""
+
+    __slots__ = ("x", "d")
+
+    def __init__(self, x, d):
+        self.x = x
+        self.d = d
+
+    def _lift(self, v):
+        return v if type(v) is NumF else NumF(v, 0.0)
+
+    @staticmethod
+    def _add(a, b):
+        return NumF(a.x + b.x, a.d + b.d)
+
+    @staticmethod
+    def _mul(a, b):
+        return NumF(a.x * b.x, a.d * b.x + b.d * a.x)
+
+
+def grad_naive(f: Callable, x0: float) -> float:
+    y = f(NumF(x0, 1.0))
+    return y.d if type(y) is NumF else 0.0
 
 
 def _tag_of(v) -> int:
@@ -391,8 +389,9 @@ def dual_fn(f: Expr):
 
 
 def dual_gradient(f: Expr):
-    """Dual-number gradient of an object-language program."""
-    return partial(grad_dual_tagged, _machine(f))
+    """Dual-number gradient of an object-language program: a program
+    cannot nest gradient calls, so it runs on untagged duals."""
+    return partial(grad_naive, _machine(f))
 
 
 def cps_gradient(f: Expr):

@@ -134,6 +134,9 @@ def test_runtimes_run_control_flow_bitwise_with_their_families():
     for name in ("halve_loop", "sign_square"):
         with open(PROGRAMS / f"{name}.sexp", encoding="utf-8") as fh:
             programs.append(parse(fh.read()))
+    # a float meeting a dual is lifted with a zero tangent, as forward's
+    # constants are, so the sign of a zero tangent agrees
+    programs.append(parse("(lam x (* (* x 0.0) -1.0))"))
     for seed, count, depth, kinds in ((1318, 120, 4, dict(with_if=False)),
                                       (97, 120, 4, dict(with_if=True)),
                                       (5521, 60, 3, dict(with_if=True, with_pairs=False))):

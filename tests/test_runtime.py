@@ -9,9 +9,9 @@ from adlc.gradcheck import (
     DEFAULT_PROBES, MODES, CorpusSpec, corpus, finite_diff, gradient_fn,
     primal_fn, random_program,
 )
-from adlc.interp import EvalError
+from adlc.interp import EvalError, eval_expr
 from adlc.runtime import (
-    Dual, NumF, RuntimeADError, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr,
+    Dual, FunRun, NumF, RevNum, RuntimeADError, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr,
     grad_dual_expr, grad_dual_tagged, grad_forward_over_reverse,
     grad_functional, grad_functional_expr, grad_naive, grad_tape,
     grad_tape_expr, map_add, perturbation_confusion_probe,
@@ -148,6 +148,12 @@ def test_dual_matches_finite_differences():
             assert abs(g - finite_diff(fn, x)) <= 1e-4 * max(1.0, abs(g))
 
 
+def test_a_shifting_operation_needs_a_runtime_run():
+    z = RevNum(1.0, 0, FunRun())
+    with pytest.raises(EvalError, match="outside a runtime's run"):
+        eval_expr(parse("(* x x)"), {"x": z})
+
+
 # --- second order ----------------------------------------------------------------
 
 def test_forward_over_reverse_cubic():
@@ -269,7 +275,7 @@ def test_bridges_run_deep_let_chains():
 
 
 def test_runtimes_take_no_python_stack_per_operation():
-    # each shift's backward step waits on the machine's frame stack, not on
+    # each shift's backward step waits in the run's list of afters, not on
     # the Python stack, so 1600 operations run under a recursion limit of
     # 1000
     f = seeded_chain(1600, 1)
