@@ -116,18 +116,14 @@ def anf(e: Expr, gen: NameGen | None = None) -> Expr:
         match e:
             case Const() | Var():
                 return e
-            case Add(a, b):
-                rhs = Add(atom(a), atom(b))
-            case Mul(a, b):
-                rhs = Mul(atom(a), atom(b))
+            case Add(a, b) | Mul(a, b):
+                rhs = type(e)(atom(a), atom(b))
             case Let(n, bound, body):
                 match bound:
                     case Const() | Var():
                         bindings.append((n, bound))
-                    case Add(a, b):
-                        bindings.append((n, Add(atom(a), atom(b))))
-                    case Mul(a, b):
-                        bindings.append((n, Mul(atom(a), atom(b))))
+                    case Add(a, b) | Mul(a, b):
+                        bindings.append((n, type(bound)(atom(a), atom(b))))
                     case _:
                         bindings.append((n, atom(bound)))
                 return atom(body)

@@ -1,8 +1,9 @@
 """Reverse-mode AD as three source transformations.
 
-All three share one arithmetic pattern: + and * allocate a (value, ref 0)
-pair, invoke the rest of the computation, then accumulate adjoints into the
-operand cells.  They differ in who owns the control flow:
+All three build their terms through one medium, `_Terms`: + and *
+allocate a (value, ref 0) pair, invoke the rest of the computation, then
+accumulate adjoints into the operand cells.  They differ in who owns the
+rest of the computation:
 
   target-shift  control operators in the *output*; the evaluator's
                 shift/reset runs the backward pass.
@@ -16,17 +17,16 @@ operand cells.  They differ in who owns the control flow:
 Outputs of the last two contain no shift/reset nodes at all.  Tail-call
 wrappers and case-join bindings are normalized while terms are built:
 eta-redexes over a variable head collapse and lets binding a bare variable
-rename instead.  The renaming is a substitution carried during translation,
-one map per top-level translation (binders are unique after freshen, which
-the entry points apply when not handed a name supply): a let whose bound
-value translates to a variable records name -> variable, and the Var rules
-read the map, so no built term is walked again and both translations stay
-linear in program size.
+rename instead.  The renaming is a substitution carried during translation
+in the `_Terms` of each top-level translation (binders are unique after
+freshen, which the entry points apply when not handed a name supply): a let
+whose bound value translates to a variable records name -> variable, and
+the Var rules read the map, so no built term is walked again and both
+translations stay linear in program size.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Callable
 
 from .forward import TransformError, split_pair
@@ -60,38 +60,47 @@ def _wavy_lam(param: str, body: Expr) -> Expr:
     return normalize_tail(Lam(param, body))
 
 
-def _wavy_let(name: str, bound: Expr, body_of: Callable[[Expr], Expr]) -> Expr:
-    """Bind a continuation value, renaming instead when it is a variable."""
-    if isinstance(bound, Var):
-        return body_of(bound)
-    return Let(name, bound, body_of(Var(name)))
+class _Terms:
+    """The term medium of one top-level translation: its name supply, its
+    let renaming, the adjoint rule's medium (an update is the term
+    cell := !cell + delta) and the +, * and > blocks."""
 
+    mul, seq = Mul, Seq
+    read = staticmethod(lambda _s, yd: Deref(yd))
+    accum = staticmethod(lambda _s, cell, delta: Assign(cell, Add(Deref(cell), delta)))
 
-# the adjoint rule's medium: an update is the term  cell := !cell + delta
-_TERMS = SimpleNamespace(
-    read=lambda _s, yd: Deref(yd), mul=Mul, seq=Seq,
-    accum=lambda _s, cell, delta: Assign(cell, Add(Deref(cell), delta)))
+    def __init__(self, gen: NameGen):
+        self.gen = gen
+        self.ren: dict[str, Var] = {}
 
+    def bind(self, name: str, v: Expr) -> Callable[[Expr], Expr]:
+        """Bind name to v around the body built next: the returned wrapper
+        makes the Let or, when v is a variable, is the identity, name being
+        renamed to v from here on."""
+        if isinstance(v, Var):
+            self.ren[name] = v
+            return lambda body: body
+        return lambda body: Let(name, v, body)
 
-def _arith_block(op: str, t1: Expr, t2: Expr, gen: NameGen, capture) -> Expr:
-    """The shared +/* pattern: bind operand pairs, allocate the result with
-    a zero adjoint cell, run the rest of the computation, then accumulate
-    backwards by the adjoint rule.  `capture()`, called once the operands
-    are bound, returns the continuation for the rest and the wrapper that
-    delimits the block: an object-level shift, or a translation-time
-    continuation and no wrapper."""
-    p1, a1, w1 = split_pair(t1, gen)
-    p2, a2, w2 = split_pair(t2, gen)
-    k, delimit = capture()
-    y = gen.fresh()
-    backward = adjoint_rule(_TERMS, None, op, p1, a1, p2, a2, Snd(Var(y)))
-    block = Let(y, Pair((Add if op == "add" else Mul)(p1, p2), Ref(Const(0.0))),
-                Seq(k(Var(y)), backward))
-    return w1(w2(delimit(block)))
-
-
-def _no_delimiter(block: Expr) -> Expr:
-    return block
+    def arith(self, op: type, t1: Expr, t2: Expr, k: MetaK | None = None) -> Expr:
+        """t1 op t2 over translated operands, op Add, Mul or Greater, with
+        the rest of the computation k.  + and * bind the operand pairs,
+        allocate the result with a zero adjoint cell, run k, then accumulate
+        backwards by the adjoint rule; without k, the rest is the
+        continuation of an object-level shift that delimits the block."""
+        p1, a1, w1 = split_pair(t1, self.gen)
+        p2, a2, w2 = split_pair(t2, self.gen)
+        if op is Greater:
+            return w1(w2(k(Greater(p1, p2))))
+        shift = None
+        if k is None:  # operand bindings sit outside the shift
+            shift = self.gen.fresh("k")
+            k = lambda v: App(Var(shift), v)
+        y = self.gen.fresh()
+        backward = adjoint_rule(self, None, "add" if op is Add else "mul",
+                                p1, a1, p2, a2, Snd(Var(y)))
+        block = Let(y, Pair(op(p1, p2), Ref(Const(0.0))), Seq(k(Var(y)), backward))
+        return w1(w2(block if shift is None else Shift(shift, block)))
 
 
 def _check_source(e: Expr) -> None:
@@ -108,23 +117,19 @@ def rev_transform_target_shift(e: Expr, gen: NameGen | None = None) -> Expr:
     invoke the captured continuation, then accumulate adjoints; all other
     forms map homomorphically."""
     _check_source(e)
-    gen = gen or NameGen(all_names(e))
-
-    def capture():
-        # operand bindings sit outside the shift
-        k = gen.fresh("k")
-        return (lambda v: App(Var(k), v)), (lambda block: Shift(k, block))
+    terms = _Terms(gen or NameGen(all_names(e)))
 
     def t(e: Expr) -> Expr:
         match e:
             case Const():
                 return Pair(e, Ref(Const(0.0)))
             case Add(e1, e2) | Mul(e1, e2):
-                op = "add" if isinstance(e, Add) else "mul"
-                return _arith_block(op, t(e1), t(e2), gen, capture)
+                return terms.arith(type(e), t(e1), t(e2))
             case Greater(e1, e2):
-                p1, _, w1 = split_pair(t(e1), gen)
-                p2, _, w2 = split_pair(t(e2), gen)
+                # the left operand is split before the right one is
+                # translated, so this is not terms.arith's order of names
+                p1, _, w1 = split_pair(t(e1), terms.gen)
+                p2, _, w2 = split_pair(t(e2), terms.gen)
                 return w1(w2(Greater(p1, p2)))
             case If() | Letrec() | Seq():
                 raise TransformError(f"cannot reverse-transform {e!r} (desugar first)")
@@ -147,69 +152,43 @@ def rev_transform_meta_shift(e: Expr, gen: NameGen | None = None) -> Expr:
     if gen is None:  # a supply comes with freshened input, as from prepare
         gen = NameGen(all_names(e))
         e = freshen(e, gen)
-    return _t10(e, lambda m: m, gen, {})
+    return _t10(e, lambda m: m, _Terms(gen))
 
 
-def _t10(e: Expr, mk: MetaK, gen: NameGen, ren: dict[str, Var]) -> Expr:
+def _t10(e: Expr, mk: MetaK, tm: _Terms) -> Expr:
     rec = _t10
     match e:
         case Const():
             return mk(Pair(e, Ref(Const(0.0))))
         case Var(name):
-            return mk(ren.get(name, e))
+            return mk(tm.ren.get(name, e))
         case Unit():
             return mk(e)
-        case Add(e1, e2) | Mul(e1, e2):
-            op = "add" if isinstance(e, Add) else "mul"
-            capture = lambda: (mk, _no_delimiter)
-            return rec(e1,
-                       lambda t1: rec(e2,
-                                      lambda t2: _arith_block(op, t1, t2, gen, capture),
-                                      gen, ren),
-                       gen, ren)
-        case Greater(e1, e2):
-            def g2(t1):
-                def g3(t2):
-                    p1, _, w1 = split_pair(t1, gen)
-                    p2, _, w2 = split_pair(t2, gen)
-                    return w1(w2(mk(Greater(p1, p2))))
-                return rec(e2, g3, gen, ren)
-            return rec(e1, g2, gen, ren)
+        case Add(e1, e2) | Mul(e1, e2) | Greater(e1, e2):
+            op = type(e)
+            return rec(e1, lambda t1: rec(e2, lambda t2: tm.arith(op, t1, t2, mk), tm), tm)
         case Lam(p, b):
-            k = gen.fresh("k")
-            body = rec(b, lambda m: App(Var(k), m), gen, ren)
+            k = tm.gen.fresh("k")
+            body = rec(b, lambda m: App(Var(k), m), tm)
             return mk(Lam(p, Lam(k, body)))
         case App(e1, e2):
-            a = gen.fresh()
-            return rec(e1,
-                       lambda m: rec(e2,
-                                     lambda n: App(App(m, n),
-                                                   _wavy_lam(a, mk(Var(a)))),
-                                     gen, ren),
-                       gen, ren)
+            a = tm.gen.fresh()
+            return rec(e1, lambda m: rec(
+                e2, lambda n: App(App(m, n), _wavy_lam(a, mk(Var(a)))), tm), tm)
         case Let(n, e1, e2):
-            def bind(v1):
-                if isinstance(v1, Var):
-                    ren[n] = v1
-                    return rec(e2, mk, gen, ren)
-                return Let(n, v1, rec(e2, mk, gen, ren))
-            return rec(e1, bind, gen, ren)
+            return rec(e1, lambda v1: tm.bind(n, v1)(rec(e2, mk, tm)), tm)
         case Fst(a) | Snd(a) | Inl(a) | Inr(a) | Ref(a) | Deref(a):
-            return rec(a, lambda v: mk(type(e)(v)), gen, ren)
+            return rec(a, lambda v: mk(type(e)(v)), tm)
         case Pair(a, b) | Assign(a, b):
-            return rec(a, lambda va: rec(b, lambda vb: mk(type(e)(va, vb)), gen, ren),
-                       gen, ren)
+            return rec(a, lambda va: rec(b, lambda vb: mk(type(e)(va, vb)), tm), tm)
         case Case(s, ln, lb, rn, rb):
             def with_scrut(v):
-                a = gen.fresh()
-                k1 = gen.fresh("k")
-                k1val = _wavy_lam(a, mk(Var(a)))
-                return _wavy_let(
-                    k1, k1val,
-                    lambda kref: Case(v,
-                                      ln, rec(lb, lambda m: App(kref, m), gen, ren),
-                                      rn, rec(rb, lambda m: App(kref, m), gen, ren)))
-            return rec(s, with_scrut, gen, ren)
+                a, k1 = tm.gen.fresh(), tm.gen.fresh("k")
+                wrap = tm.bind(k1, _wavy_lam(a, mk(Var(a))))
+                kref = tm.ren.get(k1, Var(k1))
+                return wrap(Case(v, ln, rec(lb, lambda m: App(kref, m), tm),
+                                 rn, rec(rb, lambda m: App(kref, m), tm)))
+            return rec(s, with_scrut, tm)
         case _:
             raise TransformError(f"cannot reverse-transform {e!r} (desugar first)")
 
@@ -226,82 +205,56 @@ def rev_transform_full_cps(e: Expr, gen: NameGen | None = None) -> Expr:
     if gen is None:  # a supply comes with freshened input, as from prepare
         gen = NameGen(all_names(e))
         e = freshen(e, gen)
-    return _t11(e, gen, {})(lambda m: m)
+    return _t11(e, _Terms(gen))(lambda m: m)
 
 
-def _t11(e: Expr, gen: NameGen, ren: dict[str, Var]):
+def _t11(e: Expr, tm: _Terms):
     match e:
         case Const():
             return lambda k: k(Pair(e, Ref(Const(0.0))))
         case Var(name):
-            return lambda k: k(ren.get(name, e))
+            return lambda k: k(tm.ren.get(name, e))
         case Unit():
             return lambda k: k(e)
-        case Add(e1, e2) | Mul(e1, e2):
-            op = "add" if isinstance(e, Add) else "mul"
-            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
+        case Add(e1, e2) | Mul(e1, e2) | Greater(e1, e2):
+            c1, c2, op = _t11(e1, tm), _t11(e2, tm), type(e)
             # dynamic lets for p1/p2 preserve sharing, evaluation order,
             # and asymptotic complexity
-            return lambda k: c1(lambda p1: c2(lambda p2: _arith_block(
-                op, p1, p2, gen, lambda: (k, _no_delimiter))))
-        case Greater(e1, e2):
-            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
-
-            def run(k):
-                def j1(t1):
-                    def j2(t2):
-                        q1, _, w1 = split_pair(t1, gen)
-                        q2, _, w2 = split_pair(t2, gen)
-                        return w1(w2(k(Greater(q1, q2))))
-                    return c2(j2)
-                return c1(j1)
-            return run
+            return lambda k: c1(lambda t1: c2(lambda t2: tm.arith(op, t1, t2, k)))
         case Lam(p, b):
-            cb = _t11(b, gen, ren)
+            cb = _t11(b, tm)
 
             def run(k):
-                kv = gen.fresh("k")
+                kv = tm.gen.fresh("k")
                 return k(Lam(p, Lam(kv, cb(lambda m: App(Var(kv), m)))))
             return run
         case App(e1, e2):
-            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
+            c1, c2 = _t11(e1, tm), _t11(e2, tm)
 
             def run(k):
-                a = gen.fresh()
+                a = tm.gen.fresh()
                 return c1(lambda m: c2(
                     lambda n: App(App(m, n), _wavy_lam(a, k(Var(a))))))
             return run
         case Let(n, e1, e2):
-            c1, c2 = _t11(e1, gen, ren), _t11(e2, gen, ren)
-
-            def run(k):
-                def bind(y1):
-                    if isinstance(y1, Var):
-                        ren[n] = y1
-                        return c2(k)
-                    return Let(n, y1, c2(k))
-                return c1(bind)
-            return run
+            c1, c2 = _t11(e1, tm), _t11(e2, tm)
+            return lambda k: c1(lambda y1: tm.bind(n, y1)(c2(k)))
         case Fst(a) | Snd(a) | Inl(a) | Inr(a) | Ref(a) | Deref(a):
-            c, cons = _t11(a, gen, ren), type(e)
+            c, cons = _t11(a, tm), type(e)
             return lambda k: c(lambda y: k(cons(y)))
         case Pair(a, b) | Assign(a, b):
-            ca, cb, cons = _t11(a, gen, ren), _t11(b, gen, ren), type(e)
+            ca, cb, cons = _t11(a, tm), _t11(b, tm), type(e)
             return lambda k: ca(lambda y1: cb(lambda y2: k(cons(y1, y2))))
         case Case(s, ln, lb, rn, rb):
-            cs = _t11(s, gen, ren)
-            cl, cr = _t11(lb, gen, ren), _t11(rb, gen, ren)
+            cs = _t11(s, tm)
+            cl, cr = _t11(lb, tm), _t11(rb, tm)
 
             def run(k):
-                a = gen.fresh()
-                k1 = gen.fresh("k")
-                k1val = _wavy_lam(a, k(Var(a)))
-                return _wavy_let(
-                    k1, k1val,
-                    lambda kref: cs(lambda v: Case(
-                        v,
-                        ln, cl(lambda m: App(kref, m)),
-                        rn, cr(lambda n: App(kref, n)))))
+                a, k1 = tm.gen.fresh(), tm.gen.fresh("k")
+                wrap = tm.bind(k1, _wavy_lam(a, k(Var(a))))
+                kref = tm.ren.get(k1, Var(k1))
+                return wrap(cs(lambda v: Case(v, ln, cl(lambda m: App(kref, m)),
+                                              rn, cr(lambda n: App(kref, n)))))
             return run
         case _:
             raise TransformError(f"cannot reverse-transform {e!r} (desugar first)")

@@ -60,7 +60,10 @@ class _Overloaded(Num):
 class NumF(_Overloaded):
     """Untagged primal/tangent pair, a float lifted with a zero tangent.
     One derivative per run needs no tag: the dual mode runs on it, and its
-    tangents are the forward transformation's, operation for operation.
+    tangents are the forward transformation's, operation for operation,
+    except on a subterm of constants alone: that stays on floats and is
+    lifted with a +0.0 tangent, where the forward transformation computes
+    a tangent that may be -0.0 or nan ((* -2.0 -3.0): -2*0 + 0*-3 = -0.0).
     Exhibits perturbation confusion when gradient calls nest."""
 
     __slots__ = ("x", "d")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .lang import freshen
 from .runtime import adjoint_rule, later
@@ -314,21 +315,10 @@ class _Stager:
                     raise StagingError(f"unbound variable: {name}") from None
             case Unit():
                 raise StagingError("unit value cannot be staged as a real")
-            case Add(e1, e2) | Mul(e1, e2):
-                op = "add" if isinstance(e, Add) else "mul"
+            case Add(e1, e2) | Mul(e1, e2) | Greater(e1, e2):
+                op = type(e).__name__.lower()
                 self.translate(e1, env, lambda s1: self.translate(
-                    e2, env, lambda s2: self._arith(op, self.num(s1, "operand"),
-                                                    self.num(s2, "operand"), k)))
-            case Greater(e1, e2):
-                def cmp2(s1):
-                    def cmp3(s2):
-                        g = self.sym("g")
-                        self.emit(Bind(g, "greater",
-                                       (self.num(s1, "guard operand").prim,
-                                        self.num(s2, "guard operand").prim)))
-                        k(SBool(g))
-                    self.translate(e2, env, cmp3)
-                self.translate(e1, env, cmp2)
+                    e2, env, lambda s2: self._arith(op, s1, s2, k)))
             case Let(n, bound, body):
                 self.translate(bound, env,
                                lambda s: self.translate(body, {**env, n: s}, k))
@@ -348,9 +338,15 @@ class _Stager:
                     raise StagingError("shift/reset cannot be staged")
                 raise StagingError(f"form not supported by staging: {e!r}")
 
-    def _arith(self, op: str, s1: SNum, s2: SNum, k) -> None:
-        v = self.sym("v")
+    def _arith(self, op: str, s1, s2, k) -> None:
+        """s1 op s2 for op "add", "mul" or "greater", with the rest of the
+        computation k."""
+        what = "guard operand" if op == "greater" else "operand"
+        s1, s2 = self.num(s1, what), self.num(s2, what)
+        v = self.sym("g" if op == "greater" else "v")
         self.emit(Bind(v, op, (s1.prim, s2.prim)))
+        if op == "greater":
+            return k(SBool(v))
         d = self.sym("d")
         self.emit(CellNew(d, 0.0))
         k(SNum(v, d))
@@ -385,12 +381,13 @@ class _Stager:
             self.segment(kf.body, lambda: k(SNum(zx, zd)))
             cond = Cond(sb.sym, [], [])
             self.emit(cond)
+
+            def join(s):
+                s = self.num(s, "branch result")
+                self.emit(Call(kf.name, (s.prim, s.adj)))
+            # a partial, not a closure, so a branch nests no extra frame
             for branch_e, block in ((t, cond.then), (o, cond.orelse)):
-                def stage_branch(branch_e=branch_e):
-                    self.translate(branch_e, env, lambda s: self.emit(
-                        Call(kf.name, (self.num(s, "branch result").prim,
-                                       self.num(s, "branch result").adj))))
-                self.segment(block, stage_branch)
+                self.segment(block, partial(self.translate, branch_e, env, join))
 
         self.translate(g, env, with_guard)
 

@@ -1,16 +1,19 @@
 import sys
+from functools import partial
 
 import pytest
 
 from adlc.forward import TransformError, grad_forward, grad_forward_tagged
 from adlc.gradcheck import CorpusSpec, random_program
 from adlc.interp import apply_real, eval_expr
+from adlc.ir_eval import ir_eval
 from adlc.lang import desugar, freshen, prepare
 from adlc.reverse import (
     VARIANTS, grad_reverse, grad_reverse_of_reverse, normalize_tail,
     rev_transform_full_cps, rev_transform_meta_shift,
     rev_transform_target_shift, reverse_gradient_program,
 )
+from adlc.staging import stage_reverse
 from adlc.syntax import (
     App, Assign, Const, Lam, Let, Pair, Ref, Shift, Var, all_names, children,
     contains_control, parse, pretty,
@@ -163,19 +166,25 @@ def _frames_in_use() -> int:
     return n
 
 
-@pytest.mark.parametrize("variant", ["meta-shift", "full-cps"])
+@pytest.mark.parametrize("variant", ["meta-shift", "full-cps", "stage_reverse"])
 def test_translation_fits_the_default_recursion_limit(variant):
-    # the CPS translators nest Python frames per let; a 120-op chain must
-    # fit in the default limit of 1000 frames, counted from this test's
-    # frame, so the renaming may add no frame per let
+    # the CPS translators and the stager nest Python frames per let; a
+    # 120-op chain must fit in the default limit of 1000 frames, counted
+    # from this test's frame, so neither the renaming nor the stager's one
+    # +/*/> arm may add a frame per operation
+    build = (stage_reverse if variant == "stage_reverse"
+             else partial(reverse_gradient_program, variant=variant))
     f = seeded_chain(120, 1)
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000 + _frames_in_use())
     try:
-        prog = reverse_gradient_program(f, variant)
+        prog = build(f)
     finally:
         sys.setrecursionlimit(saved)
-    assert not contains_control(prog)
+    if variant == "stage_reverse":
+        assert ir_eval(prog, 0.5) == grad_reverse(f, 0.5, "target-shift")
+    else:
+        assert not contains_control(prog)
 
 
 # --- gradient values ----------------------------------------------------------

@@ -7,7 +7,7 @@ Classes:
   gradients  float.hex of every gradient mode, forward-over-reverse, the
              primal and ir_eval of the optimized staged program (staged-opt)
              at DEFAULT_PROBES, and the adjoint-update traces of the cps and
-             tape runtimes there, over CorpusSpec(42) and programs/*.sexp;
+             tape runtimes there, over the programs (below);
              and ir_eval of stage_tree of programs/tree_fold.sexp, with and
              without ir_optimize, at DEFAULT_PROBES on programs/tree_single.tree,
              the empty tree and complete trees of depth 1 to 4
@@ -17,12 +17,15 @@ Classes:
              `check --seed 42 --json` and `demo`
   transforms pretty of the forward, symbolic and three reverse gradient
              programs, and of fwd_transform and each rev_transform_* of the
-             prepared program, over CorpusSpec(42) and programs/*.sexp
-  emitted    emit_c of stage_reverse over the same programs, and of
+             prepared program, over the programs
+  emitted    emit_c of stage_reverse over the programs, and of
              stage_tree of programs/tree_fold.sexp, each with and without
              ir_optimize
 
-Every class records an error as its class and message instead of raising.
+The programs are CorpusSpec(42), programs/*.sexp, and tools/fuzz.py's
+feature cases and fuzz families, which reach refs, pairs, sums, closures,
+conditionals and compound comparison operands.  Every class records an
+error as its class and message instead of raising.
 
 --root defaults to the checkout this script lives in; its src/ is put
 first on sys.path.  Standard library only.
@@ -72,7 +75,10 @@ def _err(ex: BaseException) -> str:
 
 
 def _programs(root: str):
-    """(name, program) over CorpusSpec(42) and programs/*.sexp."""
+    """(name, program) over CorpusSpec(42), programs/*.sexp and the
+    tools/fuzz.py programs."""
+    from fuzz import FEATURE_CASES, FUZZ, fuzz_programs
+
     from adlc.gradcheck import CorpusSpec, corpus
     from adlc.syntax import parse
 
@@ -80,6 +86,9 @@ def _programs(root: str):
     for path in sorted(glob.glob(os.path.join(root, "programs", "*.sexp"))):
         with open(path, encoding="utf-8") as fh:
             programs.append((os.path.basename(path), parse(fh.read())))
+    programs += [(f"feature{i}", parse(src)) for i, (src, _) in enumerate(FEATURE_CASES)]
+    for seed in FUZZ:
+        programs += [(f"fuzz{seed}_{i}", f) for i, f in enumerate(fuzz_programs(seed))]
     return programs
 
 
