@@ -119,8 +119,14 @@ class IRFunction:
 
 @dataclass
 class IRProgram:
+    """A staged program.  It is not changed after `stage_*` or `ir_optimize`
+    returns it: `ir_eval` translates it on its first run and keeps the
+    translation in `translation`, which `dataclasses.replace` does not copy."""
+
     functions: dict  # with a TAPE_END function exactly when TAPE_SLOT is used
     entry: str
+    translation: object = field(default=None, init=False, repr=False,
+                                compare=False)
 
 
 # ---------------------------------------------------------------------------

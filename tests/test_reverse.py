@@ -18,7 +18,7 @@ from adlc.syntax import (
     App, Assign, Const, Lam, Let, Pair, Ref, Shift, Var, all_names, children,
     contains_control, parse, pretty,
 )
-from scaling import call_events, seeded_chain
+from scaling import call_events, frames_in_use, seeded_chain
 
 CUBIC = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
 SQUARE = parse("(lam x (* x x))")
@@ -159,13 +159,6 @@ def test_let_renaming_does_not_leak_between_translations(variant):
     assert apply_real(again, 0.5) == grad_reverse(b, 0.5, "target-shift")
 
 
-def _frames_in_use() -> int:
-    frame, n = sys._getframe(), 0
-    while frame is not None:
-        frame, n = frame.f_back, n + 1
-    return n
-
-
 @pytest.mark.parametrize("variant", ["meta-shift", "full-cps", "stage_reverse"])
 def test_translation_fits_the_default_recursion_limit(variant):
     # the CPS translators and the stager nest Python frames per let; a
@@ -176,7 +169,7 @@ def test_translation_fits_the_default_recursion_limit(variant):
              else partial(reverse_gradient_program, variant=variant))
     f = seeded_chain(120, 1)
     saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000 + _frames_in_use())
+    sys.setrecursionlimit(1000 + frames_in_use())
     try:
         prog = build(f)
     finally:

@@ -1,7 +1,9 @@
 import random
+import re
 import resource
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -11,11 +13,12 @@ from adlc.ir_eval import IREvalError, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
-    IRProgram, Return, StagingError, TreeData, ir_cell_op_count,
+    Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
+    IRFunction, IRProgram, Return, StagingError, TreeData, ir_cell_op_count,
     ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
 from adlc.syntax import parse
+from scaling import frames_in_use
 
 SQUARE = parse("(lam x (* x x))")
 IF_EXAMPLE = parse("(lam x (if (> x 0.0) (* (* -1.0 x) x) (* x x)))")
@@ -23,6 +26,9 @@ WHILE_EXAMPLE = parse(
     "(lam x (letrec loop (lam t (if (> t 1.0) (app loop (* t 0.5)) t))"
     " (app loop x)))")
 TREE_BODY = parse("(* (* l r) v)")
+# a loop that never terminates
+RUNAWAY = parse("(lam x (letrec f (lam t (if (> t 1.0)"
+                " (app f (* t 2.0)) t)) (app f x)))")
 
 
 def _stmts(block):
@@ -166,9 +172,7 @@ def test_while_runs_deep_in_constant_stack():
 
 def test_runaway_loop_stops_at_limit():
     # a loop that never terminates must trip the limit, tail calls included
-    runaway = parse("(lam x (letrec f (lam t (if (> t 1.0)"
-                    " (app f (* t 2.0)) t)) (app f x)))")
-    p = stage_reverse(runaway)
+    p = stage_reverse(RUNAWAY)
     with pytest.raises(IREvalError, match="depth limit"):
         ir_eval(p, 2.0, depth_limit=2000)
 
@@ -238,6 +242,36 @@ def test_tree_bitwise_equal_to_unstaged():
             assert ir_eval(p, x, tree=t) == grad_reverse(unstaged, x, "meta-shift")
 
 
+def _pow2_tree(rng, depth):
+    """A full tree with node values 0.5, 1 and 2: at x = 1 or -1 every
+    product in the fold is a signed power of two and every sum adds equal
+    terms, so any evaluation order gives the same bits."""
+    if depth == 0:
+        return None
+    return TreeData(rng.choice((0.5, 1.0, 2.0)), _pow2_tree(rng, depth - 1),
+                    _pow2_tree(rng, depth - 1))
+
+
+def test_deep_tree_fold_needs_no_python_stack():
+    # a depth-12 fold (4095 nodes) nests a continuation call per node; the
+    # explicit frame stack runs it within 100 frames of this test's own,
+    # and the depth limit still counts that nesting
+    rng = random.Random(12)
+    t = _pow2_tree(rng, 12)
+    p = stage_tree(TREE_BODY)
+    progs = (p, ir_optimize(p))
+    want = {x: _dual_fold(t, (x, 1.0))[1].hex() for x in (1.0, -1.0)}
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames_in_use() + 100)
+    try:
+        got = {x: [ir_eval(q, x, tree=t).hex() for q in progs] for x in want}
+    finally:
+        sys.setrecursionlimit(saved)
+    assert got == {x: [w, w] for x, w in want.items()}
+    with pytest.raises(IREvalError, match="depth limit"):
+        ir_eval(p, 1.0, tree=_pow2_tree(rng, 6), depth_limit=50)
+
+
 def test_parse_tree_errors():
     from adlc.syntax import ParseError
 
@@ -288,9 +322,11 @@ def test_optimize_sound_at_random_probes():
             assert ir_eval(p, x, tree=tree) == ir_eval(po, x, tree=tree)
 
 
-def _entry(*body) -> IRProgram:
-    return IRProgram({"snippet": IRFunction("snippet", [("in", "val")], list(body))},
-                     "snippet")
+def _entry(*body, **fns) -> IRProgram:
+    """An entry on `in` plus the functions given as name=(params, body)."""
+    functions = {n: IRFunction(n, params, fbody) for n, (params, fbody) in fns.items()}
+    functions["snippet"] = IRFunction("snippet", [("in", "val")], list(body))
+    return IRProgram(functions, "snippet")
 
 
 LITERALS = (0.0, -0.0, 1.5, -1.5, float("inf"), float("-inf"), float("nan"),
@@ -316,6 +352,56 @@ def test_ir_eval_op_errors():
     for op in ("tree_value", "tree_left", "tree_right"):
         with pytest.raises(IREvalError, match="non-tree"):
             ir_eval(_entry(Bind("r", op, ("in",)), Return("r")), 1.0)
+
+
+def test_ir_eval_structural_errors():
+    two = ([("a", "val"), ("b", "val")], [])
+    cases = [
+        ("undefined symbol 'zz'", _entry(Bind("r", "add", ("in", "zz")), Return("r"))),
+        ("unknown function 'nope'", _entry(Call("nope", ("in",)), Return("in"))),
+        ("unknown function 'nope'", _entry(Call("nope", ("in",)))),
+        ("f expects 2 args, got 1", _entry(Call("f", ("in",)), Return("in"), f=two)),
+        ("f expects 2 args, got 1", _entry(ClosureNew("c", "f", ()),
+                                           Call("c", ("in",), indirect=True), f=two)),
+        ("calling a non-closure 'in'", _entry(Call("in", (), indirect=True))),
+        ("entry did not return a value", _entry(Bind("r", "add", ("in", 1.0)))),
+        ("entry returned a non-real", _entry(CellNew("d", 0.0), Return("d"))),
+    ]
+    for text, p in cases:
+        with pytest.raises(IREvalError, match=re.escape(text)):
+            ir_eval(p, 1.0)
+    # errors are raised when reached: an undefined symbol in an untaken
+    # branch raises nothing, and one defined on one branch only is
+    # undefined after the other
+    p = _entry(Bind("g", "greater", ("in", 0.0)),
+               Cond("g", [Return("in")], [Return("zz")]))
+    assert ir_eval(p, 2.0) == 2.0
+    with pytest.raises(IREvalError, match="undefined symbol 'zz'"):
+        ir_eval(p, -2.0)
+    p = _entry(Bind("g", "greater", ("in", 0.0)),
+               Cond("g", [Bind("y", "mul", ("in", 2.0))], []), Return("y"))
+    assert ir_eval(p, 2.0) == 4.0
+    with pytest.raises(IREvalError, match="undefined symbol 'y'"):
+        ir_eval(p, -2.0)
+
+
+def test_translation_is_kept_per_program_and_the_limit_per_call():
+    # ir_eval keeps a program's translation on the program: the depth limit
+    # is still each call's own, and ir_optimize's copy gets its own
+    p = stage_reverse(RUNAWAY)
+    with pytest.raises(IREvalError, match=r"depth limit exceeded \(2000\)"):
+        ir_eval(p, 2.0, depth_limit=2000)
+    with pytest.raises(IREvalError, match=r"depth limit exceeded \(100000\)"):
+        ir_eval(p, 2.0)
+    tree = parse_tree("(node 2.0 (node -0.5 (leaf) (leaf)) (leaf))")
+    for p, t in ((stage_reverse(WHILE_EXAMPLE), None), (stage_reverse(IF_EXAMPLE), None),
+                 (stage_tree(TREE_BODY), tree)):
+        xs = (8.0, 0.3, -2.0, -0.0)
+        before = [ir_eval(p, x, tree=t).hex() for x in xs]
+        po = ir_optimize(p)
+        assert po.translation is None
+        assert [ir_eval(po, x, tree=t).hex() for x in xs] == before
+        assert po.translation is not p.translation
 
 
 def test_optimize_leaves_input_unchanged():

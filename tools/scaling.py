@@ -1,4 +1,5 @@
-"""Print how the cost of each program transformation grows with program size.
+"""Print how the cost of each program transformation, and of running staged
+loops and tree folds in ir_eval, grows with size.
 
     python3 tools/scaling.py [--root CHECKOUT]
 
@@ -14,19 +15,32 @@ straight-line let chains of n ops (seed 1; sizes 25, 50, 100, 200, 400,
   x2      min_s(n) / min_s(n/2); noisy on a shared host, so read it beside
           the call ratio and beside target-shift's as the linear reference
 
-A build that raises prints its exception class in place of its numbers.
+Then ir_eval on optimized staged IR (ir_optimize of stage_reverse or
+stage_tree), one row per program and size:
+
+  loop    the countdown (lam x (letrec f ... (app f (+ t -1.0)) ...)) at
+          x = n, so n iterations; n = 1000 to 50000
+  tree    the fold (+ (* v l) (* r 0.75)) over a seeded full tree of depth
+          d (2^d - 1 nodes, values in [0.25, 0.5]); d = 6 to 12
+  us/unit the least wall time of 3 calls per iteration or per node
+  x2      the call's time ratio per doubling of iterations or nodes, from
+          the row above: a cost linear in size reads about 2
+
+A build or call that raises prints its exception class in place of its
+numbers.
 The CPS translators nest Python frames per let, so the script raises the
 recursion limit of its own process, and runs the builds on a thread with a
 larger stack; the header says both.  Standard library only; --root (default:
 the checkout this script lives in) puts that checkout's src/ first on
 sys.path, so two checkouts can be compared.  The tests import
-`seeded_chain` and `call_events` from here, so they measure the same chains
-the same way.
+`seeded_chain`, `call_events` and `frames_in_use` from here, so they
+measure the same chains the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -39,6 +53,11 @@ STACK_BYTES = 512 * 2 ** 20
 SEED = 1
 SIZES = (25, 50, 100, 200, 400, 800)
 REPEAT = 3
+COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
+             " (app f x)))")
+LOOP_SIZES = (1000, 2000, 4000, 8000, 16000, 32000, 50000)
+TREE_BODY = "(+ (* v l) (* r 0.75))"
+TREE_DEPTHS = (6, 7, 8, 9, 10, 11, 12)
 
 
 def seeded_chain(n: int, seed: int = SEED):
@@ -75,6 +94,15 @@ def transforms() -> dict:
     return out
 
 
+def frames_in_use() -> int:
+    """Python frames on the calling thread's stack, this one's included; a
+    test adds its own headroom to this to set a recursion limit."""
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
 def call_events(build, *args) -> int:
     """Python "call" events while build(*args) runs."""
     count = 0
@@ -93,11 +121,20 @@ def call_events(build, *args) -> int:
     return count
 
 
-def min_wall(build, f) -> float:
+def seeded_tree(rng: random.Random, depth: int):
+    from adlc.staging import TreeData
+
+    if depth == 0:
+        return None
+    return TreeData(rng.uniform(0.25, 0.5), seeded_tree(rng, depth - 1),
+                    seeded_tree(rng, depth - 1))
+
+
+def min_wall(run, *args) -> float:
     best = float("inf")
     for _ in range(REPEAT):
         t0 = time.perf_counter()
-        build(f)
+        run(*args)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -124,6 +161,40 @@ def rows():
             prev_calls, prev_s = calls, secs
 
 
+def ir_eval_cases():
+    """(program, size, units, call): units are iterations or tree nodes."""
+    from adlc.ir_eval import ir_eval
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import stage_reverse, stage_tree
+    from adlc.syntax import parse
+
+    loop = ir_optimize(stage_reverse(parse(COUNTDOWN)))
+    for n in LOOP_SIZES:
+        yield "loop", n, n, partial(ir_eval, loop, float(n))
+    fold = ir_optimize(stage_tree(parse(TREE_BODY)))
+    rng = random.Random(f"tree:{SEED}")
+    for d in TREE_DEPTHS:
+        tree = seeded_tree(rng, d)
+        yield "tree", d, 2 ** d - 1, partial(ir_eval, fold, 1.25, tree=tree)
+
+
+def ir_eval_rows():
+    """(program, size, us/unit, min_s, x2) as printed cells."""
+    prev = (None, None, None)
+    for program, size, units, call in ir_eval_cases():
+        try:
+            secs = min_wall(call)
+        except Exception as ex:  # printed, not raised
+            secs = None
+            yield (program, str(size), type(ex).__name__, "-", "-")
+        else:
+            x2 = "-"
+            if prev[0] == program and prev[2] is not None:
+                x2 = f"{(secs / prev[2]) ** (math.log(2) / math.log(units / prev[1])):.2f}"
+            yield (program, str(size), f"{secs / units * 1e6:.2f}", f"{secs:.4f}", x2)
+        prev = (program, units, secs)
+
+
 def main() -> None:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -140,6 +211,10 @@ def main() -> None:
     def run():
         for row in rows():
             print("{:<14}{:>5}{:>11}{:>6}{:>10}{:>6}".format(*row), flush=True)
+        print(f"# ir_eval on optimized staged IR; wall time is the min of {REPEAT} calls")
+        print(f"{'program':<14}{'size':>6}{'us/unit':>10}{'min_s':>10}{'x2':>6}")
+        for row in ir_eval_rows():
+            print("{:<14}{:>6}{:>10}{:>10}{:>6}".format(*row), flush=True)
 
     sys.setrecursionlimit(RECURSION_LIMIT)
     threading.stack_size(STACK_BYTES)
