@@ -29,14 +29,16 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .forward import TransformError, split_pair
+from .forward import (
+    TransformError, gradient_target, pairing_transform, split_pair,
+)
 from .interp import apply_real
-from .lang import freshen, prepare
+from .lang import freshen
 from .runtime import adjoint_rule
 from .syntax import (
-    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
-    Lam, Let, Letrec, Mul, NameGen, Pair, Ref, Reset, Seq, Shift, Snd, Unit,
-    Var, all_names, contains_control, map_children,
+    Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, Inl, Inr, Lam,
+    Let, Mul, NameGen, Pair, Ref, Reset, Seq, Shift, Snd, Unit, Var,
+    all_names, contains_control,
 )
 
 MetaK = Callable[[Expr], Expr]
@@ -113,30 +115,11 @@ def _check_source(e: Expr) -> None:
 
 
 def rev_transform_target_shift(e: Expr, gen: NameGen | None = None) -> Expr:
-    """Rewrite + and * into shift expressions that allocate (value, ref 0),
-    invoke the captured continuation, then accumulate adjoints; all other
-    forms map homomorphically."""
-    _check_source(e)
+    """The pairing translation with (value, ref 0) pairs: + and * shift to
+    allocate the result pair, invoke the captured continuation, then
+    accumulate adjoints."""
     terms = _Terms(gen or NameGen(all_names(e)))
-
-    def t(e: Expr) -> Expr:
-        match e:
-            case Const():
-                return Pair(e, Ref(Const(0.0)))
-            case Add(e1, e2) | Mul(e1, e2):
-                return terms.arith(type(e), t(e1), t(e2))
-            case Greater(e1, e2):
-                # the left operand is split before the right one is
-                # translated, so this is not terms.arith's order of names
-                p1, _, w1 = split_pair(t(e1), terms.gen)
-                p2, _, w2 = split_pair(t(e2), terms.gen)
-                return w1(w2(Greater(p1, p2)))
-            case If() | Letrec() | Seq():
-                raise TransformError(f"cannot reverse-transform {e!r} (desugar first)")
-            case _:
-                return map_children(e, t)
-
-    return t(e)
+    return pairing_transform(e, "reverse", Ref(Const(0.0)), terms.arith, terms.gen)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +250,7 @@ def _t11(e: Expr, tm: _Terms):
 def reverse_gradient_program(f: Expr, variant: str = "meta-shift") -> Expr:
     """Build Transform(f): seed the input with a zero adjoint cell, run the
     transformed function, set the result adjoint to 1, read the input cell."""
-    f, gen = prepare(f)
-    if not isinstance(f, Lam):
-        raise TransformError("gradient target must be a one-argument lam")
+    f, gen = gradient_target(f)
     x = gen.fresh()
     xh = gen.fresh()
     seed = Pair(Var(x), Ref(Const(0.0)))

@@ -35,7 +35,17 @@ class RuntimeADError(LangError):
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers
+# Dual numbers, and the +/* tangent rule of every forward formulation
+
+
+def tangent_rule(m, op: str, p1, d1, p2, d2):
+    """Tangent of p1 op p2, op "add" or "mul", from the operands' tangents:
+    d1 + d2, or d1*p2 + p1*d2 for *.  The medium m supplies add(a, b) and
+    mul(a, b): the operator module on host floats, Dual on the components
+    of tagged duals, and term constructors in the transformations."""
+    if op == "mul":
+        return m.add(m.mul(d1, p2), m.mul(p1, d2))
+    return m.add(d1, d2)
 
 
 class _Overloaded(Num):
@@ -63,7 +73,7 @@ class NumF(_Overloaded):
     tangents are the forward transformation's, operation for operation,
     except on a subterm of constants alone: that stays on floats and is
     lifted with a +0.0 tangent, where the forward transformation computes
-    a tangent that may be -0.0 or nan ((* -2.0 -3.0): -2*0 + 0*-3 = -0.0).
+    a tangent that may be -0.0 or nan ((* -2.0 -3.0): 0*-3 + -2*0 = -0.0).
     Exhibits perturbation confusion when gradient calls nest."""
 
     __slots__ = ("x", "d")
@@ -77,11 +87,11 @@ class NumF(_Overloaded):
 
     @staticmethod
     def _add(a, b):
-        return NumF(a.x + b.x, a.d + b.d)
+        return NumF(a.x + b.x, tangent_rule(operator, "add", a.x, a.d, b.x, b.d))
 
     @staticmethod
     def _mul(a, b):
-        return NumF(a.x * b.x, a.d * b.x + b.d * a.x)
+        return NumF(a.x * b.x, tangent_rule(operator, "mul", a.x, a.d, b.x, b.d))
 
 
 def grad_naive(f: Callable, x0: float) -> float:
@@ -89,38 +99,36 @@ def grad_naive(f: Callable, x0: float) -> float:
     return y.d if type(y) is NumF else 0.0
 
 
-def _tag_of(v) -> int:
-    return v.tag if type(v) is Dual else 0
+def _dual_op(op: str):
+    """Dual's + or *: operands of one tag combine by the tangent rule, an
+    operand of a lower tag is a constant to the higher one, and untagged
+    operands use the host's operator."""
+    prim = getattr(operator, op)
+
+    def combine(a, b):
+        ta = a.tag if type(a) is Dual else 0
+        tb = b.tag if type(b) is Dual else 0
+        if ta == tb:
+            if ta == 0:
+                return prim(a, b)
+            return Dual(combine(a.x, b.x), tangent_rule(Dual, op, a.x, a.d, b.x, b.d), ta)
+        if ta > tb:
+            return Dual(combine(a.x, b), a.d if op == "add" else combine(a.d, b), ta)
+        return Dual(combine(a, b.x), b.d if op == "add" else combine(a, b.d), tb)
+
+    return combine
 
 
-def d_add(a, b):
-    ta, tb = _tag_of(a), _tag_of(b)
-    if ta == tb:
-        if ta == 0:
-            return a + b
-        return Dual(d_add(a.x, b.x), d_add(a.d, b.d), ta)
-    if ta > tb:
-        return Dual(d_add(a.x, b), a.d, ta)
-    return Dual(d_add(a, b.x), b.d, tb)
-
-
-def d_mul(a, b):
-    ta, tb = _tag_of(a), _tag_of(b)
-    if ta == tb:
-        if ta == 0:
-            return a * b
-        return Dual(d_mul(a.x, b.x), d_add(d_mul(a.d, b.x), d_mul(b.d, a.x)), ta)
-    if ta > tb:
-        return Dual(d_mul(a.x, b), d_mul(a.d, b), ta)
-    return Dual(d_mul(a, b.x), d_mul(a, b.d), tb)
+d_add, d_mul = _dual_op("add"), _dual_op("mul")
 
 
 class Dual(_Overloaded):
     """Tagged dual number; values carrying a lower tag are constants with
-    respect to a higher-tag derivative, floats with respect to every one."""
+    respect to a higher-tag derivative, floats with respect to every one.
+    As the tangent rule's medium, add and mul are its + and *."""
 
     __slots__ = ("x", "d", "tag")
-    _add, _mul = staticmethod(d_add), staticmethod(d_mul)
+    _add, _mul = add, mul = staticmethod(d_add), staticmethod(d_mul)
 
     def __init__(self, x, d, tag: int):
         self.x = x
@@ -139,9 +147,7 @@ def grad_dual_tagged(f: Callable, x0) -> float:
     calls never mix their perturbations."""
     tag = next(_TAGS)
     y = f(Dual(x0, 1.0, tag))
-    if type(y) is Dual and y.tag == tag:
-        return y.d
-    return 0.0
+    return y.d if type(y) is Dual and y.tag == tag else 0.0
 
 
 def probe_outer_gradients() -> dict:
@@ -430,6 +436,4 @@ def grad_functional_expr(f: Expr, x0: float) -> float:
 def grad_forward_over_reverse(f: Expr, x0: float) -> float:
     """Second derivative in one pass: the reverse runtime runs on a tagged
     dual input, so the input adjoint carries a tangent."""
-    tag = next(_TAGS)
-    g = grad_cps_expr(f, Dual(x0, 1.0, tag))
-    return g.d if type(g) is Dual and g.tag == tag else 0.0
+    return grad_dual_tagged(partial(grad_cps_expr, f), x0)

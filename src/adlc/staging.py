@@ -14,7 +14,7 @@ capture tuple, so the IR stays first-order.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from .lang import freshen
@@ -204,9 +204,10 @@ def defs(s) -> list:
 
 def map_operands(s, f):
     """A copy of the statement with f applied to each operand."""
-    return replace(s, **{name: tuple(map(f, getattr(s, name))) if many
-                         else f(getattr(s, name))
-                         for name, many in _operand_fields(s)})
+    fields = dict(vars(s))
+    for name, many in _operand_fields(s):
+        fields[name] = tuple(map(f, fields[name])) if many else f(fields[name])
+    return type(s)(**fields)
 
 
 def kinds(functions: dict) -> dict:

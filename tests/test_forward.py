@@ -11,7 +11,7 @@ from adlc.gradcheck import CorpusSpec, finite_diff, primal_fn, random_program
 from adlc.interp import eval_expr
 from adlc.lang import anf, desugar, freshen
 from adlc.syntax import (
-    Add, App, Const, Fst, Lam, Let, Pair, Snd, Var, node_count, parse,
+    Add, App, Const, Fst, Lam, Let, Pair, Snd, Var, node_count, parse, pretty,
 )
 
 CUBIC = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
@@ -72,6 +72,10 @@ def test_fwd_add_produces_tangent_sum():
     # operands are variables, so projections are in place: no lets needed
     assert t == Pair(Add(Fst(Var("y")), Fst(Var("z"))),
                      Add(Snd(Var("y")), Snd(Var("z"))))
+    # the tangent rule's product order: d1*p2 + p1*d2
+    t = fwd_transform(parse("(* y z)"))
+    assert pretty(t) == ("(pair (* (fst y) (fst z)) "
+                         "(+ (* (snd y) (fst z)) (* (fst y) (snd z))))")
 
 
 def test_fwd_rejects_control():
@@ -128,7 +132,18 @@ def test_symbolic_equals_forward_exactly_on_corpus():
     for i in range(spec.count):
         f = random_program(spec, i)
         for x in PROBES:
-            assert grad_symbolic(f, x) == grad_forward(f, x)
+            assert grad_symbolic(f, x).hex() == grad_forward(f, x).hex()
+
+
+def test_forward_family_keeps_a_negative_zero_tangent():
+    # at x = -1 each product's tangent is 1*-0.0 + -1*0.0 = -0.0, and so is
+    # their sum: no medium of the tangent rule may turn it into +0.0
+    from adlc.runtime import dual_fn, grad_dual_expr
+
+    f = parse("(lam x (+ (* x -0.0) (* x -0.0)))")
+    tagged = lambda f, x: grad_forward_tagged(dual_fn(f), x)
+    for grad in (grad_forward, grad_symbolic, grad_dual_expr, tagged):
+        assert grad(f, -1.0).hex() == "-0x0.0p+0"
 
 
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
@@ -167,4 +182,4 @@ def test_tagged_order1_matches_transform_on_corpus():
     for i in range(spec.count):
         f = random_program(spec, i)
         for x in PROBES:
-            assert grad_dual_expr(f, x) == grad_forward(f, x)
+            assert grad_dual_expr(f, x).hex() == grad_forward(f, x).hex()

@@ -3,7 +3,9 @@ from functools import partial
 
 import pytest
 
-from adlc.forward import TransformError, grad_forward, grad_forward_tagged
+from adlc.forward import (
+    TransformError, fwd_transform, grad_forward, grad_forward_tagged,
+)
 from adlc.gradcheck import CorpusSpec, random_program
 from adlc.interp import apply_real, eval_expr
 from adlc.ir_eval import ir_eval
@@ -15,8 +17,8 @@ from adlc.reverse import (
 )
 from adlc.staging import stage_reverse
 from adlc.syntax import (
-    App, Assign, Const, Lam, Let, Pair, Ref, Shift, Var, all_names, children,
-    contains_control, parse, pretty,
+    Add, App, Assign, Const, Deref, Lam, Let, Pair, Ref, Reset, Seq, Shift,
+    Snd, Var, all_names, children, contains_control, parse, pretty,
 )
 from scaling import call_events, frames_in_use, seeded_chain
 
@@ -159,15 +161,32 @@ def test_let_renaming_does_not_leak_between_translations(variant):
     assert apply_real(again, 0.5) == grad_reverse(b, 0.5, "target-shift")
 
 
-@pytest.mark.parametrize("variant", ["meta-shift", "full-cps", "stage_reverse"])
+def _nested_sum(depth):
+    # the binder-free (+ x (+ x ... x)) of depth + 1 occurrences of x
+    e = Var("x")
+    for _ in range(depth):
+        e = Add(Var("x"), e)
+    return e
+
+
+@pytest.mark.parametrize("variant", ["meta-shift", "full-cps", "stage_reverse",
+                                     "fwd_transform", "rev_transform_target_shift"])
 def test_translation_fits_the_default_recursion_limit(variant):
     # the CPS translators and the stager nest Python frames per let; a
     # 120-op chain must fit in the default limit of 1000 frames, counted
     # from this test's frame, so neither the renaming nor the stager's one
-    # +/*/> arm may add a frame per operation
-    build = (stage_reverse if variant == "stage_reverse"
-             else partial(reverse_gradient_program, variant=variant))
-    f = seeded_chain(120, 1)
+    # +/*/> arm may add a frame per operation.  The pairing translation
+    # nests one frame per level of a binder-free sum, so a 900-level sum
+    # must fit too: a +/* block that translated its own operands would add
+    # a second frame per level
+    pairing = {"fwd_transform": fwd_transform,
+               "rev_transform_target_shift": rev_transform_target_shift}
+    if variant in pairing:
+        build, f = pairing[variant], _nested_sum(900)
+    else:
+        build = (stage_reverse if variant == "stage_reverse"
+                 else partial(reverse_gradient_program, variant=variant))
+        f = seeded_chain(120, 1)
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000 + frames_in_use())
     try:
@@ -176,6 +195,14 @@ def test_translation_fits_the_default_recursion_limit(variant):
         sys.setrecursionlimit(saved)
     if variant == "stage_reverse":
         assert ir_eval(prog, 0.5) == grad_reverse(f, 0.5, "target-shift")
+    elif variant == "fwd_transform":
+        run = Let("x", Pair(Const(0.5), Const(1.0)), Snd(prog))
+        assert eval_expr(run)[0] == 901.0
+    elif variant == "rev_transform_target_shift":
+        run = Let("x", Pair(Const(0.5), Ref(Const(0.0))), Seq(
+            Reset(Let("y", prog, Assign(Snd(Var("y")), Const(1.0)))),
+            Deref(Snd(Var("x")))))
+        assert eval_expr(run)[0] == 901.0
     else:
         assert not contains_control(prog)
 
