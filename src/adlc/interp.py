@@ -34,6 +34,15 @@ runs as written, with no recursive desugaring pass.
 Errors are raised at run time, in evaluation order: an unbound name in an
 untaken branch is not an error.
 
+A closed lambda keeps its translation on its node (`syntax.NodeMemo`),
+and a later translation that meets the same node emits it without
+descending, so `eval_expr` and `real_fn` called again on one program
+object translate only the application around it.  A lambda is kept only
+when its code has no captures and it met no unbound name: a capture's
+slot depends on the lambdas around it and their names, and an unbound
+name becomes an error instruction only because it is missing from the
+`env` of that call (a lambda around one is not kept either).
+
 The operator-overloading AD runtimes (`runtime`) run programs on this
 machine with their own numbers, which derive from `Num` and keep the
 primal in `.x`.  After the float fast path, `+` and `*` on a `Num` operand
@@ -56,8 +65,8 @@ from typing import Callable, NamedTuple
 from .lang import desugar_node
 from .syntax import (
     Add, App, Assign, Case, Const, Deref, Expr, Fst, Greater, If, Inl, Inr,
-    LangError, Lam, Let, Letrec, Mul, Pair, Ref, Reset, Seq, Shift, Snd, Unit,
-    Var, fmt_float,
+    LangError, Lam, Let, Letrec, Mul, NodeMemo, Pair, Ref, Reset, Seq, Shift,
+    Snd, Unit, Var, fmt_float,
 )
 
 
@@ -221,7 +230,8 @@ _PASS_CODE = ((RET, 0),)  # a delimiter that hands its value on
 class _Fn:
     """Translation state of one lambda body."""
 
-    __slots__ = ("parent", "instrs", "scope", "caps", "capsrc", "blank")
+    __slots__ = ("parent", "instrs", "scope", "caps", "capsrc", "blank",
+                 "unbound")
 
     def __init__(self, parent: _Fn | None, param: str | None):
         self.parent = parent
@@ -230,6 +240,7 @@ class _Fn:
         self.caps: dict = {}      # name -> negative slot
         self.capsrc: list = []    # where each capture comes from, outside
         self.blank: list = []     # slot i + 1 starts as blank[i]
+        self.unbound = False      # met a name bound nowhere, not even in env
 
     def finish(self) -> _Code:
         return _Code(tuple(self.instrs), tuple(self.blank),
@@ -274,6 +285,8 @@ _BINOPS = {Add: (ADD, attrgetter("lhs", "rhs")), Mul: (MUL, attrgetter("lhs", "r
            Assign: (ASSIGN, attrgetter("cell", "value")), App: (APP, attrgetter("fn", "arg"))}
 _PASSES_TAIL = (App, Let, Seq, Case, If, Letrec)
 _MISSING = object()
+# a closed lambda's code, kept on its node (see the module docstring)
+_TRANSLATION = NodeMemo("translation")
 
 
 def _translate(e: Expr, env, param: str | None = None) -> _Code:
@@ -355,7 +368,14 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
                 push((_CASE, e, tail))
                 e, tail = e.scrutinee, False
             elif cls is Lam:
-                push((_LAM_END,))
+                code = _TRANSLATION.get(e)
+                if code is not None:
+                    blank.append(None)
+                    emit((LAM, len(blank), code, ()))
+                    out.append(len(blank))
+                    e = None
+                    continue
+                push((_LAM_END, e))
                 fn = _Fn(fn, e.param)
                 scope, blank, instrs = fn.scope, fn.blank, fn.instrs
                 emit = instrs.append
@@ -379,6 +399,7 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
                 d = atom(e)
                 if d is None:
                     emit((ERR, f"unbound variable: {e.name}"))
+                    fn.unbound = True
                     blank.append(None)
                     d = len(blank)
                 out.append(d)
@@ -462,6 +483,10 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             instrs[item[1]] = item[2] + (len(instrs),)
         else:  # _LAM_END
             code = fn.finish()
+            if fn.unbound:  # its ERR depends on env, and so does the parent's
+                fn.parent.unbound = True
+            elif not code.captures:
+                _TRANSLATION.put(item[1], code)
             fn = fn.parent
             scope, blank, instrs = fn.scope, fn.blank, fn.instrs
             emit = instrs.append

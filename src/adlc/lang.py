@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .syntax import (
     Add, App, Case, Const, Expr, If, LangError, Lam, Let, Letrec, Mul,
-    NameGen, Seq, Shift, Var, all_names, map_children,
+    NameGen, NodeMemo, Seq, Shift, Var, all_names, map_children,
 )
 
 
@@ -95,11 +95,26 @@ def freshen(e: Expr, gen: NameGen | None = None) -> Expr:
     return go(e, {})
 
 
+_PREPARED = NodeMemo("prepared")
+
+
 def prepare(e: Expr) -> tuple[Expr, NameGen]:
     """Desugar and freshen with one name supply that avoids every name in
-    e; returns the core program and the supply for further fresh names."""
-    gen = NameGen(all_names(e))
-    return freshen(desugar(e, gen), gen), gen
+    e; returns the core program and the supply for further fresh names.
+
+    The work is done once per node: the core program and the supply's
+    final state are kept on e.  The supply is fresh on every call, in that
+    state, since its caller draws names from it."""
+    kept = _PREPARED.get(e)
+    if kept is None:
+        gen = NameGen(all_names(e))
+        core = freshen(desugar(e, gen), gen)
+        kept = core, frozenset(gen.avoid), gen.counter
+        _PREPARED.put(e, kept)
+    core, avoid, counter = kept
+    gen = NameGen(avoid)
+    gen.counter = counter
+    return core, gen
 
 
 def anf(e: Expr, gen: NameGen | None = None) -> Expr:

@@ -34,6 +34,29 @@ class Expr:
     __slots__ = ()
 
 
+class NodeMemo:
+    """Work derived from one node alone, kept on that node so a second call
+    on the same object reuses it (`interp` keeps a closed lambda's
+    translation, `lang.prepare` its result).
+
+    The value sits in the node's instance dict, not in a field: ==, hash,
+    repr, pretty and the traversal kernel, which read fields, never see it.
+    It lives exactly as long as the node, and a rebuilt node
+    (map_children, dataclasses.replace) starts without one."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: str):
+        self.key = f"({key})"  # no field can have this name
+
+    def get(self, e: Expr):
+        """The value kept on e, or None."""
+        return e.__dict__.get(self.key)
+
+    def put(self, e: Expr, value) -> None:
+        e.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class Const(Expr):
     value: float

@@ -2,15 +2,23 @@
 mutable state, pairs, sums, conditionals and higher-order functions, checked
 across the transformation paths (and finite differences where smooth)."""
 
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from adlc.forward import grad_forward
-from adlc.gradcheck import MODES, finite_diff, primal_fn
-from adlc.reverse import VARIANTS, grad_reverse
-from adlc.runtime import grad_forward_over_reverse
-from adlc.syntax import parse
+from adlc.forward import (
+    forward_gradient_program, grad_forward, grad_symbolic,
+    symbolic_gradient_program,
+)
+from adlc.gradcheck import MODES, CorpusSpec, finite_diff, primal_fn, random_program
+from adlc.interp import eval_expr
+from adlc.reverse import VARIANTS, grad_reverse, reverse_gradient_program
+from adlc.runtime import (
+    grad_cps_expr, grad_dual_expr, grad_forward_over_reverse,
+    grad_functional_expr, grad_tape_expr,
+)
+from adlc.syntax import App, Const, LangError, parse, pretty
 from fuzz import FEATURE_CASES, FUZZ, fuzz_programs
 
 PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -90,3 +98,51 @@ def test_runtimes_run_control_flow_bitwise_with_their_families():
                 assert fns[mode](x).hex() == fns[ref](x).hex(), (mode, f, x)
             want = grad_forward_over_reverse(f, x)
             assert abs(fns["forward2"](x) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# programs whose per-call APIs raise: not a lam, an unbound name, source
+# control that some formulations reject
+FAILING_SOURCES = ("(+ 1.0 2.0)", "(lam x (+ x nope))",
+                   "(lam x (reset (+ x (shift k (app k x)))))")
+
+
+def _per_call_apis():
+    """(name, call of a program) for every public one-shot entry point."""
+    apis = [("eval", lambda f: eval_expr(App(f, Const(0.5)))[0]),
+            ("primal", lambda f: primal_fn(f)(0.5)),
+            ("forward_program", forward_gradient_program),
+            ("symbolic_program", symbolic_gradient_program),
+            ("forward", lambda f: grad_forward(f, 0.5)),
+            ("symbolic", lambda f: grad_symbolic(f, 0.5))]
+    for name, grad in (("dual", grad_dual_expr), ("cps", grad_cps_expr),
+                       ("tape", grad_tape_expr), ("functional", grad_functional_expr)):
+        apis.append((name, lambda f, grad=grad: grad(f, 0.5)))
+    for v in VARIANTS:
+        apis.append((f"{v}_program", partial(reverse_gradient_program, variant=v)))
+        apis.append((v, partial(grad_reverse, x0=0.5, variant=v)))
+    return apis
+
+
+def _observed(call, f) -> str:
+    """What a user sees of one call: float bits, printed program or error."""
+    try:
+        v = call(f)
+    except LangError as ex:
+        return f"{type(ex).__name__}: {ex}"
+    return v.hex() if isinstance(v, float) else pretty(v)
+
+
+def test_repeated_calls_on_one_object_match_a_fresh_parse():
+    # work kept on a program object (its closed lambdas' translations and
+    # prepare's result) must not change anything a second call shows
+    spec = CorpusSpec(42)
+    makers = [partial(random_program, spec, i) for i in range(50)]
+    makers += [partial(parse, src) for src, _ in FEATURE_CASES]
+    makers += [partial(parse, src) for src in FAILING_SOURCES]
+    apis = _per_call_apis()
+    for make in makers:
+        f = make()
+        first = [_observed(call, f) for _, call in apis]
+        again = [_observed(call, f) for _, call in apis]
+        cold = [_observed(call, make()) for _, call in apis]
+        assert again == first == cold, pretty(f)

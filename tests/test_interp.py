@@ -5,7 +5,7 @@ import pytest
 
 from adlc.interp import EvalError, PairV, Store, UNIT, eval_expr, render_value
 from adlc.lang import desugar, freshen, prepare
-from adlc.syntax import Add, Const, Let, Var, parse
+from adlc.syntax import Add, App, Const, Lam, Let, Var, parse
 
 
 def ev(src, env=None):
@@ -232,3 +232,62 @@ def test_let_chain_time_is_linear():
     t_small = _best_time(lambda: eval_expr(small))
     t_large = _best_time(lambda: eval_expr(large))
     assert t_large < 10 * t_small, (t_small, t_large)
+
+
+# --- translations kept on closed lambdas ---------------------------------------
+
+def test_open_lambda_is_translated_under_each_env():
+    # a free y is a capture under {"y": 2.0} and an unbound name under {};
+    # neither translation may be reused under the other env, in either order
+    for envs in (({"y": 2.0}, {}), ({}, {"y": 2.0})):
+        f = parse("(lam x (+ x y))")
+        for env in envs:
+            if env:
+                assert eval_expr(App(f, Const(1.0)), env=env)[0] == 3.0
+            else:
+                with pytest.raises(EvalError, match="^unbound variable: y$"):
+                    eval_expr(App(f, Const(1.0)), env=env)
+    # an unbound name in an inner lambda makes the outer one's code depend
+    # on env too
+    f = parse("(lam x (app (lam z w) x))")
+    with pytest.raises(EvalError, match="^unbound variable: w$"):
+        eval_expr(App(f, Const(1.0)))
+    assert eval_expr(App(f, Const(1.0)), env={"w": 5.0})[0] == 5.0
+
+
+def test_kept_closed_lambda_captures_at_run_time():
+    # the outer lambda is closed and kept; the inner one captures a afresh
+    # on every application
+    f = parse("(lam a (lam b (+ a b)))")
+    assert eval_expr(App(App(f, Const(1.0)), Const(10.0)))[0] == 11.0
+    assert eval_expr(App(App(f, Const(2.0)), Const(10.0)))[0] == 12.0
+    from adlc.interp import real_fn
+
+    add3 = real_fn(Lam("b", App(App(f, Const(3.0)), Var("b"))))
+    assert add3(10.0) == 13.0
+
+
+def test_kept_lambda_runs_in_different_enclosing_programs():
+    sq = parse("(lam y (* y y))")
+    assert eval_expr(App(sq, Const(3.0)))[0] == 9.0
+    # in a second program, among other slots, and under a lambda that
+    # captures
+    assert eval_expr(Let("x", Const(2.0), Add(Var("x"), App(sq, Var("x")))))[0] == 6.0
+    prog = Lam("z", Add(App(sq, Add(Var("z"), Var("k"))), Var("z")))
+    assert eval_expr(App(prog, Const(1.0)), env={"k": 1.0})[0] == 5.0
+
+
+def test_repeated_translation_costs_the_same_at_any_size():
+    # after one call the gradient program's translation is kept, so another
+    # real_fn on the same object does a fixed amount of work; call events
+    # are deterministic, unlike wall time
+    from adlc.interp import real_fn
+    from adlc.reverse import reverse_gradient_program
+    from scaling import call_events, seeded_chain
+
+    counts = []
+    for n in (50, 200):
+        prog = reverse_gradient_program(seeded_chain(n), "target-shift")
+        real_fn(prog)
+        counts.append(call_events(real_fn, prog))
+    assert counts[0] == counts[1]

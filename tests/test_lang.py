@@ -1,9 +1,10 @@
 import pytest
 
 from adlc.interp import eval_expr
-from adlc.lang import AnfError, anf, desugar, freshen
+from adlc.lang import AnfError, anf, desugar, freshen, prepare
 from adlc.syntax import (
-    Add, App, Case, Const, Lam, Let, Mul, Var, node_count, parse,
+    Add, App, Case, Const, Lam, Let, Mul, Var, map_children, node_count, parse,
+    pretty,
 )
 
 
@@ -159,3 +160,37 @@ def test_anf_size_bound_on_corpus():
 def test_anf_rejects_non_arithmetic():
     with pytest.raises(AnfError):
         anf(parse("(lam x x)"))
+
+
+# --- prepare, and the work kept on a node -----------------------------------
+
+def test_prepare_returns_an_independent_supply_each_call():
+    f = parse("(lam x (if (> x 0.0) (let y (* x x) y) x))")
+    a, ga = prepare(f)
+    b, gb = prepare(f)
+    assert a == b
+    assert ga is not gb and ga.avoid is not gb.avoid
+    first = ga.fresh()
+    assert first in ga.avoid and first not in gb.avoid
+    assert gb.fresh() == first
+    # a third call starts from the kept state, not from either supply's
+    _, gc = prepare(f)
+    assert gc.fresh() == first
+
+
+def test_kept_work_is_invisible_and_not_inherited():
+    from dataclasses import replace
+
+    from adlc.interp import _TRANSLATION
+    from adlc.lang import _PREPARED
+
+    src = "(lam x (let y (* x x) (+ y 1.0)))"
+    f = parse(src)
+    prepare(f)
+    eval_expr(App(f, Const(2.0)))
+    assert _PREPARED.get(f) is not None and _TRANSLATION.get(f) is not None
+    fresh = parse(src)
+    assert f == fresh and hash(f) == hash(fresh)
+    assert repr(f) == repr(fresh) and pretty(f) == pretty(fresh)
+    for rebuilt in (map_children(f, lambda c: c), replace(f), replace(f, param="z")):
+        assert _PREPARED.get(rebuilt) is None and _TRANSLATION.get(rebuilt) is None

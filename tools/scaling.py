@@ -1,5 +1,6 @@
-"""Print how the cost of each program transformation, and of running staged
-loops and tree folds in ir_eval, grows with size.
+"""Print how the cost of each program transformation, of translating and
+running the gradient programs, and of running staged loops and tree folds in
+ir_eval, grows with size.
 
     python3 tools/scaling.py [--root CHECKOUT]
 
@@ -14,6 +15,22 @@ straight-line let chains of n ops (seed 1; sizes 25, 50, 100, 200, 400,
   min_s   the least wall time of 3 builds (perf_counter, no profiler)
   x2      min_s(n) / min_s(n/2); noisy on a shared host, so read it beside
           the call ratio and beside target-shift's as the linear reference
+
+Every build, counted or timed, is on a chain of its own: `lang.prepare`
+keeps its result on its input node, so a build on a chain an earlier build
+saw would skip that work.
+
+Then each gradient program (forward, symbolic and the three reverse
+variants, built on the same chains) is run by each entry point,
+`eval_expr` of (app prog x) and `real_fn(prog)(x)`, at x = 1.0, one row per
+program, size and entry point:
+
+  first   calls and least wall time of 3 first calls, each on a program
+          of its own: translation plus run
+  later   calls and least wall time of 3 later calls on one program, whose
+          closed lambdas keep their translation: the run, and the
+          translation of the application around it
+  x       first_s / later_s
 
 Then ir_eval on optimized staged IR (ir_optimize of stage_reverse or
 stage_tree), one row per program and size:
@@ -58,6 +75,7 @@ COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
 LOOP_SIZES = (1000, 2000, 4000, 8000, 16000, 32000, 50000)
 TREE_BODY = "(+ (* v l) (* r 0.75))"
 TREE_DEPTHS = (6, 7, 8, 9, 10, 11, 12)
+X = 1.0  # where run_rows runs the gradient programs
 
 
 def seeded_chain(n: int, seed: int = SEED):
@@ -130,9 +148,12 @@ def seeded_tree(rng: random.Random, depth: int):
                     seeded_tree(rng, depth - 1))
 
 
-def min_wall(run, *args) -> float:
+def min_wall(run, make_args=tuple) -> float:
+    """The least wall time of REPEAT calls run(*make_args()), the arguments
+    made outside the timed span."""
     best = float("inf")
     for _ in range(REPEAT):
+        args = make_args()
         t0 = time.perf_counter()
         run(*args)
         best = min(best, time.perf_counter() - t0)
@@ -145,13 +166,12 @@ def _ratio(a, b) -> str:
 
 def rows():
     """(transform, n, calls, calls x2, min_s, min_s x2) as printed cells."""
-    chains = {n: seeded_chain(n) for n in SIZES}
     for name, build in transforms().items():
         prev_calls = prev_s = None
         for n in SIZES:
             try:
-                calls = call_events(build, chains[n])
-                secs = min_wall(build, chains[n])
+                calls = call_events(build, seeded_chain(n))
+                secs = min_wall(build, lambda: (seeded_chain(n),))
             except Exception as ex:  # printed, not raised
                 calls = secs = None
                 yield (name, str(n), type(ex).__name__, "-", "-", "-")
@@ -159,6 +179,33 @@ def rows():
                 yield (name, str(n), str(calls), _ratio(calls, prev_calls),
                        f"{secs:.4f}", _ratio(secs, prev_s))
             prev_calls, prev_s = calls, secs
+
+
+def run_rows():
+    """(program, n, entry, first calls, later calls, first_s, later_s,
+    first_s / later_s) as printed cells."""
+    from adlc.interp import eval_expr, real_fn
+    from adlc.syntax import App, Const
+
+    entries = {"eval_expr": lambda prog: eval_expr(App(prog, Const(X)))[0],
+               "real_fn": lambda prog: real_fn(prog)(X)}
+    builders = {name: build for name, build in transforms().items()
+                if name != "stage_reverse"}
+    for name, build in builders.items():
+        for n in SIZES:
+            for entry, run in entries.items():
+                try:
+                    first_calls = call_events(run, build(seeded_chain(n)))
+                    first_s = min_wall(run, lambda: (build(seeded_chain(n)),))
+                    prog = build(seeded_chain(n))
+                    run(prog)
+                    later_calls = call_events(run, prog)
+                    later_s = min_wall(run, lambda: (prog,))
+                except Exception as ex:  # printed, not raised
+                    yield (name, str(n), entry, type(ex).__name__, "-", "-", "-", "-")
+                else:
+                    yield (name, str(n), entry, str(first_calls), str(later_calls),
+                           f"{first_s:.4f}", f"{later_s:.4f}", _ratio(first_s, later_s))
 
 
 def ir_eval_cases():
@@ -211,6 +258,14 @@ def main() -> None:
     def run():
         for row in rows():
             print("{:<14}{:>5}{:>11}{:>6}{:>10}{:>6}".format(*row), flush=True)
+        print(f"# gradient programs run at x = {X}; wall time is the min of "
+              f"{REPEAT} first calls (each on a program of its own) and of "
+              f"{REPEAT} later calls")
+        print(f"{'program':<14}{'n':>5}  {'entry':<10}{'first':>10}{'later':>8}"
+              f"{'first_s':>10}{'later_s':>10}{'x':>8}")
+        for row in run_rows():
+            print("{:<14}{:>5}  {:<10}{:>10}{:>8}{:>10}{:>10}{:>8}".format(*row),
+                  flush=True)
         print(f"# ir_eval on optimized staged IR; wall time is the min of {REPEAT} calls")
         print(f"{'program':<14}{'size':>6}{'us/unit':>10}{'min_s':>10}{'x2':>6}")
         for row in ir_eval_rows():
