@@ -142,7 +142,7 @@ def test_repeated_calls_on_one_object_match_a_fresh_parse():
     apis = _per_call_apis()
     for make in makers:
         f = make()
-        first = [_observed(call, f) for _, call in apis]
-        again = [_observed(call, f) for _, call in apis]
-        cold = [_observed(call, make()) for _, call in apis]
+        first = {name: _observed(call, f) for name, call in apis}
+        again = {name: _observed(call, f) for name, call in apis}
+        cold = {name: _observed(call, make()) for name, call in apis}
         assert again == first == cold, pretty(f)
