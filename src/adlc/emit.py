@@ -4,24 +4,37 @@ One function per IR function; adjoint cells become double variables passed
 by reference; continuation closures become `kont`/`kont1` handles wrapping a
 call to their named body.  A handle is an intrusively ref-counted pointer to
 one heap copy of the lambda, so copying, assigning or dropping it touches a
-counter and never the chain of closures it captures: a staged loop's tape
-grows by one node per iteration, not by a copy of everything before it.
-Closures are never mutated, so sharing a body is the same as copying it.
-Cells that escape into a closure outlive their frame (the backward chain of
-a staged loop runs after the loop returns), so those are emitted as
-ref-counted `heap_cell`s, read and written through `*`; everything else
-stays a plain local.  The prelude that defines both types needs no standard
-header and appears only in programs that use them.  Recursive functions are
-declared up front so the text never needs a self-referential lambda.
-Output is stable across runs: two-space indent, LF line endings.
+counter and never the chain of closures it captures.  Closures are never
+mutated, so sharing a body is the same as copying it.  Cells that escape
+into a closure outlive their frame, so those are emitted as ref-counted
+`heap_cell`s, read and written through `*`; everything else stays a plain
+local.
+
+A staged loop needs neither: its function is a `for (;;)` whose `Jump`s to
+itself reassign the parameters and `continue` (a cell parameter is rebound
+through a pointer, `d_at` for `d`), and its backward segments are records
+on the tape, a growable array of (segment tag, captures) in the prelude.  An
+unwinding call site saves `tape_now()`, calls the loop and runs
+`tape_unwind`, a loop that pops the records down to the mark and switches
+on the tag.  Cells that a record captures, or that leave their frame, in a
+function the loop reaches live in a chunked arena (`tape_cell`), so their
+addresses hold until the unwind, which gives back the cells made since the
+mark; the entry frees the tape (one free) and the arena when it returns.  So
+the loop, its unwind and its release never recurse, and a loop-only program
+needs no `kont`.
+
+The preludes need no standard header and appear only in programs that use
+them.  Recursive functions are declared up front so the text never needs a
+self-referential lambda.  Output is stable across runs: two-space indent,
+LF line endings.
 """
 
 from __future__ import annotations
 
 from .staging import (
-    OPS, TAPE_END, TAPE_SLOT, Bind, Call, CellAccum, CellNew, CellRead,
-    CellSet, ClosureNew, Cond, IRFunction, IRProgram, Return, SlotRead,
-    SlotSet, kinds, walk,
+    OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
+    IRFunction, IRProgram, Jump, Return, TapePush, kinds, reachable, uses,
+    walk,
 )
 from .syntax import fmt_float
 
@@ -64,10 +77,63 @@ struct heap_cell {
   double& operator*() const { return p->v; }
 };
 """
+# The record array grows by doubling; the arena grows by 4096-cell chunks
+# that never move.  g++ and clang know the __builtin_ allocation functions
+# without a header.
+_TAPE_PRELUDE = """\
+union tape_word { double v; double* c; };
+struct tape_rec { int seg; tape_word w[%d]; };
+struct tape_mark { long recs, cells; };
+struct tape_state {
+  tape_rec* recs; long n, cap;
+  double** chunks; long cells, nchunks, chunk_cap;
+};
+static tape_state tape;
+static tape_rec& tape_push(int seg) {
+  if (tape.n == tape.cap) {
+    tape.cap = tape.cap ? 2 * tape.cap : 64;
+    tape.recs = (tape_rec*)__builtin_realloc(tape.recs, tape.cap * sizeof(tape_rec));
+    if (!tape.recs) __builtin_abort();
+  }
+  tape_rec& r = tape.recs[tape.n++];
+  r.seg = seg;
+  return r;
+}
+static double* tape_cell(double v) {
+  if (tape.cells == tape.nchunks << 12) {
+    if (tape.nchunks == tape.chunk_cap) {
+      tape.chunk_cap = tape.chunk_cap ? 2 * tape.chunk_cap : 8;
+      tape.chunks = (double**)__builtin_realloc(tape.chunks, tape.chunk_cap * sizeof(double*));
+      if (!tape.chunks) __builtin_abort();
+    }
+    tape.chunks[tape.nchunks] = (double*)__builtin_malloc(sizeof(double) << 12);
+    if (!tape.chunks[tape.nchunks++]) __builtin_abort();
+  }
+  double* c = &tape.chunks[tape.cells >> 12][tape.cells & 4095];
+  ++tape.cells;
+  *c = v;
+  return c;
+}
+static tape_mark tape_now() { return tape_mark{tape.n, tape.cells}; }
+static void tape_free() {
+  __builtin_free(tape.recs);
+  for (long i = 0; i < tape.nchunks; ++i) __builtin_free(tape.chunks[i]);
+  __builtin_free(tape.chunks);
+  tape = tape_state{};
+}
+"""
 
 
 def _returns_value(fn: IRFunction) -> bool:
     return any(isinstance(s, Return) for s in walk(fn.body))
+
+
+def _tape_functions(prog: IRProgram) -> set:
+    """The functions an unwinding call's target reaches: those that run
+    between a tape mark and its unwind."""
+    return reachable(prog.functions, [
+        s.target for fn in prog.functions.values() for s in walk(fn.body)
+        if type(s) is Call and s.unwind and not s.indirect])
 
 
 class _Emitter:
@@ -76,13 +142,18 @@ class _Emitter:
         self.fun_arity: dict[str, int] = {}
         self.kinds = kinds(prog.functions)
         # per function: the cells it creates that escape into closures
-        # (emitted on the heap)
+        # (emitted on the heap), or, in a function between a tape mark and
+        # its unwind, that escape at all (emitted in the tape's arena)
         self.heap_cells: dict[str, set] = {}
+        self.tape_cells: dict[str, set] = {}
+        self.segments: dict[str, int] = {}  # record function -> tag
+        self.uses_tape = False
         self._analyze()
 
     def _analyze(self) -> None:
+        in_tape = _tape_functions(self.prog)
         for fn in self.prog.functions.values():
-            local, captured = set(), set()
+            local, captured, escaping = set(), set(), set()
             for s in walk(fn.body):
                 match s:
                     case CellNew(dest, _):
@@ -92,10 +163,21 @@ class _Emitter:
                         target = self.prog.functions.get(f)
                         if target is not None:
                             self.fun_arity[dest] = len(target.params) - len(captures)
-                    case Call(target, args, indirect):
+                    case Call(target, args, indirect, unwind):
+                        self.uses_tape |= unwind
                         if indirect:
                             self.fun_arity.setdefault(target, len(args))
-            self.heap_cells[fn.name] = local & captured
+                    case TapePush(f, _):
+                        self.uses_tape = True
+                        self.segments.setdefault(f, len(self.segments))
+                if type(s) in (Call, Jump, ClosureNew, TapePush):
+                    escaping.update(uses(s))
+            if fn.name in in_tape:
+                self.heap_cells[fn.name] = set()
+                self.tape_cells[fn.name] = local & escaping
+            else:
+                self.heap_cells[fn.name] = local & captured
+                self.tape_cells[fn.name] = set()
         for fn in self.prog.functions.values():
             for p, k in fn.params:
                 if k == "fun":
@@ -104,15 +186,42 @@ class _Emitter:
     def kont_type(self, sym: str) -> str:
         return _KONT.get(self.fun_arity.get(sym, 0), "kont")
 
-    def param(self, p: str, k: str) -> str:
-        return f"{self.kont_type(p) if k == 'fun' else _TYPES[k]} {p}"
+    def ctype(self, k: str, sym: str) -> str:
+        return self.kont_type(sym) if k == "fun" else _TYPES[k]
 
     def signature(self, fn: IRFunction, ret: str) -> str:
-        params = ", ".join(self.param(p, k) for p, k in fn.params)
+        params = ", ".join(f"{self.ctype(k, p)} {p}" for p, k in fn.params)
         return f"{ret} {fn.name}({params})"
 
+    def segment_params(self, f: str) -> list:
+        fn = self.prog.functions.get(f)
+        if fn is None:
+            raise ValueError(f"cannot emit a record of unknown function {f!r}")
+        for p, k in fn.params:
+            if k not in ("val", "cell"):
+                raise ValueError(f"cannot emit a record capturing {p!r} ({k})")
+        return fn.params
+
+    def tape_unwind(self) -> list:
+        """The unwind: pop records down to the mark, newest first, and run
+        each; then give back the arena cells made since the mark."""
+        out = ["static void tape_unwind(tape_mark m) {",
+               "  while (tape.n > m.recs) {",
+               "    tape_rec r = tape.recs[--tape.n];",
+               "    switch (r.seg) {"]
+        for f, tag in self.segments.items():
+            args = ", ".join(f"*r.w[{i}].c" if k == "cell" else f"r.w[{i}].v"
+                             for i, (_p, k) in enumerate(self.segment_params(f)))
+            out.append(f"    case {tag}: {f}({args}); break;")
+        out += ["    }", "  }", "  tape.cells = m.cells;", "}"]
+        return out
+
     def emit_function(self, fn: IRFunction, ret: str, out: list) -> None:
-        heap = self.heap_cells[fn.name]
+        heap, arena = self.heap_cells[fn.name], self.tape_cells[fn.name]
+        jumps = any(type(s) is Jump and s.target == fn.name for s in walk(fn.body))
+        # a loop's cell parameters, rebound through a pointer by its jumps
+        rebound = {p: f"{p}_at" for p, k in fn.params if k == "cell"} if jumps else {}
+        is_entry = fn.name == self.prog.entry
 
         def operand(o) -> str:
             if not isinstance(o, str):
@@ -120,7 +229,14 @@ class _Emitter:
             return o
 
         def cell_lvalue(sym: str) -> str:
-            return f"*{sym}" if sym in heap else sym
+            if sym in rebound:
+                return f"*{rebound[sym]}"
+            return f"*{sym}" if sym in heap or sym in arena else sym
+
+        def cell_pointer(sym: str) -> str:
+            if sym in rebound:
+                return rebound[sym]
+            return sym if sym in arena else f"&{cell_lvalue(sym)}"
 
         def cell_argument(o) -> str:
             # a cell passed where the callee expects double&
@@ -142,10 +258,24 @@ class _Emitter:
             # by-value for everything except plain (non-heap) cells, whose
             # underlying object outlives the closure's invocation
             refs = [c for c in lam_caps
-                    if self.kinds.get(c) == "cell" and c not in heap]
+                    if self.kinds.get(c) == "cell" and c not in heap
+                    and c not in arena]
             if refs:
                 return "=, " + ", ".join(f"&{c}" for c in refs)
             return "="
+
+        def rebind(args) -> list:
+            """Assignments that give the parameters the jump's arguments,
+            all read before any is written."""
+            moves = [(p, k, a) for (p, k), a in zip(fn.params, args) if a != p]
+            value = {p: (cell_pointer(a) if k == "cell" else operand(a))
+                     for p, k, a in moves}
+            lhs = {p: rebound.get(p, p) for p, _k, _a in moves}
+            if not any(a in lhs for _p, _k, a in moves):
+                return [f"{lhs[p]} = {value[p]};" for p, _k, _a in moves]
+            temps = [f"{'double*' if k == 'cell' else self.ctype(k, p)} "
+                     f"{p}_next = {value[p]};" for p, k, _a in moves]
+            return temps + [f"{lhs[p]} = {p}_next;" for p, _k, _a in moves]
 
         def stmt(s, indent: int) -> None:
             pad = "  " * indent
@@ -158,7 +288,9 @@ class _Emitter:
                     kind, _, text = OPS[op]
                     line(f"{_TYPES[kind]} {dest} = {text.format(*map(operand, args))};")
                 case CellNew(dest, init):
-                    if dest in heap:
+                    if dest in arena:
+                        line(f"double* {dest} = tape_cell({operand(init)});")
+                    elif dest in heap:
                         line(f"heap_cell {dest}({operand(init)});")
                     else:
                         line(f"double {dest} = {operand(init)};")
@@ -178,18 +310,32 @@ class _Emitter:
                     else:
                         line(f"kont {dest} = kont::make([{captures_of(caps)}] "
                              f"{{ {f}({body_args}); }});")
-                case Call(target, args, indirect):
+                case Call(target, args, indirect, unwind):
                     if indirect:
                         # a kont1 takes (double, double&): deref heap cells
                         rendered = [operand(a) if i == 0 else cell_argument(a)
                                     for i, a in enumerate(args)]
-                        line(f"{target}({', '.join(rendered)});")
+                        text = f"{target}({', '.join(rendered)});"
                     else:
-                        line(f"{target}({call_args(target, args)});")
-                case SlotRead(dest, slot):
-                    line(f"kont {dest} = {slot};")
-                case SlotSet(slot, value):
-                    line(f"{slot} = {operand(value)};")
+                        text = f"{target}({call_args(target, args)});"
+                    if unwind:
+                        text = (f"{{ tape_mark m_ = tape_now(); {text} "
+                                f"tape_unwind(m_); }}")
+                    line(text)
+                case Jump(target, args) if target == fn.name:
+                    for text in rebind(args):
+                        line(text)
+                    line("continue;")
+                case Jump(target, args):
+                    call = f"{target}({call_args(target, args)})"
+                    line(f"return {call};" if ret == "double" else f"{call}; return;")
+                case TapePush(f, caps):
+                    words = [f"r_.w[{i}].{'c' if k == 'cell' else 'v'} = "
+                             f"{cell_pointer(a) if k == 'cell' else operand(a)};"
+                             for i, ((_p, k), a) in
+                             enumerate(zip(self.segment_params(f), caps))]
+                    line(f"{{ tape_rec& r_ = tape_push({self.segments[f]}); "
+                         f"{' '.join(words)} }}")
                 case Cond(guard, then, orelse):
                     line(f"if ({guard}) {{")
                     for t in then:
@@ -199,16 +345,24 @@ class _Emitter:
                         stmt(t, indent + 1)
                     line("}")
                 case Return(value):
+                    if is_entry and self.uses_tape:
+                        line("tape_free();")
                     line(f"return {operand(value)};")
                 case _:
                     raise ValueError(f"cannot emit {s!r}")
 
-        if fn.name == TAPE_END and not fn.body:
-            out.append(self.signature(fn, ret) + " {}")
-            return
         out.append(self.signature(fn, ret) + " {")
-        for s in fn.body:
-            stmt(s, 1)
+        if jumps:
+            for p, ptr in rebound.items():
+                out.append(f"  double* {ptr} = &{p};")
+            out.append("  for (;;) {")
+            for s in fn.body:
+                stmt(s, 2)
+            out.append("    break;")
+            out.append("  }")
+        else:
+            for s in fn.body:
+                stmt(s, 1)
         out.append("}")
 
 
@@ -216,15 +370,16 @@ def emit_c(prog: IRProgram) -> str:
     """Render the program as compilable C++-flavored source text."""
     em = _Emitter(prog)
     out: list[str] = []
-    uses_tape = TAPE_END in prog.functions
-    uses_fun = bool(em.fun_arity) or uses_tape
     uses_tree = any(k == "tree" for fn in prog.functions.values()
                     for _, k in fn.params)
     uses_heap = any(em.heap_cells.values())
-    if uses_fun or uses_heap:
+    if em.fun_arity or uses_heap:
         out.append(_KONT_PRELUDE)
         if uses_heap:
             out.append(_HEAP_PRELUDE)
+    if em.uses_tape:
+        words = max((len(em.segment_params(f)) for f in em.segments), default=0)
+        out.append(_TAPE_PRELUDE % max(words, 1))
     if uses_tree:
         out.append("struct Tree {")
         out.append("  bool notEmpty; double value;")
@@ -235,9 +390,6 @@ def emit_c(prog: IRProgram) -> str:
                    "{ return rp ? *rp : Tree{false, 0, nullptr, nullptr}; }")
         out.append("};")
         out.append("")
-    if uses_tape:
-        out.append(f"static kont {TAPE_SLOT} = kont::make([]{{}});")
-        out.append("")
 
     names = [n for n in prog.functions if n != prog.entry]
     rets = {n: ("double" if _returns_value(prog.functions[n]) else "void")
@@ -246,6 +398,9 @@ def emit_c(prog: IRProgram) -> str:
     for n in names:
         out.append(em.signature(prog.functions[n], rets[n]) + ";")
     if names:
+        out.append("")
+    if em.uses_tape:
+        out += em.tape_unwind()
         out.append("")
 
     order = names + [prog.entry]

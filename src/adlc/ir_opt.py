@@ -14,23 +14,23 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .staging import (
-    OPS, TAPE_END, Bind, Call, CellAccum, CellNew, CellRead, CellSet,
-    ClosureNew, Cond, IRFunction, IRProgram, SlotRead, SlotSet, map_operands,
-    uses, walk,
+    OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
+    IRFunction, IRProgram, Jump, TapePush, map_operands, reachable, uses, walk,
 )
 
 _UNKNOWN = object()
 
 
 def _has_control(block) -> bool:
-    return any(isinstance(s, (Cond, Call, SlotRead, SlotSet)) for s in block)
+    return any(isinstance(s, (Cond, Call, Jump)) for s in block)
 
 
 def _escaping_syms(prog: IRProgram) -> set:
-    """Symbols whose value leaves the defining frame (call arguments,
-    closure captures, slot stores); cells among them may be aliased."""
+    """Symbols whose value leaves the defining frame (call and jump
+    arguments, closure and record captures); cells among them may be
+    aliased."""
     return {o for fn in prog.functions.values() for s in walk(fn.body)
-            if type(s) in (Call, ClosureNew, SlotSet)
+            if type(s) in (Call, Jump, ClosureNew, TapePush)
             for o in uses(s) if isinstance(o, str)}
 
 
@@ -183,7 +183,7 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
         for s in reversed(block):
             cls = type(s)
             keep = True
-            if cls is Bind or cls is SlotRead or cls is ClosureNew or cls is CellRead:
+            if cls is Bind or cls is ClosureNew or cls is CellRead:
                 keep = s.dest in live
             elif cls is CellNew:
                 keep = s.dest in read_cells or s.dest in live
@@ -214,26 +214,6 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
     return changed
 
 
-def _reachable_functions(prog: IRProgram) -> set:
-    seen = {prog.entry} | ({TAPE_END} & prog.functions.keys())
-    work = list(seen)
-    while work:
-        fn = prog.functions.get(work.pop())
-        if fn is None:
-            continue
-        for s in walk(fn.body):
-            if isinstance(s, Call) and not s.indirect:
-                n = s.target
-            elif isinstance(s, ClosureNew):
-                n = s.fn
-            else:
-                continue
-            if n not in seen:
-                seen.add(n)
-                work.append(n)
-    return seen
-
-
 def ir_optimize(prog: IRProgram) -> IRProgram:
     """Return an equivalent program with constants folded, copies
     propagated, dead binds and dead cells removed.  The passes only
@@ -247,7 +227,7 @@ def ir_optimize(prog: IRProgram) -> IRProgram:
         read = _read_cells(prog)
         for fn in prog.functions.values():
             changed |= _dce_function(fn, read)
-        reach = _reachable_functions(prog)
+        reach = reachable(prog.functions, [prog.entry])
         if len(reach) < len(prog.functions):
             prog.functions = {n: f for n, f in prog.functions.items() if n in reach}
             changed = True

@@ -2,10 +2,18 @@
 
 Translation-time continuations drive emission: the arithmetic rules emit the
 fused forward/backward statement pattern, a conditional lifts its
-continuation to a named function so the join code exists exactly once, a
-loop becomes a tail-recursive function whose per-iteration backward work is
-deferred onto a chain of closures kept in a program slot (the reified tape),
-and a tree fold becomes a CPS-recursive function over a runtime tree value.
+continuation to a named function so the join code exists exactly once, and
+a tree fold becomes a CPS-recursive function over a runtime tree value.
+
+A loop becomes a function whose tail self-call is a `Jump`: the parameters
+are reassigned and the body runs again, with no new activation.  The
+backward work of an iteration is the defunctionalized continuation of that
+self-call (Reynolds 1972; Danvy & Nielsen 2001): a segment function plus
+its captures, pushed as a record onto the run's tape by `TapePush`.  The
+loop's call site is a `Call` with `unwind` set: it marks the tape length,
+calls the loop, then pops the records pushed since the mark and runs each
+one, newest first.  Continuations remove the tape; defunctionalizing them
+gives it back.
 
 Cells hold accumulating adjoints; closures are a named function plus a
 capture tuple, so the IR stays first-order.
@@ -13,6 +21,7 @@ capture tuple, so the IR stays first-order.
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass, field
 from functools import partial
@@ -29,8 +38,6 @@ ENTRY = "snippet"
 INPUT = "in"  # the entry's real parameter
 # the free variables of a tree-fold body: left and right results, node value
 TREE_LEFT, TREE_RIGHT, TREE_VALUE = "l", "r", "v"
-TAPE_SLOT = "tape"
-TAPE_END = "tape_end"
 
 
 class StagingError(LangError):
@@ -84,18 +91,26 @@ class Call:
     target: str
     args: tuple
     indirect: bool = False  # target is a symbol holding a closure
+    # after the call returns, pop the tape records it pushed and run each
+    unwind: bool = False
 
 
 @dataclass
-class SlotRead:
-    dest: str
-    slot: str
+class Jump:
+    """Tail transfer to the function `target` with `args`: a jump to the
+    enclosing function reassigns its parameters and runs its body again."""
+
+    target: str
+    args: tuple
 
 
 @dataclass
-class SlotSet:
-    slot: str
-    value: object
+class TapePush:
+    """Push the record (fn, captures) onto the tape; an unwinding call site
+    runs it as fn(*captures)."""
+
+    fn: str
+    captures: tuple
 
 
 @dataclass
@@ -119,11 +134,14 @@ class IRFunction:
 
 @dataclass
 class IRProgram:
-    """A staged program.  It is not changed after `stage_*` or `ir_optimize`
-    returns it: `ir_eval` translates it on its first run and keeps the
-    translation in `translation`, which `dataclasses.replace` does not copy."""
+    """A staged program: functions by name, run from `entry`.  A loop's
+    functions are its body (which `Jump`s to itself), one backward segment
+    per self-call (run from the tape) and the continuations they call.  It
+    is not changed after `stage_*` or `ir_optimize` returns it: `ir_eval`
+    translates it on its first run and keeps the translation in
+    `translation`, which `dataclasses.replace` does not copy."""
 
-    functions: dict  # with a TAPE_END function exactly when TAPE_SLOT is used
+    functions: dict
     entry: str
     translation: object = field(default=None, init=False, repr=False,
                                 compare=False)
@@ -159,8 +177,8 @@ STMTS = {
     CellSet: (("cell", "value"), None),
     ClosureNew: (("*captures",), "fun"),
     Call: (("target", "*args"), None),
-    SlotRead: ((), "fun"),
-    SlotSet: (("value",), None),
+    Jump: (("*args",), None),
+    TapePush: (("*captures",), None),
     Cond: (("guard",), None),
     Return: (("value",), None),
 }
@@ -208,6 +226,31 @@ def map_operands(s, f):
     for name, many in _operand_fields(s):
         fields[name] = tuple(map(f, fields[name])) if many else f(fields[name])
     return type(s)(**fields)
+
+
+def callee(s) -> str | None:
+    """The function a statement names: the target of a direct call or a
+    jump, or the function of a closure or a record."""
+    cls = type(s)
+    if cls is Call and not s.indirect or cls is Jump:
+        return s.target
+    if cls is ClosureNew or cls is TapePush:
+        return s.fn
+    return None
+
+
+def reachable(functions: dict, roots) -> set:
+    """The names of roots and of every function the statements of a
+    reached function name."""
+    seen, work = set(roots), list(roots)
+    while work:
+        fn = functions.get(work.pop())
+        for s in walk(fn.body) if fn is not None else ():
+            n = callee(s)
+            if n is not None and n not in seen:
+                seen.add(n)
+                work.append(n)
+    return seen
 
 
 def kinds(functions: dict) -> dict:
@@ -258,8 +301,6 @@ class _Stager:
         self.functions: dict[str, IRFunction] = {}
         self.block: list = []
         self.names: set[str] = set()
-        self.uses_tape = False
-        self.pending_chain: str | None = None
 
     def sym(self, prefix: str) -> str:
         self.counter += 1
@@ -291,16 +332,13 @@ class _Stager:
         return fn
 
     def segment(self, block: list, thunk) -> None:
-        """Run an emission thunk with its own pending-chain scope; a loop
-        self-call inside it defers the enclosing backward work into a chain
-        closure, and the segment end ties that closure back to the previous
-        chain."""
-        saved_block, saved_pending = self.block, self.pending_chain
-        self.block, self.pending_chain = block, None
+        """Run an emission thunk that appends to block; a loop self-call
+        inside it moves the rest of the thunk's emission into its backward
+        segment."""
+        saved = self.block
+        self.block = block
         thunk()
-        if self.pending_chain is not None:
-            self.emit(Call(self.pending_chain, (), indirect=True))
-        self.block, self.pending_chain = saved_block, saved_pending
+        self.block = saved
 
     # -- expression translation ---------------------------------------------
 
@@ -400,7 +438,6 @@ class _Stager:
 
     def _loop(self, fname: str, param: str, fbody: Expr, arg: Expr,
               env: dict, k) -> None:
-        self.uses_tape = True
         lf = self.function("loop", [(self.named("x"), "val"),
                                     (self.named("d"), "cell")])
         x, d = lf.params[0][0], lf.params[1][0]
@@ -409,38 +446,24 @@ class _Stager:
 
         def call_site(sa):
             sa = self.num(sa, "loop argument")
-            saved = self.sym("k")
-            self.emit(SlotRead(saved, TAPE_SLOT))
-            empty = self.sym("k")
-            self.emit(ClosureNew(empty, TAPE_END, ()))
-            self.emit(SlotSet(TAPE_SLOT, empty))
-            self.emit(Call(lf.name, (sa.prim, sa.adj)))
-            unwind = self.sym("k")
-            self.emit(SlotRead(unwind, TAPE_SLOT))
-            self.emit(Call(unwind, (), indirect=True))
-            self.emit(SlotSet(TAPE_SLOT, saved))
+            self.emit(Call(lf.name, (sa.prim, sa.adj), unwind=True))
 
         self.translate(arg, env, call_site)
 
     def _self_call(self, lf_name: str, arg: Expr, env: dict) -> None:
         """Tail self-call of a staged loop: push this iteration's backward
-        segment onto the chain, then recurse as the last statement.  The
+        segment onto the tape, then jump as the last statement.  The
         meta-continuation is not invoked here; the loop's exit branch
         performs it exactly once."""
 
         def with_arg(sb):
             sb = self.num(sb, "loop argument")
-            old = self.sym("k")
-            self.emit(SlotRead(old, TAPE_SLOT))
             bw = self.function("loop_bwd", [])
-            kn = self.sym("k")
-            self.emit(ClosureNew(kn, bw.name, ()))
-            self.emit(SlotSet(TAPE_SLOT, kn))
-            self.emit(Call(lf_name, (sb.prim, sb.adj)))
+            self.emit(TapePush(bw.name, ()))
+            self.emit(Jump(lf_name, (sb.prim, sb.adj)))
             # everything emitted after this point is backward work for the
             # enclosing operations of this iteration
             self.block = bw.body
-            self.pending_chain = old
 
         self.translate(arg, env, with_arg)
 
@@ -463,7 +486,8 @@ def _free_syms(fn: IRFunction) -> list[str]:
 
 def _lambda_lift(prog: IRProgram) -> None:
     """Append each function's free symbols to its parameter list and to
-    every call site and closure creation, iterating to fixpoint."""
+    every call, jump, closure creation and tape push that names it,
+    iterating to fixpoint."""
     for _ in range(40):
         lifted = {name: _free_syms(fn) for name, fn in prog.functions.items()
                   if name != prog.entry}
@@ -477,10 +501,13 @@ def _lambda_lift(prog: IRProgram) -> None:
 
         for fn in prog.functions.values():
             for s in walk(fn.body):
-                if isinstance(s, Call) and not s.indirect and s.target in lifted:
-                    s.args = tuple(s.args) + tuple(lifted[s.target])
-                elif isinstance(s, ClosureNew) and s.fn in lifted:
-                    s.captures = tuple(s.captures) + tuple(lifted[s.fn])
+                n = callee(s)
+                if n not in lifted:
+                    continue
+                if type(s) is Call or type(s) is Jump:
+                    s.args = tuple(s.args) + tuple(lifted[n])
+                else:
+                    s.captures = tuple(s.captures) + tuple(lifted[n])
     raise StagingError("lambda lifting did not converge")
 
 
@@ -488,12 +515,32 @@ def _lambda_lift(prog: IRProgram) -> None:
 # Entry points
 
 
+def _defer_rests(functions: dict) -> None:
+    """Make every jump a tail transfer.  A self-call inside a Cond that is
+    followed by more statements (the backward work of the operations before
+    the conditional) returns to them after its continuation, so a copy of
+    them goes to the end of the record that the jump's TapePush makes: the
+    record then holds the whole rest of the iteration, newest work first."""
+    for fn in list(functions.values()):
+        work = [(fn.body, [])]  # a block, and what runs after it
+        while work:
+            block, rest = work.pop()
+            for i, s in enumerate(block):
+                if type(s) is Cond:
+                    after = block[i + 1:] + rest
+                    work += [(s.then, after), (s.orelse, after)]
+                elif type(s) is Jump and rest:
+                    push = block[i - 1]
+                    if type(push) is not TapePush:
+                        raise StagingError(f"jump without a record: {s!r}")
+                    functions[push.fn].body += copy.deepcopy(rest)
+
+
 def _stage(build) -> IRProgram:
     st = _Stager()
     prog_fns = st.functions
     build(st)
-    if st.uses_tape:
-        st.functions[TAPE_END] = IRFunction(TAPE_END, [])
+    _defer_rests(prog_fns)
     prog = IRProgram(prog_fns, ENTRY)
     _lambda_lift(prog)
     return prog

@@ -17,7 +17,7 @@ from adlc.reverse import (
 )
 from adlc.staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    Return, SlotRead, SlotSet, defs, kinds, map_operands, stage_reverse,
+    Jump, Return, TapePush, defs, kinds, map_operands, stage_reverse,
     stage_tree, uses, walk,
 )
 from adlc.syntax import (
@@ -81,8 +81,8 @@ _STMTS = [
     (ClosureNew("k", "f", ("d", "x")), ["d", "x"], ["k"]),
     (Call("f", ("x", "d")), ["x", "d"], []),
     (Call("k", ("x", "d"), indirect=True), ["k", "x", "d"], []),
-    (SlotRead("k", "tape"), [], ["k"]),
-    (SlotSet("tape", "k"), ["k"], []),
+    (Jump("loop", ("v", "d")), ["v", "d"], []),
+    (TapePush("loop_bwd", ("d", "x")), ["d", "x"], []),
     (Cond("g", [Return("x")], []), ["g"], []),
     (Return("r"), ["r"], []),
 ]

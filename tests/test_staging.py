@@ -4,6 +4,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Return, StagingError, TreeData, ir_cell_op_count,
+    IRFunction, IRProgram, Jump, Return, StagingError, TreeData, ir_cell_op_count,
     ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
 from adlc.syntax import parse
@@ -168,6 +169,26 @@ def test_while_runs_deep_in_constant_stack():
     # 2^400 halves 400 times
     pw = stage_reverse(WHILE_EXAMPLE)
     assert ir_eval(pw, 2.0 ** 400, depth_limit=5000) == 0.5 ** 400
+
+
+def test_while_memory_is_linear_in_iterations():
+    # the tape holds one record, and the loop makes its cells, per
+    # iteration, so the peak of a run twice as long is about twice as high
+    countdown = parse("(lam x (letrec f (lam t (if (> t 1.0)"
+                      " (app f (* t 0.99999)) t)) (app f x)))")
+    p = ir_optimize(stage_reverse(countdown))
+    n = 100_000
+    ir_eval(p, 2.0)  # the translation is kept on p, outside the peaks
+    peaks = []
+    for iters in (n, 2 * n):
+        x = 0.99999 ** -(iters - 0.5)
+        tracemalloc.start()
+        try:
+            assert ir_eval(p, x, depth_limit=3 * n) > 0.0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.3 * peaks[0]
 
 
 def test_runaway_loop_stops_at_limit():
@@ -454,13 +475,17 @@ LOOP_COMPOSITES = {
                     " (app inner t))) t)) (app outer x)))",
     "rich-body": "(lam x (letrec f (lam t (if (> t 1.0)"
                  " (app f (+ (* t 0.25) (* t 0.25))) t)) (app f x)))",
+    # the product before the conditional is backward work that follows the
+    # self-call, after the backward work of its argument
+    "op-before-if": "(lam x (letrec f (lam t (let u (* t 0.5) (if (> u 1.0)"
+                    " (app f (* u 0.9)) u))) (app f x)))",
 }
 
 
 @pytest.mark.parametrize("name", sorted(LOOP_COMPOSITES))
 def test_loop_composites_staged_matches_unstaged(name):
-    # mid-program, sequential, and nested loops exercise the backward-chain
-    # save/restore at every call site
+    # mid-program, sequential, and nested loops exercise the tape mark and
+    # unwind at every call site
     f = parse(LOOP_COMPOSITES[name])
     p = stage_reverse(f)
     po = ir_optimize(p)
@@ -536,7 +561,18 @@ def test_emitted_code_compiles_and_runs(tmp_path):
              ("tree", stage_tree(TREE_BODY), (2.0, 1.0),
               parse_tree("(node 2.0 (node 1.5 (leaf) (leaf)) (node 3.0 (leaf) (leaf)))")),
              ("tree6", ir_optimize(stage_tree(TREE_BODY)), (1.01, -0.0),
-              _full_tree(rng, 6))]
+              _full_tree(rng, 6)),
+             # a jump that swaps two parameters reads both before writing
+             ("swap", _entry(CellNew("d0", 0.0),
+                             Call("loop", ("in", 2.5, 2.0, "d0"), unwind=True),
+                             CellRead("r", "d0"), Return("r"),
+                             loop=([("a", "val"), ("b", "val"), ("n", "val"),
+                                    ("d", "cell")],
+                                   [Bind("g", "greater", ("n", 0.0)),
+                                    Cond("g", [Bind("m", "add", ("n", -1.0)),
+                                               Jump("loop", ("b", "a", "m", "d"))],
+                                         [CellSet("d", "a")])])),
+              (1.0, -0.5), None)]
     for i, name in enumerate(sorted(LOOP_COMPOSITES)):
         cases.append((f"opt{i}", ir_optimize(stage_reverse(parse(LOOP_COMPOSITES[name]))),
                       (8.0, 37.5, 0.3, 100.0, 3.0), None))
@@ -574,15 +610,33 @@ def test_emitted_long_loop_is_linear(tmp_path):
     assert _bits(got) == _bits([want])
 
 
+@needs_gxx
+def test_emitted_loop_runs_1e5_iterations_on_the_default_stack(tmp_path):
+    # the loop, its unwind and the tape's release do not recurse, so 10^5
+    # iterations run on the default stack under the address-space limit
+    n, c = 100_000, 0.9999
+    prog = ir_optimize(stage_reverse(parse(
+        f"(lam x (letrec loop (lam t (if (> t 1.0) (app loop (* t {c!r})) t))"
+        " (app loop x)))")))
+    x = c ** -(n - 0.5)
+    main = ('#include <cstdio>\nint main() { printf("%a\\n", snippet('
+            f"{x.hex()})); }}\n")
+    want = ir_eval(prog, x, depth_limit=2 * n)
+    assert abs(want - c ** n) <= 1e-8 * c ** n  # n iterations ran
+    got = run_native(tmp_path, "loop_1e5", emit_c(prog) + main).split()
+    assert _bits(got) == _bits([want])
+
+
 def test_emitted_closures_need_no_header():
     # continuations are ref-counted handles from the emitted prelude, not
-    # std::function; escaping cells are heap_cells, not shared_ptrs
+    # std::function; a loop's backward work is records on a tape from the
+    # emitted prelude, so a loop-only program needs no continuation at all
     loop = emit_c(ir_optimize(stage_reverse(WHILE_EXAMPLE)))
     tree = emit_c(ir_optimize(stage_tree(TREE_BODY)))
     for txt in (loop, tree):
         assert "#include" not in txt
-        assert "std::function" not in txt and "make_shared" not in txt
-        assert "kont_fn" in txt
-    assert "kont::make(" in loop and "heap_cell " in loop
+        assert "std::" not in txt
+    assert "kont_fn" not in loop
+    assert "for (;;)" in loop and "tape_push(" in loop and "tape_unwind(" in loop
     assert "kont1::make(" in tree
     assert "kont_fn" not in emit_c(ir_optimize(stage_reverse(SQUARE)))

@@ -43,6 +43,21 @@ stage_tree), one row per program and size:
   x2      the call's time ratio per doubling of iterations or nodes, from
           the row above: a cost linear in size reads about 2
 
+Then the countdown at 10^4, 10^5 and 10^6 iterations (x = n), each call in
+a fresh child process, so that every size pays for its own memory:
+
+  ir_eval  the optimized IR, depth limit 2n, in a Python child
+  c++      emit_c of the same IR built with g++ -O2 (skipped without g++),
+           run under a 1 GiB address-space limit with the default stack
+  us/iter  the median wall time of 5 children's timed calls, per
+           iteration; each child first runs one iteration, so the
+           translation (or the lazy binding of the allocator) is outside
+           the timed call
+  rss_mb   the largest peak RSS (VmHWM) of those children
+  x10      us/iter over the row above: a cost linear in iterations reads 1
+  bits     the gradient's float.hex; c++ rows add "= ir_eval" when the bits
+           match the ir_eval row of the same size
+
 A build or call that raises prints its exception class in place of its
 numbers.
 The CPS translators nest Python frames per let, so the script raises the
@@ -60,7 +75,12 @@ import argparse
 import math
 import os
 import random
+import resource
+import shutil
+import statistics
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 from functools import partial
@@ -73,6 +93,10 @@ REPEAT = 3
 COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
              " (app f x)))")
 LOOP_SIZES = (1000, 2000, 4000, 8000, 16000, 32000, 50000)
+CHILD_LOOP_SIZES = (10_000, 100_000, 1_000_000)
+CHILD_AS_BYTES = 1 << 30
+CHILD_TIMEOUT_S = 120.0
+CHILD_REPEAT = 5
 TREE_BODY = "(+ (* v l) (* r 0.75))"
 TREE_DEPTHS = (6, 7, 8, 9, 10, 11, 12)
 X = 1.0  # where run_rows runs the gradient programs
@@ -242,12 +266,127 @@ def ir_eval_rows():
         prev = (program, units, secs)
 
 
+# One ir_eval call at n iterations, after a one-iteration call; prints the
+# gradient, the call's ns and the peak RSS in kB.  The peak is VmHWM of the
+# child's own image: a child's ru_maxrss also counts the image of the
+# process that forked it.
+_IR_EVAL_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from adlc.ir_eval import ir_eval
+from adlc.ir_opt import ir_optimize
+from adlc.staging import stage_reverse
+from adlc.syntax import parse
+n = int(sys.argv[3])
+prog = ir_optimize(stage_reverse(parse(sys.argv[2])))
+ir_eval(prog, 1.0)
+t0 = time.perf_counter()
+g = ir_eval(prog, float(n), depth_limit=2 * n)
+ns = int((time.perf_counter() - t0) * 1e9)
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(g.hex(), ns, hwm)
+"""
+
+# the same for the emitted C++: usage loop N
+_CXX_MAIN = r"""
+#include <cstdio>
+#include <cstdlib>
+#include <ctime>
+
+int main(int argc, char** argv) {
+  if (argc != 2) return 2;
+  snippet(1.0);
+  timespec a, b;
+  clock_gettime(CLOCK_MONOTONIC, &a);
+  double g = snippet(atof(argv[1]));
+  clock_gettime(CLOCK_MONOTONIC, &b);
+  long hwm = -1;
+  FILE* f = fopen("/proc/self/status", "r");
+  char line[256];
+  while (f && fgets(line, sizeof line, f))
+    if (sscanf(line, "VmHWM: %ld", &hwm) == 1) break;
+  if (f) fclose(f);
+  printf("%a %lld %ld\n", g, (b.tv_sec - a.tv_sec) * 1000000000LL + (b.tv_nsec - a.tv_nsec), hwm);
+  return 0;
+}
+"""
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+
+
+def run_child(argv: list, limit: bool) -> tuple[str, int, float]:
+    """Run one child to completion: (gradient hex, call ns, peak RSS in
+    MB).  Raises RuntimeError when it fails."""
+    r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+                       preexec_fn=_limit_address_space if limit else None)
+    if r.returncode != 0:
+        raise RuntimeError(f"exit code {r.returncode}")
+    bits, ns, hwm_kb = r.stdout.split()
+    return float.fromhex(bits).hex(), int(ns), int(hwm_kb) / 1024.0
+
+
+def loop_children(src: str, build_dir: str):
+    """(backend, n, argv, address-space limit) per row; the c++ rows only
+    when g++ builds the emitted countdown."""
+    from adlc.emit import emit_c
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import stage_reverse
+    from adlc.syntax import parse
+
+    for n in CHILD_LOOP_SIZES:
+        yield "ir_eval", n, [sys.executable, "-c", _IR_EVAL_CHILD, src,
+                             COUNTDOWN, str(n)], False
+    if shutil.which("g++") is None:
+        return
+    cc, exe = os.path.join(build_dir, "loop.cc"), os.path.join(build_dir, "loop")
+    with open(cc, "w") as fh:
+        fh.write(emit_c(ir_optimize(stage_reverse(parse(COUNTDOWN)))) + _CXX_MAIN)
+    subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
+                   capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
+    for n in CHILD_LOOP_SIZES:
+        yield "c++", n, [exe, str(n)], True
+
+
+def loop_child_rows(src: str):
+    """(backend, n, us/iter, rss_mb, x10, bits) as printed cells."""
+    prev: dict = {}
+    bits_of: dict = {}
+    with tempfile.TemporaryDirectory() as build_dir:
+        try:
+            for backend, n, argv, limit in loop_children(src, build_dir):
+                try:
+                    runs = [run_child(argv, limit) for _ in range(CHILD_REPEAT)]
+                except (RuntimeError, OSError, ValueError,
+                        subprocess.TimeoutExpired) as ex:
+                    yield (backend, str(n), type(ex).__name__, "-", "-", str(ex))
+                    prev.pop(backend, None)
+                    continue
+                us = statistics.median(ns for _, ns, _ in runs) / n / 1e3
+                bits = runs[0][0]
+                if any(b != bits for b, _, _ in runs):
+                    bits = "differ: " + " ".join(b for b, _, _ in runs)
+                elif backend == "ir_eval":
+                    bits_of[n] = bits
+                elif bits_of.get(n) == bits:
+                    bits += " = ir_eval"
+                x10 = _ratio(us, prev.get(backend))
+                prev[backend] = us
+                yield (backend, str(n), f"{us:.3f}",
+                       f"{max(r for _, _, r in runs):.1f}", x10, bits)
+        except subprocess.CalledProcessError as ex:  # the c++ build failed
+            yield ("c++", "-", type(ex).__name__, "-", "-", "-")
+
+
 def main() -> None:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=here, help="checkout to measure")
     args = ap.parse_args()
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    src = os.path.join(os.path.abspath(args.root), "src")
+    sys.path.insert(0, src)
 
     old = sys.getrecursionlimit()
     print(f"# seeded let chains (seed {SEED}); wall time is the min of {REPEAT} builds")
@@ -270,6 +409,11 @@ def main() -> None:
         print(f"{'program':<14}{'size':>6}{'us/unit':>10}{'min_s':>10}{'x2':>6}")
         for row in ir_eval_rows():
             print("{:<14}{:>6}{:>10}{:>10}{:>6}".format(*row), flush=True)
+        print(f"# the countdown in fresh child processes; us/iter is the median "
+              f"of {CHILD_REPEAT} children, rss_mb the max")
+        print(f"{'backend':<9}{'n':>9}{'us/iter':>10}{'rss_mb':>9}{'x10':>6}  bits")
+        for row in loop_child_rows(src):
+            print("{:<9}{:>9}{:>10}{:>9}{:>6}  {}".format(*row), flush=True)
 
     sys.setrecursionlimit(RECURSION_LIMIT)
     threading.stack_size(STACK_BYTES)
