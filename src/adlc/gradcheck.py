@@ -6,13 +6,16 @@ Agreement is judged in two exact classes: the forward family (dual numbers,
 forward transformation, symbolic-over-ANF) and the reverse family (cps,
 tape, functional, the three reverse transformations, staged execution).
 Members of a class accumulate in identical order, so they must agree
-exactly; across classes the order differs, so a tight relative tolerance
-applies; finite differences get a loose one.
+bitwise (0.0 differs from -0.0, a NaN equals a NaN of the same bits);
+across classes the order differs, so a tight relative tolerance applies;
+finite differences get a loose one.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import struct
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -176,6 +179,12 @@ def _rel_ok(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
+def same_bits(values) -> bool:
+    """Whether all values have one IEEE-754 bit pattern: the agreement
+    inside a family."""
+    return len({struct.pack("<d", v) for v in values}) == 1
+
+
 def check_one(pg: ProgramGradients, program_id: int, probe: float) -> GradReport:
     rep = GradReport(program_id, probe)
     try:
@@ -186,8 +195,7 @@ def check_one(pg: ProgramGradients, program_id: int, probe: float) -> GradReport
         rep.max_dev = max(abs(a - b) for a in vals for b in vals)
         fwd = [rep.grads[m] for m in FORWARD_FAMILY]
         rev = [rep.grads[m] for m in REVERSE_FAMILY]
-        ok = all(v == fwd[0] for v in fwd)
-        ok = ok and all(v == rev[0] for v in rev)
+        ok = same_bits(fwd) and same_bits(rev)
         ok = ok and _rel_ok(rev[0], fwd[0], FAMILY_TOL)
         ok = ok and _rel_ok(rep.fd, fwd[0], FD_TOL)
         rep.passed = ok
@@ -208,12 +216,85 @@ def check_program(f: Expr, program_id: int,
     return [check_one(pg, program_id, p) for p in probes]
 
 
+def _check_share(spec: CorpusSpec, probes, start: int, step: int):
+    """check_program on programs start, start + step, ... of the corpus, in
+    order, until one raises: (the reports of each program checked, the
+    exception or None)."""
+    done: list[list[GradReport]] = []
+    try:
+        for i in range(start, spec.count, step):
+            done.append(check_program(random_program(spec, i), i, probes))
+    except Exception as ex:
+        return done, ex
+    return done, None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_workers(work: Callable[[int, int], object], n: int) -> list:
+    """[work(j, n) for j in range(n)], each call in a forked child that
+    sends its pickled result back through a pipe.  A child leaves only
+    through os._exit, so it flushes nothing of the parent's and runs none
+    of its exit handlers; the parent kills and reaps every child left."""
+    import pickle
+    import signal
+
+    readers, running, results = [], [], []
+    try:
+        for j in range(n):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        writer.write(pickle.dumps(work(j, n), pickle.HIGHEST_PROTOCOL))
+                        writer.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                running.append(pid)
+        for reader in readers:
+            data = reader.read()
+            _, status = os.waitpid(running[0], 0)
+            del running[0]
+            if status != 0:
+                raise RuntimeError(
+                    f"crosscheck worker ended with wait status {status}")
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
 def crosscheck(spec: CorpusSpec, probes=DEFAULT_PROBES) -> list[GradReport]:
     """Run every mode on every (program, probe) cell; per-entry failures are
-    recorded in the report rather than raised."""
+    recorded in the report rather than raised.  The programs are checked in
+    forked workers, one per usable CPU, worker j taking programs i = j
+    (mod n); the reports come back in program order, the same as an
+    in-process run, and an exception check_program lets through is raised
+    here.  With one CPU or no os.fork the one share runs in process."""
+    n = min(_usable_cpus(), spec.count)
+    work = partial(_check_share, spec, probes)
+    if n > 1 and hasattr(os, "fork"):
+        shares = _in_workers(work, n)
+    else:
+        n, shares = 1, [work(0, 1)]
     out: list[GradReport] = []
     for i in range(spec.count):
-        out.extend(check_program(random_program(spec, i), i, probes))
+        done, ex = shares[i % n]
+        if i // n == len(done):
+            raise ex
+        out.extend(done[i // n])
     return out
 
 

@@ -1,16 +1,23 @@
 import math
+import os
+import struct
+import subprocess
+import sys
+import time
 
 import pytest
 
 from adlc import gradcheck
 from adlc.gradcheck import (
-    ALL_MODES, MODES, CorpusSpec, DivergenceError, ProgramGradients,
-    check_one, crosscheck, finite_diff, gradient_descent, gradient_fn,
-    primal_fn, random_program, report_json, report_line,
+    ALL_MODES, FORWARD_FAMILY, MODES, CorpusSpec, DivergenceError,
+    ProgramGradients, check_one, check_program, crosscheck, finite_diff,
+    gradient_descent, gradient_fn, primal_fn, random_program, report_json,
+    report_line, same_bits,
 )
 from adlc.syntax import LangError, Lam, Let, Var, parse
 
 QUAD = parse("(lam x (+ (+ (* x x) (* -6.0 x)) 9.0))")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # --- finite differences -----------------------------------------------------
@@ -93,6 +100,96 @@ def test_crosscheck_records_errors_not_raises(monkeypatch):
     monkeypatch.setitem(gradcheck.MODES, "tape", lambda f: boom)
     reports = crosscheck(CorpusSpec(count=2), probes=(1.0,))
     assert all(not r.passed and r.error for r in reports)
+
+
+def test_family_check_compares_bits():
+    # dual lifts the constant product with a +0.0 tangent; forward and
+    # symbolic compute -2*0 + 0*-3 = -0.0
+    reports = check_program(parse("(lam x (* -2.0 -3.0))"), 0, (1.0,))
+    grads = reports[0].grads
+    assert grads["dual"].hex() == "0x0.0p+0"
+    assert grads["forward"].hex() == grads["symbolic"].hex() == "-0x0.0p+0"
+    assert not reports[0].passed and reports[0].error is None
+
+
+def test_family_check_passes_nans_of_equal_bits(monkeypatch):
+    def nan(bits):
+        return lambda f: lambda x: struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    for mode in FORWARD_FAMILY:
+        monkeypatch.setitem(gradcheck.MODES, mode, nan(0x7FF8000000000001))
+    pg = ProgramGradients(QUAD)
+    fwd = [pg.grad(m, 1.0) for m in FORWARD_FAMILY]
+    assert all(v != v for v in fwd) and same_bits(fwd)
+    monkeypatch.setitem(gradcheck.MODES, "dual", nan(0x7FF8000000000002))
+    pg = ProgramGradients(QUAD)
+    assert not same_bits([pg.grad(m, 1.0) for m in FORWARD_FAMILY])
+
+
+# --- crosscheck in forked workers ------------------------------------------------
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_crosscheck_workers_match_in_process(monkeypatch):
+    # three workers over seven programs: uneven shares, reassembled in order
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: 3)
+    spec = CorpusSpec(seed=9, count=7)
+    got = crosscheck(spec)
+    want = [r for i in range(spec.count)
+            for r in check_program(random_program(spec, i), i)]
+    assert [report_line(r) for r in got] == [report_line(r) for r in want]
+    assert ([[v.hex() for v in r.grads.values()] for r in got]
+            == [[v.hex() for v in r.grads.values()] for r in want])
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_crosscheck_raises_what_check_program_lets_through(monkeypatch, cpus):
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: cpus)
+    monkeypatch.setitem(gradcheck.MODES, "tape", lambda f: lambda x: 1 / 0)
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        crosscheck(CorpusSpec(count=5), probes=(1.0,))
+    assert _no_children_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_crosscheck_worker_that_dies_is_an_error(monkeypatch):
+    # worker 0 dies at program 0; worker 1, still running, is killed
+    spec = CorpusSpec(count=4)
+    first = random_program(spec, 0)
+
+    def dying(f):
+        if f == first:
+            os._exit(3)
+        time.sleep(10)
+        return MODES["dual"](f)
+
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(gradcheck.MODES, "forward", dying)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="wait status"):
+        crosscheck(spec, probes=(1.0,))
+    assert time.perf_counter() - t0 < 5.0
+    assert _no_children_left()
+
+
+def test_crosscheck_workers_flush_nothing_of_the_parent():
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "from adlc import gradcheck\n"
+        "gradcheck._usable_cpus = lambda: 2\n"
+        "print('before')\n"
+        "gradcheck.crosscheck(gradcheck.CorpusSpec(count=4), probes=(1.0,))\n"
+        "print('after')\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == "before\nafter\n"
 
 
 def test_report_formats():

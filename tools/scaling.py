@@ -1,6 +1,6 @@
 """Print how the cost of each program transformation, of translating and
-running the gradient programs, and of running staged loops and tree folds in
-ir_eval, grows with size.
+running the gradient programs, of running staged loops and tree folds in
+ir_eval, and of the corpus cross-check grows with size.
 
     python3 tools/scaling.py [--root CHECKOUT]
 
@@ -58,6 +58,21 @@ a fresh child process, so that every size pays for its own memory:
   bits     the gradient's float.hex; c++ rows add "= ir_eval" when the bits
            match the ir_eval row of the same size
 
+Then crosscheck(CorpusSpec(42)) at 50, 100 and 200 programs, each size in
+a fresh child process that runs 3 passes (crosscheck checks the programs
+in forked workers, one per usable CPU):
+
+  wall_s   the median wall time of a pass
+  cpu_s    the median CPU time (user + system) of a pass, the process's
+           own (RUSAGE_SELF) plus that of its reaped children
+           (RUSAGE_CHILDREN), so the workers' work is counted
+  workers  os.fork calls per pass; 0 when the programs are checked in
+           process
+  rss_mb   the child's own peak RSS (VmHWM)
+  wrk_mb   the largest peak RSS of its workers (RUSAGE_CHILDREN
+           ru_maxrss); a forked worker's peak counts the pages it shares
+           with the process that forked it
+
 A build or call that raises prints its exception class in place of its
 numbers.
 The CPS translators nest Python frames per let, so the script raises the
@@ -97,6 +112,7 @@ CHILD_LOOP_SIZES = (10_000, 100_000, 1_000_000)
 CHILD_AS_BYTES = 1 << 30
 CHILD_TIMEOUT_S = 120.0
 CHILD_REPEAT = 5
+CORPUS_SIZES = (50, 100, 200)
 TREE_BODY = "(+ (* v l) (* r 0.75))"
 TREE_DEPTHS = (6, 7, 8, 9, 10, 11, 12)
 X = 1.0  # where run_rows runs the gradient programs
@@ -380,6 +396,51 @@ def loop_child_rows(src: str):
             yield ("c++", "-", type(ex).__name__, "-", "-", "-")
 
 
+# CORPUS_SIZES[k] programs of CorpusSpec(42) through crosscheck, REPEAT
+# passes; prints the median wall and CPU seconds of a pass, os.fork calls
+# per pass, and the process's (VmHWM, as above) and its children's peak RSS
+# in kB.
+_CROSSCHECK_CHILD = """
+import os, resource, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from adlc.gradcheck import CorpusSpec, crosscheck
+forks, fork = 0, os.fork
+def counting_fork():
+    global forks
+    forks += 1
+    return fork()
+os.fork = counting_fork
+def cpu_s():
+    return sum(r.ru_utime + r.ru_stime for r in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+spec, repeat = CorpusSpec(42, count=int(sys.argv[2])), int(sys.argv[3])
+wall, cpu = [], []
+for _ in range(repeat):
+    t0, c0 = time.perf_counter(), cpu_s()
+    crosscheck(spec)
+    wall.append(time.perf_counter() - t0)
+    cpu.append(cpu_s() - c0)
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(statistics.median(wall), statistics.median(cpu), forks // repeat, hwm,
+      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def crosscheck_rows(src: str):
+    """(programs, wall_s, cpu_s, workers, rss_mb, wrk_mb) as printed cells."""
+    for count in CORPUS_SIZES:
+        argv = [sys.executable, "-c", _CROSSCHECK_CHILD, src, str(count), str(REPEAT)]
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+        if r.returncode != 0:
+            yield (str(count), f"exit {r.returncode}", "-", "-", "-", "-")
+            continue
+        wall, cpu, forks, self_kb, children_kb = r.stdout.split()
+        yield (str(count), f"{float(wall):.3f}", f"{float(cpu):.3f}", forks,
+               f"{int(self_kb) / 1024:.1f}",
+               f"{int(children_kb) / 1024:.1f}" if int(forks) else "-")
+
+
 def main() -> None:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -414,6 +475,12 @@ def main() -> None:
         print(f"{'backend':<9}{'n':>9}{'us/iter':>10}{'rss_mb':>9}{'x10':>6}  bits")
         for row in loop_child_rows(src):
             print("{:<9}{:>9}{:>10}{:>9}{:>6}  {}".format(*row), flush=True)
+        print(f"# crosscheck of CorpusSpec(42) in a fresh child per size; the "
+              f"median of {REPEAT} passes, CPU time of the child and its workers")
+        print(f"{'programs':<9}{'wall_s':>8}{'cpu_s':>8}{'workers':>9}{'rss_mb':>8}"
+              f"{'wrk_mb':>8}")
+        for row in crosscheck_rows(src):
+            print("{:<9}{:>8}{:>8}{:>9}{:>8}{:>8}".format(*row), flush=True)
 
     sys.setrecursionlimit(RECURSION_LIMIT)
     threading.stack_size(STACK_BYTES)
