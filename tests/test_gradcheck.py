@@ -128,10 +128,9 @@ def test_family_check_passes_nans_of_equal_bits(monkeypatch):
 
 # --- crosscheck in forked workers ------------------------------------------------
 
-def _no_children_left():
+def _assert_no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 def test_crosscheck_workers_match_in_process(monkeypatch):
@@ -144,7 +143,7 @@ def test_crosscheck_workers_match_in_process(monkeypatch):
     assert [report_line(r) for r in got] == [report_line(r) for r in want]
     assert ([[v.hex() for v in r.grads.values()] for r in got]
             == [[v.hex() for v in r.grads.values()] for r in want])
-    assert _no_children_left()
+    _assert_no_children_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -153,7 +152,7 @@ def test_crosscheck_raises_what_check_program_lets_through(monkeypatch, cpus):
     monkeypatch.setitem(gradcheck.MODES, "tape", lambda f: lambda x: 1 / 0)
     with pytest.raises(ZeroDivisionError, match="division by zero"):
         crosscheck(CorpusSpec(count=5), probes=(1.0,))
-    assert _no_children_left()
+    _assert_no_children_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -174,7 +173,7 @@ def test_crosscheck_worker_that_dies_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError, match="wait status"):
         crosscheck(spec, probes=(1.0,))
     assert time.perf_counter() - t0 < 5.0
-    assert _no_children_left()
+    _assert_no_children_left()
 
 
 def test_crosscheck_workers_flush_nothing_of_the_parent():
