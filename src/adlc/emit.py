@@ -1,16 +1,16 @@
 """Deterministic C-like text from staged IR.
 
 One function per IR function; adjoint cells become double variables passed
-by reference; continuation closures become `kont`/`kont1` handles wrapping a
-call to their named body.  A handle is an intrusively ref-counted pointer to
-one heap copy of the lambda, so copying, assigning or dropping it touches a
+by reference; continuation closures become `kont1` handles wrapping a call
+to their named body.  A handle is an intrusively ref-counted pointer to one
+heap copy of the lambda, so copying, assigning or dropping it touches a
 counter and never the chain of closures it captures.  Closures are never
-mutated, so sharing a body is the same as copying it.  Cells that escape
-into a closure outlive their frame, so those are emitted as ref-counted
-`heap_cell`s, read and written through `*`; everything else stays a plain
-local.
+mutated, so sharing a body is the same as copying it.  A closure takes
+(value, adjoint cell) and captures cells by reference, so `emit_c` refuses
+one that captures a cell made in its own function, which would not outlive
+that function's frame.
 
-A staged loop needs neither: its function is a `for (;;)` whose `Jump`s to
+A staged loop needs no closure: its function is a `for (;;)` whose `Jump`s to
 itself reassign the parameters and `continue` (a cell parameter is rebound
 through a pointer, `d_at` for `d`), and its backward segments are records
 on the tape, a growable array of (segment tag, captures) in the prelude.  An
@@ -21,7 +21,7 @@ function the loop reaches live in a chunked arena (`tape_cell`), so their
 addresses hold until the unwind, which gives back the cells made since the
 mark; the entry frees the tape (one free) and the arena when it returns.  So
 the loop, its unwind and its release never recurse, and a loop-only program
-needs no `kont`.
+needs no `kont1`.
 
 The preludes need no standard header and appear only in programs that use
 them.  Recursive functions are declared up front so the text never needs a
@@ -38,9 +38,9 @@ from .staging import (
 )
 from .syntax import fmt_float
 
-# the C type per symbol kind; a "fun" symbol's depends on its arity
-_TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool"}
-_KONT = {0: "kont", 2: "kont1"}
+# the C type per symbol kind
+_TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool",
+          "fun": "kont1"}
 
 # Header-free on purpose: parsing <functional> and <memory> took about half
 # of the g++ -O2 time of an emitted loop.  The last release of a handle
@@ -63,19 +63,7 @@ template <class... A> struct kont_fn<void(A...)> {
   void operator()(A... a) const { p->call(a...); }
   template <class F> static kont_fn make(const F& f) { return kont_fn(new lam<F>(f)); }
 };
-typedef kont_fn<void()> kont;
 typedef kont_fn<void(double, double&)> kont1;
-"""
-_HEAP_PRELUDE = """\
-struct heap_cell {
-  struct box { long refs; double v; };
-  box* p;
-  explicit heap_cell(double v) : p(new box{1, v}) {}
-  heap_cell(const heap_cell& o) : p(o.p) { ++p->refs; }
-  heap_cell& operator=(const heap_cell&) = delete;
-  ~heap_cell() { if (--p->refs == 0) delete p; }
-  double& operator*() const { return p->v; }
-};
 """
 # The record array grows by doubling; the arena grows by 4096-cell chunks
 # that never move.  g++ and clang know the __builtin_ allocation functions
@@ -139,12 +127,9 @@ def _tape_functions(prog: IRProgram) -> set:
 class _Emitter:
     def __init__(self, prog: IRProgram):
         self.prog = prog
-        self.fun_arity: dict[str, int] = {}
         self.kinds = kinds(prog.functions)
-        # per function: the cells it creates that escape into closures
-        # (emitted on the heap), or, in a function between a tape mark and
-        # its unwind, that escape at all (emitted in the tape's arena)
-        self.heap_cells: dict[str, set] = {}
+        # per function between a tape mark and its unwind: the cells it
+        # creates that escape (emitted in the tape's arena)
         self.tape_cells: dict[str, set] = {}
         self.segments: dict[str, int] = {}  # record function -> tag
         self.uses_tape = False
@@ -153,44 +138,30 @@ class _Emitter:
     def _analyze(self) -> None:
         in_tape = _tape_functions(self.prog)
         for fn in self.prog.functions.values():
-            local, captured, escaping = set(), set(), set()
+            local, escaping = set(), set()
             for s in walk(fn.body):
                 match s:
                     case CellNew(dest, _):
                         local.add(dest)
-                    case ClosureNew(dest, f, captures):
-                        captured.update(captures)
+                    case ClosureNew(_, f, captures):
                         target = self.prog.functions.get(f)
-                        if target is not None:
-                            self.fun_arity[dest] = len(target.params) - len(captures)
-                    case Call(target, args, indirect, unwind):
+                        if target is None or len(target.params) - len(captures) != 2:
+                            raise ValueError(f"cannot emit a closure of arity "
+                                             f"other than 2: {s!r}")
+                        if local.intersection(captures):
+                            raise ValueError(f"cannot emit a closure capturing a cell "
+                                             f"made in {fn.name}: {s!r}")
+                    case Call(_, _, _, unwind):
                         self.uses_tape |= unwind
-                        if indirect:
-                            self.fun_arity.setdefault(target, len(args))
                     case TapePush(f, _):
                         self.uses_tape = True
                         self.segments.setdefault(f, len(self.segments))
                 if type(s) in (Call, Jump, ClosureNew, TapePush):
                     escaping.update(uses(s))
-            if fn.name in in_tape:
-                self.heap_cells[fn.name] = set()
-                self.tape_cells[fn.name] = local & escaping
-            else:
-                self.heap_cells[fn.name] = local & captured
-                self.tape_cells[fn.name] = set()
-        for fn in self.prog.functions.values():
-            for p, k in fn.params:
-                if k == "fun":
-                    self.fun_arity.setdefault(p, 0)
-
-    def kont_type(self, sym: str) -> str:
-        return _KONT.get(self.fun_arity.get(sym, 0), "kont")
-
-    def ctype(self, k: str, sym: str) -> str:
-        return self.kont_type(sym) if k == "fun" else _TYPES[k]
+            self.tape_cells[fn.name] = local & escaping if fn.name in in_tape else set()
 
     def signature(self, fn: IRFunction, ret: str) -> str:
-        params = ", ".join(f"{self.ctype(k, p)} {p}" for p, k in fn.params)
+        params = ", ".join(f"{_TYPES[k]} {p}" for p, k in fn.params)
         return f"{ret} {fn.name}({params})"
 
     def segment_params(self, f: str) -> list:
@@ -217,7 +188,7 @@ class _Emitter:
         return out
 
     def emit_function(self, fn: IRFunction, ret: str, out: list) -> None:
-        heap, arena = self.heap_cells[fn.name], self.tape_cells[fn.name]
+        arena = self.tape_cells[fn.name]
         jumps = any(type(s) is Jump and s.target == fn.name for s in walk(fn.body))
         # a loop's cell parameters, rebound through a pointer by its jumps
         rebound = {p: f"{p}_at" for p, k in fn.params if k == "cell"} if jumps else {}
@@ -231,7 +202,7 @@ class _Emitter:
         def cell_lvalue(sym: str) -> str:
             if sym in rebound:
                 return f"*{rebound[sym]}"
-            return f"*{sym}" if sym in heap or sym in arena else sym
+            return f"*{sym}" if sym in arena else sym
 
         def cell_pointer(sym: str) -> str:
             if sym in rebound:
@@ -255,11 +226,9 @@ class _Emitter:
             return ", ".join(rendered)
 
         def captures_of(lam_caps) -> str:
-            # by-value for everything except plain (non-heap) cells, whose
-            # underlying object outlives the closure's invocation
-            refs = [c for c in lam_caps
-                    if self.kinds.get(c) == "cell" and c not in heap
-                    and c not in arena]
+            # by-value for everything except cells: a captured cell is a
+            # parameter, whose object outlives the closure's calls
+            refs = [c for c in lam_caps if self.kinds.get(c) == "cell"]
             if refs:
                 return "=, " + ", ".join(f"&{c}" for c in refs)
             return "="
@@ -273,7 +242,7 @@ class _Emitter:
             lhs = {p: rebound.get(p, p) for p, _k, _a in moves}
             if not any(a in lhs for _p, _k, a in moves):
                 return [f"{lhs[p]} = {value[p]};" for p, _k, _a in moves]
-            temps = [f"{'double*' if k == 'cell' else self.ctype(k, p)} "
+            temps = [f"{'double*' if k == 'cell' else _TYPES[k]} "
                      f"{p}_next = {value[p]};" for p, k, _a in moves]
             return temps + [f"{lhs[p]} = {p}_next;" for p, _k, _a in moves]
 
@@ -290,8 +259,6 @@ class _Emitter:
                 case CellNew(dest, init):
                     if dest in arena:
                         line(f"double* {dest} = tape_cell({operand(init)});")
-                    elif dest in heap:
-                        line(f"heap_cell {dest}({operand(init)});")
                     else:
                         line(f"double {dest} = {operand(init)};")
                 case CellRead(dest, cell):
@@ -301,18 +268,12 @@ class _Emitter:
                 case CellSet(cell, value):
                     line(f"{cell_lvalue(cell)} = {operand(value)};")
                 case ClosureNew(dest, f, caps):
-                    arity = self.fun_arity.get(dest, 0)
-                    body_args = call_args(f, ["a0", "a1"][:arity], caps) \
-                        if arity else call_args(f, [], caps)
-                    if arity == 2:
-                        line(f"kont1 {dest} = kont1::make([{captures_of(caps)}]"
-                             f"(double a0, double& a1) {{ {f}({body_args}); }});")
-                    else:
-                        line(f"kont {dest} = kont::make([{captures_of(caps)}] "
-                             f"{{ {f}({body_args}); }});")
+                    body_args = call_args(f, ["a0", "a1"], caps)
+                    line(f"kont1 {dest} = kont1::make([{captures_of(caps)}]"
+                         f"(double a0, double& a1) {{ {f}({body_args}); }});")
                 case Call(target, args, indirect, unwind):
                     if indirect:
-                        # a kont1 takes (double, double&): deref heap cells
+                        # a kont1 takes (double, double&)
                         rendered = [operand(a) if i == 0 else cell_argument(a)
                                     for i, a in enumerate(args)]
                         text = f"{target}({', '.join(rendered)});"
@@ -372,11 +333,8 @@ def emit_c(prog: IRProgram) -> str:
     out: list[str] = []
     uses_tree = any(k == "tree" for fn in prog.functions.values()
                     for _, k in fn.params)
-    uses_heap = any(em.heap_cells.values())
-    if em.fun_arity or uses_heap:
+    if "fun" in em.kinds.values():
         out.append(_KONT_PRELUDE)
-        if uses_heap:
-            out.append(_HEAP_PRELUDE)
     if em.uses_tape:
         words = max((len(em.segment_params(f)) for f in em.segments), default=0)
         out.append(_TAPE_PRELUDE % max(words, 1))

@@ -53,12 +53,24 @@ returns, `real_fn` maps its value by the seed its caller passes (the
 continuation of the whole run) and then by each after, the latest first.
 So an operation nests no Python frame.  A run whose operations shift
 delimits every one of them, so its program must not use shift or reset.
+
+`staging` runs programs on this machine over its own values (`Staged`),
+the paper's `NumR` over `Rep[Double]`, through three hooks that only a
+staged value reaches.  `>` on a staged operand returns the stager's guard.
+A case on a guard, and the application of a letrec's function
+(`_Code.loop`) to a staged value, end the run: the stager stages the rest.
+A case hands it two runs, each from the store as it is at the case: the
+rest from the join on, and each branch up to the join, on a copy of the
+code whose join is `(RET, join slot)`.  They share the activation, as
+each instruction writes a slot of its own, and a branch may not assign a
+cell made before the case.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import add, attrgetter, mul
 from typing import Callable, NamedTuple
 
@@ -162,6 +174,12 @@ class Num:
     __slots__ = ()
 
 
+class Staged:
+    """Base class of staging's values, whose stager `.st` the hooks call."""
+
+    __slots__ = ()
+
+
 _REAL = (float, Num)
 
 
@@ -201,7 +219,8 @@ class Store:
 #   (ADD|MUL|GT|PAIR, d, a, b)    (FST|SND|INL|INR|REF|DEREF, d, a)
 #   (ASSIGN, d, cell, v)          (CELLCHK, cell)   check before v runs
 #   (APP, d, f, a)  (TAILAPP, f, a)  (RET, a)  (MOVE, d, a)  (JUMP, pc)
-#   (CASE, scrutinee, left slot, right slot, right pc)
+#   (CASE, scrutinee, left slot, right slot, right pc[, join slot,
+#    pc of the left branch's jump, join pc])   the join when not in tail position
 #   (LAM, d, code, capture slots)
 #   (RESET, d, pc after body)     (SHIFT, d, k slot, pc after body)
 #   (ERR, message)                (HALT,)
@@ -215,12 +234,13 @@ class _Code:
     """One translated lambda body: its instructions and the initial values
     of its locals (constants in place, None elsewhere)."""
 
-    __slots__ = ("instrs", "blank", "captures")
+    __slots__ = ("instrs", "blank", "captures", "loop")
 
     def __init__(self, instrs: tuple, blank: tuple, captures: tuple):
         self.instrs = instrs
         self.blank = blank
         self.captures = captures  # for the top level: the env names
+        self.loop = False  # the body of a letrec's function
 
 
 _HALT_CODE = ((HALT,),)
@@ -301,6 +321,7 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
     position on, and anything else is followed by a return."""
     fn = _Fn(None, param)
     fresh = map("(sugar{})".format, itertools.count()).__next__  # unwritable
+    loops: dict = {}  # id -> lambda of a letrec's function, kept alive
     scope, blank, instrs = fn.scope, fn.blank, fn.instrs
     emit = instrs.append
     work: list = []
@@ -382,6 +403,8 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
                 e, tail = e.body, True
             elif cls is If or cls is Letrec:
                 e = desugar_node(e, fresh)
+                if cls is Letrec:
+                    loops[id(e.bound.body)] = e.bound.body
             elif cls is Reset or cls is Shift:
                 blank.append(None)
                 out.append(len(blank))  # the body, in tail position, adds none
@@ -455,7 +478,7 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             if not t:
                 blank.append(None)
                 d = len(blank)
-            jump: list = []
+            jump = [len(instrs)]  # the case's pc, then the left jump's
             push((_CASE_END, d, jump))
             push((_UNBIND, c.right_name, scope.get(c.right_name, _MISSING)))
             push((_CASE_MID, d, jump, len(instrs), head, c.right_name, rs,
@@ -477,12 +500,15 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             _, d, jump = item
             if d is not None:
                 emit((MOVE, d, out.pop()))
-                instrs[jump[0]] = (JUMP, len(instrs))
+                at, j = jump
+                instrs[j] = (JUMP, len(instrs))
+                instrs[at] += (d, j, len(instrs))
                 out.append(d)
         elif kind == _PATCH:
             instrs[item[1]] = item[2] + (len(instrs),)
         else:  # _LAM_END
             code = fn.finish()
+            code.loop = id(item[1]) in loops
             if fn.unbound:  # its ERR depends on env, and so does the parent's
                 fn.parent.unbound = True
             elif not code.captures:
@@ -518,14 +544,55 @@ def _primal(v):
     return v
 
 
-def _run(code: _Code, act: list, store: Store, afters: list | None = None):
-    """Run translated code from its first instruction in activation act;
-    afters, when given, gets the after of each shifting operation."""
-    frames: list = [(_HALT_CODE, 0, [None], 0, True)]
+def _greater(a, b):
+    """a > b where an operand is not a float: a staged operand's guard, or
+    the primals compared."""
+    s = a if isinstance(a, Staged) else b
+    if isinstance(s, Staged):
+        return s.st.greater(a, b)
+    return InlV(UNIT) if _primal(a) > _primal(b) else InrV(UNIT)
+
+
+def _resume(instrs, pc: int, act: list, slot: int, store: Store,
+            frames: list, x, afters: list):
+    """Write x to act[slot], then run instrs from pc in act over frames."""
+    act[slot] = x
+    return _run(instrs, act, store, afters, pc, frames)
+
+
+def _staged_case(ins, instrs, pc: int, act: list, frames: list, store: Store):
+    """For the case ins on a guard: rest(x, afters), the run from the join
+    on with x joined, and branch(right, afters), which runs a branch up to
+    the join and returns its value (see the module docstring)."""
+    cells = store.cells
+    snap = dict(cells)
+    code, rest = instrs, partial(_resume, _PASS_CODE, 0, [None], 0, store, frames)
+    if len(ins) > 5:  # not in tail position: the join is an instruction
+        d, jump, end = ins[5:]
+        code = list(instrs)
+        code[jump] = code[end] = (RET, d)
+        rest = partial(_resume, instrs, end, act, d, store, frames)
+
+    def branch(right: bool, afters):
+        cells.clear()
+        cells.update(snap)
+        act[ins[3] if right else ins[2]] = UNIT
+        v = _run(code, act, store, afters, ins[4] if right else pc)
+        if any(cells[i] is not c for i, c in snap.items()):
+            raise EvalError("a branch on a staged guard assigns a ref made before it")
+        return v
+
+    return rest, branch
+
+
+def _run(instrs, act: list, store: Store, afters: list | None = None,
+         pc: int = 0, frames: list | None = None):
+    """Run instructions from pc in activation act over the return frames
+    (a stack of its own by default); afters, when given, gets the after of
+    each shifting operation."""
+    frames = [(_HALT_CODE, 0, [None], 0, True)] if frames is None else frames
     push, pop = frames.append, frames.pop
     cells = store.cells
-    instrs = code.instrs
-    pc = 0
     while True:
         ins = instrs[pc]
         pc += 1
@@ -580,6 +647,9 @@ def _run(code: _Code, act: list, store: Store, afters: list | None = None):
                 push((instrs, pc, act, ins[1], False))
                 c = f.code
                 act = [a, *c.blank, *f.vals]
+                if c.loop and isinstance(a, Staged):
+                    return a.st.loop(a, c, None, act, partial(
+                        _resume, c.instrs, 0, act, 0, store, frames))
                 instrs, pc = c.instrs, 0
             elif type(f) is Cont:
                 push((instrs, pc, act, ins[1], True))
@@ -602,8 +672,11 @@ def _run(code: _Code, act: list, store: Store, afters: list | None = None):
             f, a = act[ins[1]], act[ins[2]]
             if type(f) is Closure:
                 c = f.code
-                act = [a, *c.blank, *f.vals]
-                instrs, pc = c.instrs, 0
+                new = [a, *c.blank, *f.vals]
+                if c.loop and isinstance(a, Staged):
+                    return a.st.loop(a, c, act, new, partial(
+                        _resume, c.instrs, 0, new, 0, store, frames))
+                act, instrs, pc = new, c.instrs, 0
             elif type(f) is Cont:
                 push((_PASS_CODE, 0, [None], 0, True))
                 frames.extend(f.resume())
@@ -620,6 +693,8 @@ def _run(code: _Code, act: list, store: Store, afters: list | None = None):
             elif type(v) is InrV:
                 act[ins[3]] = v.value
                 pc = ins[4]
+            elif isinstance(v, Staged):
+                return v.st.case(v, *_staged_case(ins, instrs, pc, act, frames, store))
             else:
                 raise EvalError(f"case on a non-sum: {v!r}")
         elif op == MOVE:
@@ -628,9 +703,10 @@ def _run(code: _Code, act: list, store: Store, afters: list | None = None):
             pc = ins[1]
         elif op == GT:
             a, b = act[ins[2]], act[ins[3]]
-            if type(a) is not float or type(b) is not float:
-                a, b = _primal(a), _primal(b)
-            act[ins[1]] = InlV(UNIT) if a > b else InrV(UNIT)
+            if type(a) is float and type(b) is float:
+                act[ins[1]] = InlV(UNIT) if a > b else InrV(UNIT)
+            else:
+                act[ins[1]] = _greater(a, b)
         elif op == INL:
             act[ins[1]] = InlV(act[ins[2]])
         elif op == INR:
@@ -641,14 +717,15 @@ def _run(code: _Code, act: list, store: Store, afters: list | None = None):
             return act[0]
 
 
-def eval_expr(e: Expr, env: dict | None = None, store: Store | None = None):
-    """Evaluate an expression; returns (value, store).  Names
-    free in e are looked up in env."""
+def eval_expr(e: Expr, env: dict | None = None, store: Store | None = None,
+              afters: list | None = None):
+    """Evaluate an expression; returns (value, store).  Names free in e
+    are looked up in env; afters is as for _run."""
     env = {} if env is None else env
     store = store if store is not None else Store()
     code = _translate(e, env)
     act = [None, *code.blank, *[env[n] for n in code.captures]]
-    return _run(code, act, store), store
+    return _run(code.instrs, act, store, afters), store
 
 
 _INPUT = "(input)"  # a name no parsed program can bind
@@ -664,7 +741,7 @@ def real_fn(prog: Expr):
 
     def run(x, seed=None):
         afters: list = []
-        v = _run(code, [x, *code.blank], Store(), afters)
+        v = _run(code.instrs, [x, *code.blank], Store(), afters)
         if not isinstance(v, _REAL):
             raise EvalError("program did not return a real")
         if seed is not None:

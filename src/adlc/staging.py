@@ -1,9 +1,10 @@
 """Reify reverse-differentiated programs into a first-order ANF-style IR.
 
-Translation-time continuations drive emission: the arithmetic rules emit the
-fused forward/backward statement pattern, a conditional lifts its
-continuation to a named function so the join code exists exactly once, and
-a tree fold becomes a CPS-recursive function over a runtime tree value.
+A program is staged by running it on the CEK machine (`interp`) over staged
+reals: their arithmetic emits the fused forward/backward statement pattern,
+a conditional on a staged guard lifts the rest of the run to a named
+function so the join code exists exactly once, and a tree fold becomes a
+CPS-recursive function over a runtime tree value.
 
 A loop becomes a function whose tail self-call is a `Jump`: the parameters
 are reassigned and the body runs again, with no new activation.  The
@@ -26,12 +27,12 @@ import operator
 from dataclasses import dataclass, field
 from functools import partial
 
+from .interp import _INPUT, EvalError, Shifted, Staged, eval_expr
 from .lang import freshen
-from .runtime import adjoint_rule, later
+from .runtime import _Overloaded, adjoint_rule, later
 from .syntax import (
-    Add, App, Const, Expr, Greater, If, LangError, Lam, Let, Letrec, Mul,
-    NameGen, ParseError, Seq, Unit, Var, all_names, contains_control,
-    map_children, _Parser, _tokenize,
+    App, Const, Expr, LangError, Lam, NameGen, ParseError, Var, all_names,
+    contains_control, map_children, _Parser, _tokenize,
 )
 
 ENTRY = "snippet"
@@ -276,37 +277,56 @@ def ir_cell_op_count(p: IRProgram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Staged values
+# Staged values: the program runs on the CEK machine (`interp`) over them
 
 
-@dataclass(frozen=True)
-class SNum:
-    prim: object  # operand: symbol or literal
-    adj: str  # adjoint cell symbol
+ENDED = object()  # a hook's result: it has staged the rest of its run
+_ARGS = operator.attrgetter("x", "d")  # a staged real's, as call arguments
 
 
-@dataclass(frozen=True)
-class SBool:
-    sym: str
+class SNum(_Overloaded, Staged):
+    """A staged real, the paper's `NumR` over `Rep[Double]`: the IR operand
+    of its primal (a symbol, or a literal), its adjoint cell and its stager.
+    + and * shift, as runtime.RevNum's do (`_Stager.arith`)."""
+
+    __slots__ = ("x", "d", "st")
+    _add = staticmethod(lambda a, b: a.st.arith("add", a, b))
+    _mul = staticmethod(lambda a, b: a.st.arith("mul", a, b))
+
+    def __init__(self, x, d: str, st: _Stager):
+        self.x = x
+        self.d = d
+        self.st = st
+
+    def _lift(self, v):
+        return v if type(v) is SNum else self.st.lift(v)
 
 
-@dataclass(frozen=True)
-class SLoop:
-    fn: str
+class Guard(Staged):
+    """A staged comparison: the symbol of its bool."""
+
+    __slots__ = ("sym", "st")
+
+    def __init__(self, sym: str, st: _Stager):
+        self.sym = sym
+        self.st = st
 
 
 class _Stager:
+    """The IR functions of one staging, the block being emitted into, and
+    what the current run does with its value when it returns one."""
+
     def __init__(self):
         self.counter = 0
         self.functions: dict[str, IRFunction] = {}
         self.block: list = []
+        self.end = None
         self.names: set[str] = set()
+        self.loops: dict = {}  # letrec code -> (its loop, its activation)
 
     def sym(self, prefix: str) -> str:
         self.counter += 1
-        s = f"{prefix}{self.counter}"
-        self.names.add(s)
-        return s
+        return f"{prefix}{self.counter}"  # never a bare name
 
     def named(self, name: str) -> str:
         """Prefer the bare name (matching the shapes in emitted-code
@@ -321,82 +341,40 @@ class _Stager:
 
     def function(self, prefix: str, params: list) -> IRFunction:
         name = prefix
-        if name in self.functions:
+        while name in self.functions:
             self.counter += 1
             name = f"{prefix}{self.counter}"
-            while name in self.functions:
-                self.counter += 1
-                name = f"{prefix}{self.counter}"
-        fn = IRFunction(name, params)
-        self.functions[fn.name] = fn
+        fn = self.functions[name] = IRFunction(name, params)
         return fn
 
-    def segment(self, block: list, thunk) -> None:
-        """Run an emission thunk that appends to block; a loop self-call
-        inside it moves the rest of the thunk's emission into its backward
-        segment."""
-        saved = self.block
-        self.block = block
-        thunk()
-        self.block = saved
+    def of_real(self, prefix: str) -> tuple[IRFunction, SNum]:
+        """A function of one staged real, and that real."""
+        fn = self.function(prefix, [(self.named("x"), "val"), (self.named("d"), "cell")])
+        return fn, SNum(fn.params[0][0], fn.params[1][0], self)
 
-    # -- expression translation ---------------------------------------------
-
-    def num(self, v, what: str) -> SNum:
-        if not isinstance(v, SNum):
+    def lift(self, v, what: str = "operand") -> SNum:
+        if type(v) is float:
+            d = self.sym("d")
+            self.emit(CellNew(d, 0.0))
+            return SNum(v, d, self)
+        if type(v) is not SNum:
             raise StagingError(f"{what} is not a staged real")
         return v
 
-    def translate(self, e: Expr, env: dict, k) -> None:
-        match e:
-            case Const(c):
-                d = self.sym("d")
-                self.emit(CellNew(d, 0.0))
-                k(SNum(c, d))
-            case Var(name):
-                try:
-                    k(env[name])
-                except KeyError:
-                    raise StagingError(f"unbound variable: {name}") from None
-            case Unit():
-                raise StagingError("unit value cannot be staged as a real")
-            case Add(e1, e2) | Mul(e1, e2) | Greater(e1, e2):
-                op = type(e).__name__.lower()
-                self.translate(e1, env, lambda s1: self.translate(
-                    e2, env, lambda s2: self._arith(op, s1, s2, k)))
-            case Let(n, bound, body):
-                self.translate(bound, env,
-                               lambda s: self.translate(body, {**env, n: s}, k))
-            case Seq(a, b):
-                self.translate(a, env, lambda _s: self.translate(b, env, k))
-            case If(g, t, o):
-                self._cond(g, t, o, env, k)
-            case Letrec(fname, Lam(param, fbody), App(Var(callee), arg)) if callee == fname:
-                self._loop(fname, param, fbody, arg, env, k)
-            case Letrec():
-                raise StagingError(
-                    "letrec stages only in loop form: (letrec f (lam x e) (app f e'))")
-            case App(Var(fname), arg) if isinstance(env.get(fname), SLoop):
-                self._self_call(env[fname].fn, arg, env)
-            case _:
-                if contains_control(e):
-                    raise StagingError("shift/reset cannot be staged")
-                raise StagingError(f"form not supported by staging: {e!r}")
-
-    def _arith(self, op: str, s1, s2, k) -> None:
-        """s1 op s2 for op "add", "mul" or "greater", with the rest of the
-        computation k."""
-        what = "guard operand" if op == "greater" else "operand"
-        s1, s2 = self.num(s1, what), self.num(s2, what)
-        v = self.sym("g" if op == "greater" else "v")
-        self.emit(Bind(v, op, (s1.prim, s2.prim)))
-        if op == "greater":
-            return k(SBool(v))
-        d = self.sym("d")
-        self.emit(CellNew(d, 0.0))
-        k(SNum(v, d))
-        # backward, emitted after the rest of the computation
-        adjoint_rule(self, None, op, s1.prim, s1.adj, s2.prim, s2.adj, d)
+    def run(self, block: list, end, go) -> None:
+        """Stage one run into block: go(afters) runs the machine and returns
+        the run's value, which end(value) consumes, or ENDED, when a hook
+        has staged the rest; then each after emits its operation's backward
+        step, the latest first, where the run ended."""
+        saved = self.block, self.end
+        self.block, self.end = block, end
+        afters: list = []
+        v = go(afters)
+        if v is not ENDED:
+            end(v)
+        for after in reversed(afters):
+            after(None)
+        self.block, self.end = saved
 
     # the adjoint rule's medium: statements appended to the current block
     def read(self, _s, cell: str) -> str:
@@ -414,58 +392,62 @@ class _Stager:
 
     seq = staticmethod(later)
 
-    def _cond(self, g: Expr, t: Expr, o: Expr, env: dict, k) -> None:
-        def with_guard(sb):
-            if not isinstance(sb, SBool):
-                raise StagingError("if guard must stage to a comparison")
-            # lift the continuation to a named function so its body is
-            # emitted exactly once
-            kf = self.function("k", [(self.named("x"), "val"),
-                                     (self.named("d"), "cell")])
-            zx, zd = kf.params[0][0], kf.params[1][0]
-            self.segment(kf.body, lambda: k(SNum(zx, zd)))
-            cond = Cond(sb.sym, [], [])
-            self.emit(cond)
+    # what the machine calls on staged values
 
-            def join(s):
-                s = self.num(s, "branch result")
-                self.emit(Call(kf.name, (s.prim, s.adj)))
-            # a partial, not a closure, so a branch nests no extra frame
-            for branch_e, block in ((t, cond.then), (o, cond.orelse)):
-                self.segment(block, partial(self.translate, branch_e, env, join))
+    def arith(self, op: str, a: SNum, b: SNum) -> Shifted:
+        """a op b, op "add" or "mul": its forward statements, and an after
+        that emits its backward step through the one adjoint rule."""
+        v, d = self.sym("v"), self.sym("d")
+        self.emit(Bind(v, op, (a.x, b.x)))
+        self.emit(CellNew(d, 0.0))
+        return Shifted(SNum(v, d, self), lambda _: adjoint_rule(
+            self, None, op, a.x, a.d, b.x, b.d, d))
 
-        self.translate(g, env, with_guard)
+    def greater(self, a, b) -> Guard:
+        if not all(type(v) is float or type(v) is SNum for v in (a, b)):
+            raise EvalError("comparison on non-reals (>)")
+        g = self.sym("g")
+        self.emit(Bind(g, "greater", tuple(v if type(v) is float else v.x
+                                           for v in (a, b))))
+        return Guard(g, self)
 
-    def _loop(self, fname: str, param: str, fbody: Expr, arg: Expr,
-              env: dict, k) -> None:
-        lf = self.function("loop", [(self.named("x"), "val"),
-                                    (self.named("d"), "cell")])
-        x, d = lf.params[0][0], lf.params[1][0]
-        loop_env = {**env, fname: SLoop(lf.name), param: SNum(x, d)}
-        self.segment(lf.body, lambda: self.translate(fbody, loop_env, k))
+    def case(self, g: Guard, rest, branch):
+        """The paper's IF: the rest of the run from the join on, staged once
+        as k(x, d), then a Cond whose branches each end by calling k."""
+        if type(g) is not Guard:
+            raise EvalError("case on a non-sum: a staged real")
+        k, x = self.of_real("k")
+        self.run(k.body, self.end, partial(rest, x))
+        cond = Cond(g.sym, [], [])
+        self.emit(cond)
+        join = lambda v: self.emit(Call(k.name, _ARGS(self.lift(v, "branch result"))))
+        self.run(cond.then, join, partial(branch, False))
+        self.run(cond.orelse, join, partial(branch, True))
+        return ENDED
 
-        def call_site(sa):
-            sa = self.num(sa, "loop argument")
-            self.emit(Call(lf.name, (sa.prim, sa.adj), unwind=True))
-
-        self.translate(arg, env, call_site)
-
-    def _self_call(self, lf_name: str, arg: Expr, env: dict) -> None:
-        """Tail self-call of a staged loop: push this iteration's backward
-        segment onto the tape, then jump as the last statement.  The
-        meta-continuation is not invoked here; the loop's exit branch
-        performs it exactly once."""
-
-        def with_arg(sb):
-            sb = self.num(sb, "loop argument")
+    def loop(self, a, code, caller, act, run):
+        """The paper's FUN, for the application of a letrec's function to a
+        staged value a, from the activation caller (None for a non-tail
+        one) into act.  The first stages the function once, as a loop
+        behind an unwinding call; a tail call from the loop body's own
+        activation is a jump back, after a record that takes the rest of
+        the iteration's backward work."""
+        a = _ARGS(self.lift(a, "loop argument"))
+        name, body = self.loops.get(code, (None, None))
+        if name is None:
+            lf, x = self.of_real("loop")
+            self.loops[code] = lf.name, act
+            self.run(lf.body, self.end, partial(run, x))
+            self.emit(Call(lf.name, a, unwind=True))
+        elif caller is body:
             bw = self.function("loop_bwd", [])
             self.emit(TapePush(bw.name, ()))
-            self.emit(Jump(lf_name, (sb.prim, sb.adj)))
-            # everything emitted after this point is backward work for the
-            # enclosing operations of this iteration
+            self.emit(Jump(name, a))
             self.block = bw.body
-
-        self.translate(arg, env, with_arg)
+        else:
+            raise StagingError(
+                "letrec stages only in loop form: (letrec f (lam x e) (app f e'))")
+        return ENDED
 
 
 # ---------------------------------------------------------------------------
@@ -536,43 +518,38 @@ def _defer_rests(functions: dict) -> None:
                     functions[push.fn].body += copy.deepcopy(rest)
 
 
-def _stage(build) -> IRProgram:
+def _stage(target: Expr, build) -> IRProgram:
+    if contains_control(target):
+        raise StagingError("shift/reset cannot be staged")
     st = _Stager()
-    prog_fns = st.functions
-    build(st)
-    _defer_rests(prog_fns)
-    prog = IRProgram(prog_fns, ENTRY)
+    try:
+        build(st)
+    except EvalError as ex:
+        raise StagingError(str(ex)) from None
+    _defer_rests(st.functions)
+    prog = IRProgram(st.functions, ENTRY)
     _lambda_lift(prog)
     return prog
 
 
 def stage_reverse(f: Expr) -> IRProgram:
-    """Stage the reverse-mode gradient of a one-argument function.  Sugar
-    forms if/letrec drive the conditional and loop generation schemes."""
-    if contains_control(f):
-        raise StagingError("shift/reset cannot be staged")
-    gen = NameGen(all_names(f) | {INPUT})
-    f = freshen(f, gen)
-    if not isinstance(f, Lam):
-        raise StagingError("staging target must be a one-argument lam")
-
+    """Stage the reverse-mode gradient of a one-argument function: run it
+    on the CEK machine over a staged input, the whole language but
+    shift/reset, with `if` and `letrec` on staged reals as the
+    conditional and loop schemes."""
     def build(st: _Stager) -> None:
-        entry = IRFunction(ENTRY, [(INPUT, "val")])
-        st.functions[ENTRY] = entry
+        if not isinstance(f, Lam):
+            raise StagingError("staging target must be a one-argument lam")
+        entry = st.function(ENTRY, [(INPUT, "val")])
         d0 = st.named("d0")
+        entry.body.append(CellNew(d0, 0.0))
+        env = {_INPUT: SNum(INPUT, d0, st)}
+        st.run(entry.body, lambda v: st.emit(CellSet(st.lift(v, "result").d, 1.0)),
+               lambda afters: eval_expr(App(f, Var(_INPUT)), env, None, afters)[0])
+        r = st.sym("r")
+        entry.body += [CellRead(r, d0), Return(r)]
 
-        def body():
-            st.emit(CellNew(d0, 0.0))
-            env = {f.param: SNum(INPUT, d0)}
-            st.translate(f.body, env,
-                         lambda s: st.emit(CellSet(st.num(s, "result").adj, 1.0)))
-            r = st.sym("r")
-            st.emit(CellRead(r, d0))
-            st.emit(Return(r))
-
-        st.segment(entry.body, body)
-
-    return _stage(build)
+    return _stage(f, build)
 
 
 def stage_tree(body: Expr) -> IRProgram:
@@ -583,90 +560,35 @@ def stage_tree(body: Expr) -> IRProgram:
     directly.  The staged program is one IR for all tree shapes: a
     CPS-recursive function traverses the tree value at run time.
     """
-    if contains_control(body):
-        raise StagingError("shift/reset cannot be staged")
-    gen = NameGen(all_names(body) | {INPUT, TREE_LEFT, TREE_RIGHT, TREE_VALUE})
-    body = freshen(body, gen)
-
     def build(st: _Stager) -> None:
-        tree_sym = "tree"
-        entry = IRFunction(ENTRY, [(tree_sym, "tree"), (INPUT, "val")])
-        st.functions[ENTRY] = entry
+        entry = st.function(ENTRY, [("tree", "tree"), (INPUT, "val")])
         d0 = st.named("d0")
+        # the final continuation sets the fold result's adjoint to 1
+        ktop, top = st.of_real("k")
+        ktop.body.append(CellSet(top.d, 1.0))
+        # rec(t, k0): traverse left (k_left), then right (k_right), then combine
+        rec = st.function("rec", [(st.sym("t"), "tree"), (st.sym("k"), "fun")])
+        t, k0 = (p for p, _ in rec.params)
+        (kl, left), (kr, right) = st.of_real("k_left"), st.of_real("k_right")
+        g, tl, c = st.sym("g"), st.sym("t"), st.sym("k")
+        rec.body += [Bind(g, "tree_nonempty", (t,)),
+                     Cond(g, [Bind(tl, "tree_left", (t,)), ClosureNew(c, kl.name, ()),
+                              Call(rec.name, (tl, c))],
+                          [Call(k0, (INPUT, d0), indirect=True)])]
+        tr, c = st.sym("t"), st.sym("k")
+        kl.body += [Bind(tr, "tree_right", (t,)), ClosureNew(c, kr.name, ()),
+                    Call(rec.name, (tr, c))]
+        v, dv = st.sym("v"), st.sym("d")
+        kr.body += [Bind(v, "tree_value", (t,)), CellNew(dv, 0.0)]
+        env = {TREE_LEFT: left, TREE_RIGHT: right, TREE_VALUE: SNum(v, dv, st)}
+        st.run(kr.body, lambda y: st.emit(Call(k0, _ARGS(st.lift(y, "fold result")),
+                                                indirect=True)),
+               lambda afters: eval_expr(body, env, None, afters)[0])
+        c, r = st.sym("k"), st.sym("r")
+        entry.body += [CellNew(d0, 0.0), ClosureNew(c, ktop.name, ()),
+                       Call(rec.name, ("tree", c)), CellRead(r, d0), Return(r)]
 
-        # final continuation: set the fold result's adjoint to 1
-        ktop = st.function("k", [(st.sym("x"), "val"),
-                                 (st.sym("d"), "cell")])
-        ktop.body.append(CellSet(ktop.params[1][0], 1.0))
-
-        # rec(t, k0): traverse left, then right, then combine
-        rec = st.function("rec", [(st.sym("t"), "tree"),
-                                  (st.sym("k"), "fun")])
-        t_p, k0 = rec.params[0][0], rec.params[1][0]
-
-        kl = st.function("k_left", [(st.sym("x"), "val"),
-                                    (st.sym("d"), "cell")])
-        kr = st.function("k_right", [(st.sym("x"), "val"),
-                                     (st.sym("d"), "cell")])
-
-        def rec_body():
-            g = st.sym("g")
-            st.emit(Bind(g, "tree_nonempty", (t_p,)))
-            cond = Cond(g, [], [])
-            st.emit(cond)
-
-            def then():
-                tl = st.sym("t")
-                st.emit(Bind(tl, "tree_left", (t_p,)))
-                c = st.sym("k")
-                st.emit(ClosureNew(c, kl.name, ()))
-                st.emit(Call(rec.name, (tl, c)))
-
-            def orelse():
-                st.emit(Call(k0, (INPUT, d0), indirect=True))
-
-            st.segment(cond.then, then)
-            st.segment(cond.orelse, orelse)
-
-        st.segment(rec.body, rec_body)
-
-        def kl_body():
-            tr = st.sym("t")
-            st.emit(Bind(tr, "tree_right", (t_p,)))
-            c = st.sym("k")
-            st.emit(ClosureNew(c, kr.name, ()))
-            st.emit(Call(rec.name, (tr, c)))
-
-        st.segment(kl.body, kl_body)
-
-        def kr_body():
-            v0 = st.sym("v")
-            st.emit(Bind(v0, "tree_value", (t_p,)))
-            dv = st.sym("d")
-            st.emit(CellNew(dv, 0.0))
-            env = {
-                TREE_LEFT: SNum(kl.params[0][0], kl.params[1][0]),
-                TREE_RIGHT: SNum(kr.params[0][0], kr.params[1][0]),
-                TREE_VALUE: SNum(v0, dv),
-            }
-            st.translate(body, env, lambda s: st.emit(
-                Call(k0, (st.num(s, "fold result").prim,
-                          st.num(s, "fold result").adj), indirect=True)))
-
-        st.segment(kr.body, kr_body)
-
-        def entry_body():
-            st.emit(CellNew(d0, 0.0))
-            c = st.sym("k")
-            st.emit(ClosureNew(c, ktop.name, ()))
-            st.emit(Call(rec.name, (tree_sym, c)))
-            r = st.sym("r")
-            st.emit(CellRead(r, d0))
-            st.emit(Return(r))
-
-        st.segment(entry.body, entry_body)
-
-    return _stage(build)
+    return _stage(body, build)
 
 
 # ---------------------------------------------------------------------------

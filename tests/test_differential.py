@@ -59,21 +59,26 @@ def test_fuzz_branching_programs_transform_agreement():
 
 
 def test_fuzz_staged_branching_bitwise_vs_unstaged():
+    # staging runs the whole language but shift/reset, so every feature
+    # case and fuzz family stages: pairs, sums, refs, closures, branches
     from adlc.ir_eval import ir_eval
     from adlc.ir_opt import ir_optimize
     from adlc.reverse import grad_reverse
     from adlc.staging import stage_reverse
 
+    programs = [parse(src) for src, _ in FEATURE_CASES]
+    for seed in FUZZ:
+        programs += fuzz_programs(seed)
     checked = 0
-    for f in fuzz_programs(5521):
+    for f in programs:
         p = stage_reverse(f)
         po = ir_optimize(p)
         for x in PROBES:
-            want = grad_reverse(f, x, "meta-shift")
-            assert ir_eval(p, x) == want
-            assert ir_eval(po, x) == want
+            want = grad_reverse(f, x, "meta-shift").hex()
+            assert ir_eval(p, x).hex() == want, (pretty(f), x)
+            assert ir_eval(po, x).hex() == want, (pretty(f), x)
             checked += 1
-    assert checked == 360
+    assert checked == 6 * (len(FEATURE_CASES) + sum(n for n, _, _ in FUZZ.values()))
 
 
 def test_runtimes_run_control_flow_bitwise_with_their_families():

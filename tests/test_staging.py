@@ -13,13 +13,15 @@ from adlc.gradcheck import CorpusSpec, random_program
 from adlc.ir_eval import IREvalError, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
+from adlc.runtime import grad_tape_expr
 from adlc.staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
     IRFunction, IRProgram, Jump, Return, StagingError, TreeData, ir_cell_op_count,
     ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
-from adlc.syntax import parse
-from scaling import frames_in_use
+from adlc.syntax import Add, Const, Lam, Mul, Var, parse
+from fuzz import FEATURE_CASES
+from scaling import frames_in_use, seeded_chain
 
 SQUARE = parse("(lam x (* x x))")
 IF_EXAMPLE = parse("(lam x (if (> x 0.0) (* (* -1.0 x) x) (* x x)))")
@@ -206,9 +208,59 @@ def test_depth_limit_enforced():
 
 
 def test_letrec_non_loop_rejected():
-    bad = parse("(lam x (letrec f (lam t t) (+ (app f x) 1.0)))")
+    # a letrec whose body never calls itself is a loop of one iteration,
+    # and its result flows on into the rest of the program
+    once = parse("(lam x (letrec f (lam t t) (+ (app f x) 1.0)))")
+    p = stage_reverse(once)
+    for x in (2.0, -0.5):
+        assert ir_eval(p, x).hex() == grad_reverse(once, x, "meta-shift").hex()
+    # a self-call whose result the body still uses is not a loop
+    bad = parse("(lam x (letrec f (lam t (if (> t 1.0) (+ 1.0 (app f (* t 0.5))) t))"
+                " (app f x)))")
     with pytest.raises(StagingError, match="loop form"):
         stage_reverse(bad)
+
+
+def test_staged_branch_may_not_assign_an_older_ref():
+    # the rest after the join is staged once, from the store as it was at
+    # the case, so a branch may not change a ref that the rest can read
+    f = parse("(lam x (let r (ref 0.0) (+ (if (> x 0.0) (seq (assign r (* x x)) x) x)"
+              " (deref r))))")
+    with pytest.raises(StagingError, match="assigns a ref made before it"):
+        stage_reverse(f)
+    # a ref made inside the branch is the branch's own
+    f = parse("(lam x (if (> x 0.0) (let r (ref x) (seq (assign r (* x x)) (deref r))) x))")
+    p = stage_reverse(f)
+    for x in (2.0, -2.0):
+        assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+
+
+def test_staged_branch_reads_a_ref_as_it_was_at_the_case():
+    # the rest, staged before the branches, assigns r; each branch still
+    # reads the value r held at the case (3x or x, not 5)
+    f = parse("(lam x (let r (ref x) (let y (if (> x 0.0) (* (deref r) 3.0) (deref r))"
+              " (seq (assign r 5.0) (* y (deref r))))))")
+    p = stage_reverse(f)
+    for x in (2.0, -2.0):
+        assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+    assert [ir_eval(p, x) for x in (2.0, -2.0)] == [15.0, 5.0]
+
+
+def test_stage_reverse_runs_deep_inputs_on_the_machines_stack():
+    # the machine's explicit stacks carry the nesting, so a 10^4-op chain
+    # and a 10^4-deep nest stage within 1000 frames of this test's own
+    nest = Var("x")
+    for i in range(10_000):
+        nest = Add(Var("x"), nest) if i % 2 else Mul(nest, Const(1.0001))
+    progs = (seeded_chain(10_000), Lam("x", nest))
+    xs = (0.5, -1.25)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames_in_use() + 1000)
+    try:
+        got = [[ir_eval(stage_reverse(f), x).hex() for x in xs] for f in progs]
+    finally:
+        sys.setrecursionlimit(saved)
+    assert got == [[grad_tape_expr(f, x).hex() for x in xs] for f in progs]
 
 
 def test_staging_rejects_control():
@@ -462,6 +514,21 @@ def test_emit_lf_and_indent():
     assert any(line.startswith("  ") for line in txt.split("\n"))
 
 
+def test_emit_rejects_closures_it_cannot_emit():
+    # a closure is a kont1 of (value, adjoint cell) that captures cells by
+    # reference, so one of another arity, of an unknown function, or that
+    # captures a cell made in its own function is refused, not miscompiled
+    k = ([("x", "val"), ("d", "cell"), ("c", "cell")], [CellAccum("c", "x")])
+    cases = [("made in snippet", _entry(CellNew("c", 0.0), ClosureNew("f", "k", ("c",)),
+                                        Call("f", ("in", "c"), indirect=True),
+                                        Return("in"), k=k)),
+             ("arity other than 2", _entry(ClosureNew("f", "k", ()), Return("in"), k=k)),
+             ("arity other than 2", _entry(ClosureNew("f", "nope", ()), Return("in")))]
+    for text, p in cases:
+        with pytest.raises(ValueError, match=text):
+            emit_c(p)
+
+
 LOOP_COMPOSITES = {
     "loop-then-square": "(lam x (let z (letrec f (lam t (if (> t 1.0)"
                         " (app f (* t 0.5)) t)) (app f x)) (* z z)))",
@@ -576,6 +643,11 @@ def test_emitted_code_compiles_and_runs(tmp_path):
     for i, name in enumerate(sorted(LOOP_COMPOSITES)):
         cases.append((f"opt{i}", ir_optimize(stage_reverse(parse(LOOP_COMPOSITES[name]))),
                       (8.0, 37.5, 0.3, 100.0, 3.0), None))
+    # pairs, sums, refs, closures and compound guards, staged away
+    for i, (src, _) in enumerate(FEATURE_CASES):
+        p = stage_reverse(parse(src))
+        cases += [(f"feature{i}", p, (2.0, -0.5, 0.0), None),
+                  (f"feature{i}_opt", ir_optimize(p), (2.0, -0.5, 0.0), None)]
     parts, body, want = [], [], []
     for ns, prog, probes, tree in cases:
         parts.append(f"namespace {ns} {{\n{emit_c(prog)}}}\n")

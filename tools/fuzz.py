@@ -39,7 +39,7 @@ FEATURE_CASES = [
 FUZZ = {
     1318: (120, 4, dict(with_if=False)),  # smooth: finite differences apply
     97: (120, 4, dict(with_if=True)),  # branching
-    5521: (60, 3, dict(with_if=True, with_pairs=False)),  # stageable
+    5521: (60, 3, dict(with_if=True, with_pairs=False)),  # branching, no pairs
 }
 
 
