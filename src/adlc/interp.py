@@ -54,11 +54,12 @@ continuation of the whole run) and then by each after, the latest first.
 So an operation nests no Python frame.  A run whose operations shift
 delimits every one of them, so its program must not use shift or reset.
 
-`staging` runs programs on this machine over its own values (`Staged`),
-the paper's `NumR` over `Rep[Double]`, through three hooks that only a
-staged value reaches.  `>` on a staged operand returns the stager's guard.
-A case on a guard, and the application of a letrec's function
-(`_Code.loop`) to a staged value, end the run: the stager stages the rest.
+`staging` runs programs on this machine over its own numbers, the paper's
+`NumR` over `Rep[Double]`, in a store that holds its stager (`.stager`),
+through three hooks that only such a store reaches.  `>` on an operand
+that is not a float returns the stager's guard.  A case on a value that is
+not a sum, and any application of a letrec's function (`_Code.loop`), end
+the run: the stager stages the rest.
 A case hands it two runs, each from the store as it is at the case: the
 rest from the join on, and each branch up to the join, on a copy of the
 code whose join is `(RET, join slot)`.  They share the activation, as
@@ -174,12 +175,6 @@ class Num:
     __slots__ = ()
 
 
-class Staged:
-    """Base class of staging's values, whose stager `.st` the hooks call."""
-
-    __slots__ = ()
-
-
 _REAL = (float, Num)
 
 
@@ -197,9 +192,10 @@ class Shifted(NamedTuple):
 class Store:
     """Cell heap; ids are never reused within one evaluation."""
 
-    def __init__(self):
+    def __init__(self, stager=None):
         self.next_id = 0
         self.cells: dict[int, object] = {}
+        self.stager = stager  # staging's, whose hooks the machine calls
 
     def alloc(self, v) -> Cell:
         cid = self.next_id
@@ -209,9 +205,6 @@ class Store:
 
     def read(self, c: Cell):
         return self.cells[c.id]
-
-    def write(self, c: Cell, v) -> None:
-        self.cells[c.id] = v
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +537,6 @@ def _primal(v):
     return v
 
 
-def _greater(a, b):
-    """a > b where an operand is not a float: a staged operand's guard, or
-    the primals compared."""
-    s = a if isinstance(a, Staged) else b
-    if isinstance(s, Staged):
-        return s.st.greater(a, b)
-    return InlV(UNIT) if _primal(a) > _primal(b) else InrV(UNIT)
-
-
 def _resume(instrs, pc: int, act: list, slot: int, store: Store,
             frames: list, x, afters: list):
     """Write x to act[slot], then run instrs from pc in act over frames."""
@@ -566,7 +550,8 @@ def _staged_case(ins, instrs, pc: int, act: list, frames: list, store: Store):
     the join and returns its value (see the module docstring)."""
     cells = store.cells
     snap = dict(cells)
-    code, rest = instrs, partial(_resume, _PASS_CODE, 0, [None], 0, store, frames)
+    code = instrs
+    rest = partial(_resume, _PASS_CODE, 0, [None], 0, store, frames)
     if len(ins) > 5:  # not in tail position: the join is an instruction
         d, jump, end = ins[5:]
         code = list(instrs)
@@ -593,6 +578,7 @@ def _run(instrs, act: list, store: Store, afters: list | None = None,
     frames = [(_HALT_CODE, 0, [None], 0, True)] if frames is None else frames
     push, pop = frames.append, frames.pop
     cells = store.cells
+    stager = store.stager
     while True:
         ins = instrs[pc]
         pc += 1
@@ -647,8 +633,8 @@ def _run(instrs, act: list, store: Store, afters: list | None = None,
                 push((instrs, pc, act, ins[1], False))
                 c = f.code
                 act = [a, *c.blank, *f.vals]
-                if c.loop and isinstance(a, Staged):
-                    return a.st.loop(a, c, None, act, partial(
+                if c.loop and stager is not None:
+                    return stager.loop(a, c, None, act, partial(
                         _resume, c.instrs, 0, act, 0, store, frames))
                 instrs, pc = c.instrs, 0
             elif type(f) is Cont:
@@ -673,8 +659,8 @@ def _run(instrs, act: list, store: Store, afters: list | None = None,
             if type(f) is Closure:
                 c = f.code
                 new = [a, *c.blank, *f.vals]
-                if c.loop and isinstance(a, Staged):
-                    return a.st.loop(a, c, act, new, partial(
+                if c.loop and stager is not None:
+                    return stager.loop(a, c, act, new, partial(
                         _resume, c.instrs, 0, new, 0, store, frames))
                 act, instrs, pc = new, c.instrs, 0
             elif type(f) is Cont:
@@ -693,8 +679,8 @@ def _run(instrs, act: list, store: Store, afters: list | None = None,
             elif type(v) is InrV:
                 act[ins[3]] = v.value
                 pc = ins[4]
-            elif isinstance(v, Staged):
-                return v.st.case(v, *_staged_case(ins, instrs, pc, act, frames, store))
+            elif stager is not None:
+                return stager.case(v, *_staged_case(ins, instrs, pc, act, frames, store))
             else:
                 raise EvalError(f"case on a non-sum: {v!r}")
         elif op == MOVE:
@@ -705,8 +691,10 @@ def _run(instrs, act: list, store: Store, afters: list | None = None,
             a, b = act[ins[2]], act[ins[3]]
             if type(a) is float and type(b) is float:
                 act[ins[1]] = InlV(UNIT) if a > b else InrV(UNIT)
+            elif stager is not None:
+                act[ins[1]] = stager.greater(a, b)
             else:
-                act[ins[1]] = _greater(a, b)
+                act[ins[1]] = InlV(UNIT) if _primal(a) > _primal(b) else InrV(UNIT)
         elif op == INL:
             act[ins[1]] = InlV(act[ins[2]])
         elif op == INR:

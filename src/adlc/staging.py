@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import partial
 
-from .interp import _INPUT, EvalError, Shifted, Staged, eval_expr
+from .interp import _INPUT, EvalError, Shifted, Store, _primal, eval_expr
 from .lang import freshen
 from .runtime import _Overloaded, adjoint_rule, later
 from .syntax import (
@@ -284,7 +284,7 @@ ENDED = object()  # a hook's result: it has staged the rest of its run
 _ARGS = operator.attrgetter("x", "d")  # a staged real's, as call arguments
 
 
-class SNum(_Overloaded, Staged):
+class SNum(_Overloaded):
     """A staged real, the paper's `NumR` over `Rep[Double]`: the IR operand
     of its primal (a symbol, or a literal), its adjoint cell and its stager.
     + and * shift, as runtime.RevNum's do (`_Stager.arith`)."""
@@ -301,15 +301,17 @@ class SNum(_Overloaded, Staged):
     def _lift(self, v):
         return v if type(v) is SNum else self.st.lift(v)
 
+    def __repr__(self):
+        return "a staged real"
 
-class Guard(Staged):
+
+class Guard:
     """A staged comparison: the symbol of its bool."""
 
-    __slots__ = ("sym", "st")
+    __slots__ = ("sym",)
 
-    def __init__(self, sym: str, st: _Stager):
+    def __init__(self, sym: str):
         self.sym = sym
-        self.st = st
 
 
 class _Stager:
@@ -322,7 +324,8 @@ class _Stager:
         self.block: list = []
         self.end = None
         self.names: set[str] = set()
-        self.loops: dict = {}  # letrec code -> (its loop, its activation)
+        self.loops: dict = {}  # letrec code -> its loop, activation, cells at entry
+        self.store = Store(self)
 
     def sym(self, prefix: str) -> str:
         self.counter += 1
@@ -344,7 +347,8 @@ class _Stager:
         while name in self.functions:
             self.counter += 1
             name = f"{prefix}{self.counter}"
-        fn = self.functions[name] = IRFunction(name, params)
+        fn = IRFunction(name, params)
+        self.functions[name] = fn
         return fn
 
     def of_real(self, prefix: str) -> tuple[IRFunction, SNum]:
@@ -397,25 +401,24 @@ class _Stager:
     def arith(self, op: str, a: SNum, b: SNum) -> Shifted:
         """a op b, op "add" or "mul": its forward statements, and an after
         that emits its backward step through the one adjoint rule."""
-        v, d = self.sym("v"), self.sym("d")
+        v = self.sym("v")
+        d = self.sym("d")
         self.emit(Bind(v, op, (a.x, b.x)))
         self.emit(CellNew(d, 0.0))
         return Shifted(SNum(v, d, self), lambda _: adjoint_rule(
             self, None, op, a.x, a.d, b.x, b.d, d))
 
     def greater(self, a, b) -> Guard:
-        if not all(type(v) is float or type(v) is SNum for v in (a, b)):
-            raise EvalError("comparison on non-reals (>)")
-        g = self.sym("g")
-        self.emit(Bind(g, "greater", tuple(v if type(v) is float else v.x
-                                           for v in (a, b))))
-        return Guard(g, self)
+        g = Guard(self.sym("g"))
+        self.emit(Bind(g.sym, "greater", tuple(v.x if type(v) is SNum else _primal(v)
+                                               for v in (a, b))))
+        return g
 
     def case(self, g: Guard, rest, branch):
         """The paper's IF: the rest of the run from the join on, staged once
         as k(x, d), then a Cond whose branches each end by calling k."""
         if type(g) is not Guard:
-            raise EvalError("case on a non-sum: a staged real")
+            raise EvalError(f"case on a non-sum: {g!r}")
         k, x = self.of_real("k")
         self.run(k.body, self.end, partial(rest, x))
         cond = Cond(g.sym, [], [])
@@ -426,27 +429,29 @@ class _Stager:
         return ENDED
 
     def loop(self, a, code, caller, act, run):
-        """The paper's FUN, for the application of a letrec's function to a
-        staged value a, from the activation caller (None for a non-tail
-        one) into act.  The first stages the function once, as a loop
-        behind an unwinding call; a tail call from the loop body's own
-        activation is a jump back, after a record that takes the rest of
-        the iteration's backward work."""
+        """The paper's FUN, for the application of a letrec's function to
+        a, a staged real or a float, from the activation caller (None for a
+        non-tail one) into act.  The first stages the function once, as a
+        loop behind an unwinding call, from the store as it is then; a tail
+        call from the loop body's own activation is a jump back, after a
+        record that takes the rest of the iteration's backward work."""
         a = _ARGS(self.lift(a, "loop argument"))
-        name, body = self.loops.get(code, (None, None))
+        name, body, cells = self.loops.get(code, (None, None, None))
         if name is None:
             lf, x = self.of_real("loop")
-            self.loops[code] = lf.name, act
+            self.loops[code] = lf.name, act, dict(self.store.cells)
             self.run(lf.body, self.end, partial(run, x))
             self.emit(Call(lf.name, a, unwind=True))
-        elif caller is body:
+        elif caller is not body:
+            raise StagingError(
+                "letrec stages only in loop form: (letrec f (lam x e) (app f e'))")
+        elif any(self.store.cells[i] is not c for i, c in cells.items()):
+            raise StagingError("a loop body assigns a ref made before the loop")
+        else:
             bw = self.function("loop_bwd", [])
             self.emit(TapePush(bw.name, ()))
             self.emit(Jump(name, a))
             self.block = bw.body
-        else:
-            raise StagingError(
-                "letrec stages only in loop form: (letrec f (lam x e) (app f e'))")
         return ENDED
 
 
@@ -545,7 +550,7 @@ def stage_reverse(f: Expr) -> IRProgram:
         entry.body.append(CellNew(d0, 0.0))
         env = {_INPUT: SNum(INPUT, d0, st)}
         st.run(entry.body, lambda v: st.emit(CellSet(st.lift(v, "result").d, 1.0)),
-               lambda afters: eval_expr(App(f, Var(_INPUT)), env, None, afters)[0])
+               lambda afters: eval_expr(App(f, Var(_INPUT)), env, st.store, afters)[0])
         r = st.sym("r")
         entry.body += [CellRead(r, d0), Return(r)]
 
@@ -567,24 +572,29 @@ def stage_tree(body: Expr) -> IRProgram:
         ktop, top = st.of_real("k")
         ktop.body.append(CellSet(top.d, 1.0))
         # rec(t, k0): traverse left (k_left), then right (k_right), then combine
-        rec = st.function("rec", [(st.sym("t"), "tree"), (st.sym("k"), "fun")])
-        t, k0 = (p for p, _ in rec.params)
-        (kl, left), (kr, right) = st.of_real("k_left"), st.of_real("k_right")
-        g, tl, c = st.sym("g"), st.sym("t"), st.sym("k")
-        rec.body += [Bind(g, "tree_nonempty", (t,)),
-                     Cond(g, [Bind(tl, "tree_left", (t,)), ClosureNew(c, kl.name, ()),
-                              Call(rec.name, (tl, c))],
-                          [Call(k0, (INPUT, d0), indirect=True)])]
-        tr, c = st.sym("t"), st.sym("k")
+        t = st.sym("t")
+        k0 = st.sym("k")
+        rec = st.function("rec", [(t, "tree"), (k0, "fun")])
+        kl, left = st.of_real("k_left")
+        kr, right = st.of_real("k_right")
+        g = st.sym("g")
+        rec.body.append(Bind(g, "tree_nonempty", (t,)))
+        tl = st.sym("t")
+        c = st.sym("k")
+        then = [Bind(tl, "tree_left", (t,)), ClosureNew(c, kl.name, ()), Call(rec.name, (tl, c))]
+        rec.body.append(Cond(g, then, [Call(k0, (INPUT, d0), indirect=True)]))
+        tr = st.sym("t")
+        c = st.sym("k")
         kl.body += [Bind(tr, "tree_right", (t,)), ClosureNew(c, kr.name, ()),
                     Call(rec.name, (tr, c))]
-        v, dv = st.sym("v"), st.sym("d")
+        v = st.sym("v")
+        dv = st.sym("d")
         kr.body += [Bind(v, "tree_value", (t,)), CellNew(dv, 0.0)]
         env = {TREE_LEFT: left, TREE_RIGHT: right, TREE_VALUE: SNum(v, dv, st)}
-        st.run(kr.body, lambda y: st.emit(Call(k0, _ARGS(st.lift(y, "fold result")),
-                                                indirect=True)),
-               lambda afters: eval_expr(body, env, None, afters)[0])
-        c, r = st.sym("k"), st.sym("r")
+        fold_end = lambda y: st.emit(Call(k0, _ARGS(st.lift(y, "fold result")), indirect=True))
+        st.run(kr.body, fold_end, lambda afters: eval_expr(body, env, st.store, afters)[0])
+        c = st.sym("k")
+        r = st.sym("r")
         entry.body += [CellNew(d0, 0.0), ClosureNew(c, ktop.name, ()),
                        Call(rec.name, ("tree", c)), CellRead(r, d0), Return(r)]
 

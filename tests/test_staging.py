@@ -246,6 +246,38 @@ def test_staged_branch_reads_a_ref_as_it_was_at_the_case():
     assert [ir_eval(p, x) for x in (2.0, -2.0)] == [15.0, 5.0]
 
 
+def test_staged_loop_body_may_not_assign_an_older_ref():
+    # the body is staged once, from the store as it was at the loop's first
+    # application, so an iteration may not change a ref the next one reads
+    # (staged silently, this gave 1.0 at x = 4, where the sum is 7.0)
+    f = parse("(lam x (let r (ref 0.0) (letrec f (lam t (seq (assign r (+ (deref r) t))"
+              " (if (> t 1.0) (app f (* t 0.5)) (deref r)))) (app f x))))")
+    with pytest.raises(StagingError, match="assigns a ref made before the loop"):
+        stage_reverse(f)
+    # reading an older ref, and assigning one the iteration makes, are fine
+    for src in ("(lam x (let r (ref 3.0) (letrec f (lam t (if (> t 1.0)"
+                " (app f (* t (* (deref r) 0.25))) (* t (deref r)))) (app f x))))",
+                "(lam x (letrec f (lam t (let s (ref t) (seq (assign s (* (deref s) 0.5))"
+                " (if (> t 1.0) (app f (deref s)) (deref s))))) (app f x)))"):
+        f = parse(src)
+        p = stage_reverse(f)
+        for x in (5.0, 0.5):
+            assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+
+
+def test_staged_loop_lifts_a_literal_argument():
+    # the guard is staged but the argument is a literal: the loop is still
+    # staged once, not unrolled without bound
+    f = parse("(lam x (letrec f (lam n (if (> x n) (app f (+ n 1.0)) (* n x))) (app f 0.0)))")
+    p = stage_reverse(f)
+    for x in (3.5, -1.0, 0.25):
+        assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+    pair = parse("(lam x (letrec f (lam p (if (> (fst p) 1.0) (app f (pair (* (fst p) 0.5)"
+                 " 0.0)) (fst p))) (app f (pair x 0.0))))")
+    with pytest.raises(StagingError, match="loop argument is not a staged real"):
+        stage_reverse(pair)
+
+
 def test_stage_reverse_runs_deep_inputs_on_the_machines_stack():
     # the machine's explicit stacks carry the nesting, so a 10^4-op chain
     # and a 10^4-deep nest stage within 1000 frames of this test's own
