@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("codegen", help="stage, optimize and emit C-like text")
     sp.add_argument("--opt", choices=("none", "all"), default="all")
-    sp.add_argument("--tree", help="treat the program as a tree-fold body")
+    sp.add_argument("--tree", action="store_true",
+                    help="treat the program as a tree-fold body")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("file")
 

@@ -32,7 +32,7 @@ LF line endings.
 from __future__ import annotations
 
 from .staging import (
-    OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
+    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
     IRFunction, IRProgram, Jump, Return, TapePush, kinds, reachable, uses,
     walk,
 )
@@ -253,7 +253,7 @@ class _Emitter:
                 out.append(pad + text)
 
             match s:
-                case Bind(dest, op, args):
+                case Bind(dest, op, args) if ARITY.get(op) == len(args):
                     kind, _, text = OPS[op]
                     line(f"{_TYPES[kind]} {dest} = {text.format(*map(operand, args))};")
                 case CellNew(dest, init):

@@ -14,10 +14,11 @@ Correspondence between Evaluators and Abstract Machines", PPDP 2003):
   the values it captures when it is created;
 - the continuation is an explicit stack of return frames
   (code, pc, activation, result slot, is-delimiter), so nesting depth costs
-  no Python stack.  `reset` pushes a delimiter; `shift` moves the frames
-  above the nearest delimiter, plus its own return point, into a
-  continuation value; applying that value pushes a delimiter and the frames
-  back.
+  no Python stack.  A case that is not in tail position pushes the frame
+  of its join, and each of its branches returns to it.  `reset` pushes a
+  delimiter; `shift` moves the frames above the nearest delimiter, plus its
+  own return point, into a continuation value; applying that value pushes
+  a delimiter and the frames back.
 
 Each instruction runs at most once in an activation and writes a slot of
 its own, so the first resumption of a continuation can run in the
@@ -60,11 +61,10 @@ through three hooks that only such a store reaches.  `>` on an operand
 that is not a float returns the stager's guard.  A case on a value that is
 not a sum, and any application of a letrec's function (`_Code.loop`), end
 the run: the stager stages the rest.
-A case hands it two runs, each from the store as it is at the case: the
-rest from the join on, and each branch up to the join, on a copy of the
-code whose join is `(RET, join slot)`.  They share the activation, as
-each instruction writes a slot of its own, and a branch may not assign a
-cell made before the case.
+A case hands it the rest, which returns its value to the frames (to the
+join's, when the case is not in tail position), and a run of each branch
+from its pc over a fresh frame stack, which returns at the branch's end.
+They share the activation, as each instruction writes a slot of its own.
 """
 
 from __future__ import annotations
@@ -211,16 +211,17 @@ class Store:
 # Instructions.  `d` is the result slot; every other operand is a slot.
 #   (ADD|MUL|GT|PAIR, d, a, b)    (FST|SND|INL|INR|REF|DEREF, d, a)
 #   (ASSIGN, d, cell, v)          (CELLCHK, cell)   check before v runs
-#   (APP, d, f, a)  (TAILAPP, f, a)  (RET, a)  (MOVE, d, a)  (JUMP, pc)
-#   (CASE, scrutinee, left slot, right slot, right pc[, join slot,
-#    pc of the left branch's jump, join pc])   the join when not in tail position
+#   (APP, d, f, a)  (TAILAPP, f, a)  (RET, a)
+#   (CASE, scrutinee, left slot, right slot, right pc[, join slot, join pc])
+#     not in tail position, it pushes the return frame of its join, and
+#     each branch ends with a RET to it
 #   (LAM, d, code, capture slots)
 #   (RESET, d, pc after body)     (SHIFT, d, k slot, pc after body)
 #   (ERR, message)                (HALT,)
 
 # numbered, and tested in _run, by how often the gradient programs run them
 (SND, DEREF, FST, ADD, MUL, ASSIGN, PAIR, CELLCHK, REF, RET, APP, LAM, SHIFT,
- TAILAPP, RESET, CASE, MOVE, JUMP, GT, INL, INR, ERR, HALT) = range(23)
+ TAILAPP, RESET, CASE, GT, INL, INR, ERR, HALT) = range(21)
 
 
 class _Code:
@@ -462,7 +463,7 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             _, e, tail = item
         elif kind == _CASE:
             # left branch, then the right one; a non-tail case joins in d,
-            # and `jump` receives the left branch's jump over the right one
+            # to which each branch returns
             _, c, t = item
             blank.extend((None, None))
             ls, rs = len(blank) - 1, len(blank)
@@ -471,31 +472,26 @@ def _translate(e: Expr, env, param: str | None = None) -> _Code:
             if not t:
                 blank.append(None)
                 d = len(blank)
-            jump = [len(instrs)]  # the case's pc, then the left jump's
-            push((_CASE_END, d, jump))
+            at = len(instrs)
+            push((_CASE_END, at, d))
             push((_UNBIND, c.right_name, scope.get(c.right_name, _MISSING)))
-            push((_CASE_MID, d, jump, len(instrs), head, c.right_name, rs,
-                  c.right_body))
+            push((_CASE_MID, at, d, head, c.right_name, rs, c.right_body))
             push((_UNBIND, c.left_name, scope.get(c.left_name, _MISSING)))
             emit(None)
             scope[c.left_name] = ls
             e, tail = c.left_body, t
         elif kind == _CASE_MID:
-            _, d, jump, at, head, name, rs, e = item
+            _, at, d, head, name, rs, e = item
             if d is not None:
-                emit((MOVE, d, out.pop()))
-                jump.append(len(instrs))
-                emit(None)
+                emit((RET, out.pop()))
             instrs[at] = head + (len(instrs),)
             scope[name] = rs
             tail = d is None
         elif kind == _CASE_END:
-            _, d, jump = item
+            _, at, d = item
             if d is not None:
-                emit((MOVE, d, out.pop()))
-                at, j = jump
-                instrs[j] = (JUMP, len(instrs))
-                instrs[at] += (d, j, len(instrs))
+                emit((RET, out.pop()))
+                instrs[at] += (d, len(instrs))
                 out.append(d)
         elif kind == _PATCH:
             instrs[item[1]] = item[2] + (len(instrs),)
@@ -538,36 +534,20 @@ def _primal(v):
 
 
 def _resume(instrs, pc: int, act: list, slot: int, store: Store,
-            frames: list, x, afters: list):
+            frames: list | None, x, afters: list):
     """Write x to act[slot], then run instrs from pc in act over frames."""
     act[slot] = x
     return _run(instrs, act, store, afters, pc, frames)
 
 
 def _staged_case(ins, instrs, pc: int, act: list, frames: list, store: Store):
-    """For the case ins on a guard: rest(x, afters), the run from the join
-    on with x joined, and branch(right, afters), which runs a branch up to
-    the join and returns its value (see the module docstring)."""
-    cells = store.cells
-    snap = dict(cells)
-    code = instrs
-    rest = partial(_resume, _PASS_CODE, 0, [None], 0, store, frames)
-    if len(ins) > 5:  # not in tail position: the join is an instruction
-        d, jump, end = ins[5:]
-        code = list(instrs)
-        code[jump] = code[end] = (RET, d)
-        rest = partial(_resume, instrs, end, act, d, store, frames)
-
-    def branch(right: bool, afters):
-        cells.clear()
-        cells.update(snap)
-        act[ins[3] if right else ins[2]] = UNIT
-        v = _run(code, act, store, afters, ins[4] if right else pc)
-        if any(cells[i] is not c for i, c in snap.items()):
-            raise EvalError("a branch on a staged guard assigns a ref made before it")
-        return v
-
-    return rest, branch
+    """For the case ins on a guard: rest(x, afters), which returns x to the
+    frames, and left(afters) and right(afters), which run a branch from its
+    pc over a fresh frame stack and return its value (see the module
+    docstring)."""
+    return (partial(_resume, _PASS_CODE, 0, [None], 0, store, frames),
+            partial(_resume, instrs, pc, act, ins[2], store, None, UNIT),
+            partial(_resume, instrs, ins[4], act, ins[3], store, None, UNIT))
 
 
 def _run(instrs, act: list, store: Store, afters: list | None = None,
@@ -674,6 +654,8 @@ def _run(instrs, act: list, store: Store, afters: list | None = None,
             push((instrs, ins[2], act, ins[1], True))
         elif op == CASE:
             v = act[ins[1]]
+            if len(ins) > 5:  # not in tail position: the join is a frame
+                push((instrs, ins[6], act, ins[5], False))
             if type(v) is InlV:
                 act[ins[2]] = v.value
             elif type(v) is InrV:
@@ -683,10 +665,6 @@ def _run(instrs, act: list, store: Store, afters: list | None = None,
                 return stager.case(v, *_staged_case(ins, instrs, pc, act, frames, store))
             else:
                 raise EvalError(f"case on a non-sum: {v!r}")
-        elif op == MOVE:
-            act[ins[1]] = act[ins[2]]
-        elif op == JUMP:
-            pc = ins[1]
         elif op == GT:
             a, b = act[ins[2]], act[ins[3]]
             if type(a) is float and type(b) is float:

@@ -8,7 +8,8 @@ language (Feeley & Lapalme 1987; Ager et al., PPDP 2003):
   an activation, a list laid out as [parameters..., locals and pooled
   literals...]; a `Cond` becomes a conditional jump over its then-branch;
 - `add`, `mul` and `greater` have opcodes of their own; any other op calls
-  its `OPS` function;
+  its `OPS` function on its one operand; a `Bind` with an unknown op or
+  the wrong number of operands is an error instruction;
 - a call, closure creation, jump or tape push gathers its operands with an
   `operator.itemgetter` built at translation time;
 - an adjoint update whose read and product no other instruction reads
@@ -43,7 +44,7 @@ import struct
 from operator import itemgetter
 
 from .staging import (
-    OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
+    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
     IRProgram, Jump, Return, StagingError, TapePush, TreeData, defs,
 )
 
@@ -98,7 +99,7 @@ def _gather(slots: tuple):
 # ---------------------------------------------------------------------------
 # Instructions.  `d` is the result slot; every other operand is a slot, and
 # `get` gathers operand slots (_gather).
-#   (MUL|ADD|GT, d, a, b)   (OP1, d, fn, a)   (OP, d, fn, slots)
+#   (MUL|ADD|GT, d, a, b)   (OP1, d, fn, a)
 #   (CREAD, d, cell)   (CACC|CSET, cell, v)   (CNEW, d, init)
 #   (CMACC, cell, r, k)   cell += read(r) * k
 #   (CRACC, cell, r)   cell += read(r)
@@ -118,8 +119,8 @@ def _gather(slots: tuple):
 # numbered, and tested in _run, by how often the gradient programs run them:
 # the straight-line ones, then those of conditionals, loops and tree folds
 (CNEW, CMACC, CRACC, MUL, ADD, JF, END, OP1, GT, JSELF, PUSH, UNWIND, CSET,
- CREAD, RET, TCALL, CLO, ICALL, ITCALL, CALL, CACC, MARK, JUMP, OP, CHECK,
- CLOCHK, CELLCHK, BADCALL, ERR) = range(29)
+ CREAD, RET, TCALL, CLO, ICALL, ITCALL, CALL, CACC, MARK, JUMP, CHECK,
+ CLOCHK, CELLCHK, BADCALL, ERR) = range(28)
 
 _OWN_OPCODE = {"add": ADD, "mul": MUL, "greater": GT}
 _NON_TREE = "tree operation on a non-tree (empty tree?)"
@@ -261,19 +262,18 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
         cls = type(s)
         if cls is Bind:
             args = operands(s.args)
-            entry = OPS.get(s.op)
-            if entry is None:
-                emit((ERR, f"unknown operation {s.op!r}"))
+            n = ARITY.get(s.op)
+            if n != len(args):
+                emit((ERR, f"unknown operation {s.op!r}" if n is None else
+                      f"{s.op} takes {n} operands, got {len(args)}"))
                 defd = None
                 continue
             d = sym(s.dest)
             opcode = _OWN_OPCODE.get(s.op)
-            if opcode is not None and len(args) == 2:
+            if opcode is not None:
                 emit((opcode, d) + args)
-            elif len(args) == 1:
-                emit((OP1, d, entry[1], args[0]))
             else:
-                emit((OP, d, entry[1], args))
+                emit((OP1, d, OPS[s.op][1], args[0]))
         elif cls is CellNew:
             emit((CNEW, sym(s.dest), operand(s.init)))
         elif cls is CellRead:
@@ -491,11 +491,6 @@ def _run(code: _Code, act: list, limit: int):
             tape.append(_MARK)
         elif op == JUMP:
             pc = ins[1]
-        elif op == OP:
-            try:
-                act[ins[1]] = ins[2](*[act[s] for s in ins[3]])
-            except AttributeError:
-                raise IREvalError(_NON_TREE) from None
         elif op == CHECK:
             if act[ins[1]] is _UNDEF:
                 raise IREvalError(f"undefined symbol {ins[2]!r}")

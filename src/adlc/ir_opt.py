@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .staging import (
-    OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
+    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
     IRFunction, IRProgram, Jump, TapePush, map_operands, reachable, uses, walk,
 )
 
@@ -60,7 +60,7 @@ class _Folder:
         out: list = []
         for s in block:
             cls = type(s)
-            if cls is Bind:
+            if cls is Bind and ARITY.get(s.op) == len(s.args):  # else kept as is
                 self._bind(s, out)
             elif cls is CellNew:
                 init = self.resolve(s.init)

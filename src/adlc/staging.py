@@ -158,7 +158,7 @@ class IRProgram:
 # plus its arm in the passes that act on it.  OPS gives, per Bind op, the kind
 # of its result, the host function that computes it (ir_eval runs it and
 # ir_opt folds literal operands with it; a tree op's operand is never a
-# literal) and its C text.
+# literal) and its C text, whose holes give the number of its operands.
 
 OPS = {
     "add": ("val", operator.add, "{} + {}"),
@@ -169,6 +169,7 @@ OPS = {
     "tree_right": ("tree", operator.attrgetter("right"), "{}.right()"),
     "tree_nonempty": ("bool", lambda t: t is not None, "{}.notEmpty"),
 }
+ARITY = {op: text.count("{}") for op, (_kind, _fn, text) in OPS.items()}
 
 STMTS = {
     Bind: (("*args",), OPS),
@@ -315,12 +316,13 @@ class Guard:
 
 
 class _Stager:
-    """The IR functions of one staging, the block being emitted into, and
-    what the current run does with its value when it returns one."""
+    """The IR functions of one staging, the runs left to stage, the block
+    being emitted into, and what the current run does with its value."""
 
     def __init__(self):
         self.counter = 0
         self.functions: dict[str, IRFunction] = {}
+        self.work: list = []  # runs to stage, the next last
         self.block: list = []
         self.end = None
         self.names: set[str] = set()
@@ -366,19 +368,30 @@ class _Stager:
         return v
 
     def run(self, block: list, end, go) -> None:
-        """Stage one run into block: go(afters) runs the machine and returns
-        the run's value, which end(value) consumes, or ENDED, when a hook
-        has staged the rest; then each after emits its operation's backward
-        step, the latest first, where the run ended."""
-        saved = self.block, self.end
-        self.block, self.end = block, end
-        afters: list = []
-        v = go(afters)
-        if v is not ENDED:
-            end(v)
-        for after in reversed(afters):
-            after(None)
-        self.block, self.end = saved
+        """Stage one run into block, and each run a hook queues, from one
+        work list of (block, end, go, store cells): go(afters) runs the
+        machine from those cells and returns the run's value, which
+        end(value) consumes, or ENDED.  A run's afters, which emit its
+        operations' backward steps where it ended, go below the runs it
+        queued, so runs are staged depth-first."""
+        work = self.work
+        work.append((block, end, go, dict(self.store.cells)))
+        while work:
+            self.block, end, go, cells = work.pop()
+            if go is None:  # a finished run's afters, in end
+                for after in reversed(end):
+                    after(None)
+                continue
+            self.store.cells.clear()
+            self.store.cells.update(cells)
+            self.end = end
+            afters: list = []
+            below = len(work)
+            v = go(afters)
+            if v is not ENDED:
+                end(v)
+            if afters:
+                work.insert(below, (self.block, afters, None, None))
 
     # the adjoint rule's medium: statements appended to the current block
     def read(self, _s, cell: str) -> str:
@@ -414,24 +427,32 @@ class _Stager:
                                                for v in (a, b))))
         return g
 
-    def case(self, g: Guard, rest, branch):
-        """The paper's IF: the rest of the run from the join on, staged once
-        as k(x, d), then a Cond whose branches each end by calling k."""
+    def case(self, g: Guard, rest, left, right):
+        """The paper's IF: a Cond, then three runs from the store at the
+        case: the rest from the join on, staged once as k(x, d), and each
+        branch, which ends by calling k.  The rest never sees a branch's
+        store, so the join checks on every path to it that no older ref
+        was assigned."""
         if type(g) is not Guard:
             raise EvalError(f"case on a non-sum: {g!r}")
         k, x = self.of_real("k")
-        self.run(k.body, self.end, partial(rest, x))
         cond = Cond(g.sym, [], [])
         self.emit(cond)
-        join = lambda v: self.emit(Call(k.name, _ARGS(self.lift(v, "branch result"))))
-        self.run(cond.then, join, partial(branch, False))
-        self.run(cond.orelse, join, partial(branch, True))
+        cells = dict(self.store.cells)
+
+        def join(v):
+            if any(self.store.cells[i] is not c for i, c in cells.items()):
+                raise StagingError("a branch on a staged guard assigns a ref made before it")
+            self.emit(Call(k.name, _ARGS(self.lift(v, "branch result"))))
+
+        self.work += [(cond.orelse, join, right, cells), (cond.then, join, left, cells),
+                      (k.body, self.end, partial(rest, x), cells)]
         return ENDED
 
     def loop(self, a, code, caller, act, run):
         """The paper's FUN, for the application of a letrec's function to
         a, a staged real or a float, from the activation caller (None for a
-        non-tail one) into act.  The first stages the function once, as a
+        non-tail one) into act.  The first queues its run, staged once as a
         loop behind an unwinding call, from the store as it is then; a tail
         call from the loop body's own activation is a jump back, after a
         record that takes the rest of the iteration's backward work."""
@@ -439,8 +460,9 @@ class _Stager:
         name, body, cells = self.loops.get(code, (None, None, None))
         if name is None:
             lf, x = self.of_real("loop")
-            self.loops[code] = lf.name, act, dict(self.store.cells)
-            self.run(lf.body, self.end, partial(run, x))
+            cells = dict(self.store.cells)
+            self.loops[code] = lf.name, act, cells
+            self.work.append((lf.body, self.end, partial(run, x), cells))
             self.emit(Call(lf.name, a, unwind=True))
         elif caller is not body:
             raise StagingError(
@@ -457,7 +479,7 @@ class _Stager:
 
 # ---------------------------------------------------------------------------
 # Lambda lifting: close over free symbols by extending parameter lists and
-# call sites until fixpoint.
+# call sites until none is left.
 
 
 def _free_syms(fn: IRFunction) -> list[str]:
@@ -473,29 +495,32 @@ def _free_syms(fn: IRFunction) -> list[str]:
 
 def _lambda_lift(prog: IRProgram) -> None:
     """Append each function's free symbols to its parameter list and to
-    every call, jump, closure creation and tape push that names it,
-    iterating to fixpoint."""
-    for _ in range(40):
-        lifted = {name: _free_syms(fn) for name, fn in prog.functions.items()
-                  if name != prog.entry}
-        lifted = {n: fs for n, fs in lifted.items() if fs}
-        if not lifted:
-            return
-        kind = kinds(prog.functions)
-        for name, fs in lifted.items():
-            prog.functions[name].params.extend(
-                (s, kind[s]) for s in fs)
-
-        for fn in prog.functions.values():
-            for s in walk(fn.body):
-                n = callee(s)
-                if n not in lifted:
-                    continue
+    every call, jump, closure creation and tape push that names it, in
+    rounds; a round looks only at the functions whose statements the last
+    one changed.  Functions only gain parameters, from a finite set of
+    symbols, so the rounds end."""
+    naming: dict = {}  # function -> [(function holding it, statement)]
+    for name, fn in prog.functions.items():
+        for s in walk(fn.body):
+            n = callee(s)
+            if n is not None:
+                naming.setdefault(n, []).append((name, s))
+    kind = kinds(prog.functions)
+    todo = [name for name in prog.functions if name != prog.entry]
+    while todo:
+        lifted = {n: _free_syms(prog.functions[n]) for n in todo}
+        todo = {}
+        for n, fs in lifted.items():
+            if not fs:
+                continue
+            prog.functions[n].params.extend((s, kind[s]) for s in fs)
+            for holder, s in naming.get(n, ()):
                 if type(s) is Call or type(s) is Jump:
-                    s.args = tuple(s.args) + tuple(lifted[n])
+                    s.args = tuple(s.args) + tuple(fs)
                 else:
-                    s.captures = tuple(s.captures) + tuple(lifted[n])
-    raise StagingError("lambda lifting did not converge")
+                    s.captures = tuple(s.captures) + tuple(fs)
+                if holder != prog.entry:
+                    todo[holder] = None
 
 
 # ---------------------------------------------------------------------------

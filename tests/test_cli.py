@@ -193,8 +193,8 @@ def test_tree_flag_requires_staged_mode(capsys, programs):
 
 
 def test_codegen_tree(capsys, programs):
-    assert run(["codegen", "--opt", "none", "--tree", programs["tree.tree"],
-                programs["tree_body.sexp"]]) == 0
+    # --tree is a flag: the tree itself is a run-time input of the code
+    assert run(["codegen", "--opt", "none", "--tree", programs["tree_body.sexp"]]) == 0
     out = capsys.readouterr().out
     assert "Tree" in out and "snippet(Tree tree, double in)" in out
 

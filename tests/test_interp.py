@@ -128,6 +128,18 @@ def test_multi_shot_continuation_closures():
     assert ev(src) == 21.0
 
 
+def test_shift_in_a_non_tail_branch_captures_the_join():
+    # the join of a case not in tail position is a return frame, so a shift
+    # in a branch captures it, and each resumption runs the join once
+    assert ev("(reset (+ 1.0 (case (inl ()) u (shift k (+ (app k 1.0) (app k 2.0)))"
+              " v 0.0)))") == 5.0
+    v = ev("(reset (let y (case (inl ()) u (shift k (pair (app k 1.0) (app k 2.0)))"
+           " v 0.0) (+ y 10.0)))")
+    assert v == PairV(11.0, 12.0)
+    assert ev("(reset (* 2.0 (let z (if (> 1.0 2.0) 0.0 (shift k (app k (app k 3.0))))"
+              " (+ z 1.0))))") == 18.0
+
+
 def test_continuation_resumed_after_its_reset_returned():
     # the stored k runs twice, long after the shift's reset has returned
     src = ("(let k (reset (let a (shift k k) (+ a 1.0)))"

@@ -19,9 +19,9 @@ from adlc.staging import (
     IRFunction, IRProgram, Jump, Return, StagingError, TreeData, ir_cell_op_count,
     ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
-from adlc.syntax import Add, Const, Lam, Mul, Var, parse
+from adlc.syntax import Add, App, Const, Greater, If, Lam, Let, Letrec, Mul, Var, parse
 from fuzz import FEATURE_CASES
-from scaling import frames_in_use, seeded_chain
+from scaling import frames_in_use, seeded_chain, sequential_ifs
 
 SQUARE = parse("(lam x (* x x))")
 IF_EXAMPLE = parse("(lam x (if (> x 0.0) (* (* -1.0 x) x) (* x x)))")
@@ -219,6 +219,13 @@ def test_letrec_non_loop_rejected():
                 " (app f x)))")
     with pytest.raises(StagingError, match="loop form"):
         stage_reverse(bad)
+    # nor is one that ends a branch of a case not in tail position: it is a
+    # non-tail application whose value the join still uses (staged as a
+    # jump, it would give 0.5 at x = 3, where the gradient is 2.0)
+    bad = parse("(lam x (letrec f (lam t (let y (if (> t 1.0) (app f (* t 0.5)) t)"
+                " (* y 2.0))) (app f x)))")
+    with pytest.raises(StagingError, match="letrec stages only in loop form"):
+        stage_reverse(bad)
 
 
 def test_staged_branch_may_not_assign_an_older_ref():
@@ -227,6 +234,14 @@ def test_staged_branch_may_not_assign_an_older_ref():
     f = parse("(lam x (let r (ref 0.0) (+ (if (> x 0.0) (seq (assign r (* x x)) x) x)"
               " (deref r))))")
     with pytest.raises(StagingError, match="assigns a ref made before it"):
+        stage_reverse(f)
+    # nor in the rest of a case nested in the branch: the outer join checks
+    # the store on every path to it (unchecked, this staged to 2.0 at x = 2
+    # and 3.0 at x = 0.5, where the gradient is 4.0 and 6.0)
+    f = parse("(lam x (let r (ref 0.0) (let y (if (> x 0.0) (let z (if (> x 1.0)"
+              " (* x 2.0) (* x 3.0)) (seq (assign r z) z)) x) (+ y (deref r)))))")
+    with pytest.raises(StagingError,
+                       match="a branch on a staged guard assigns a ref made before it"):
         stage_reverse(f)
     # a ref made inside the branch is the branch's own
     f = parse("(lam x (if (> x 0.0) (let r (ref x) (seq (assign r (* x x)) (deref r))) x))")
@@ -293,6 +308,44 @@ def test_stage_reverse_runs_deep_inputs_on_the_machines_stack():
     finally:
         sys.setrecursionlimit(saved)
     assert got == [[grad_tape_expr(f, x).hex() for x in xs] for f in progs]
+
+
+def _sequential_loops(n: int) -> Lam:
+    """n staged loops one after another, each from the one before's result."""
+    body = Var(f"y{n}")
+    for i in range(n, 0, -1):
+        f, t = Var(f"f{i}"), Var("t")
+        loop = Lam("t", If(Greater(t, Const(2.0)), App(f, Mul(t, Const(0.5))),
+                           Mul(t, Const(1.5))))
+        body = Let(f"y{i}", Letrec(f.name, loop, App(f, Var(f"y{i - 1}"))), body)
+    return Lam("x", Let("y0", Var("x"), body))
+
+
+def test_stage_reverse_runs_sequential_ifs_and_loops_on_a_work_list():
+    # each conditional and loop queues its runs on the stager's work list
+    # instead of staging them inside the machine's hook, so 2000 staged ifs
+    # with a value live across all of them, and 1000 staged loops, stage
+    # within 1000 frames of this test's own
+    progs = (sequential_ifs(2000), _sequential_loops(1000))
+    xs = (0.3, 0.7), (0.7, 5.0)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames_in_use() + 1000)
+    try:
+        staged = [stage_reverse(f) for f in progs]
+    finally:
+        sys.setrecursionlimit(saved)
+    for f, p, probes in zip(progs, staged, xs):
+        assert [ir_eval(p, x).hex() for x in probes] == \
+            [grad_tape_expr(f, x).hex() for x in probes]
+
+
+def test_lambda_lifting_carries_a_value_across_many_ifs():
+    # the value made before the first conditional passes through the
+    # continuation of every one of them, one more per round of lifting
+    f = sequential_ifs(100)
+    p = stage_reverse(f)
+    for x in (0.3, 0.7):
+        assert ir_eval(p, x).hex() == grad_tape_expr(f, x).hex()
 
 
 def test_staging_rejects_control():
@@ -457,6 +510,19 @@ def test_ir_eval_op_errors():
     for op in ("tree_value", "tree_left", "tree_right"):
         with pytest.raises(IREvalError, match="non-tree"):
             ir_eval(_entry(Bind("r", op, ("in",)), Return("r")), 1.0)
+    # a Bind takes as many operands as its op's C text has holes: any other
+    # count is an error, unoptimized and after ir_optimize, which leaves it
+    # unfolded
+    for op, args, n in WRONG_ARITY:
+        p = _entry(Bind("r", op, args), Return("r"))
+        for q in (p, ir_optimize(p)):
+            with pytest.raises(IREvalError, match=f"^{op} takes {n} operands, got {len(args)}$"):
+                ir_eval(q, 1.0)
+
+
+# (op, operands, the op's arity)
+WRONG_ARITY = (("add", ("in",), 2), ("mul", ("in", "in", "in"), 2),
+               ("tree_value", ("in", "in"), 1), ("greater", (), 2))
 
 
 def test_ir_eval_structural_errors():
@@ -556,6 +622,9 @@ def test_emit_rejects_closures_it_cannot_emit():
                                         Return("in"), k=k)),
              ("arity other than 2", _entry(ClosureNew("f", "k", ()), Return("in"), k=k)),
              ("arity other than 2", _entry(ClosureNew("f", "nope", ()), Return("in")))]
+    # nor is a Bind with the wrong number of operands
+    cases += [("cannot emit Bind", _entry(Bind("r", op, args), Return("r")))
+              for op, args, _n in WRONG_ARITY]
     for text, p in cases:
         with pytest.raises(ValueError, match=text):
             emit_c(p)

@@ -20,6 +20,13 @@ Every build, counted or timed, is on a chain of its own: `lang.prepare`
 keeps its result on its input node, so a build on a chain an earlier build
 saw would skip that work.
 
+Then stage_reverse on n conditionals on staged guards, one after another,
+with a value live across all of them (`sequential_ifs`; n = 250, 500,
+1000, 2000, 4000), one row per size:
+
+  ms      the least wall time of 3 builds
+  x2      ms(n) / ms(n/2): a linear staging reads about 2
+
 Then each gradient program (forward, symbolic and the three reverse
 variants, built on the same chains) is run by each entry point,
 `eval_expr` of (app prog x) and `real_fn(prog)(x)`, at x = 1.0, one row per
@@ -104,6 +111,7 @@ RECURSION_LIMIT = 100_000
 STACK_BYTES = 512 * 2 ** 20
 SEED = 1
 SIZES = (25, 50, 100, 200, 400, 800)
+STAGED_IF_SIZES = (250, 500, 1000, 2000, 4000)
 REPEAT = 3
 COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
              " (app f x)))")
@@ -139,6 +147,20 @@ def seeded_chain(n: int, seed: int = SEED):
     for name, rhs in reversed(lets):
         body = Let(name, rhs, body)
     return Lam("x", body)
+
+
+def sequential_ifs(n: int):
+    """(lam x (let a (* x 1.5) (let y1 (if (> x 0.5) (* x 1.01) (* x 0.99))
+    ... (+ yn a)))): n conditionals one after another, each on a guard the
+    one before computed, and a value live across all of them."""
+    from adlc.syntax import Add, Const, Greater, If, Lam, Let, Mul, Var
+
+    body = Add(Var(f"y{n}"), Var("a"))
+    for t in range(n, 0, -1):
+        y = Var(f"y{t - 1}" if t > 1 else "x")
+        body = Let(f"y{t}", If(Greater(y, Const(0.5)), Mul(y, Const(1.01)),
+                               Mul(y, Const(0.99))), body)
+    return Lam("x", Let("a", Mul(Var("x"), Const(1.5)), body))
 
 
 def transforms() -> dict:
@@ -219,6 +241,22 @@ def rows():
                 yield (name, str(n), str(calls), _ratio(calls, prev_calls),
                        f"{secs:.4f}", _ratio(secs, prev_s))
             prev_calls, prev_s = calls, secs
+
+
+def staged_if_rows():
+    """(n, ms, ms x2) as printed cells."""
+    from adlc.staging import stage_reverse
+
+    prev = None
+    for n in STAGED_IF_SIZES:
+        try:
+            secs = min_wall(stage_reverse, lambda: (sequential_ifs(n),))
+        except Exception as ex:  # printed, not raised
+            secs = None
+            yield (str(n), type(ex).__name__, "-")
+        else:
+            yield (str(n), f"{secs * 1e3:.1f}", _ratio(secs, prev))
+        prev = secs
 
 
 def run_rows():
@@ -458,6 +496,11 @@ def main() -> None:
     def run():
         for row in rows():
             print("{:<14}{:>5}{:>11}{:>6}{:>10}{:>6}".format(*row), flush=True)
+        print(f"# stage_reverse on n sequential staged ifs with a value live "
+              f"across them; wall time is the min of {REPEAT} builds")
+        print(f"{'transform':<14}{'n':>5}{'ms':>10}{'x2':>6}")
+        for row in staged_if_rows():
+            print("{:<14}{:>5}{:>10}{:>6}".format("stage_reverse", *row), flush=True)
         print(f"# gradient programs run at x = {X}; wall time is the min of "
               f"{REPEAT} first calls (each on a program of its own) and of "
               f"{REPEAT} later calls")
