@@ -127,13 +127,13 @@ def _tape_functions(prog: IRProgram) -> set:
 class _Emitter:
     def __init__(self, prog: IRProgram):
         self.prog = prog
-        self.kinds = kinds(prog.functions)
         # per function between a tape mark and its unwind: the cells it
         # creates that escape (emitted in the tape's arena)
         self.tape_cells: dict[str, set] = {}
         self.segments: dict[str, int] = {}  # record function -> tag
         self.uses_tape = False
         self._analyze()
+        self.kinds = kinds(prog.functions)  # every Bind's op is known here
 
     def _analyze(self) -> None:
         in_tape = _tape_functions(self.prog)
@@ -141,6 +141,8 @@ class _Emitter:
             local, escaping = set(), set()
             for s in walk(fn.body):
                 match s:
+                    case Bind(_, op, _) if op not in OPS:
+                        raise ValueError(f"cannot emit {s!r}")
                     case CellNew(dest, _):
                         local.add(dest)
                     case ClosureNew(_, f, captures):

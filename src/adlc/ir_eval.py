@@ -36,6 +36,12 @@ Errors are raised at run time, in evaluation order: an undefined symbol in
 an untaken branch is not an error.  A local starts undefined, and a use
 that no definition dominates is checked before the statement reads it, so
 valid IR pays nothing for the check.
+
+A loop program also gets a compiled tier, made with the translation: its
+functions become Python functions, compiled once, that run the same
+instructions in the same order, so it computes the same bits and raises
+the same errors (see `_compile`).  Every other program runs on the
+interpreter (`_run`), which `interpret` runs on any program.
 """
 
 from __future__ import annotations
@@ -98,16 +104,18 @@ def _gather(slots: tuple):
 
 # ---------------------------------------------------------------------------
 # Instructions.  `d` is the result slot; every other operand is a slot, and
-# `get` gathers operand slots (_gather).
+# `get` gathers operand slots (_gather), which `slots` lists for the
+# compiled tier.
 #   (MUL|ADD|GT, d, a, b)   (OP1, d, fn, a)
 #   (CREAD, d, cell)   (CACC|CSET, cell, v)   (CNEW, d, init)
 #   (CMACC, cell, r, k)   cell += read(r) * k
 #   (CRACC, cell, r)   cell += read(r)
 #   (CLO, d, code, get)   (JF, guard, pc)   (JUMP, pc)   (RET, v)   (END,)
-#   (CALL|TCALL, code, get)   direct, non-tail or tail (a jump elsewhere)
-#   (JSELF, params, get)   the parameters (a slice) get new values
+#   (CALL|TCALL, code, get, slots)   direct, non-tail or tail (a jump
+#                                    elsewhere)
+#   (JSELF, params, get, slots)   the parameters (a slice) get new values
 #   (ICALL|ITCALL, target, get, non-closure message)
-#   (PUSH, code, get)   (MARK,)   (UNWIND,)   the tape
+#   (PUSH, code, get, slots)   (MARK,)   (UNWIND,)   the tape
 #   (BADCALL, code, nargs, tail)   a direct call or jump to an unknown
 #                                  function or with the wrong number of
 #                                  arguments
@@ -225,7 +233,7 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
     def call(target: str, args: tuple, tail: bool) -> None:
         callee = lookup(target)
         if callee.nparams == len(args):
-            emit((TCALL if tail else CALL, callee, _gather(args)))
+            emit((TCALL if tail else CALL, callee, _gather(args), args))
         else:
             emit((BADCALL, callee, len(args), tail))
 
@@ -290,7 +298,8 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
             caps = operands(s.captures)
             emit((CLO, sym(s.dest), lookup(s.fn), _gather(caps)))
         elif cls is TapePush:
-            emit((PUSH, lookup(s.fn), _gather(operands(s.captures))))
+            caps = operands(s.captures)
+            emit((PUSH, lookup(s.fn), _gather(caps), caps))
         elif cls is Call:
             tail = tail and not s.unwind  # the unwind runs after the call
             if s.unwind:
@@ -338,11 +347,11 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
     fresh = any(ins[0] in _CHECKS for ins in instrs if ins is not None)
     for at, args in self_jumps:
         if fresh:
-            instrs[at] = (TCALL, code, _gather(args))
+            instrs[at] = (TCALL, code, _gather(args), args)
         else:
             # only the parameters up to the last that changes are assigned
             n = max((i + 1 for i, a in enumerate(args) if a != i), default=0)
-            instrs[at] = (JSELF, slice(0, n), _gather(args[:n]))
+            instrs[at] = (JSELF, slice(0, n), _gather(args[:n]), args[:n])
     code.instrs = tuple(_fuse(instrs, reads))
     code.blank = tuple(blank)
 
@@ -508,13 +517,208 @@ def _run(code: _Code, act: list, limit: int):
             raise IREvalError(ins[1])
 
 
-def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,
-            depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
-    """Execute the program entry on one real input (plus the runtime tree
-    for tree-fold programs); returns the entry's result."""
-    codes = prog.translation
-    if codes is None:
-        codes = prog.translation = _translate(prog)
+# ---------------------------------------------------------------------------
+# The compiled tier.  A loop program, one in which some function jumps to
+# itself, runs many instructions per translation, so it earns the cost of
+# compile(): each translated function becomes a Python function, compiled
+# once and kept in the translation (Rompf & Odersky, "Lightweight Modular
+# Staging", GPCE 2010).  Straight-line programs never do, and stay on _run.
+# The generated code runs the translation's instructions in their order on
+# the same floats: a slot is a local, a literal a named constant, a cell an
+# index into the run's list of cells, a self-jump reassigns the parameters
+# and continues a `while True`, a call is a Python call (so the call graph
+# must be acyclic and shallow, and a run that meets the caller's recursion
+# limit runs again on _run), a record is a tuple of a function and the
+# captures it unpacks, and the depth limit is counted as _run counts it, in
+# the same places.
+
+_COMPILED = frozenset({CNEW, CMACC, CRACC, MUL, ADD, GT, JF, JUMP, END, RET, CSET,
+                       CREAD, CACC, CALL, TCALL, JSELF, PUSH, MARK, UNWIND})
+_CALLS = (CALL, TCALL, PUSH)  # a record is called when the unwind pops it
+MAX_CHAIN = 64  # calls nested in one run of generated code, at most
+_BINARY = {MUL: "*", ADD: "+", GT: ">"}
+_LIMIT = "raise LIMIT(limit)"
+
+
+def _loop_program(entry: _Code) -> list | None:
+    """The codes entry reaches, callees first, when the program they make
+    loops, makes no closure, has only instructions of _COMPILED, calls each
+    function with its number of parameters and has an acyclic call graph
+    with chains of at most MAX_CHAIN calls; else None.  Iterative, so a
+    long chain costs no Python stack."""
+    order: list = []
+    chain: dict = {}  # code -> its longest chain of calls, once finished
+    path = {entry}
+    work = [(entry, iter(entry.instrs))]
+    loops = False
+    while work:
+        code, rest = work[-1]
+        for ins in rest:
+            op = ins[0]
+            if op not in _COMPILED:
+                return None
+            loops |= op == JSELF
+            if op in _CALLS:
+                callee = ins[1]
+                if callee.nparams != len(ins[3]) or callee in path:
+                    return None
+                if callee not in chain:
+                    if len(work) > MAX_CHAIN:  # the path is a chain too long
+                        return None
+                    path.add(callee)
+                    work.append((callee, iter(callee.instrs)))
+                    break
+        else:
+            work.pop()
+            path.discard(code)
+            n = chain[code] = max((chain[i[1]] + 1 for i in code.instrs
+                                   if i[0] in _CALLS), default=0)
+            if n > MAX_CHAIN:
+                return None
+            order.append(code)
+    return order if loops else None
+
+
+def _source(code: _Code, names: dict, consts: dict, record: bool) -> list:
+    """The Python lines of one translated function, at indent 0: f<i> of
+    (parameters..., depth, steps), or, for a record, r<i> of (record,
+    depth), which unpacks the record's captures into the parameters."""
+    instrs, n, i = code.instrs, code.nparams, names[code]
+
+    def val(s: int) -> str:
+        if s < n or code.blank[s - n] is _UNDEF:
+            return f"a{s}"
+        k = f"k{i}_{s}"  # bound by name, so every bit of the literal stays
+        consts[k] = code.blank[s - n]
+        return k
+
+    def call(ins, depth: str, steps: str) -> str:
+        args = "".join(f"{val(s)}, " for s in ins[3])
+        return f"f{names[ins[1]]}({args}{depth}, {steps})"
+
+    def lines(ins) -> list:
+        op = ins[0]
+        if op in _BINARY:
+            return [f"a{ins[1]} = {val(ins[2])} {_BINARY[op]} {val(ins[3])}"]
+        if op == CNEW:
+            d, v = ins[1], ins[2]
+            if d == v:  # the init is read before the cell is made
+                return [f"cells.append(a{d})", f"a{d} = len(cells) - 1"]
+            return [f"a{d} = len(cells)", f"cells.append({val(v)})"]
+        if op == CMACC:
+            return [f"cells[{val(ins[1])}] += cells[{val(ins[2])}] * {val(ins[3])}"]
+        if op == CRACC:
+            return [f"cells[{val(ins[1])}] += cells[{val(ins[2])}]"]
+        if op == CACC:
+            return [f"cells[{val(ins[1])}] += {val(ins[2])}"]
+        if op == CSET:
+            return [f"cells[{val(ins[1])}] = {val(ins[2])}"]
+        if op == CREAD:
+            return [f"a{ins[1]} = cells[{val(ins[2])}]"]
+        if op == RET:
+            return [f"return {val(ins[1])}"]
+        if op == END:
+            return ["return NOV"]
+        if op == CALL:
+            return [f"if depth > top: {_LIMIT}", call(ins, "depth + 1", "1")]
+        if op == TCALL:
+            return ["steps += 1", f"if steps > limit: {_LIMIT}",
+                    f"return {call(ins, 'depth', 'steps')}"]
+        if op == JSELF:
+            out = ["steps += 1", f"if steps > limit: {_LIMIT}"]
+            if ins[3]:
+                out.append(", ".join(f"a{j}" for j in range(len(ins[3]))) + " = "
+                           + ", ".join(map(val, ins[3])))
+            return out + ["continue"]
+        if op == PUSH:
+            rec = "".join(f"{val(s)}, " for s in ins[3])
+            return [f"tape.append((r{names[ins[1]]}, {rec}))"]
+        if op == MARK:
+            return ["tape.append(MARK)"]
+        # UNWIND: run the records above the mark, newest first
+        return ["rec = tape.pop()", "while rec is not MARK:",
+                f"    if depth > top: {_LIMIT}",
+                "    rec[0](rec, depth + 1)", "    rec = tape.pop()"]
+
+    params = [f"a{j}" for j in range(n)]
+    if record:
+        out = [f"def r{i}(rec, depth):", "    steps = 1"]
+        if n:
+            out.append(f"    _, {', '.join(params)} = rec")
+    else:
+        out = [f"def f{i}({''.join(p + ', ' for p in params)}depth, steps):"]
+    base = 1
+    if any(ins[0] == JSELF for ins in instrs):
+        out.append("    while True:")
+        base = 2
+    # (first pc, end pc, indent, header): a Cond's then-branch runs to the
+    # JUMP over its else-branch, or to the JF's target when there is none
+    # (then no else-branch, or a then-branch that never falls through)
+    work = [(0, len(instrs), base, None)]
+    while work:
+        pc, end, indent, header = work.pop()
+        pad = "    " * indent
+        if header is not None:
+            out.append(pad[4:] + header)
+            if pc == end:
+                out.append(pad + "pass")
+        while pc < end:
+            ins = instrs[pc]
+            if ins[0] == JF:
+                target = ins[2]
+                if target - 1 > pc and instrs[target - 1][0] == JUMP:
+                    join = instrs[target - 1][1]
+                    work += [(join, end, indent, None),
+                             (target, join, indent + 1, "else:")]
+                    target -= 1
+                else:
+                    work.append((target, end, indent, None))
+                work.append((pc + 1, target, indent + 1, f"if {val(ins[1])}:"))
+                break
+            out += [pad + line for line in lines(ins)]
+            pc += 1
+    return out
+
+
+def _compile(codes: dict, entry: str):
+    """For a loop program, a function from the depth limit to the entry as
+    a Python function of (arguments..., depth, steps); else None."""
+    order = _loop_program(codes[entry])
+    if order is None:
+        return None
+    names = {code: i for i, code in enumerate(order)}  # the entry is last
+    pushed = {ins[1] for code in order for ins in code.instrs if ins[0] == PUSH}
+    called = {ins[1] for code in order for ins in code.instrs
+              if ins[0] == CALL or ins[0] == TCALL} | {order[-1]}
+    consts: dict = {}
+    src = ["def make(limit):", "    cells = []", "    tape = []",
+           "    top = limit - 2"]
+    for code in order:
+        for record in (False, True):
+            if code in (pushed if record else called):
+                src += ["    " + line for line in _source(code, names, consts, record)]
+    src.append(f"    return f{len(order) - 1}")
+    space = {"MARK": _MARK, "NOV": _NO_VALUE, "LIMIT": _limit_error, **consts}
+    try:
+        exec(compile("\n".join(src), f"<ir_eval {entry}>", "exec"), space)
+    except (SyntaxError, RecursionError):  # nesting too deep for Python
+        return None
+    return space["make"]
+
+
+def _translation(prog: IRProgram) -> tuple:
+    """(codes by function name, the compiled tier's maker or None), made on
+    the program's first run and kept on it."""
+    if prog.translation is None:
+        codes = _translate(prog)
+        prog.translation = codes, _compile(codes, prog.entry)
+    return prog.translation
+
+
+def _evaluate(prog: IRProgram, x0: float, tree, depth_limit: int, compiled: bool):
+    codes, make = _translation(prog)
+    if not compiled:
+        make = None
     entry = prog.functions[prog.entry]
     kinds = [k for _, k in entry.params]
     if kinds and kinds[0] == "tree":
@@ -525,10 +729,31 @@ def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,
         raise IREvalError("entry arity mismatch")
     if depth_limit < 1:
         raise _limit_error(depth_limit)
-    code = codes[prog.entry]
-    v = _run(code, args + list(code.blank), depth_limit)
+    if make is not None:
+        try:
+            v = make(depth_limit)(*args, 0, 1)
+        except RecursionError:  # its calls nest more frames than the caller has left
+            make = None
+    if make is None:
+        code = codes[prog.entry]
+        v = _run(code, args + list(code.blank), depth_limit)
     if v is _NO_VALUE:
         raise IREvalError("entry did not return a value")
     if not isinstance(v, float):
         raise IREvalError(f"entry returned a non-real: {v!r}")
     return v
+
+
+def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,
+            depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
+    """Execute the program entry on one real input (plus the runtime tree
+    for tree-fold programs); returns the entry's result.  A loop program
+    runs as compiled Python, any other on the interpreter."""
+    return _evaluate(prog, x0, tree, depth_limit, True)
+
+
+def interpret(prog: IRProgram, x0: float, tree: TreeData | None = None,
+              depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
+    """ir_eval on the interpreter alone: the reference the compiled tier
+    must equal, bit for bit and error for error."""
+    return _evaluate(prog, x0, tree, depth_limit, False)

@@ -193,11 +193,15 @@ def adjoint_rule(m, s, op: str, p1, a1, p2, a2, y):
     next one reads.  That state is the adjoint list of a host run, updated
     in place, or the functional runtime's immutable map; the stager, which
     emits IR statements, and the transformations, which build terms, thread
-    None."""
+    None.  An operand whose adjoint is None (a literal the stager lifts,
+    whose adjoint nothing reads) gets no read, product or update."""
+    if a1 is not None:
+        d = m.read(s, y)
+        s = m.accum(s, a1, m.mul(d, p2) if op == "mul" else d)
+    if a2 is None:
+        return s
     d = m.read(s, y)
-    u = m.accum(s, a1, m.mul(d, p2) if op == "mul" else d)
-    d = m.read(u, y)
-    return m.seq(u, m.accum(u, a2, m.mul(d, p1) if op == "mul" else d))
+    return m.seq(s, m.accum(s, a2, m.mul(d, p1) if op == "mul" else d))
 
 
 def later(_u1, u2):

@@ -300,6 +300,9 @@ class SNum(_Overloaded):
         self.st = st
 
     def _lift(self, v):
+        # a float operand of + or * gets no adjoint cell: nothing reads it
+        if type(v) is float:
+            return SNum(v, None, self.st)
         return v if type(v) is SNum else self.st.lift(v)
 
     def __repr__(self):

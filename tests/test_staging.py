@@ -2,6 +2,7 @@ import random
 import re
 import resource
 import shutil
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,15 +10,17 @@ import tracemalloc
 import pytest
 
 from adlc.emit import emit_c
-from adlc.gradcheck import CorpusSpec, random_program
-from adlc.ir_eval import IREvalError, ir_eval
+from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, random_program
+from adlc.ir_eval import (
+    DEFAULT_DEPTH_LIMIT, IREvalError, _translation, interpret, ir_eval,
+)
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.runtime import grad_tape_expr
 from adlc.staging import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Jump, Return, StagingError, TreeData, ir_cell_op_count,
-    ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
+    IRFunction, IRProgram, Jump, Return, StagingError, TapePush, TreeData,
+    ir_cell_op_count, ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
 from adlc.syntax import Add, App, Const, Greater, If, Lam, Let, Letrec, Mul, Var, parse
 from fuzz import FEATURE_CASES
@@ -622,9 +625,9 @@ def test_emit_rejects_closures_it_cannot_emit():
                                         Return("in"), k=k)),
              ("arity other than 2", _entry(ClosureNew("f", "k", ()), Return("in"), k=k)),
              ("arity other than 2", _entry(ClosureNew("f", "nope", ()), Return("in")))]
-    # nor is a Bind with the wrong number of operands
+    # nor is a Bind with the wrong number of operands or an unknown op
     cases += [("cannot emit Bind", _entry(Bind("r", op, args), Return("r")))
-              for op, args, _n in WRONG_ARITY]
+              for op, args, _n in WRONG_ARITY + (("sub", ("in", 1.0), None),)]
     for text, p in cases:
         with pytest.raises(ValueError, match=text):
             emit_c(p)
@@ -661,6 +664,125 @@ def test_loop_composites_staged_matches_unstaged(name):
         want = grad_reverse(f, x, "meta-shift")
         assert ir_eval(p, x) == want
         assert ir_eval(po, x) == want
+
+
+# --- ir_eval's compiled tier ----------------------------------------------------------
+
+def _loop_fn(p: IRProgram) -> IRFunction:
+    """The one function of p that jumps to itself."""
+    [fn] = [fn for fn in p.functions.values()
+            if any(isinstance(s, Jump) and s.target == fn.name for s in _stmts(fn.body))]
+    return fn
+
+
+def test_literal_operands_get_no_adjoint_cell():
+    # nothing reads a literal's adjoint, so an iteration of the optimized
+    # countdown makes one cell, its new value's, and its record captures
+    # that cell and the one it adds into (two cells and four captures
+    # with the literal's cell)
+    for step in ("(+ t -1.0)", "(* t 0.997)"):
+        f = parse(f"(lam x (letrec f (lam t (if (> t 1.0) (app f {step}) t)) (app f x)))")
+        body = list(_stmts(_loop_fn(ir_optimize(stage_reverse(f))).body))
+        assert sum(isinstance(s, CellNew) for s in body) == 1
+        assert [len(s.captures) for s in body if isinstance(s, TapePush)] == [2]
+
+
+def _compiled_loops() -> dict:
+    """The loop programs of these tests that the compiled tier takes."""
+    progs = {n: parse(s) for n, s in LOOP_COMPOSITES.items() if n != "nested-loops"}
+    with open(os.path.join(os.path.dirname(__file__), "..", "programs",
+                           "halve_loop.sexp")) as fh:
+        progs["halve_loop"] = parse(fh.read())
+    progs["while_example"] = WHILE_EXAMPLE
+    return progs
+
+
+COMPILED_LOOPS = _compiled_loops()
+
+
+def _calling_records() -> IRProgram:
+    """A loop whose records have no captures or call a function, so the
+    nesting and the tail chains of the records the unwind runs count toward
+    the limit."""
+    loop = [Bind("g", "greater", ("x", 1.0)),
+            Cond("g", [Bind("y", "mul", ("x", 0.5)), TapePush("bwd", ("d",)),
+                       TapePush("nop", ()), Jump("loop", ("y", "d"))],
+                 [CellSet("d", 1.0)])]
+    return _entry(CellNew("d", 0.0), Call("loop", ("in", "d"), unwind=True),
+                  CellRead("r", "d"), Return("r"),
+                  loop=([("x", "val"), ("d", "cell")], loop),
+                  nop=([], [Call("nop2", ())]), nop2=([], [Call("end", ())]),
+                  end=([], []),
+                  bwd=([("c", "cell")], [Call("acc", ("c",)), CellAccum("c", -1.0)]),
+                  acc=([("c", "cell")], [CellAccum("c", 0.25)]))
+
+
+def _outcome(run, p: IRProgram, x: float, limit: int):
+    try:
+        return run(p, x, depth_limit=limit).hex()
+    except Exception as ex:  # compared, class and text
+        return type(ex).__name__, str(ex)
+
+
+def test_compiled_tier_equals_the_interpreter():
+    # ir_eval runs a loop program as generated Python; the interpreter is
+    # the reference: the same bits, or the same error, at every depth limit.
+    # The runaway loop comes last at each limit, so a tier that miscounts
+    # the limit fails on a finite loop before it can spin on that one
+    progs = [(name, q) for name, f in [*COMPILED_LOOPS.items(), ("runaway", RUNAWAY)]
+             for p in [stage_reverse(f)] for q in (p, ir_optimize(p))]
+    progs.insert(-2, ("calling-records", _calling_records()))
+    for limit in (1, 2, 3, 5, 50, DEFAULT_DEPTH_LIMIT):
+        for name, q in progs:
+            for x in DEFAULT_PROBES + (7.5, 300.0):
+                assert (_outcome(ir_eval, q, x, limit)
+                        == _outcome(interpret, q, x, limit)), (name, x, limit)
+
+
+def _compiled(p: IRProgram) -> bool:
+    return _translation(p)[1] is not None
+
+
+def test_compiled_tier_takes_only_loop_programs():
+    # generated code pays compile() once per program, so it is made only
+    # for a loop; one with a closure, an error instruction or a call cycle,
+    # or whose calls would nest too many Python frames, stays interpreted
+    for f in [*COMPILED_LOOPS.values(), RUNAWAY]:
+        p = stage_reverse(f)
+        assert _compiled(p) and _compiled(ir_optimize(p))
+    assert _compiled(_calling_records())
+    spec = CorpusSpec(42, count=20)
+    straight = [stage_reverse(random_program(spec, i)) for i in range(spec.count)]
+    nested = stage_reverse(parse(LOOP_COMPOSITES["nested-loops"]))  # a call cycle
+    undefined = _entry(CellNew("d", 0.0), Call("f", ("in", "d"), unwind=True),
+                       Return("in"),
+                       f=([("t", "val"), ("c", "cell")],
+                          [Bind("g", "greater", ("t", 1.0)),
+                           Cond("g", [Bind("u", "mul", ("t", "zz")), Jump("f", ("u", "c"))],
+                                [])]))
+    interpreted = straight + [stage_tree(TREE_BODY), nested, undefined,
+                              stage_reverse(_sequential_loops(1000))]
+    for p in interpreted:
+        assert not _compiled(p) and not _compiled(ir_optimize(p))
+    with pytest.raises(IREvalError, match="undefined symbol 'zz'"):
+        ir_eval(undefined, 2.0)
+    assert ir_eval(undefined, 0.5) == 0.5
+
+
+def test_compiled_tier_runs_on_the_interpreter_near_the_recursion_limit():
+    # each call in generated code nests a Python frame: a run that finds
+    # too few left below the recursion limit runs again on the interpreter
+    # (32 loops in a row make a chain of 64 calls)
+    f = _sequential_loops(32)
+    p = stage_reverse(f)
+    assert _compiled(p)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames_in_use() + 40)
+    try:
+        got = [ir_eval(p, x).hex() for x in (0.7, 5.0)]
+    finally:
+        sys.setrecursionlimit(saved)
+    assert got == [grad_tape_expr(f, x).hex() for x in (0.7, 5.0)]
 
 
 # --- emitted C++ as a backend ----------------------------------------------------------

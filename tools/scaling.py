@@ -39,31 +39,37 @@ program, size and entry point:
           translation of the application around it
   x       first_s / later_s
 
-Then ir_eval on optimized staged IR (ir_optimize of stage_reverse or
-stage_tree), one row per program and size:
+Then ir_eval on the optimized staged tree fold (ir_optimize of
+stage_tree), which its interpreter runs, one row per depth:
 
-  loop    the countdown (lam x (letrec f ... (app f (+ t -1.0)) ...)) at
-          x = n, so n iterations; n = 1000 to 50000
   tree    the fold (+ (* v l) (* r 0.75)) over a seeded full tree of depth
           d (2^d - 1 nodes, values in [0.25, 0.5]); d = 6 to 12
-  us/unit the least wall time of 3 calls per iteration or per node
-  x2      the call's time ratio per doubling of iterations or nodes, from
-          the row above: a cost linear in size reads about 2
+  us/unit the least wall time of 3 calls per node
+  x2      the call's time ratio per doubling of nodes, from the row above:
+          a cost linear in size reads about 2
 
-Then the countdown at 10^4, 10^5 and 10^6 iterations (x = n), each call in
-a fresh child process, so that every size pays for its own memory:
+Then the countdown (lam x (letrec f ... (app f (+ t -1.0)) ...)), optimized,
+at 10^3, 10^4, 10^5 and 10^6 iterations (x = n), each call in a fresh child
+process, so that every size pays for its own memory:
 
-  ir_eval  the optimized IR, depth limit 2n, in a Python child
-  c++      emit_c of the same IR built with g++ -O2 (skipped without g++),
-           run under a 1 GiB address-space limit with the default stack
-  us/iter  the median wall time of 5 children's timed calls, per
-           iteration; each child first runs one iteration, so the
-           translation (or the lazy binding of the allocator) is outside
-           the timed call
-  rss_mb   the largest peak RSS (VmHWM) of those children
-  x10      us/iter over the row above: a cost linear in iterations reads 1
-  bits     the gradient's float.hex; c++ rows add "= ir_eval" when the bits
-           match the ir_eval row of the same size
+  compiled  ir_eval, depth limit 2n, in a Python child: a loop program
+            runs as generated Python (ir_eval's compiled tier)
+  interp    ir_eval.interpret on the same program and limit: the
+            interpreter, which runs every other program
+  c++       emit_c of the same IR built with g++ -O2 (skipped without g++),
+            run under a 1 GiB address-space limit with the default stack
+  ns/iter   the median wall time of 5 children's timed calls, per
+            iteration; each child first runs one iteration, so the
+            translation (or the lazy binding of the allocator) is outside
+            the timed call
+  x2        the time ratio per doubling of iterations, from the row above:
+            a cost linear in iterations reads about 2
+  rss_mb    the largest peak RSS (VmHWM) of those children
+  bits      the gradient's float.hex; interp and c++ rows add
+            "= compiled" when the bits match the compiled row of that size
+
+Then the countdown at 10^5 iterations and the default depth limit, once per
+tier: both stop with the same limit error, which the row prints.
 
 Then crosscheck(CorpusSpec(42)) at 50, 100 and 200 programs, each size in
 a fresh child process that runs 3 passes (crosscheck checks the programs
@@ -115,8 +121,9 @@ STAGED_IF_SIZES = (250, 500, 1000, 2000, 4000)
 REPEAT = 3
 COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
              " (app f x)))")
-LOOP_SIZES = (1000, 2000, 4000, 8000, 16000, 32000, 50000)
-CHILD_LOOP_SIZES = (10_000, 100_000, 1_000_000)
+CHILD_LOOP_SIZES = (1_000, 10_000, 100_000, 1_000_000)
+LIMIT_LOOP_SIZE = 100_000
+TIERS = ("compiled", "interp")
 CHILD_AS_BYTES = 1 << 30
 CHILD_TIMEOUT_S = 120.0
 CHILD_REPEAT = 5
@@ -226,6 +233,14 @@ def _ratio(a, b) -> str:
     return "-" if a is None or b is None else f"{a / b:.2f}"
 
 
+def _per_doubling(secs: float, units: int, prev) -> str:
+    """The time ratio per doubling of units from prev, (units, secs) of
+    the row above or None."""
+    if prev is None:
+        return "-"
+    return f"{(secs / prev[1]) ** (math.log(2) / math.log(units / prev[0])):.2f}"
+
+
 def rows():
     """(transform, n, calls, calls x2, min_s, min_s x2) as printed cells."""
     for name, build in transforms().items():
@@ -286,56 +301,52 @@ def run_rows():
                            f"{first_s:.4f}", f"{later_s:.4f}", _ratio(first_s, later_s))
 
 
-def ir_eval_cases():
-    """(program, size, units, call): units are iterations or tree nodes."""
+def ir_eval_rows():
+    """(program, size, us/unit, min_s, x2) as printed cells, one per tree
+    depth."""
     from adlc.ir_eval import ir_eval
     from adlc.ir_opt import ir_optimize
-    from adlc.staging import stage_reverse, stage_tree
+    from adlc.staging import stage_tree
     from adlc.syntax import parse
 
-    loop = ir_optimize(stage_reverse(parse(COUNTDOWN)))
-    for n in LOOP_SIZES:
-        yield "loop", n, n, partial(ir_eval, loop, float(n))
     fold = ir_optimize(stage_tree(parse(TREE_BODY)))
     rng = random.Random(f"tree:{SEED}")
+    prev = None
     for d in TREE_DEPTHS:
-        tree = seeded_tree(rng, d)
-        yield "tree", d, 2 ** d - 1, partial(ir_eval, fold, 1.25, tree=tree)
-
-
-def ir_eval_rows():
-    """(program, size, us/unit, min_s, x2) as printed cells."""
-    prev = (None, None, None)
-    for program, size, units, call in ir_eval_cases():
+        units = 2 ** d - 1
+        call = partial(ir_eval, fold, 1.25, tree=seeded_tree(rng, d))
         try:
             secs = min_wall(call)
         except Exception as ex:  # printed, not raised
-            secs = None
-            yield (program, str(size), type(ex).__name__, "-", "-")
+            prev = None
+            yield ("tree", str(d), type(ex).__name__, "-", "-")
         else:
-            x2 = "-"
-            if prev[0] == program and prev[2] is not None:
-                x2 = f"{(secs / prev[2]) ** (math.log(2) / math.log(units / prev[1])):.2f}"
-            yield (program, str(size), f"{secs / units * 1e6:.2f}", f"{secs:.4f}", x2)
-        prev = (program, units, secs)
+            yield ("tree", str(d), f"{secs / units * 1e6:.2f}", f"{secs:.4f}",
+                   _per_doubling(secs, units, prev))
+            prev = units, secs
 
 
-# One ir_eval call at n iterations, after a one-iteration call; prints the
-# gradient, the call's ns and the peak RSS in kB.  The peak is VmHWM of the
-# child's own image: a child's ru_maxrss also counts the image of the
-# process that forked it.
+# One call at n iterations on a tier (compiled: ir_eval; interp:
+# ir_eval.interpret) and a depth limit, after a one-iteration call; prints
+# the gradient, the call's ns and the peak RSS in kB, or the IREvalError it
+# raised.  The peak is VmHWM of the child's own image: a child's ru_maxrss
+# also counts the image of the process that forked it.
 _IR_EVAL_CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
-from adlc.ir_eval import ir_eval
+from adlc.ir_eval import IREvalError, interpret, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.staging import stage_reverse
 from adlc.syntax import parse
-n = int(sys.argv[3])
+n, run, limit = int(sys.argv[3]), {"compiled": ir_eval, "interp": interpret}[sys.argv[4]], int(sys.argv[5])
 prog = ir_optimize(stage_reverse(parse(sys.argv[2])))
-ir_eval(prog, 1.0)
+run(prog, 1.0)
 t0 = time.perf_counter()
-g = ir_eval(prog, float(n), depth_limit=2 * n)
+try:
+    g = run(prog, float(n), depth_limit=limit)
+except IREvalError as ex:
+    print("IREvalError:", ex)
+    raise SystemExit(0)
 ns = int((time.perf_counter() - t0) * 1e9)
 with open("/proc/self/status") as fh:
     hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
@@ -382,6 +393,11 @@ def run_child(argv: list, limit: bool) -> tuple[str, int, float]:
     return float.fromhex(bits).hex(), int(ns), int(hwm_kb) / 1024.0
 
 
+def _ir_eval_child(src: str, n: int, tier: str, limit: int) -> list:
+    return [sys.executable, "-c", _IR_EVAL_CHILD, src, COUNTDOWN, str(n), tier,
+            str(limit)]
+
+
 def loop_children(src: str, build_dir: str):
     """(backend, n, argv, address-space limit) per row; the c++ rows only
     when g++ builds the emitted countdown."""
@@ -390,9 +406,9 @@ def loop_children(src: str, build_dir: str):
     from adlc.staging import stage_reverse
     from adlc.syntax import parse
 
-    for n in CHILD_LOOP_SIZES:
-        yield "ir_eval", n, [sys.executable, "-c", _IR_EVAL_CHILD, src,
-                             COUNTDOWN, str(n)], False
+    for tier in TIERS:
+        for n in CHILD_LOOP_SIZES:
+            yield tier, n, _ir_eval_child(src, n, tier, 2 * n), False
     if shutil.which("g++") is None:
         return
     cc, exe = os.path.join(build_dir, "loop.cc"), os.path.join(build_dir, "loop")
@@ -405,7 +421,7 @@ def loop_children(src: str, build_dir: str):
 
 
 def loop_child_rows(src: str):
-    """(backend, n, us/iter, rss_mb, x10, bits) as printed cells."""
+    """(backend, n, ns/iter, x2, rss_mb, bits) as printed cells."""
     prev: dict = {}
     bits_of: dict = {}
     with tempfile.TemporaryDirectory() as build_dir:
@@ -418,20 +434,32 @@ def loop_child_rows(src: str):
                     yield (backend, str(n), type(ex).__name__, "-", "-", str(ex))
                     prev.pop(backend, None)
                     continue
-                us = statistics.median(ns for _, ns, _ in runs) / n / 1e3
+                secs = statistics.median(ns for _, ns, _ in runs) / 1e9
                 bits = runs[0][0]
                 if any(b != bits for b, _, _ in runs):
                     bits = "differ: " + " ".join(b for b, _, _ in runs)
-                elif backend == "ir_eval":
+                elif backend == TIERS[0]:
                     bits_of[n] = bits
                 elif bits_of.get(n) == bits:
-                    bits += " = ir_eval"
-                x10 = _ratio(us, prev.get(backend))
-                prev[backend] = us
-                yield (backend, str(n), f"{us:.3f}",
-                       f"{max(r for _, _, r in runs):.1f}", x10, bits)
+                    bits += f" = {TIERS[0]}"
+                yield (backend, str(n), f"{secs / n * 1e9:.0f}",
+                       _per_doubling(secs, n, prev.get(backend)),
+                       f"{max(r for _, _, r in runs):.1f}", bits)
+                prev[backend] = n, secs
         except subprocess.CalledProcessError as ex:  # the c++ build failed
             yield ("c++", "-", type(ex).__name__, "-", "-", "-")
+
+
+def limit_rows(src: str):
+    """(tier, n, limit, outcome) as printed cells: the countdown past the
+    default depth limit on each tier."""
+    from adlc.ir_eval import DEFAULT_DEPTH_LIMIT
+
+    for tier in TIERS:
+        argv = _ir_eval_child(src, LIMIT_LOOP_SIZE, tier, DEFAULT_DEPTH_LIMIT)
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+        outcome = r.stdout.strip() if r.returncode == 0 else f"exit code {r.returncode}"
+        yield tier, str(LIMIT_LOOP_SIZE), str(DEFAULT_DEPTH_LIMIT), outcome
 
 
 # CORPUS_SIZES[k] programs of CorpusSpec(42) through crosscheck, REPEAT
@@ -509,15 +537,20 @@ def main() -> None:
         for row in run_rows():
             print("{:<14}{:>5}  {:<10}{:>10}{:>8}{:>10}{:>10}{:>8}".format(*row),
                   flush=True)
-        print(f"# ir_eval on optimized staged IR; wall time is the min of {REPEAT} calls")
+        print(f"# ir_eval on the optimized staged tree fold; wall time is the "
+              f"min of {REPEAT} calls")
         print(f"{'program':<14}{'size':>6}{'us/unit':>10}{'min_s':>10}{'x2':>6}")
         for row in ir_eval_rows():
             print("{:<14}{:>6}{:>10}{:>10}{:>6}".format(*row), flush=True)
-        print(f"# the countdown in fresh child processes; us/iter is the median "
+        print(f"# the countdown in fresh child processes; ns/iter is the median "
               f"of {CHILD_REPEAT} children, rss_mb the max")
-        print(f"{'backend':<9}{'n':>9}{'us/iter':>10}{'rss_mb':>9}{'x10':>6}  bits")
+        print(f"{'backend':<9}{'n':>9}{'ns/iter':>9}{'x2':>6}{'rss_mb':>9}  bits")
         for row in loop_child_rows(src):
-            print("{:<9}{:>9}{:>10}{:>9}{:>6}  {}".format(*row), flush=True)
+            print("{:<9}{:>9}{:>9}{:>6}{:>9}  {}".format(*row), flush=True)
+        print("# the countdown past the default depth limit, once per tier")
+        print(f"{'tier':<9}{'n':>9}{'limit':>9}  outcome")
+        for row in limit_rows(src):
+            print("{:<9}{:>9}{:>9}  {}".format(*row), flush=True)
         print(f"# crosscheck of CorpusSpec(42) in a fresh child per size; the "
               f"median of {REPEAT} passes, CPU time of the child and its workers")
         print(f"{'programs':<9}{'wall_s':>8}{'cpu_s':>8}{'workers':>9}{'rss_mb':>8}"
