@@ -1,8 +1,8 @@
+import os
 import random
 import re
 import resource
 import shutil
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -678,8 +678,8 @@ def _loop_fn(p: IRProgram) -> IRFunction:
 def test_literal_operands_get_no_adjoint_cell():
     # nothing reads a literal's adjoint, so an iteration of the optimized
     # countdown makes one cell, its new value's, and its record captures
-    # that cell and the one it adds into (two cells and four captures
-    # with the literal's cell)
+    # that cell and the one it adds into (with the literal's cell, two
+    # cells, and three captures for + or four for *)
     for step in ("(+ t -1.0)", "(* t 0.997)"):
         f = parse(f"(lam x (letrec f (lam t (if (> t 1.0) (app f {step}) t)) (app f x)))")
         body = list(_stmts(_loop_fn(ir_optimize(stage_reverse(f))).body))

@@ -338,7 +338,8 @@ from adlc.ir_eval import IREvalError, interpret, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.staging import stage_reverse
 from adlc.syntax import parse
-n, run, limit = int(sys.argv[3]), {"compiled": ir_eval, "interp": interpret}[sys.argv[4]], int(sys.argv[5])
+n, limit = int(sys.argv[3]), int(sys.argv[5])
+run = {"compiled": ir_eval, "interp": interpret}[sys.argv[4]]
 prog = ir_optimize(stage_reverse(parse(sys.argv[2])))
 run(prog, 1.0)
 t0 = time.perf_counter()
