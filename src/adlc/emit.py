@@ -1,17 +1,8 @@
 """Deterministic C-like text from staged IR.
 
 One function per IR function; adjoint cells become double variables passed
-by reference; continuation closures become `kont1` handles wrapping a call
-to their named body.  A handle is an intrusively ref-counted pointer to one
-heap copy of the lambda, so copying, assigning or dropping it touches a
-counter and never the chain of closures it captures.  Closures are never
-mutated, so sharing a body is the same as copying it.  A closure takes
-(value, adjoint cell) and captures cells by reference, so `emit_c` refuses
-one that captures a cell made in its own function, which would not outlive
-that function's frame.
-
-A staged loop needs no closure: its function is a `for (;;)` whose `Jump`s to
-itself reassign the parameters and `continue` (a cell parameter is rebound
+by reference.  A staged loop is a `for (;;)` whose `Jump`s to itself
+reassign the parameters and `continue` (a cell parameter is rebound
 through a pointer, `d_at` for `d`), and its backward segments are records
 on the tape, a growable array of (segment tag, captures) in the prelude.  An
 unwinding call site saves `tape_now()`, calls the loop and runs
@@ -20,51 +11,30 @@ on the tag.  Cells that a record captures, or that leave their frame, in a
 function the loop reaches live in a chunked arena (`tape_cell`), so their
 addresses hold until the unwind, which gives back the cells made since the
 mark; the entry frees the tape (one free) and the arena when it returns.  So
-the loop, its unwind and its release never recurse, and a loop-only program
-needs no `kont1`.
+the loop, its unwind and its release never recurse.
+
+A tree fold's function returns a `real`, a value and a pointer to its
+adjoint cell (`RetReal`); a valued call binds the two, and the received
+cell is used through its pointer, as arena cells are.  The fold nests one
+C++ call per tree level, and its backward work runs from the tape.
 
 The preludes need no standard header and appear only in programs that use
-them.  Recursive functions are declared up front so the text never needs a
-self-referential lambda.  Output is stable across runs: two-space indent,
-LF line endings.
+them.  Recursive functions are declared up front.  Output is stable across
+runs: two-space indent, LF line endings.
 """
 
 from __future__ import annotations
 
 from .staging import (
-    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Jump, Return, TapePush, kinds, reachable, uses,
-    walk,
+    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
+    IRProgram, Jump, RetReal, Return, TapePush, reachable, uses, walk,
 )
 from .syntax import fmt_float
 
 # the C type per symbol kind
-_TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool",
-          "fun": "kont1"}
+_TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool"}
+_REAL = "struct real { double x; double* d; };\n"
 
-# Header-free on purpose: parsing <functional> and <memory> took about half
-# of the g++ -O2 time of an emitted loop.  The last release of a handle
-# deletes the body, and so drops the handles and cells it captured.
-_KONT_PRELUDE = """\
-template <class Sig> struct kont_fn;
-template <class... A> struct kont_fn<void(A...)> {
-  struct body { long refs = 1; virtual ~body() {} virtual void call(A... a) = 0; };
-  template <class F> struct lam : body {
-    F fn;
-    lam(const F& f) : fn(f) {}
-    void call(A... a) { fn(a...); }
-  };
-  body* p;
-  explicit kont_fn(body* b) : p(b) {}
-  kont_fn(const kont_fn& o) : p(o.p) { ++p->refs; }
-  kont_fn& operator=(const kont_fn& o) { ++o.p->refs; release(); p = o.p; return *this; }
-  ~kont_fn() { release(); }
-  void release() { if (--p->refs == 0) delete p; }
-  void operator()(A... a) const { p->call(a...); }
-  template <class F> static kont_fn make(const F& f) { return kont_fn(new lam<F>(f)); }
-};
-typedef kont_fn<void(double, double&)> kont1;
-"""
 # The record array grows by doubling; the arena grows by 4096-cell chunks
 # that never move.  g++ and clang know the __builtin_ allocation functions
 # without a header.
@@ -112,55 +82,65 @@ static void tape_free() {
 """
 
 
-def _returns_value(fn: IRFunction) -> bool:
-    return any(isinstance(s, Return) for s in walk(fn.body))
-
-
 def _tape_functions(prog: IRProgram) -> set:
     """The functions an unwinding call's target reaches: those that run
     between a tape mark and its unwind."""
     return reachable(prog.functions, [
         s.target for fn in prog.functions.values() for s in walk(fn.body)
-        if type(s) is Call and s.unwind and not s.indirect])
+        if type(s) is Call and s.unwind])
 
 
 class _Emitter:
     def __init__(self, prog: IRProgram):
         self.prog = prog
-        # per function between a tape mark and its unwind: the cells it
+        # per function: the cells it holds by pointer, those it receives
+        # from a call and, between a tape mark and its unwind, those it
         # creates that escape (emitted in the tape's arena)
-        self.tape_cells: dict[str, set] = {}
+        self.pointers: dict[str, set] = {}
         self.segments: dict[str, int] = {}  # record function -> tag
         self.uses_tape = False
+        self.rets = {fn.name: self._returns(fn) for fn in prog.functions.values()}
+        if self.rets.get(prog.entry) == "real":
+            raise ValueError("cannot emit a (value, cell) return with no caller "
+                             f"in {prog.entry}")
         self._analyze()
-        self.kinds = kinds(prog.functions)  # every Bind's op is known here
+
+    @staticmethod
+    def _returns(fn: IRFunction) -> str:
+        """The C return type of fn: double, real or void."""
+        found = {type(s) for s in walk(fn.body)} & {Return, RetReal}
+        if len(found) > 1:
+            raise ValueError(f"cannot emit {fn.name}: it returns both a value "
+                             "and a (value, cell) pair")
+        return "double" if Return in found else "real" if found else "void"
 
     def _analyze(self) -> None:
         in_tape = _tape_functions(self.prog)
         for fn in self.prog.functions.values():
-            local, escaping = set(), set()
+            local, escaping, received = set(), set(), set()
             for s in walk(fn.body):
                 match s:
                     case Bind(_, op, _) if op not in OPS:
                         raise ValueError(f"cannot emit {s!r}")
                     case CellNew(dest, _):
                         local.add(dest)
-                    case ClosureNew(_, f, captures):
-                        target = self.prog.functions.get(f)
-                        if target is None or len(target.params) - len(captures) != 2:
-                            raise ValueError(f"cannot emit a closure of arity "
-                                             f"other than 2: {s!r}")
-                        if local.intersection(captures):
-                            raise ValueError(f"cannot emit a closure capturing a cell "
-                                             f"made in {fn.name}: {s!r}")
-                    case Call(_, _, _, unwind):
+                    case Call(target, _, unwind, results):
                         self.uses_tape |= unwind
+                        if results and (len(results) != 2
+                                        or self.rets.get(target) != "real"):
+                            raise ValueError(f"cannot emit {s!r}: {target} returns "
+                                             "no (value, cell) pair")
+                        received.update(results[1:])
                     case TapePush(f, _):
                         self.uses_tape = True
                         self.segments.setdefault(f, len(self.segments))
-                if type(s) in (Call, Jump, ClosureNew, TapePush):
+                    case RetReal(_, cell) if cell in local and fn.name not in in_tape:
+                        raise ValueError(f"cannot emit {s!r}: {cell} is made in "
+                                         f"{fn.name}, outside an unwinding call")
+                if type(s) in (Call, Jump, TapePush, RetReal):
                     escaping.update(uses(s))
-            self.tape_cells[fn.name] = local & escaping if fn.name in in_tape else set()
+            arena = local & escaping if fn.name in in_tape else set()
+            self.pointers[fn.name] = arena | received
 
     def signature(self, fn: IRFunction, ret: str) -> str:
         params = ", ".join(f"{_TYPES[k]} {p}" for p, k in fn.params)
@@ -190,7 +170,7 @@ class _Emitter:
         return out
 
     def emit_function(self, fn: IRFunction, ret: str, out: list) -> None:
-        arena = self.tape_cells[fn.name]
+        pointers = self.pointers[fn.name]
         jumps = any(type(s) is Jump and s.target == fn.name for s in walk(fn.body))
         # a loop's cell parameters, rebound through a pointer by its jumps
         rebound = {p: f"{p}_at" for p, k in fn.params if k == "cell"} if jumps else {}
@@ -204,36 +184,27 @@ class _Emitter:
         def cell_lvalue(sym: str) -> str:
             if sym in rebound:
                 return f"*{rebound[sym]}"
-            return f"*{sym}" if sym in arena else sym
+            return f"*{sym}" if sym in pointers else sym
 
         def cell_pointer(sym: str) -> str:
             if sym in rebound:
                 return rebound[sym]
-            return sym if sym in arena else f"&{cell_lvalue(sym)}"
+            return sym if sym in pointers else f"&{cell_lvalue(sym)}"
 
         def cell_argument(o) -> str:
             # a cell passed where the callee expects double&
             return cell_lvalue(o) if isinstance(o, str) else fmt_float(o)
 
-        def call_args(target: str, args, captures=()) -> str:
+        def call_args(target: str, args) -> str:
             fn_t = self.prog.functions.get(target)
             rendered = []
-            seq = list(args) + list(captures)
-            for i, a in enumerate(seq):
+            for i, a in enumerate(args):
                 kind = fn_t.params[i][1] if fn_t and i < len(fn_t.params) else None
                 if kind == "cell":
                     rendered.append(cell_argument(a))
                 else:
                     rendered.append(operand(a))
             return ", ".join(rendered)
-
-        def captures_of(lam_caps) -> str:
-            # by-value for everything except cells: a captured cell is a
-            # parameter, whose object outlives the closure's calls
-            refs = [c for c in lam_caps if self.kinds.get(c) == "cell"]
-            if refs:
-                return "=, " + ", ".join(f"&{c}" for c in refs)
-            return "="
 
         def rebind(args) -> list:
             """Assignments that give the parameters the jump's arguments,
@@ -259,7 +230,7 @@ class _Emitter:
                     kind, _, text = OPS[op]
                     line(f"{_TYPES[kind]} {dest} = {text.format(*map(operand, args))};")
                 case CellNew(dest, init):
-                    if dest in arena:
+                    if dest in pointers:
                         line(f"double* {dest} = tape_cell({operand(init)});")
                     else:
                         line(f"double {dest} = {operand(init)};")
@@ -269,18 +240,10 @@ class _Emitter:
                     line(f"{cell_lvalue(cell)} += {operand(value)};")
                 case CellSet(cell, value):
                     line(f"{cell_lvalue(cell)} = {operand(value)};")
-                case ClosureNew(dest, f, caps):
-                    body_args = call_args(f, ["a0", "a1"], caps)
-                    line(f"kont1 {dest} = kont1::make([{captures_of(caps)}]"
-                         f"(double a0, double& a1) {{ {f}({body_args}); }});")
-                case Call(target, args, indirect, unwind):
-                    if indirect:
-                        # a kont1 takes (double, double&)
-                        rendered = [operand(a) if i == 0 else cell_argument(a)
-                                    for i, a in enumerate(args)]
-                        text = f"{target}({', '.join(rendered)});"
-                    else:
-                        text = f"{target}({call_args(target, args)});"
+                case Call(target, args, unwind, results):
+                    text = f"{target}({call_args(target, args)});"
+                    if results:
+                        text = f"auto [{', '.join(results)}] = {text}"
                     if unwind:
                         text = (f"{{ tape_mark m_ = tape_now(); {text} "
                                 f"tape_unwind(m_); }}")
@@ -291,7 +254,7 @@ class _Emitter:
                     line("continue;")
                 case Jump(target, args):
                     call = f"{target}({call_args(target, args)})"
-                    line(f"return {call};" if ret == "double" else f"{call}; return;")
+                    line(f"{call}; return;" if ret == "void" else f"return {call};")
                 case TapePush(f, caps):
                     words = [f"r_.w[{i}].{'c' if k == 'cell' else 'v'} = "
                              f"{cell_pointer(a) if k == 'cell' else operand(a)};"
@@ -311,6 +274,8 @@ class _Emitter:
                     if is_entry and self.uses_tape:
                         line("tape_free();")
                     line(f"return {operand(value)};")
+                case RetReal(value, cell):
+                    line(f"return real{{{operand(value)}, {cell_pointer(cell)}}};")
                 case _:
                     raise ValueError(f"cannot emit {s!r}")
 
@@ -335,11 +300,11 @@ def emit_c(prog: IRProgram) -> str:
     out: list[str] = []
     uses_tree = any(k == "tree" for fn in prog.functions.values()
                     for _, k in fn.params)
-    if "fun" in em.kinds.values():
-        out.append(_KONT_PRELUDE)
     if em.uses_tape:
         words = max((len(em.segment_params(f)) for f in em.segments), default=0)
         out.append(_TAPE_PRELUDE % max(words, 1))
+    if "real" in em.rets.values():
+        out.append(_REAL)
     if uses_tree:
         out.append("struct Tree {")
         out.append("  bool notEmpty; double value;")
@@ -352,11 +317,8 @@ def emit_c(prog: IRProgram) -> str:
         out.append("")
 
     names = [n for n in prog.functions if n != prog.entry]
-    rets = {n: ("double" if _returns_value(prog.functions[n]) else "void")
-            for n in prog.functions}
-
     for n in names:
-        out.append(em.signature(prog.functions[n], rets[n]) + ";")
+        out.append(em.signature(prog.functions[n], em.rets[n]) + ";")
     if names:
         out.append("")
     if em.uses_tape:
@@ -365,7 +327,7 @@ def emit_c(prog: IRProgram) -> str:
 
     order = names + [prog.entry]
     for i, n in enumerate(order):
-        em.emit_function(prog.functions[n], rets[n], out)
+        em.emit_function(prog.functions[n], em.rets[n], out)
         if i != len(order) - 1:
             out.append("")
     return "\n".join(out) + "\n"

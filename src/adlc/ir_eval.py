@@ -10,14 +10,17 @@ language (Feeley & Lapalme 1987; Ager et al., PPDP 2003):
 - `add`, `mul` and `greater` have opcodes of their own; any other op calls
   its `OPS` function on its one operand; a `Bind` with an unknown op or
   the wrong number of operands is an error instruction;
-- a call, closure creation, jump or tape push gathers its operands with an
-  `operator.itemgetter` built at translation time;
+- a call, jump or tape push gathers its operands with an `operator.itemgetter`
+  built at translation time;
 - an adjoint update whose read and product no other instruction reads
   (`CellRead`, `mul`, `CellAccum`, or `CellRead`, `CellAccum`) is one
   instruction, with the same float operations in the same order;
 - a non-tail call pushes a return frame (code, pc, activation, steps) onto
   an explicit stack and a tail call replaces the activation, so nesting
-  (the tree fold's continuations) costs no Python stack;
+  (a tree fold's calls on the subtrees) costs no Python stack;
+- a valued call is a call followed by a receive instruction, which a
+  (value, cell) return fills and steps over: run, it raises, since the
+  callee returned one value or none;
 - a `Jump` to the enclosing function reassigns its parameters in place and
   restarts it, with no new activation (a function whose locals may be read
   undefined gets a fresh activation instead, so they read undefined again);
@@ -30,7 +33,10 @@ language (Feeley & Lapalme 1987; Ager et al., PPDP 2003):
 The depth limit, given per run, bounds the nesting depth and the length of
 any one tail chain, where a jump counts as one tail call, so a runaway
 staged loop stops with a diagnostic instead of spinning forever.  A record
-the unwind runs is one level of nesting, and starts a chain of its own.
+the unwind runs is one level of nesting, and starts a chain of its own.  A
+tree fold nests the entry, `fold` and one call per tree level, the empty
+tree's included, so a tree of height h needs a limit of h + 3 (plus one per
+join or loop its body stages).
 
 Errors are raised at run time, in evaluation order: an undefined symbol in
 an untaken branch is not an error.  A local starts undefined, and a use
@@ -50,8 +56,8 @@ import struct
 from operator import itemgetter
 
 from .staging import (
-    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRProgram, Jump, Return, StagingError, TapePush, TreeData, defs,
+    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRProgram,
+    Jump, RetReal, Return, StagingError, TapePush, TreeData, defs,
 )
 
 DEFAULT_DEPTH_LIMIT = 100_000
@@ -73,14 +79,6 @@ class _Code:
         self.nparams = nparams
         self.instrs: tuple = ()
         self.blank: tuple = ()
-
-
-class _Closure:
-    __slots__ = ("code", "captures")
-
-    def __init__(self, code: _Code, captures):
-        self.code = code
-        self.captures = captures
 
 
 _UNDEF = object()  # a local that no statement has defined yet
@@ -110,29 +108,27 @@ def _gather(slots: tuple):
 #   (CREAD, d, cell)   (CACC|CSET, cell, v)   (CNEW, d, init)
 #   (CMACC, cell, r, k)   cell += read(r) * k
 #   (CRACC, cell, r)   cell += read(r)
-#   (CLO, d, code, get)   (JF, guard, pc)   (JUMP, pc)   (RET, v)   (END,)
-#   (CALL|TCALL, code, get, slots)   direct, non-tail or tail (a jump
-#                                    elsewhere)
+#   (JF, guard, pc)   (JUMP, pc)   (RET, v)   (RETR, v, cell)   (END,)
+#   (CALL|TCALL, code, get, slots)   non-tail or tail (a jump elsewhere)
+#   (RECV, v, cell, message)   after a valued CALL: RETR fills the slots
+#                                  and steps over it; run, it raises
 #   (JSELF, params, get, slots)   the parameters (a slice) get new values
-#   (ICALL|ITCALL, target, get, non-closure message)
 #   (PUSH, code, get, slots)   (MARK,)   (UNWIND,)   the tape
-#   (BADCALL, code, nargs, tail)   a direct call or jump to an unknown
-#                                  function or with the wrong number of
-#                                  arguments
+#   (BADCALL, code, nargs, tail)   a call or jump to an unknown function or
+#                                  with the wrong number of arguments
 #   (CHECK, slot, name)   raise if the slot is undefined
-#   (CLOCHK, target, message)   (CELLCHK, cell)   the errors a statement
-#                                  raises between two of its operands
+#   (CELLCHK, cell)   the error an accumulation raises between its operands
 #   (ERR, message)
 
 # numbered, and tested in _run, by how often the gradient programs run them:
 # the straight-line ones, then those of conditionals, loops and tree folds
 (CNEW, CMACC, CRACC, MUL, ADD, JF, END, OP1, GT, JSELF, PUSH, UNWIND, CSET,
- CREAD, RET, TCALL, CLO, ICALL, ITCALL, CALL, CACC, MARK, JUMP, CHECK,
- CLOCHK, CELLCHK, BADCALL, ERR) = range(28)
+ CREAD, RET, CALL, RETR, TCALL, CACC, MARK, JUMP, CHECK, CELLCHK, BADCALL,
+ RECV, ERR) = range(26)
 
 _OWN_OPCODE = {"add": ADD, "mul": MUL, "greater": GT}
 _NON_TREE = "tree operation on a non-tree (empty tree?)"
-_CHECKS = (CHECK, CLOCHK, CELLCHK)
+_CHECKS = (CHECK, CELLCHK)
 
 # steps the translator schedules after a Cond's then-branch and else-branch
 _STMT, _ELSE, _ENDIF = range(3)
@@ -294,25 +290,22 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
         elif cls is CellSet:
             v = operand(s.value)  # the value is read before the cell
             emit((CSET, operand(s.cell), v))
-        elif cls is ClosureNew:
-            caps = operands(s.captures)
-            emit((CLO, sym(s.dest), lookup(s.fn), _gather(caps)))
         elif cls is TapePush:
             caps = operands(s.captures)
             emit((PUSH, lookup(s.fn), _gather(caps), caps))
         elif cls is Call:
-            tail = tail and not s.unwind  # the unwind runs after the call
+            # the unwind, or the receive, runs after the call
+            tail = tail and not s.unwind and not s.results
             if s.unwind:
                 emit((MARK,))
-            if s.indirect:
-                t = operand(s.target)
-                msg = f"calling a non-closure {s.target!r}"
-                if any(unchecked(o) for o in s.args):
-                    emit((CLOCHK, t, msg))
-                emit((ITCALL if tail else ICALL, t, _gather(operands(s.args)),
-                      msg))
-            else:
-                call(s.target, operands(s.args), tail)
+            call(s.target, operands(s.args), tail)
+            if len(s.results) == 2:
+                emit((RECV, *map(sym, s.results),
+                      f"{s.target} returned no (value, cell) pair"))
+            elif s.results:
+                emit((ERR, f"a call receives a (value, cell) pair, not {s.results!r}"))
+                defd = None
+                continue
             if s.unwind:
                 emit((UNWIND,))
             if tail:
@@ -335,6 +328,10 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
             continue
         elif cls is Return:
             emit((RET, operand(s.value)))
+            defd = None
+            continue
+        elif cls is RetReal:
+            emit((RETR, operand(s.value), operand(s.cell)))
             defd = None
             continue
         else:
@@ -456,36 +453,6 @@ def _run(code: _Code, act: list, limit: int):
             if not frames:
                 return act[ins[1]]
             instrs, pc, act, steps = pop()  # a non-tail call's value is unused
-        elif op == TCALL:
-            steps += 1
-            if steps > limit:
-                raise _limit_error(limit)
-            callee = ins[1]
-            act = [*ins[2](act), *callee.blank]
-            instrs, pc = callee.instrs, 0
-        elif op == CLO:
-            act[ins[1]] = _Closure(ins[2], ins[3](act))
-        elif op == ICALL or op == ITCALL:
-            clo = act[ins[1]]
-            if type(clo) is not _Closure:
-                raise IREvalError(ins[3])
-            callee = clo.code
-            new = [*ins[2](act), *clo.captures]
-            if op == ICALL:
-                if len(frames) > max_frames:
-                    raise _limit_error(limit)
-                if callee.nparams != len(new):
-                    raise _call_error(callee, len(new))
-                push((instrs, pc, act, steps))
-                steps = 1
-            else:
-                steps += 1
-                if steps > limit:
-                    raise _limit_error(limit)
-                if callee.nparams != len(new):
-                    raise _call_error(callee, len(new))
-            new += callee.blank
-            act, instrs, pc = new, callee.instrs, 0
         elif op == CALL:
             if len(frames) > max_frames:
                 raise _limit_error(limit)
@@ -493,6 +460,23 @@ def _run(code: _Code, act: list, limit: int):
             callee = ins[1]
             act = [*ins[2](act), *callee.blank]
             instrs, pc, steps = callee.instrs, 0, 1
+        elif op == RETR:
+            if not frames:
+                raise IREvalError("a (value, cell) return with no caller")
+            x, d = act[ins[1]], act[ins[2]]
+            instrs, pc, act, steps = pop()
+            ins = instrs[pc]
+            if ins[0] == RECV:  # else the call's value is unused
+                act[ins[1]] = x
+                act[ins[2]] = d
+                pc += 1
+        elif op == TCALL:
+            steps += 1
+            if steps > limit:
+                raise _limit_error(limit)
+            callee = ins[1]
+            act = [*ins[2](act), *callee.blank]
+            instrs, pc = callee.instrs, 0
         elif op == CACC:
             c = act[ins[1]]
             cells[c] = cells[c] + act[ins[2]]
@@ -503,9 +487,6 @@ def _run(code: _Code, act: list, limit: int):
         elif op == CHECK:
             if act[ins[1]] is _UNDEF:
                 raise IREvalError(f"undefined symbol {ins[2]!r}")
-        elif op == CLOCHK:
-            if type(act[ins[1]]) is not _Closure:
-                raise IREvalError(ins[2])
         elif op == CELLCHK:
             cells[act[ins[1]]]  # raises as the accumulation's read would
         elif op == BADCALL:
@@ -513,6 +494,8 @@ def _run(code: _Code, act: list, limit: int):
             if over:
                 raise _limit_error(limit)
             raise _call_error(ins[1], ins[2])
+        elif op == RECV:  # the callee returned one value, or none
+            raise IREvalError(ins[3])
         else:  # ERR
             raise IREvalError(ins[1])
 
@@ -542,7 +525,7 @@ _LIMIT = "raise LIMIT(limit)"
 
 def _loop_program(entry: _Code) -> list | None:
     """The codes entry reaches, callees first, when the program they make
-    loops, makes no closure, has only instructions of _COMPILED, calls each
+    loops, has only instructions of _COMPILED, calls each
     function with its number of parameters and has an acyclic call graph
     with chains of at most MAX_CHAIN calls; else None.  Iterative, so a
     long chain costs no Python stack."""

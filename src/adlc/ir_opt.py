@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .staging import (
-    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Jump, TapePush, map_operands, reachable, uses, walk,
+    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
+    IRProgram, Jump, RetReal, TapePush, defs, map_operands, reachable, uses, walk,
 )
 
 _UNKNOWN = object()
@@ -26,12 +26,12 @@ def _has_control(block) -> bool:
 
 
 def _escaping_syms(prog: IRProgram) -> set:
-    """Symbols whose value leaves the defining frame (call and jump
-    arguments, closure and record captures); cells among them may be
-    aliased."""
+    """Symbols whose value leaves its frame or comes from another (call and
+    jump arguments, record captures, the (value, cell) a function returns
+    or a call receives); cells among them may be aliased."""
     return {o for fn in prog.functions.values() for s in walk(fn.body)
-            if type(s) in (Call, Jump, ClosureNew, TapePush)
-            for o in uses(s) if isinstance(o, str)}
+            if type(s) in (Call, Jump, TapePush, RetReal)
+            for o in uses(s) + defs(s) if isinstance(o, str)}
 
 
 def _read_cells(prog: IRProgram) -> set:
@@ -183,7 +183,7 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
         for s in reversed(block):
             cls = type(s)
             keep = True
-            if cls is Bind or cls is ClosureNew or cls is CellRead:
+            if cls is Bind or cls is CellRead:
                 keep = s.dest in live
             elif cls is CellNew:
                 keep = s.dest in read_cells or s.dest in live

@@ -4,7 +4,7 @@ A program is staged by running it on the CEK machine (`interp`) over staged
 reals: their arithmetic emits the fused forward/backward statement pattern,
 a conditional on a staged guard lifts the rest of the run to a named
 function so the join code exists exactly once, and a tree fold becomes a
-CPS-recursive function over a runtime tree value.
+function that calls itself on the subtrees of a runtime tree value.
 
 A loop becomes a function whose tail self-call is a `Jump`: the parameters
 are reassigned and the body runs again, with no new activation.  The
@@ -16,8 +16,14 @@ calls the loop, then pops the records pushed since the mark and runs each
 one, newest first.  Continuations remove the tape; defunctionalizing them
 gives it back.
 
-Cells hold accumulating adjoints; closures are a named function plus a
-capture tuple, so the IR stays first-order.
+A tree fold is staged in direct style on the same tape: a node's function
+receives each subtree's result as a (value, adjoint cell) pair from a
+valued `Call`, stages the body, pushes the body's backward work as one
+record and returns the body's pair with `RetReal`.  Inside a fold, every
+other transfer of control (a conditional's join, a loop) is a tail one
+after a record too, so the fold's unwinding call site runs all of its
+backward work, newest first.  Cells hold accumulating adjoints; the IR has
+no closures.
 """
 
 from __future__ import annotations
@@ -81,19 +87,14 @@ class CellSet:
 
 
 @dataclass
-class ClosureNew:
-    dest: str
-    fn: str
-    captures: tuple
-
-
-@dataclass
 class Call:
     target: str
     args: tuple
-    indirect: bool = False  # target is a symbol holding a closure
     # after the call returns, pop the tape records it pushed and run each
     unwind: bool = False
+    # the symbols that receive the (value, cell) the callee returns with
+    # RetReal, or () when the call's value is unused
+    results: tuple = ()
 
 
 @dataclass
@@ -127,9 +128,18 @@ class Return:
 
 
 @dataclass
+class RetReal:
+    """Return a staged real, its value and its adjoint cell, to a valued
+    `Call`."""
+
+    value: object
+    cell: object
+
+
+@dataclass
 class IRFunction:
     name: str
-    params: list  # of (symbol, kind); kind in {"val", "cell", "fun", "tree", "bool"}
+    params: list  # of (symbol, kind); kind in {"val", "cell", "tree", "bool"}
     body: list = field(default_factory=list)
 
 
@@ -151,9 +161,10 @@ class IRProgram:
 # ---------------------------------------------------------------------------
 # Statement kernel: the one declaration of the IR's shape.  STMTS gives, per
 # statement class, its operand fields in read order (a starred field holds a
-# tuple of operands; an indirect Call's target is one, a direct Call's names
-# a function) and the kind of the symbol it defines in `dest` (None if it
-# defines none; a Bind's is the kind of its op's result).  `uses`, `defs`,
+# tuple of operands; a call's or a jump's target names a function, and is no
+# operand) and the kind of the symbol it defines in `dest` (None if it
+# defines none; a Bind's is the kind of its op's result; a Call's, REAL, says
+# that it defines its `results`, a value and a cell).  `uses`, `defs`,
 # `map_operands` and `kinds` read it; a new statement class is one row here
 # plus its arm in the passes that act on it.  OPS gives, per Bind op, the kind
 # of its result, the host function that computes it (ir_eval runs it and
@@ -170,6 +181,7 @@ OPS = {
     "tree_nonempty": ("bool", lambda t: t is not None, "{}.notEmpty"),
 }
 ARITY = {op: text.count("{}") for op, (_kind, _fn, text) in OPS.items()}
+REAL = ("val", "cell")  # the kinds of a staged real's value and adjoint cell
 
 STMTS = {
     Bind: (("*args",), OPS),
@@ -177,12 +189,12 @@ STMTS = {
     CellRead: (("cell",), "val"),
     CellAccum: (("cell", "value"), None),
     CellSet: (("cell", "value"), None),
-    ClosureNew: (("*captures",), "fun"),
-    Call: (("target", "*args"), None),
+    Call: (("*args",), REAL),
     Jump: (("*args",), None),
     TapePush: (("*captures",), None),
     Cond: (("guard",), None),
     Return: (("value",), None),
+    RetReal: (("value", "cell"), None),
 }
 # per class: (field, holds a tuple) for each operand field
 _OPERANDS = {cls: tuple((f.lstrip("*"), f[0] == "*") for f in fields)
@@ -201,15 +213,10 @@ def walk(block: list):
             stack.extend(s.then[::-1])
 
 
-def _operand_fields(s) -> tuple:
-    fields = _OPERANDS[type(s)]
-    return fields[1:] if type(s) is Call and not s.indirect else fields
-
-
 def uses(s) -> list:
     """Operands the statement reads: symbols or literals, in field order."""
     out: list = []
-    for name, many in _operand_fields(s):
+    for name, many in _OPERANDS[type(s)]:
         if many:
             out.extend(getattr(s, name))
         else:
@@ -219,26 +226,27 @@ def uses(s) -> list:
 
 def defs(s) -> list:
     """Symbols the statement defines."""
-    return [s.dest] if STMTS[type(s)][1] is not None else []
+    kind = STMTS[type(s)][1]
+    if kind is REAL:
+        return list(s.results)
+    return [s.dest] if kind is not None else []
 
 
 def map_operands(s, f):
     """A copy of the statement with f applied to each operand."""
     fields = dict(vars(s))
-    for name, many in _operand_fields(s):
+    for name, many in _OPERANDS[type(s)]:
         fields[name] = tuple(map(f, fields[name])) if many else f(fields[name])
     return type(s)(**fields)
 
 
 def callee(s) -> str | None:
-    """The function a statement names: the target of a direct call or a
-    jump, or the function of a closure or a record."""
+    """The function a statement names: the target of a call or a jump, or
+    the function of a record."""
     cls = type(s)
-    if cls is Call and not s.indirect or cls is Jump:
+    if cls is Call or cls is Jump:
         return s.target
-    if cls is ClosureNew or cls is TapePush:
-        return s.fn
-    return None
+    return s.fn if cls is TapePush else None
 
 
 def reachable(functions: dict, roots) -> set:
@@ -263,7 +271,9 @@ def kinds(functions: dict) -> dict:
         out.update(fn.params)
         for s in walk(fn.body):
             kind = STMTS[type(s)][1]
-            if kind is not None:
+            if kind is REAL:
+                out.update(zip(s.results, kind))
+            elif kind is not None:
                 out[s.dest] = kind[s.op][0] if kind is OPS else kind
     return out
 
@@ -328,6 +338,9 @@ class _Stager:
         self.work: list = []  # runs to stage, the next last
         self.block: list = []
         self.end = None
+        # in a tree fold, a run's value is returned to a caller, so every
+        # transfer of control is a tail one, after a record (`record`)
+        self.fold = False
         self.names: set[str] = set()
         self.loops: dict = {}  # letrec code -> its loop, activation, cells at entry
         self.store = Store(self)
@@ -361,14 +374,36 @@ class _Stager:
         fn = self.function(prefix, [(self.named("x"), "val"), (self.named("d"), "cell")])
         return fn, SNum(fn.params[0][0], fn.params[1][0], self)
 
+    def record(self, prefix: str, *stmts) -> None:
+        """Emit a push of a record of a new function, then stmts, which end
+        the block.  The backward steps emitted from here on, those of the
+        operations staged before, go into that function, so the unwind runs
+        them after the records pushed later."""
+        bw = self.function(prefix, [])
+        self.emit(TapePush(bw.name, ()))
+        self.block += stmts
+        self.block = bw.body
+
+    def transfer(self, call: Call) -> None:
+        """Emit a call of the rest of the run.  In a fold it is a valued
+        call whose (value, cell) the run returns, after a record."""
+        if not self.fold:
+            self.emit(call)
+            return
+        call.results = (self.sym("x"), self.sym("d"))
+        self.record("bwd", call, RetReal(*call.results))
+
     def lift(self, v, what: str = "operand") -> SNum:
-        if type(v) is float:
-            d = self.sym("d")
-            self.emit(CellNew(d, 0.0))
-            return SNum(v, d, self)
-        if type(v) is not SNum:
+        """v with an adjoint cell: a float, or a node value, gets a new one."""
+        if type(v) is SNum and v.d is not None:
+            return v
+        if type(v) is SNum:
+            v = v.x
+        elif type(v) is not float:
             raise StagingError(f"{what} is not a staged real")
-        return v
+        d = self.sym("d")
+        self.emit(CellNew(d, 0.0))
+        return SNum(v, d, self)
 
     def run(self, block: list, end, go) -> None:
         """Stage one run into block, and each run a hook queues, from one
@@ -440,13 +475,16 @@ class _Stager:
             raise EvalError(f"case on a non-sum: {g!r}")
         k, x = self.of_real("k")
         cond = Cond(g.sym, [], [])
-        self.emit(cond)
+        if self.fold:
+            self.record("bwd", cond)
+        else:
+            self.emit(cond)
         cells = dict(self.store.cells)
 
         def join(v):
             if any(self.store.cells[i] is not c for i, c in cells.items()):
                 raise StagingError("a branch on a staged guard assigns a ref made before it")
-            self.emit(Call(k.name, _ARGS(self.lift(v, "branch result"))))
+            self.transfer(Call(k.name, _ARGS(self.lift(v, "branch result"))))
 
         self.work += [(cond.orelse, join, right, cells), (cond.then, join, left, cells),
                       (k.body, self.end, partial(rest, x), cells)]
@@ -456,9 +494,10 @@ class _Stager:
         """The paper's FUN, for the application of a letrec's function to
         a, a staged real or a float, from the activation caller (None for a
         non-tail one) into act.  The first queues its run, staged once as a
-        loop behind an unwinding call, from the store as it is then; a tail
-        call from the loop body's own activation is a jump back, after a
-        record that takes the rest of the iteration's backward work."""
+        loop behind an unwinding call (in a fold, the fold's call site
+        unwinds), from the store as it is then; a tail call from the loop
+        body's own activation is a jump back, after a record that takes the
+        rest of the iteration's backward work."""
         a = _ARGS(self.lift(a, "loop argument"))
         name, body, cells = self.loops.get(code, (None, None, None))
         if name is None:
@@ -466,17 +505,14 @@ class _Stager:
             cells = dict(self.store.cells)
             self.loops[code] = lf.name, act, cells
             self.work.append((lf.body, self.end, partial(run, x), cells))
-            self.emit(Call(lf.name, a, unwind=True))
+            self.transfer(Call(lf.name, a, unwind=not self.fold))
         elif caller is not body:
             raise StagingError(
                 "letrec stages only in loop form: (letrec f (lam x e) (app f e'))")
         elif any(self.store.cells[i] is not c for i, c in cells.items()):
             raise StagingError("a loop body assigns a ref made before the loop")
         else:
-            bw = self.function("loop_bwd", [])
-            self.emit(TapePush(bw.name, ()))
-            self.emit(Jump(name, a))
-            self.block = bw.body
+            self.record("loop_bwd", Jump(name, a))
         return ENDED
 
 
@@ -498,10 +534,9 @@ def _free_syms(fn: IRFunction) -> list[str]:
 
 def _lambda_lift(prog: IRProgram) -> None:
     """Append each function's free symbols to its parameter list and to
-    every call, jump, closure creation and tape push that names it, in
-    rounds; a round looks only at the functions whose statements the last
-    one changed.  Functions only gain parameters, from a finite set of
-    symbols, so the rounds end."""
+    every call, jump and tape push that names it, in rounds; a round looks
+    only at the functions whose statements the last one changed.  Functions
+    only gain parameters, from a finite set of symbols, so the rounds end."""
     naming: dict = {}  # function -> [(function holding it, statement)]
     for name, fn in prog.functions.items():
         for s in walk(fn.body):
@@ -590,41 +625,35 @@ def stage_tree(body: Expr) -> IRProgram:
 
     `body` combines the recursive results of the subtrees (free variables
     `l` and `r`) and the node value (`v`); an empty tree returns the input
-    directly.  The staged program is one IR for all tree shapes: a
-    CPS-recursive function traverses the tree value at run time.
+    and its adjoint cell.  The staged program is one IR for all tree shapes,
+    in direct style: rec(t) calls itself on the left, then on the right
+    subtree, stages the body on the two (value, cell) results, pushes the
+    body's backward work as a record and returns the body's (value, cell).
+    The entry calls `fold`, which sets the root result's adjoint to 1, with
+    an unwinding call, so the records run newest first: the nodes in
+    reverse post-order.
     """
     def build(st: _Stager) -> None:
+        st.fold = True
         entry = st.function(ENTRY, [("tree", "tree"), (INPUT, "val")])
         d0 = st.named("d0")
-        # the final continuation sets the fold result's adjoint to 1
-        ktop, top = st.of_real("k")
-        ktop.body.append(CellSet(top.d, 1.0))
-        # rec(t, k0): traverse left (k_left), then right (k_right), then combine
         t = st.sym("t")
-        k0 = st.sym("k")
-        rec = st.function("rec", [(t, "tree"), (k0, "fun")])
-        kl, left = st.of_real("k_left")
-        kr, right = st.of_real("k_right")
-        g = st.sym("g")
-        rec.body.append(Bind(g, "tree_nonempty", (t,)))
-        tl = st.sym("t")
-        c = st.sym("k")
-        then = [Bind(tl, "tree_left", (t,)), ClosureNew(c, kl.name, ()), Call(rec.name, (tl, c))]
-        rec.body.append(Cond(g, then, [Call(k0, (INPUT, d0), indirect=True)]))
-        tr = st.sym("t")
-        c = st.sym("k")
-        kl.body += [Bind(tr, "tree_right", (t,)), ClosureNew(c, kr.name, ()),
-                    Call(rec.name, (tr, c))]
-        v = st.sym("v")
-        dv = st.sym("d")
-        kr.body += [Bind(v, "tree_value", (t,)), CellNew(dv, 0.0)]
-        env = {TREE_LEFT: left, TREE_RIGHT: right, TREE_VALUE: SNum(v, dv, st)}
-        fold_end = lambda y: st.emit(Call(k0, _ARGS(st.lift(y, "fold result")), indirect=True))
-        st.run(kr.body, fold_end, lambda afters: eval_expr(body, env, st.store, afters)[0])
-        c = st.sym("k")
-        r = st.sym("r")
-        entry.body += [CellNew(d0, 0.0), ClosureNew(c, ktop.name, ()),
-                       Call(rec.name, ("tree", c)), CellRead(r, d0), Return(r)]
+        rec = st.function("rec", [(t, "tree")])
+        left, right = (SNum(st.named("x"), st.named("d"), st) for _ in "lr")
+        g, tl, tr, v = st.sym("g"), st.sym("t"), st.sym("t"), st.sym("v")
+        then = [Bind(tl, "tree_left", (t,)), Call(rec.name, (tl,), results=_ARGS(left)),
+                Bind(tr, "tree_right", (t,)), Call(rec.name, (tr,), results=_ARGS(right)),
+                Bind(v, "tree_value", (t,))]
+        rec.body += [Bind(g, "tree_nonempty", (t,)), Cond(g, then, [RetReal(INPUT, d0)])]
+        # a node value's adjoint cell would be dead: nothing reads it
+        env = {TREE_LEFT: left, TREE_RIGHT: right, TREE_VALUE: SNum(v, None, st)}
+        st.run(then, lambda y: st.record("rec_bwd", RetReal(*_ARGS(st.lift(y, "fold result")))),
+               lambda afters: eval_expr(body, env, st.store, afters)[0])
+        fold = st.function("fold", [("tree", "tree")])
+        y, dy, r = st.sym("x"), st.sym("d"), st.sym("r")
+        fold.body += [Call(rec.name, ("tree",), results=(y, dy)), CellSet(dy, 1.0)]
+        entry.body += [CellNew(d0, 0.0), Call(fold.name, ("tree",), unwind=True),
+                       CellRead(r, d0), Return(r)]
 
     return _stage(body, build)
 

@@ -140,7 +140,7 @@ def _tail_self_calls_only(prog, fn_name: str) -> bool:
     def check(block, tail):
         for i, s in enumerate(block):
             last = tail and i == len(block) - 1
-            if isinstance(s, Call) and not s.indirect and s.target == fn_name:
+            if isinstance(s, Call) and s.target == fn_name:
                 if not last:
                     return False
             elif isinstance(s, Cond):

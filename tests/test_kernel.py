@@ -16,9 +16,9 @@ from adlc.reverse import (
     rev_transform_target_shift,
 )
 from adlc.staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    Jump, Return, TapePush, defs, kinds, map_operands, stage_reverse,
-    stage_tree, uses, walk,
+    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, Jump, RetReal,
+    Return, TapePush, defs, kinds, map_operands, stage_reverse, stage_tree,
+    uses, walk,
 )
 from adlc.syntax import (
     Const, Expr, Lam, Var, children, map_children, parse, pretty,
@@ -78,13 +78,13 @@ _STMTS = [
     (CellRead("t", "d"), ["d"], ["t"]),
     (CellAccum("d", "t"), ["d", "t"], []),
     (CellSet("d", 1.0), ["d", 1.0], []),
-    (ClosureNew("k", "f", ("d", "x")), ["d", "x"], ["k"]),
     (Call("f", ("x", "d")), ["x", "d"], []),
-    (Call("k", ("x", "d"), indirect=True), ["k", "x", "d"], []),
+    (Call("rec", ("t", "d"), results=("y", "dy")), ["t", "d"], ["y", "dy"]),
     (Jump("loop", ("v", "d")), ["v", "d"], []),
     (TapePush("loop_bwd", ("d", "x")), ["d", "x"], []),
     (Cond("g", [Return("x")], []), ["g"], []),
     (Return("r"), ["r"], []),
+    (RetReal("y", "dy"), ["y", "dy"], []),
 ]
 
 
@@ -122,7 +122,7 @@ def _program(name: str) -> str:
     stage_tree(parse(_program("tree_fold.sexp")))], ids=["loop", "tree"])
 def test_kinds_cover_every_symbol(prog):
     kind = kinds(prog.functions)
-    assert set(kind.values()) <= {"val", "cell", "fun", "tree", "bool"}
+    assert set(kind.values()) <= {"val", "cell", "tree", "bool"}
     for fn in prog.functions.values():
         for p, k in fn.params:
             assert kind[p] == k
@@ -131,6 +131,8 @@ def test_kinds_cover_every_symbol(prog):
                 assert d in kind
             if type(s) is CellNew:
                 assert kind[s.dest] == "cell"
+            if type(s) is Call and s.results:
+                assert [kind[r] for r in s.results] == ["val", "cell"]
 
 
 def test_ir_walk_is_preorder_then_before_orelse():

@@ -18,8 +18,8 @@ from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.runtime import grad_tape_expr
 from adlc.staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, ClosureNew, Cond,
-    IRFunction, IRProgram, Jump, Return, StagingError, TapePush, TreeData,
+    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
+    IRProgram, Jump, RetReal, Return, StagingError, TapePush, TreeData,
     ir_cell_op_count, ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
 from adlc.syntax import Add, App, Const, Greater, If, Lam, Let, Letrec, Mul, Var, parse
@@ -132,7 +132,7 @@ def _tail_self_calls_only(p: IRProgram, fn_name: str) -> bool:
     def check(block, tail: bool) -> bool:
         for i, s in enumerate(block):
             last = tail and i == len(block) - 1
-            if isinstance(s, Call) and not s.indirect and s.target == fn_name:
+            if isinstance(s, Call) and s.target == fn_name:
                 if not last:
                     return False
             elif isinstance(s, Cond):
@@ -359,12 +359,20 @@ def test_staging_rejects_control():
 # --- trees -------------------------------------------------------------------------
 
 def _dual_fold(t, x):
-    """Independent oracle: dual-number fold over the same tree."""
-    if t is None:
-        return x
-    l = _dual_fold(t.left, x)
-    r = _dual_fold(t.right, x)
-    return (l[0] * r[0] * t.value, (l[1] * r[0] + l[0] * r[1]) * t.value)
+    """Independent oracle: dual-number fold over the same tree, in
+    post-order from an explicit stack, so deep trees fit any Python stack."""
+    done: list = []  # the results of the finished subtrees
+    stack = [(t, False)]
+    while stack:
+        n, ready = stack.pop()
+        if n is None:
+            done.append(x)
+        elif ready:
+            r, l = done.pop(), done.pop()
+            done.append((l[0] * r[0] * n.value, (l[1] * r[0] + l[0] * r[1]) * n.value))
+        else:
+            stack += [(n, True), (n.right, False), (n.left, False)]
+    return done[0]
 
 
 def test_tree_single_node():
@@ -413,12 +421,23 @@ def _pow2_tree(rng, depth):
                     _pow2_tree(rng, depth - 1))
 
 
+def _path_tree(rng, n):
+    """A tree of n nodes, each the left child of the one above: height n."""
+    t = None
+    for _ in range(n):
+        t = TreeData(rng.choice((0.5, 1.0, 2.0)), t, None)
+    return t
+
+
 def test_deep_tree_fold_needs_no_python_stack():
-    # a depth-12 fold (4095 nodes) nests a continuation call per node; the
-    # explicit frame stack runs it within 100 frames of this test's own,
-    # and the depth limit still counts that nesting
+    # a fold nests one call per tree level: a path tree of 3,000 nodes runs
+    # at the default limits, within 100 frames of this test's own, on the
+    # explicit frame stack; the depth limit counts the entry, `fold` and a
+    # `rec` per level and the leaf below the last, so it raises just below
+    # height + 3
     rng = random.Random(12)
-    t = _pow2_tree(rng, 12)
+    n = 3000
+    t = _path_tree(rng, n)
     p = stage_tree(TREE_BODY)
     progs = (p, ir_optimize(p))
     want = {x: _dual_fold(t, (x, 1.0))[1].hex() for x in (1.0, -1.0)}
@@ -429,8 +448,37 @@ def test_deep_tree_fold_needs_no_python_stack():
     finally:
         sys.setrecursionlimit(saved)
     assert got == {x: [w, w] for x, w in want.items()}
+    for q in progs:
+        assert ir_eval(q, 1.0, tree=t, depth_limit=n + 3).hex() == want[1.0]
+        with pytest.raises(IREvalError, match=rf"depth limit exceeded \({n + 2}\)"):
+            ir_eval(q, 1.0, tree=t, depth_limit=n + 2)
+    # the limit counts the height, not the nodes: a full tree of 4,095
+    # nodes has height 12
+    full = _pow2_tree(rng, 12)
+    assert ir_eval(p, 1.0, tree=full, depth_limit=15).hex() == _dual_fold(
+        full, (1.0, 1.0))[1].hex()
     with pytest.raises(IREvalError, match="depth limit"):
-        ir_eval(p, 1.0, tree=_pow2_tree(rng, 6), depth_limit=50)
+        ir_eval(p, 1.0, tree=full, depth_limit=14)
+
+
+def test_node_values_get_no_adjoint_cell():
+    # nothing reads a node value's adjoint, so the staged fold makes no cell
+    # for it, and ir_optimize finds no cell operation left to remove
+    p = stage_tree(TREE_BODY)
+    assert ir_cell_op_count(p) == ir_cell_op_count(ir_optimize(p)) == 11
+
+
+def test_tree_fold_is_direct_style_with_one_record_per_node():
+    # rec calls itself on both subtrees as valued calls and returns its
+    # (value, cell); the body's backward work is one record
+    p = stage_tree(TREE_BODY)
+    rec = p.functions["rec"]
+    calls = [s for s in _stmts(rec.body) if isinstance(s, Call)]
+    assert [(c.target, len(c.results)) for c in calls] == [("rec", 2), ("rec", 2)]
+    assert sum(isinstance(s, TapePush) for s in _all_stmts(p)) == 1
+    assert sum(isinstance(s, RetReal) for s in _stmts(rec.body)) == 2
+    [unwinding] = [s for s in _all_stmts(p) if isinstance(s, Call) and s.unwind]
+    assert unwinding.target == "fold"
 
 
 def test_parse_tree_errors():
@@ -523,6 +571,23 @@ def test_ir_eval_op_errors():
                 ir_eval(q, 1.0)
 
 
+_ONE = [("a", "val")]
+# (message, program) for a (value, cell) return or a valued call that does
+# not match its other side
+PAIR_ERRORS = (
+    ("a (value, cell) return with no caller",
+     _entry(CellNew("d", 0.0), RetReal("in", "d"))),
+    ("f returned no (value, cell) pair",
+     _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
+            f=(_ONE, [Return("a")]))),
+    ("f returned no (value, cell) pair",
+     _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
+            f=(_ONE, [Bind("b", "add", ("a", 1.0))]))),
+    ("a call receives a (value, cell) pair, not ('x',)",
+     _entry(Call("f", ("in",), results=("x",)), Return("x"),
+            f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")]))),
+)
+
 # (op, operands, the op's arity)
 WRONG_ARITY = (("add", ("in",), 2), ("mul", ("in", "in", "in"), 2),
                ("tree_value", ("in", "in"), 1), ("greater", (), 2))
@@ -535,15 +600,18 @@ def test_ir_eval_structural_errors():
         ("unknown function 'nope'", _entry(Call("nope", ("in",)), Return("in"))),
         ("unknown function 'nope'", _entry(Call("nope", ("in",)))),
         ("f expects 2 args, got 1", _entry(Call("f", ("in",)), Return("in"), f=two)),
-        ("f expects 2 args, got 1", _entry(ClosureNew("c", "f", ()),
-                                           Call("c", ("in",), indirect=True), f=two)),
-        ("calling a non-closure 'in'", _entry(Call("in", (), indirect=True))),
         ("entry did not return a value", _entry(Bind("r", "add", ("in", 1.0)))),
         ("entry returned a non-real", _entry(CellNew("d", 0.0), Return("d"))),
     ]
+    # a pair's errors hold after ir_optimize too
+    cases += [(text, q) for text, p in PAIR_ERRORS for q in (p, ir_optimize(p))]
     for text, p in cases:
         with pytest.raises(IREvalError, match=re.escape(text)):
             ir_eval(p, 1.0)
+    # a pair returned to a call that receives none is dropped, as a value is
+    assert ir_eval(_entry(CellNew("d", 0.0), Call("f", ("in", "d")), Return("in"),
+                          f=([("a", "val"), ("c", "cell")], [RetReal("a", "c")])),
+                   3.0) == 3.0
     # errors are raised when reached: an undefined symbol in an untaken
     # branch raises nothing, and one defined on one branch only is
     # undefined after the other
@@ -616,15 +684,18 @@ def test_emit_lf_and_indent():
 
 
 def test_emit_rejects_closures_it_cannot_emit():
-    # a closure is a kont1 of (value, adjoint cell) that captures cells by
-    # reference, so one of another arity, of an unknown function, or that
-    # captures a cell made in its own function is refused, not miscompiled
-    k = ([("x", "val"), ("d", "cell"), ("c", "cell")], [CellAccum("c", "x")])
-    cases = [("made in snippet", _entry(CellNew("c", 0.0), ClosureNew("f", "k", ("c",)),
-                                        Call("f", ("in", "c"), indirect=True),
-                                        Return("in"), k=k)),
-             ("arity other than 2", _entry(ClosureNew("f", "k", ()), Return("in"), k=k)),
-             ("arity other than 2", _entry(ClosureNew("f", "nope", ()), Return("in")))]
+    # a (value, cell) return with no caller, and a valued call of a function
+    # that returns one value or none, are refused, not miscompiled; so is a
+    # cell that a function makes and returns outside an unwinding call,
+    # which would not outlive its frame
+    cases = [("no caller", PAIR_ERRORS[0][1]),
+             ("f returns no \\(value, cell\\) pair", PAIR_ERRORS[1][1]),
+             ("f returns no \\(value, cell\\) pair", PAIR_ERRORS[2][1]),
+             ("nope returns no \\(value, cell\\) pair",
+              _entry(Call("nope", ("in",), results=("x", "d")), Return("x"))),
+             ("outside an unwinding call",
+              _entry(CellNew("d", 0.0), Call("f", ("in",), results=("x", "c")),
+                     Return("x"), f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")])))]
     # nor is a Bind with the wrong number of operands or an unknown op
     cases += [("cannot emit Bind", _entry(Bind("r", op, args), Return("r")))
               for op, args, _n in WRONG_ARITY + (("sub", ("in", 1.0), None),)]
@@ -745,7 +816,7 @@ def _compiled(p: IRProgram) -> bool:
 
 def test_compiled_tier_takes_only_loop_programs():
     # generated code pays compile() once per program, so it is made only
-    # for a loop; one with a closure, an error instruction or a call cycle,
+    # for a loop; one with an error instruction or a call cycle (a fold's),
     # or whose calls would nest too many Python frames, stays interpreted
     for f in [*COMPILED_LOOPS.values(), RUNAWAY]:
         p = stage_reverse(f)
@@ -828,6 +899,31 @@ def _cpp_tree(ns: str, t, decls: list) -> str:
     name = f"{ns}_n{len(decls)}"
     decls.append(f"  const {ns}::Tree {name}{{true, {t.value.hex()}, &{left}, &{right}}};")
     return name
+
+
+def _cpp_tree_arrays(ns: str, t) -> tuple[list, str]:
+    """Statements of a C++ main that build a deep TreeData from arrays of
+    its values and child indices (-1 for a leaf), children first, without
+    recursion in Python or in the compiler; and the root's expression."""
+    order, stack = [], [t]
+    while stack:
+        n = stack.pop()
+        if n is not None:
+            order.append(n)
+            stack += [n.left, n.right]
+    order.reverse()
+    index = {id(n): i for i, n in enumerate(order)}
+
+    def kids(side: str) -> str:
+        return ", ".join(str(index.get(id(getattr(n, side)), -1)) for n in order)
+
+    m = len(order)
+    return [f"  static const double {ns}_v[] = {{{', '.join(n.value.hex() for n in order)}}};",
+            f"  static const int {ns}_l[] = {{{kids('left')}}}, {ns}_r[] = {{{kids('right')}}};",
+            f"  static Tree {ns}[{m}];",
+            f"  for (int i = 0; i < {m}; ++i)",
+            f"    {ns}[i] = Tree{{true, {ns}_v[i], {ns}_l[i] < 0 ? nullptr : &{ns}[{ns}_l[i]],",
+            f"                  {ns}_r[i] < 0 ? nullptr : &{ns}[{ns}_r[i]]}};"], f"{ns}[{m - 1}]"
 
 
 def _full_tree(rng, depth):
@@ -922,16 +1018,39 @@ def test_emitted_loop_runs_1e5_iterations_on_the_default_stack(tmp_path):
     assert _bits(got) == _bits([want])
 
 
+@needs_gxx
+def test_emitted_deep_folds_run_on_the_default_stack(tmp_path):
+    # the fold nests one C++ call per tree level and runs its backward work
+    # from the tape: a depth-14 full tree and a 20,000-node path tree run on
+    # the default stack under the address-space limit, equal to ir_eval
+    rng = random.Random(14)
+    prog = ir_optimize(stage_tree(TREE_BODY))
+    trees = {"full": _pow2_tree(rng, 14), "path": _path_tree(rng, 20_000)}
+    decls, body, want = [], [], []
+    for name, t in trees.items():
+        built, root = _cpp_tree_arrays(name, t)
+        decls += built
+        for x in (1.0, -1.0):
+            body.append(f'  printf("%a\\n", snippet({root}, {x.hex()}));')
+            want.append(ir_eval(prog, x, tree=t))
+    assert want[0] == _dual_fold(trees["full"], (1.0, 1.0))[1]
+    main = "#include <cstdio>\nint main() {\n" + "\n".join(decls + body) + "\n}\n"
+    got = run_native(tmp_path, "deep_folds", emit_c(prog) + main).split()
+    assert _bits(got) == _bits(want)
+
+
 def test_emitted_closures_need_no_header():
-    # continuations are ref-counted handles from the emitted prelude, not
-    # std::function; a loop's backward work is records on a tape from the
-    # emitted prelude, so a loop-only program needs no continuation at all
+    # the backward work of loops and tree folds is records on a tape from
+    # the emitted prelude, so no program needs a continuation at all, nor a
+    # standard header
     loop = emit_c(ir_optimize(stage_reverse(WHILE_EXAMPLE)))
     tree = emit_c(ir_optimize(stage_tree(TREE_BODY)))
-    for txt in (loop, tree):
-        assert "#include" not in txt
-        assert "std::" not in txt
-    assert "kont_fn" not in loop
+    for p in (stage_reverse(SQUARE), stage_reverse(IF_EXAMPLE),
+              stage_reverse(WHILE_EXAMPLE), stage_tree(TREE_BODY),
+              stage_reverse(parse(LOOP_COMPOSITES["nested-loops"]))):
+        for txt in (emit_c(p), emit_c(ir_optimize(p))):
+            assert "#include" not in txt
+            assert "std::" not in txt
+            assert "kont" not in txt
     assert "for (;;)" in loop and "tape_push(" in loop and "tape_unwind(" in loop
-    assert "kont1::make(" in tree
-    assert "kont_fn" not in emit_c(ir_optimize(stage_reverse(SQUARE)))
+    assert "real rec(" in tree and "tape_push(" in tree and "tape_unwind(" in tree

@@ -68,6 +68,18 @@ process, so that every size pays for its own memory:
   bits      the gradient's float.hex; interp and c++ rows add
             "= compiled" when the bits match the compiled row of that size
 
+Then the same fold (optimized) as emitted C++, built with g++ -O2 (skipped
+without g++) and run on seeded full trees of depth 12, 14 and 16 (up to
+65,535 nodes), each call in a fresh child under the 1 GiB address-space
+limit with the default stack; the child reads the tree from a file, runs
+one warm-up call and times a second:
+
+  ns/node   the median wall time of 5 children's timed calls, per node
+  x2        the time ratio per doubling of nodes, from the row above
+  rss_mb    the largest peak RSS (VmHWM) of those children
+  bits      the gradient's float.hex, plus "= ir_eval" when it matches
+            ir_eval's on the same tree
+
 Then the countdown at 10^5 iterations and the default depth limit, once per
 tier: both stop with the same limit error, which the row prints.
 
@@ -130,6 +142,8 @@ CHILD_REPEAT = 5
 CORPUS_SIZES = (50, 100, 200)
 TREE_BODY = "(+ (* v l) (* r 0.75))"
 TREE_DEPTHS = (6, 7, 8, 9, 10, 11, 12)
+CXX_TREE_DEPTHS = (12, 14, 16)
+TREE_X = 1.25
 X = 1.0  # where run_rows runs the gradient programs
 
 
@@ -314,7 +328,7 @@ def ir_eval_rows():
     prev = None
     for d in TREE_DEPTHS:
         units = 2 ** d - 1
-        call = partial(ir_eval, fold, 1.25, tree=seeded_tree(rng, d))
+        call = partial(ir_eval, fold, TREE_X, tree=seeded_tree(rng, d))
         try:
             secs = min_wall(call)
         except Exception as ex:  # printed, not raised
@@ -354,29 +368,60 @@ with open("/proc/self/status") as fh:
 print(g.hex(), ns, hwm)
 """
 
-# the same for the emitted C++: usage loop N
+# the same for the emitted C++: usage loop N; the timed call is CALL, after
+# one SETUP, with `x` its input
 _CXX_MAIN = r"""
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-
+#include <vector>
+%(globals)s
 int main(int argc, char** argv) {
-  if (argc != 2) return 2;
-  snippet(1.0);
+  %(setup)s
   timespec a, b;
   clock_gettime(CLOCK_MONOTONIC, &a);
-  double g = snippet(atof(argv[1]));
+  double g = %(call)s;
   clock_gettime(CLOCK_MONOTONIC, &b);
   long hwm = -1;
   FILE* f = fopen("/proc/self/status", "r");
   char line[256];
   while (f && fgets(line, sizeof line, f))
-    if (sscanf(line, "VmHWM: %ld", &hwm) == 1) break;
+    if (sscanf(line, "VmHWM: %%ld", &hwm) == 1) break;
   if (f) fclose(f);
-  printf("%a %lld %ld\n", g, (b.tv_sec - a.tv_sec) * 1000000000LL + (b.tv_nsec - a.tv_nsec), hwm);
+  printf("%%a %%lld %%ld\n", g, (b.tv_sec - a.tv_sec) * 1000000000LL + (b.tv_nsec - a.tv_nsec), hwm);
   return 0;
 }
 """
+_LOOP_MAIN = _CXX_MAIN % {
+    "globals": "", "call": "snippet(x)",
+    "setup": "if (argc != 2) return 2;\n  snippet(1.0);\n  double x = atof(argv[1]);"}
+# usage: fold FILE X, FILE holding the node count, then the values in
+# preorder with '#' for a leaf (tree_file)
+_FOLD_MAIN = _CXX_MAIN % {
+    "globals": r"""
+static std::vector<Tree> nodes;
+static Tree read_tree(FILE* f) {
+  char tok[64];
+  if (fscanf(f, "%63s", tok) != 1) exit(3);
+  if (tok[0] == '#') return Tree{false, 0, nullptr, nullptr};
+  double v = strtod(tok, nullptr);
+  Tree l = read_tree(f), r = read_tree(f);
+  nodes.push_back(l);
+  const Tree* lp = l.notEmpty ? &nodes.back() : nullptr;
+  nodes.push_back(r);
+  const Tree* rp = r.notEmpty ? &nodes.back() : nullptr;
+  return Tree{true, v, lp, rp};
+}
+""", "call": "snippet(t, x)",
+    "setup": """if (argc != 3) return 2;
+  FILE* in = fopen(argv[1], "r");
+  long count = 0;
+  if (!in || fscanf(in, "%ld", &count) != 1) return 3;
+  nodes.reserve(2 * count);
+  Tree t = read_tree(in);
+  fclose(in);
+  double x = strtod(argv[2], nullptr);
+  snippet(t, x);"""}
 
 
 def _limit_address_space() -> None:
@@ -414,7 +459,7 @@ def loop_children(src: str, build_dir: str):
         return
     cc, exe = os.path.join(build_dir, "loop.cc"), os.path.join(build_dir, "loop")
     with open(cc, "w") as fh:
-        fh.write(emit_c(ir_optimize(stage_reverse(parse(COUNTDOWN)))) + _CXX_MAIN)
+        fh.write(emit_c(ir_optimize(stage_reverse(parse(COUNTDOWN)))) + _LOOP_MAIN)
     subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
                    capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
     for n in CHILD_LOOP_SIZES:
@@ -449,6 +494,68 @@ def loop_child_rows(src: str):
                 prev[backend] = n, secs
         except subprocess.CalledProcessError as ex:  # the c++ build failed
             yield ("c++", "-", type(ex).__name__, "-", "-", "-")
+
+
+def tree_file(t, path: str) -> None:
+    """Write t as its node count, then its values in preorder (float.hex)
+    with '#' for a leaf."""
+    toks, stack = [], [t]
+    while stack:
+        n = stack.pop()
+        if n is None:
+            toks.append("#")
+        else:
+            toks.append(n.value.hex())
+            stack += [n.right, n.left]
+    with open(path, "w") as fh:
+        fh.write(f"{len(toks) // 2} {' '.join(toks)}\n")
+
+
+def cxx_fold_rows():
+    """(backend, depth, ns/node, x2, rss_mb, bits) as printed cells: the
+    optimized tree fold as emitted C++, against ir_eval's bits."""
+    from adlc.emit import emit_c
+    from adlc.ir_eval import ir_eval
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import stage_tree
+    from adlc.syntax import parse
+
+    if shutil.which("g++") is None:
+        return
+    fold = ir_optimize(stage_tree(parse(TREE_BODY)))
+    rng = random.Random(f"cxx-tree:{SEED}")
+    prev = None
+    with tempfile.TemporaryDirectory() as build_dir:
+        cc, exe = os.path.join(build_dir, "fold.cc"), os.path.join(build_dir, "fold")
+        with open(cc, "w") as fh:
+            fh.write(emit_c(fold) + _FOLD_MAIN)
+        try:
+            subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
+                           capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
+        except subprocess.CalledProcessError as ex:
+            yield ("c++ fold", "-", type(ex).__name__, "-", "-", "-")
+            return
+        for d in CXX_TREE_DEPTHS:
+            units, t = 2 ** d - 1, seeded_tree(rng, d)
+            path = os.path.join(build_dir, f"tree{d}.txt")
+            tree_file(t, path)
+            try:
+                runs = [run_child([exe, path, TREE_X.hex()], True)
+                        for _ in range(CHILD_REPEAT)]
+            except (RuntimeError, OSError, ValueError, subprocess.TimeoutExpired) as ex:
+                yield ("c++ fold", str(d), type(ex).__name__, "-", "-", str(ex))
+                prev = None
+                continue
+            secs = statistics.median(ns for _, ns, _ in runs) / 1e9
+            bits = runs[0][0]
+            if any(b != bits for b, _, _ in runs):
+                bits = "differ: " + " ".join(b for b, _, _ in runs)
+            elif ir_eval(fold, TREE_X, tree=t).hex() == bits:
+                bits += " = ir_eval"
+            yield ("c++ fold", str(d), f"{secs / units * 1e9:.0f}",
+                   _per_doubling(secs, units, prev),
+                   f"{max(r for _, _, r in runs):.1f}", bits)
+            prev = units, secs
 
 
 def limit_rows(src: str):
@@ -547,6 +654,11 @@ def main() -> None:
               f"of {CHILD_REPEAT} children, rss_mb the max")
         print(f"{'backend':<9}{'n':>9}{'ns/iter':>9}{'x2':>6}{'rss_mb':>9}  bits")
         for row in loop_child_rows(src):
+            print("{:<9}{:>9}{:>9}{:>6}{:>9}  {}".format(*row), flush=True)
+        print(f"# the optimized tree fold as emitted C++ in fresh child processes; "
+              f"ns/node is the median of {CHILD_REPEAT} children, rss_mb the max")
+        print(f"{'backend':<9}{'depth':>9}{'ns/node':>9}{'x2':>6}{'rss_mb':>9}  bits")
+        for row in cxx_fold_rows():
             print("{:<9}{:>9}{:>9}{:>6}{:>9}  {}".format(*row), flush=True)
         print("# the countdown past the default depth limit, once per tier")
         print(f"{'tier':<9}{'n':>9}{'limit':>9}  outcome")
