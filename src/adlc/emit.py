@@ -126,11 +126,11 @@ class _Emitter:
                         local.add(dest)
                     case Call(target, _, unwind, results):
                         self.uses_tape |= unwind
-                        if results and (len(results) != 2
-                                        or self.rets.get(target) != "real"):
-                            raise ValueError(f"cannot emit {s!r}: {target} returns "
-                                             "no (value, cell) pair")
-                        received.update(results[1:])
+                        if results:
+                            if len(results) != 2 or self.rets.get(target) != "real":
+                                raise ValueError(f"cannot emit {s!r}: {target} returns "
+                                                 "no (value, cell) pair")
+                            received.add(results[1])
                     case TapePush(f, _):
                         self.uses_tape = True
                         self.segments.setdefault(f, len(self.segments))

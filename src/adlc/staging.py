@@ -147,8 +147,9 @@ class IRFunction:
 class IRProgram:
     """A staged program: functions by name, run from `entry`.  A loop's
     functions are its body (which `Jump`s to itself), one backward segment
-    per self-call (run from the tape) and the continuations they call.  It
-    is not changed after `stage_*` or `ir_optimize` returns it: `ir_eval`
+    per self-call (run from the tape) and the continuations they call; a
+    fold's are `fold`, `rec` and the records `rec` pushes.  It is not
+    changed after `stage_*` or `ir_optimize` returns it: `ir_eval`
     translates it on its first run and keeps the translation in
     `translation`, which `dataclasses.replace` does not copy."""
 

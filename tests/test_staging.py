@@ -890,21 +890,11 @@ def _bits(values) -> list[str]:
             for v in values]
 
 
-def _cpp_tree(ns: str, t, decls: list) -> str:
-    """Declare a TreeData as constant C++ nodes named after `ns` (after the
-    `{ns}_leaf` that `decls` starts with); returns the root's name."""
-    if t is None:
-        return f"{ns}_leaf"
-    left, right = _cpp_tree(ns, t.left, decls), _cpp_tree(ns, t.right, decls)
-    name = f"{ns}_n{len(decls)}"
-    decls.append(f"  const {ns}::Tree {name}{{true, {t.value.hex()}, &{left}, &{right}}};")
-    return name
-
-
-def _cpp_tree_arrays(ns: str, t) -> tuple[list, str]:
-    """Statements of a C++ main that build a deep TreeData from arrays of
-    its values and child indices (-1 for a leaf), children first, without
-    recursion in Python or in the compiler; and the root's expression."""
+def _cpp_tree(ns: str, t, tree_type: str) -> tuple[list, str]:
+    """Statements of a C++ main that build a non-empty TreeData as nodes of
+    tree_type, from arrays named after ns of its values and child indices
+    (-1 for a leaf), children first, without recursion in Python or in the
+    compiler; and the root's expression."""
     order, stack = [], [t]
     while stack:
         n = stack.pop()
@@ -917,13 +907,14 @@ def _cpp_tree_arrays(ns: str, t) -> tuple[list, str]:
     def kids(side: str) -> str:
         return ", ".join(str(index.get(id(getattr(n, side)), -1)) for n in order)
 
-    m = len(order)
+    m, nodes = len(order), f"{ns}_n"
     return [f"  static const double {ns}_v[] = {{{', '.join(n.value.hex() for n in order)}}};",
             f"  static const int {ns}_l[] = {{{kids('left')}}}, {ns}_r[] = {{{kids('right')}}};",
-            f"  static Tree {ns}[{m}];",
+            f"  static {tree_type} {nodes}[{m}];",
             f"  for (int i = 0; i < {m}; ++i)",
-            f"    {ns}[i] = Tree{{true, {ns}_v[i], {ns}_l[i] < 0 ? nullptr : &{ns}[{ns}_l[i]],",
-            f"                  {ns}_r[i] < 0 ? nullptr : &{ns}[{ns}_r[i]]}};"], f"{ns}[{m - 1}]"
+            f"    {nodes}[i] = {tree_type}{{true, {ns}_v[i], {ns}_l[i] < 0 ? nullptr : "
+            f"&{nodes}[{ns}_l[i]],",
+            f"        {ns}_r[i] < 0 ? nullptr : &{nodes}[{ns}_r[i]]}};"], f"{nodes}[{m - 1}]"
 
 
 def _full_tree(rng, depth):
@@ -972,9 +963,9 @@ def test_emitted_code_compiles_and_runs(tmp_path):
         parts.append(f"namespace {ns} {{\n{emit_c(prog)}}}\n")
         args = ""
         if tree is not None:
-            decls = [f"  const {ns}::Tree {ns}_leaf{{false, 0, nullptr, nullptr}};"]
-            args = f"{_cpp_tree(ns, tree, decls)}, "
-            body += decls
+            built, root = _cpp_tree(ns, tree, f"{ns}::Tree")
+            body += built
+            args = f"{root}, "
         for x in probes:
             body.append(f'  printf("%a\\n", {ns}::snippet({args}{x.hex()}));')
             want.append(ir_eval(prog, x, tree=tree))
@@ -1028,7 +1019,7 @@ def test_emitted_deep_folds_run_on_the_default_stack(tmp_path):
     trees = {"full": _pow2_tree(rng, 14), "path": _path_tree(rng, 20_000)}
     decls, body, want = [], [], []
     for name, t in trees.items():
-        built, root = _cpp_tree_arrays(name, t)
+        built, root = _cpp_tree(name, t, "Tree")
         decls += built
         for x in (1.0, -1.0):
             body.append(f'  printf("%a\\n", snippet({root}, {x.hex()}));')
