@@ -1012,11 +1012,13 @@ def test_emitted_loop_runs_1e5_iterations_on_the_default_stack(tmp_path):
 @needs_gxx
 def test_emitted_deep_folds_run_on_the_default_stack(tmp_path):
     # the fold nests one C++ call per tree level and runs its backward work
-    # from the tape: a depth-14 full tree and a 20,000-node path tree run on
-    # the default stack under the address-space limit, equal to ir_eval
+    # from the tape: full trees of depth 14 and 16 and a 20,000-node path
+    # tree run on the default stack under the address-space limit, equal to
+    # ir_eval
     rng = random.Random(14)
     prog = ir_optimize(stage_tree(TREE_BODY))
-    trees = {"full": _pow2_tree(rng, 14), "path": _path_tree(rng, 20_000)}
+    trees = {"full": _pow2_tree(rng, 14), "full16": _pow2_tree(rng, 16),
+             "path": _path_tree(rng, 20_000)}
     decls, body, want = [], [], []
     for name, t in trees.items():
         built, root = _cpp_tree(name, t, "Tree")
