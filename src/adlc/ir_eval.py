@@ -43,11 +43,13 @@ an untaken branch is not an error.  A local starts undefined, and a use
 that no definition dominates is checked before the statement reads it, so
 valid IR pays nothing for the check.
 
-A loop program also gets a compiled tier, made with the translation: its
-functions become Python functions, compiled once, that run the same
-instructions in the same order, so it computes the same bits and raises
-the same errors (see `_compile`).  Every other program runs on the
-interpreter (`_run`), which `interpret` runs on any program.
+A program that loops or recurses (some function jumps to itself, or the
+call graph has a cycle, as a tree fold's `rec` calls itself) also gets a
+compiled tier, made with the translation: its functions become Python
+functions, compiled once, that run the same instructions in the same
+order, so it computes the same bits and raises the same errors (see
+`_compile`).  Straight-line programs run on the interpreter (`_run`), which
+`interpret` runs on any program.
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ def _gather(slots: tuple):
 
 _OWN_OPCODE = {"add": ADD, "mul": MUL, "greater": GT}
 _NON_TREE = "tree operation on a non-tree (empty tree?)"
+_NO_CALLER = "a (value, cell) return with no caller"
 _CHECKS = (CHECK, CELLCHK)
 
 # steps the translator schedules after a Cond's then-branch and else-branch
@@ -462,7 +465,7 @@ def _run(code: _Code, act: list, limit: int):
             instrs, pc, steps = callee.instrs, 0, 1
         elif op == RETR:
             if not frames:
-                raise IREvalError("a (value, cell) return with no caller")
+                raise IREvalError(_NO_CALLER)
             x, d = act[ins[1]], act[ins[2]]
             instrs, pc, act, steps = pop()
             ins = instrs[pc]
@@ -501,65 +504,92 @@ def _run(code: _Code, act: list, limit: int):
 
 
 # ---------------------------------------------------------------------------
-# The compiled tier.  A loop program, one in which some function jumps to
-# itself, runs many instructions per translation, so it earns the cost of
-# compile(): each translated function becomes a Python function, compiled
-# once and kept in the translation (Rompf & Odersky, "Lightweight Modular
-# Staging", GPCE 2010).  Straight-line programs never do, and stay on _run.
-# The generated code runs the translation's instructions in their order on
-# the same floats: a slot is a local, a literal a named constant, a cell an
-# index into the run's list of cells, a self-jump reassigns the parameters
-# and continues a `while True`, a call is a Python call (so the call graph
-# must be acyclic and shallow, and a run that meets the caller's recursion
-# limit runs again on _run), a record is a tuple of a function and the
-# captures it unpacks, and the depth limit is counted as _run counts it, in
-# the same places.
+# The compiled tier.  A program that loops or recurses, one in which some
+# function jumps to itself or the call graph has a cycle (a fold's `rec`,
+# `nested-loops`' outer loop through its inner one), runs many instructions
+# per translation, so it earns the cost of compile(): each translated
+# function becomes a Python function, compiled once and kept in the
+# translation (Rompf & Odersky, "Lightweight Modular Staging", GPCE 2010).
+# Straight-line programs never do, and stay on _run.  The generated code
+# runs the translation's instructions in their order on the same floats: a
+# slot is a local, a literal a named constant, a cell an index into the
+# run's list of cells, a self-jump reassigns the parameters and continues a
+# `while True`, a call is a Python call (so each call nests one Python
+# frame: the calls outside the call graph's cycles nest at most MAX_CHAIN,
+# and a run that meets the caller's recursion limit runs again on _run), a
+# (value, cell) return returns a tuple that the valued call unpacks, a
+# record is a tuple of a function and the captures it unpacks, and the
+# depth limit is counted as _run counts it, in the same places.  A run's
+# functions refer to each other and to its tape, so it drops them when it
+# ends: a recursive one would otherwise keep the run's cells and tape alive
+# in a reference cycle until the collector ran.
 
-_COMPILED = frozenset({CNEW, CMACC, CRACC, MUL, ADD, GT, JF, JUMP, END, RET, CSET,
-                       CREAD, CACC, CALL, TCALL, JSELF, PUSH, MARK, UNWIND})
+_COMPILED = frozenset({CNEW, CMACC, CRACC, MUL, ADD, GT, OP1, JF, JUMP, END, RET,
+                       RETR, RECV, CSET, CREAD, CACC, CALL, TCALL, JSELF, PUSH,
+                       MARK, UNWIND})
 _CALLS = (CALL, TCALL, PUSH)  # a record is called when the unwind pops it
-MAX_CHAIN = 64  # calls nested in one run of generated code, at most
+MAX_CHAIN = 64  # calls nested outside the call cycles in one run, at most
 _BINARY = {MUL: "*", ADD: "+", GT: ">"}
 _LIMIT = "raise LIMIT(limit)"
 
 
-def _loop_program(entry: _Code) -> list | None:
-    """The codes entry reaches, callees first, when the program they make
-    loops, has only instructions of _COMPILED, calls each
-    function with its number of parameters and has an acyclic call graph
-    with chains of at most MAX_CHAIN calls; else None.  Iterative, so a
-    long chain costs no Python stack."""
+def _compiled_codes(entry: _Code) -> list | None:
+    """The codes entry reaches, callees first and entry last, when the
+    program they make loops or recurses, has only instructions of
+    _COMPILED, calls each function with its number of parameters and nests
+    chains of at most MAX_CHAIN calls outside its call cycles; else None.
+    Tarjan's strongly connected components, iterative, so a long chain
+    costs no Python stack; a component is finished after every one it
+    calls."""
+    number = {entry: 0}  # code -> the order the search reached it in
+    low = {entry: 0}  # the least number its search reaches on the stack
+    chain: dict = {}  # code -> the longest chain of calls out of its component
+    stack = [entry]  # the codes of the components not finished yet
     order: list = []
-    chain: dict = {}  # code -> its longest chain of calls, once finished
-    path = {entry}
+    cycles = False
     work = [(entry, iter(entry.instrs))]
-    loops = False
     while work:
         code, rest = work[-1]
         for ins in rest:
             op = ins[0]
             if op not in _COMPILED:
                 return None
-            loops |= op == JSELF
+            cycles |= op == JSELF
             if op in _CALLS:
                 callee = ins[1]
-                if callee.nparams != len(ins[3]) or callee in path:
+                if callee.nparams != len(ins[3]):
                     return None
-                if callee not in chain:
-                    if len(work) > MAX_CHAIN:  # the path is a chain too long
-                        return None
-                    path.add(callee)
+                if callee not in number:
+                    number[callee] = low[callee] = len(number)
+                    stack.append(callee)
                     work.append((callee, iter(callee.instrs)))
                     break
+                if callee not in chain:  # on the stack: a cycle closes
+                    low[code] = min(low[code], number[callee])
         else:
             work.pop()
-            path.discard(code)
-            n = chain[code] = max((chain[i[1]] + 1 for i in code.instrs
-                                   if i[0] in _CALLS), default=0)
+            if work:
+                caller = work[-1][0]
+                low[caller] = min(low[caller], low[code])
+            if low[code] < number[code]:
+                continue
+            members = [stack.pop()]  # code's component, code last
+            while members[-1] is not code:
+                members.append(stack.pop())
+            inside = set(members)
+            n = 0
+            for c in members:
+                for i in c.instrs:
+                    if i[0] in _CALLS:
+                        if i[1] in inside:
+                            cycles = True
+                        else:
+                            n = max(n, chain[i[1]] + 1)
             if n > MAX_CHAIN:
                 return None
-            order.append(code)
-    return order if loops else None
+            chain.update(dict.fromkeys(members, n))
+            order += members
+    return order if cycles else None
 
 
 def _source(code: _Code, names: dict, consts: dict, record: bool) -> list:
@@ -579,10 +609,16 @@ def _source(code: _Code, names: dict, consts: dict, record: bool) -> list:
         args = "".join(f"{val(s)}, " for s in ins[3])
         return f"f{names[ins[1]]}({args}{depth}, {steps})"
 
-    def lines(ins) -> list:
+    def lines(pc: int) -> list:
+        ins = instrs[pc]
         op = ins[0]
         if op in _BINARY:
             return [f"a{ins[1]} = {val(ins[2])} {_BINARY[op]} {val(ins[3])}"]
+        if op == OP1:  # only a tree op reads attributes
+            k = f"o{i}_{pc}"
+            consts[k] = ins[2]
+            return ["try:", f"    a{ins[1]} = {k}({val(ins[3])})",
+                    "except AttributeError:", "    raise ERROR(NON_TREE) from None"]
         if op == CNEW:
             d, v = ins[1], ins[2]
             if d == v:  # the init is read before the cell is made
@@ -600,10 +636,16 @@ def _source(code: _Code, names: dict, consts: dict, record: bool) -> list:
             return [f"a{ins[1]} = cells[{val(ins[2])}]"]
         if op == RET:
             return [f"return {val(ins[1])}"]
+        if op == RETR:
+            return [f"return {val(ins[1])}, {val(ins[2])}"]
         if op == END:
             return ["return NOV"]
-        if op == CALL:
-            return [f"if depth > top: {_LIMIT}", call(ins, "depth + 1", "1")]
+        if op == CALL:  # a valued call keeps the result for its RECV
+            got = "rv = " if instrs[pc + 1][0] == RECV else ""
+            return [f"if depth > top: {_LIMIT}", got + call(ins, "depth + 1", "1")]
+        if op == RECV:  # the callee returned one value, or none, unless a pair
+            return ["try:", f"    a{ins[1]}, a{ins[2]} = rv", "except TypeError:",
+                    f"    raise ERROR({ins[3]!r}) from None"]
         if op == TCALL:
             return ["steps += 1", f"if steps > limit: {_LIMIT}",
                     f"return {call(ins, 'depth', 'steps')}"]
@@ -658,15 +700,16 @@ def _source(code: _Code, names: dict, consts: dict, record: bool) -> list:
                     work.append((target, end, indent, None))
                 work.append((pc + 1, target, indent + 1, f"if {val(ins[1])}:"))
                 break
-            out += [pad + line for line in lines(ins)]
+            out += [pad + line for line in lines(pc)]
             pc += 1
     return out
 
 
 def _compile(codes: dict, entry: str):
-    """For a loop program, a function from the depth limit to the entry as
-    a Python function of (arguments..., depth, steps); else None."""
-    order = _loop_program(codes[entry])
+    """For a program that loops or recurses, a function of (the depth
+    limit, the entry's arguments) that runs the entry as generated Python;
+    else None."""
+    order = _compiled_codes(codes[entry])
     if order is None:
         return None
     names = {code: i for i, code in enumerate(order)}  # the entry is last
@@ -674,14 +717,19 @@ def _compile(codes: dict, entry: str):
     called = {ins[1] for code in order for ins in code.instrs
               if ins[0] == CALL or ins[0] == TCALL} | {order[-1]}
     consts: dict = {}
-    src = ["def make(limit):", "    cells = []", "    tape = []",
+    src = ["def make(limit, args):", "    cells = []", "    tape = []",
            "    top = limit - 2"]
+    made = []
     for code in order:
         for record in (False, True):
             if code in (pushed if record else called):
+                made.append(f"{'r' if record else 'f'}{names[code]}")
                 src += ["    " + line for line in _source(code, names, consts, record)]
-    src.append(f"    return f{len(order) - 1}")
-    space = {"MARK": _MARK, "NOV": _NO_VALUE, "LIMIT": _limit_error, **consts}
+    src += ["    try:", f"        return f{len(order) - 1}(*args, 0, 1)",
+            "    finally:  # no reference cycle outlives the run",
+            f"        cells = tape = {' = '.join(made)} = None"]
+    space = {"MARK": _MARK, "NOV": _NO_VALUE, "LIMIT": _limit_error,
+             "ERROR": IREvalError, "NON_TREE": _NON_TREE, **consts}
     try:
         exec(compile("\n".join(src), f"<ir_eval {entry}>", "exec"), space)
     except (SyntaxError, RecursionError):  # nesting too deep for Python
@@ -714,7 +762,7 @@ def _evaluate(prog: IRProgram, x0: float, tree, depth_limit: int, compiled: bool
         raise _limit_error(depth_limit)
     if make is not None:
         try:
-            v = make(depth_limit)(*args, 0, 1)
+            v = make(depth_limit, args)
         except RecursionError:  # its calls nest more frames than the caller has left
             make = None
     if make is None:
@@ -722,6 +770,8 @@ def _evaluate(prog: IRProgram, x0: float, tree, depth_limit: int, compiled: bool
         v = _run(code, args + list(code.blank), depth_limit)
     if v is _NO_VALUE:
         raise IREvalError("entry did not return a value")
+    if type(v) is tuple:  # only generated code returns the pair this far
+        raise IREvalError(_NO_CALLER)
     if not isinstance(v, float):
         raise IREvalError(f"entry returned a non-real: {v!r}")
     return v
@@ -730,8 +780,9 @@ def _evaluate(prog: IRProgram, x0: float, tree, depth_limit: int, compiled: bool
 def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,
             depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
     """Execute the program entry on one real input (plus the runtime tree
-    for tree-fold programs); returns the entry's result.  A loop program
-    runs as compiled Python, any other on the interpreter."""
+    for tree-fold programs); returns the entry's result.  A program that
+    loops or recurses runs as compiled Python, any other on the
+    interpreter."""
     return _evaluate(prog, x0, tree, depth_limit, True)
 
 

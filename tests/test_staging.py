@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import re
@@ -759,8 +760,8 @@ def test_literal_operands_get_no_adjoint_cell():
 
 
 def _compiled_loops() -> dict:
-    """The loop programs of these tests that the compiled tier takes."""
-    progs = {n: parse(s) for n, s in LOOP_COMPOSITES.items() if n != "nested-loops"}
+    """The loop programs of these tests, which the compiled tier takes."""
+    progs = {n: parse(s) for n, s in LOOP_COMPOSITES.items()}
     with open(os.path.join(os.path.dirname(__file__), "..", "programs",
                            "halve_loop.sexp")) as fh:
         progs["halve_loop"] = parse(fh.read())
@@ -769,6 +770,9 @@ def _compiled_loops() -> dict:
 
 
 COMPILED_LOOPS = _compiled_loops()
+# fold bodies: the product, the bench's sum, and a staged join in `rec`
+FOLD_BODIES = {"product": TREE_BODY, "sum": parse("(+ (* v l) (* r 0.75))"),
+               "join": parse("(if (> l r) (* l v) (* r v))")}
 
 
 def _calling_records() -> IRProgram:
@@ -788,18 +792,60 @@ def _calling_records() -> IRProgram:
                   acc=([("c", "cell")], [CellAccum("c", 0.25)]))
 
 
-def _outcome(run, p: IRProgram, x: float, limit: int):
+def _halving(*exit_stmts, cell: bool = True) -> tuple:
+    """A loop `loop` that halves x while x > 1, then runs exit_stmts."""
+    params, args = [("x", "val")], ("y",)
+    if cell:
+        params, args = params + [("d", "cell")], ("y", "d")
+    return params, [Bind("g", "greater", ("x", 1.0)),
+                    Cond("g", [Bind("y", "mul", ("x", 0.5)), Jump("loop", args)],
+                         list(exit_stmts))]
+
+
+def _tree_entry(*body, **fns) -> IRProgram:
+    """_entry on a tree and `in`."""
+    p = _entry(*body, **fns)
+    p.functions[p.entry].params.insert(0, ("tree", "tree"))
+    return p
+
+
+# (message or None, program) for programs that loop or recurse and stop
+# with an error of a fold's instructions, or drop a (value, cell) return
+COMPILED_PAIRS = (
+    ("tree operation on a non-tree (empty tree?)",
+     _tree_entry(CellNew("d", 0.0), Call("walk", ("tree", "in", "d"), results=("x", "c")),
+                 Return("x"),
+                 walk=([("t", "tree"), ("a", "val"), ("c", "cell")],
+                       [Bind("l", "tree_left", ("t",)),
+                        Call("walk", ("l", "a", "c"), results=("x", "e")),
+                        RetReal("x", "e")]))),
+    ("a (value, cell) return with no caller",
+     _entry(CellNew("d", 0.0), Call("loop", ("in", "d"), unwind=True),
+            RetReal("in", "d"), loop=_halving(CellSet("d", 1.0)))),
+    ("loop returned no (value, cell) pair",
+     _entry(Call("loop", ("in",), results=("x", "d")), Return("x"),
+            loop=_halving(Return("x"), cell=False))),
+    ("loop returned no (value, cell) pair",
+     _entry(Call("loop", ("in",), results=("x", "d")), Return("x"),
+            loop=_halving(cell=False))),
+    (None, _entry(CellNew("d", 0.0), Call("loop", ("in", "d")), Return("in"),
+                  loop=_halving(RetReal("x", "d")))),
+)
+
+
+def _outcome(run, p: IRProgram, x: float, limit: int, tree=None):
     try:
-        return run(p, x, depth_limit=limit).hex()
+        return run(p, x, tree=tree, depth_limit=limit).hex()
     except Exception as ex:  # compared, class and text
         return type(ex).__name__, str(ex)
 
 
 def test_compiled_tier_equals_the_interpreter():
-    # ir_eval runs a loop program as generated Python; the interpreter is
-    # the reference: the same bits, or the same error, at every depth limit.
-    # The runaway loop comes last at each limit, so a tier that miscounts
-    # the limit fails on a finite loop before it can spin on that one
+    # ir_eval runs a program that loops or recurses as generated Python;
+    # the interpreter is the reference: the same bits, or the same error,
+    # at every depth limit.  The runaway loop comes last at each limit, so
+    # a tier that miscounts the limit fails on a finite loop before it can
+    # spin on that one
     progs = [(name, q) for name, f in [*COMPILED_LOOPS.items(), ("runaway", RUNAWAY)]
              for p in [stage_reverse(f)] for q in (p, ir_optimize(p))]
     progs.insert(-2, ("calling-records", _calling_records()))
@@ -808,36 +854,90 @@ def test_compiled_tier_equals_the_interpreter():
             for x in DEFAULT_PROBES + (7.5, 300.0):
                 assert (_outcome(ir_eval, q, x, limit)
                         == _outcome(interpret, q, x, limit)), (name, x, limit)
+    # folds over the empty tree, one node, full trees of depth 1 to 8 and a
+    # path tree, at limits around the height: a tree of height h needs
+    # h + 3 (one more where the body joins), so h + 2 stops in the fold
+    rng = random.Random(23)
+    trees = [(0, None), (1, TreeData(0.75, None, None))]
+    trees += [(d, _pow2_tree(rng, d)) for d in range(1, 9)] + [(40, _path_tree(rng, 40))]
+    folds = [(name, q) for name, body in FOLD_BODIES.items()
+             for p in [stage_tree(body)] for q in (p, ir_optimize(p))]
+    probes = (0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e300, -1.25)
+    for name, q in folds:
+        assert _compiled(q)
+        for h, t in trees:
+            for limit in (1, 2, 3, 5, h + 2, h + 3, DEFAULT_DEPTH_LIMIT):
+                for x in probes:
+                    assert (_outcome(ir_eval, q, x, limit, t)
+                            == _outcome(interpret, q, x, limit, t)), (name, h, x, limit)
+    # a (value, cell) return or a tree op that goes wrong in generated code
+    # raises as the interpreter does
+    for text, p in COMPILED_PAIRS:
+        for q in (p, ir_optimize(p)):
+            assert _compiled(q)
+            for h, t in trees[:4]:
+                for limit in (1, 3, 5, DEFAULT_DEPTH_LIMIT):
+                    for x in (0.5, 6.0):
+                        got = _outcome(ir_eval, q, x, limit, t)
+                        assert got == _outcome(interpret, q, x, limit, t), (text, h, x, limit)
+            if text is not None:
+                assert _outcome(ir_eval, q, 6.0, DEFAULT_DEPTH_LIMIT, trees[2][1]) == (
+                    "IREvalError", text)
+    assert ir_eval(COMPILED_PAIRS[-1][1], 6.0) == 6.0
 
 
 def _compiled(p: IRProgram) -> bool:
     return _translation(p)[1] is not None
 
 
-def test_compiled_tier_takes_only_loop_programs():
+def test_compiled_tier_takes_only_programs_that_loop_or_recurse():
     # generated code pays compile() once per program, so it is made only
-    # for a loop; one with an error instruction or a call cycle (a fold's),
-    # or whose calls would nest too many Python frames, stays interpreted
+    # for a loop or a call cycle (a fold's `rec`, nested loops); one with
+    # an error or check instruction, or whose calls outside the cycles
+    # would nest too many Python frames, stays interpreted
     for f in [*COMPILED_LOOPS.values(), RUNAWAY]:
         p = stage_reverse(f)
+        assert _compiled(p) and _compiled(ir_optimize(p))
+    for body in FOLD_BODIES.values():
+        p = stage_tree(body)
         assert _compiled(p) and _compiled(ir_optimize(p))
     assert _compiled(_calling_records())
     spec = CorpusSpec(42, count=20)
     straight = [stage_reverse(random_program(spec, i)) for i in range(spec.count)]
-    nested = stage_reverse(parse(LOOP_COMPOSITES["nested-loops"]))  # a call cycle
     undefined = _entry(CellNew("d", 0.0), Call("f", ("in", "d"), unwind=True),
                        Return("in"),
                        f=([("t", "val"), ("c", "cell")],
                           [Bind("g", "greater", ("t", 1.0)),
                            Cond("g", [Bind("u", "mul", ("t", "zz")), Jump("f", ("u", "c"))],
                                 [])]))
-    interpreted = straight + [stage_tree(TREE_BODY), nested, undefined,
-                              stage_reverse(_sequential_loops(1000))]
+    interpreted = straight + [undefined, stage_reverse(_sequential_loops(1000))]
     for p in interpreted:
         assert not _compiled(p) and not _compiled(ir_optimize(p))
     with pytest.raises(IREvalError, match="undefined symbol 'zz'"):
         ir_eval(undefined, 2.0)
     assert ir_eval(undefined, 0.5) == 0.5
+
+
+def test_compiled_runs_leave_no_garbage_cycle():
+    # a run's generated functions call each other, and a fold's `rec`
+    # itself, through the run's closure; the run drops them when it ends,
+    # so its cells and tape are freed at once, not by the collector
+    t = _pow2_tree(random.Random(5), 6)
+    runs = [(q, tree) for p, tree in ((stage_tree(TREE_BODY), t),
+                                      (stage_tree(FOLD_BODIES["join"]), t),
+                                      (stage_reverse(WHILE_EXAMPLE), None),
+                                      (stage_reverse(COMPILED_LOOPS["nested-loops"]), None))
+            for q in (p, ir_optimize(p))]
+    for p, tree in runs:
+        assert _compiled(p)
+    gc.disable()
+    try:
+        for p, tree in runs:
+            gc.collect()
+            ir_eval(p, 7.5, tree=tree)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_compiled_tier_runs_on_the_interpreter_near_the_recursion_limit():

@@ -39,23 +39,26 @@ program, size and entry point:
           translation of the application around it
   x       first_s / later_s
 
-Then ir_eval on the optimized staged tree fold (ir_optimize of
-stage_tree), which its interpreter runs, one row per depth:
+Then the optimized staged tree fold (ir_optimize of stage_tree), the fold
+(+ (* v l) (* r 0.75)) over a seeded full tree of depth d (2^d - 1 nodes,
+values in [0.25, 0.5]; d = 6 to 12, the same trees on both tiers), one row
+per tier and depth:
 
-  tree    the fold (+ (* v l) (* r 0.75)) over a seeded full tree of depth
-          d (2^d - 1 nodes, values in [0.25, 0.5]); d = 6 to 12
-  us/unit the least wall time of 3 calls per node
-  x2      the call's time ratio per doubling of nodes, from the row above:
-          a cost linear in size reads about 2
+  compiled  ir_eval: `rec` calls itself, so the fold runs as generated
+            Python (ir_eval's compiled tier)
+  interp    ir_eval.interpret on the same program and tree
+  us/node   the least wall time of 3 calls per node
+  x2        the call's time ratio per doubling of nodes, from the row
+            above: a cost linear in size reads about 2
 
 Then the countdown (lam x (letrec f ... (app f (+ t -1.0)) ...)), optimized,
 at 10^3, 10^4, 10^5 and 10^6 iterations (x = n), each call in a fresh child
 process, so that every size pays for its own memory:
 
-  compiled  ir_eval, depth limit 2n, in a Python child: a loop program
-            runs as generated Python (ir_eval's compiled tier)
+  compiled  ir_eval, depth limit 2n, in a Python child: a program that
+            loops runs as generated Python (ir_eval's compiled tier)
   interp    ir_eval.interpret on the same program and limit: the
-            interpreter, which runs every other program
+            interpreter, which runs every straight-line program
   c++       emit_c of the same IR built with g++ -O2 (skipped without g++),
             run under a 1 GiB address-space limit with the default stack
   ns/iter   the median wall time of 5 children's timed calls, per
@@ -316,28 +319,29 @@ def run_rows():
 
 
 def ir_eval_rows():
-    """(program, size, us/unit, min_s, x2) as printed cells, one per tree
-    depth."""
-    from adlc.ir_eval import ir_eval
+    """(tier, depth, us/node, min_s, x2) as printed cells, one per tier and
+    tree depth."""
+    from adlc.ir_eval import interpret, ir_eval
     from adlc.ir_opt import ir_optimize
     from adlc.staging import stage_tree
     from adlc.syntax import parse
 
     fold = ir_optimize(stage_tree(parse(TREE_BODY)))
     rng = random.Random(f"tree:{SEED}")
-    prev = None
-    for d in TREE_DEPTHS:
-        units = 2 ** d - 1
-        call = partial(ir_eval, fold, TREE_X, tree=seeded_tree(rng, d))
-        try:
-            secs = min_wall(call)
-        except Exception as ex:  # printed, not raised
-            prev = None
-            yield ("tree", str(d), type(ex).__name__, "-", "-")
-        else:
-            yield ("tree", str(d), f"{secs / units * 1e6:.2f}", f"{secs:.4f}",
-                   _per_doubling(secs, units, prev))
-            prev = units, secs
+    trees = {d: seeded_tree(rng, d) for d in TREE_DEPTHS}
+    for tier, run in zip(TIERS, (ir_eval, interpret)):
+        prev = None
+        for d, t in trees.items():
+            units = 2 ** d - 1
+            try:
+                secs = min_wall(partial(run, fold, TREE_X, tree=t))
+            except Exception as ex:  # printed, not raised
+                prev = None
+                yield (tier, str(d), type(ex).__name__, "-", "-")
+            else:
+                yield (tier, str(d), f"{secs / units * 1e6:.2f}", f"{secs:.4f}",
+                       _per_doubling(secs, units, prev))
+                prev = units, secs
 
 
 # One call at n iterations on a tier (compiled: ir_eval; interp:
@@ -645,9 +649,9 @@ def main() -> None:
         for row in run_rows():
             print("{:<14}{:>5}  {:<10}{:>10}{:>8}{:>10}{:>10}{:>8}".format(*row),
                   flush=True)
-        print(f"# ir_eval on the optimized staged tree fold; wall time is the "
-              f"min of {REPEAT} calls")
-        print(f"{'program':<14}{'size':>6}{'us/unit':>10}{'min_s':>10}{'x2':>6}")
+        print(f"# the optimized staged tree fold on each tier; wall time is "
+              f"the min of {REPEAT} calls")
+        print(f"{'tier':<14}{'depth':>6}{'us/node':>10}{'min_s':>10}{'x2':>6}")
         for row in ir_eval_rows():
             print("{:<14}{:>6}{:>10}{:>10}{:>6}".format(*row), flush=True)
         print(f"# the countdown in fresh child processes; ns/iter is the median "
