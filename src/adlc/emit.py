@@ -99,20 +99,29 @@ class _Emitter:
         self.pointers: dict[str, set] = {}
         self.segments: dict[str, int] = {}  # record function -> tag
         self.uses_tape = False
-        self.rets = {fn.name: self._returns(fn) for fn in prog.functions.values()}
+        self.rets = self._returns(prog.functions)
         if self.rets.get(prog.entry) == "real":
             raise ValueError("cannot emit a (value, cell) return with no caller "
                              f"in {prog.entry}")
         self._analyze()
 
     @staticmethod
-    def _returns(fn: IRFunction) -> str:
-        """The C return type of fn: double, real or void."""
-        found = {type(s) for s in walk(fn.body)} & {Return, RetReal}
-        if len(found) > 1:
-            raise ValueError(f"cannot emit {fn.name}: it returns both a value "
-                             "and a (value, cell) pair")
-        return "double" if Return in found else "real" if found else "void"
+    def _returns(functions: dict) -> dict:
+        """The C return type of each function, double, real or void: what it
+        returns, or what a function it jumps to returns."""
+        found = {n: {type(s) for s in walk(fn.body)} & {Return, RetReal}
+                 for n, fn in functions.items()}
+        jumps = [(n, s.target) for n, fn in functions.items() for s in walk(fn.body)
+                 if type(s) is Jump and s.target in functions]
+        while any(not found[t] <= found[n] for n, t in jumps):
+            for n, t in jumps:
+                found[n] |= found[t]
+        for n, kinds in found.items():
+            if len(kinds) > 1:
+                raise ValueError(f"cannot emit {n}: it returns both a value "
+                                 "and a (value, cell) pair")
+        return {n: "double" if Return in kinds else "real" if kinds else "void"
+                for n, kinds in found.items()}
 
     def _analyze(self) -> None:
         in_tape = _tape_functions(self.prog)

@@ -35,8 +35,7 @@ any one tail chain, where a jump counts as one tail call, so a runaway
 staged loop stops with a diagnostic instead of spinning forever.  A record
 the unwind runs is one level of nesting, and starts a chain of its own.  A
 tree fold nests the entry, `fold` and one call per tree level, the empty
-tree's included, so a tree of height h needs a limit of h + 3 (plus one per
-join or loop its body stages).
+tree's included, so a tree of height h needs a limit of h + 3.
 
 Errors are raised at run time, in evaluation order: an undefined symbol in
 an untaken branch is not an error.  A local starts undefined, and a use

@@ -19,16 +19,21 @@ gives it back.
 A tree fold is staged in direct style on the same tape: a node's function
 receives each subtree's result as a (value, adjoint cell) pair from a
 valued `Call`, stages the body, pushes the body's backward work as one
-record and returns the body's pair with `RetReal`.  Inside a fold, every
-other transfer of control (a conditional's join, a loop) is a tail one
-after a record too, so the fold's unwinding call site runs all of its
-backward work, newest first.  Cells hold accumulating adjoints; the IR has
-no closures.
+record and returns the body's pair with `RetReal`.  Cells hold accumulating
+adjoints; the IR has no closures.
+
+One rule says where backward work waits.  A run under an unwinding call (a
+loop body, what follows it, every run of a fold) is taped: it ends each
+conditional and each join with a record (`_Stager.record`) and a tail
+statement, the `Cond` or a `Jump`, so the backward steps of its operations
+wait on the tape and run after the work staged later.  A loop's first call
+outside a fold is an unwinding `Call`, so each loop keeps a tail chain of
+its own.  The top-level run of `stage_reverse` is untaped: its `Cond` stays
+in place and its join is a plain `Call` with the backward steps after it.
 """
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass, field
 from functools import partial
@@ -339,9 +344,9 @@ class _Stager:
         self.work: list = []  # runs to stage, the next last
         self.block: list = []
         self.end = None
-        # in a tree fold, a run's value is returned to a caller, so every
-        # transfer of control is a tail one, after a record (`record`)
-        self.fold = False
+        self.taped = False  # see the module docstring
+        self.fold = False  # in a tree fold, a loop's first call is a jump too
+        self.records: list = []  # (block, push) per record
         self.names: set[str] = set()
         self.loops: dict = {}  # letrec code -> its loop, activation, cells at entry
         self.store = Store(self)
@@ -375,24 +380,24 @@ class _Stager:
         fn = self.function(prefix, [(self.named("x"), "val"), (self.named("d"), "cell")])
         return fn, SNum(fn.params[0][0], fn.params[1][0], self)
 
-    def record(self, prefix: str, *stmts) -> None:
-        """Emit a push of a record of a new function, then stmts, which end
-        the block.  The backward steps emitted from here on, those of the
-        operations staged before, go into that function, so the unwind runs
-        them after the records pushed later."""
+    def record(self, prefix: str, tail) -> None:
+        """Emit a push of a record of a new function, then the tail
+        statement, which ends the block.  The backward steps emitted from
+        here on, those of the operations the run staged before, go into that
+        function, so the unwind runs them after the records pushed later."""
         bw = self.function(prefix, [])
-        self.emit(TapePush(bw.name, ()))
-        self.block += stmts
+        push = TapePush(bw.name, ())
+        self.records.append((self.block, push))
+        self.block += (push, tail)
         self.block = bw.body
 
-    def transfer(self, call: Call) -> None:
-        """Emit a call of the rest of the run.  In a fold it is a valued
-        call whose (value, cell) the run returns, after a record."""
-        if not self.fold:
-            self.emit(call)
-            return
-        call.results = (self.sym("x"), self.sym("d"))
-        self.record("bwd", call, RetReal(*call.results))
+    def transfer(self, target: str, args) -> None:
+        """Hand on control to the function target: in a taped run, by a jump
+        after a record, else by a call that the run's backward steps follow."""
+        if self.taped:
+            self.record("bwd", Jump(target, args))
+        else:
+            self.emit(Call(target, args))
 
     def lift(self, v, what: str = "operand") -> SNum:
         """v with an adjoint cell: a float, or a node value, gets a new one."""
@@ -406,17 +411,17 @@ class _Stager:
         self.emit(CellNew(d, 0.0))
         return SNum(v, d, self)
 
-    def run(self, block: list, end, go) -> None:
+    def run(self, block: list, end, go, taped: bool = False) -> None:
         """Stage one run into block, and each run a hook queues, from one
-        work list of (block, end, go, store cells): go(afters) runs the
-        machine from those cells and returns the run's value, which
+        work list of (block, end, go, store cells, taped): go(afters) runs
+        the machine from those cells and returns the run's value, which
         end(value) consumes, or ENDED.  A run's afters, which emit its
         operations' backward steps where it ended, go below the runs it
         queued, so runs are staged depth-first."""
         work = self.work
-        work.append((block, end, go, dict(self.store.cells)))
+        work.append((block, end, go, dict(self.store.cells), taped))
         while work:
-            self.block, end, go, cells = work.pop()
+            self.block, end, go, cells, self.taped = work.pop()
             if go is None:  # a finished run's afters, in end
                 for after in reversed(end):
                     after(None)
@@ -430,7 +435,7 @@ class _Stager:
             if v is not ENDED:
                 end(v)
             if afters:
-                work.insert(below, (self.block, afters, None, None))
+                work.insert(below, (self.block, afters, None, None, None))
 
     # the adjoint rule's medium: statements appended to the current block
     def read(self, _s, cell: str) -> str:
@@ -467,16 +472,16 @@ class _Stager:
         return g
 
     def case(self, g: Guard, rest, left, right):
-        """The paper's IF: a Cond, then three runs from the store at the
-        case: the rest from the join on, staged once as k(x, d), and each
-        branch, which ends by calling k.  The rest never sees a branch's
-        store, so the join checks on every path to it that no older ref
-        was assigned."""
+        """The paper's IF: a Cond (after a record, in a taped run), then
+        three runs from the store at the case: the rest from the join on,
+        staged once as k(x, d), and each branch, which hands on to k
+        (`transfer`).  The rest never sees a branch's store, so the join
+        checks on every path to it that no older ref was assigned."""
         if type(g) is not Guard:
             raise EvalError(f"case on a non-sum: {g!r}")
         k, x = self.of_real("k")
         cond = Cond(g.sym, [], [])
-        if self.fold:
+        if self.taped:
             self.record("bwd", cond)
         else:
             self.emit(cond)
@@ -485,28 +490,32 @@ class _Stager:
         def join(v):
             if any(self.store.cells[i] is not c for i, c in cells.items()):
                 raise StagingError("a branch on a staged guard assigns a ref made before it")
-            self.transfer(Call(k.name, _ARGS(self.lift(v, "branch result"))))
+            self.transfer(k.name, _ARGS(self.lift(v, "branch result")))
 
-        self.work += [(cond.orelse, join, right, cells), (cond.then, join, left, cells),
-                      (k.body, self.end, partial(rest, x), cells)]
+        self.work += [(cond.orelse, join, right, cells, self.taped),
+                      (cond.then, join, left, cells, self.taped),
+                      (k.body, self.end, partial(rest, x), cells, self.taped)]
         return ENDED
 
     def loop(self, a, code, caller, act, run):
         """The paper's FUN, for the application of a letrec's function to
         a, a staged real or a float, from the activation caller (None for a
-        non-tail one) into act.  The first queues its run, staged once as a
-        loop behind an unwinding call (in a fold, the fold's call site
-        unwinds), from the store as it is then; a tail call from the loop
-        body's own activation is a jump back, after a record that takes the
-        rest of the iteration's backward work."""
+        non-tail one) into act.  The first queues its run, taped and staged
+        once as a loop behind an unwinding call (in a fold, a jump after a
+        record: the fold's call site unwinds), from the store as it is then;
+        a tail call from the loop body's own activation is a jump back, after
+        a record that takes the rest of the iteration's backward work."""
         a = _ARGS(self.lift(a, "loop argument"))
         name, body, cells = self.loops.get(code, (None, None, None))
         if name is None:
             lf, x = self.of_real("loop")
             cells = dict(self.store.cells)
             self.loops[code] = lf.name, act, cells
-            self.work.append((lf.body, self.end, partial(run, x), cells))
-            self.transfer(Call(lf.name, a, unwind=not self.fold))
+            self.work.append((lf.body, self.end, partial(run, x), cells, True))
+            if self.fold:
+                self.transfer(lf.name, a)
+            else:
+                self.emit(Call(lf.name, a, unwind=True))
         elif caller is not body:
             raise StagingError(
                 "letrec stages only in loop form: (letrec f (lam x e) (app f e'))")
@@ -566,27 +575,6 @@ def _lambda_lift(prog: IRProgram) -> None:
 # Entry points
 
 
-def _defer_rests(functions: dict) -> None:
-    """Make every jump a tail transfer.  A self-call inside a Cond that is
-    followed by more statements (the backward work of the operations before
-    the conditional) returns to them after its continuation, so a copy of
-    them goes to the end of the record that the jump's TapePush makes: the
-    record then holds the whole rest of the iteration, newest work first."""
-    for fn in list(functions.values()):
-        work = [(fn.body, [])]  # a block, and what runs after it
-        while work:
-            block, rest = work.pop()
-            for i, s in enumerate(block):
-                if type(s) is Cond:
-                    after = block[i + 1:] + rest
-                    work += [(s.then, after), (s.orelse, after)]
-                elif type(s) is Jump and rest:
-                    push = block[i - 1]
-                    if type(push) is not TapePush:
-                        raise StagingError(f"jump without a record: {s!r}")
-                    functions[push.fn].body += copy.deepcopy(rest)
-
-
 def _stage(target: Expr, build) -> IRProgram:
     if contains_control(target):
         raise StagingError("shift/reset cannot be staged")
@@ -595,7 +583,10 @@ def _stage(target: Expr, build) -> IRProgram:
         build(st)
     except EvalError as ex:
         raise StagingError(str(ex)) from None
-    _defer_rests(st.functions)
+    for block, push in st.records:
+        if not st.functions[push.fn].body:  # its run staged no operation first
+            block.remove(push)
+            del st.functions[push.fn]
     prog = IRProgram(st.functions, ENTRY)
     _lambda_lift(prog)
     return prog
@@ -649,7 +640,7 @@ def stage_tree(body: Expr) -> IRProgram:
         # a node value's adjoint cell would be dead: nothing reads it
         env = {TREE_LEFT: left, TREE_RIGHT: right, TREE_VALUE: SNum(v, None, st)}
         st.run(then, lambda y: st.record("rec_bwd", RetReal(*_ARGS(st.lift(y, "fold result")))),
-               lambda afters: eval_expr(body, env, st.store, afters)[0])
+               lambda afters: eval_expr(body, env, st.store, afters)[0], taped=True)
         fold = st.function("fold", [("tree", "tree")])
         y, dy, r = st.sym("x"), st.sym("d"), st.sym("r")
         fold.body += [Call(rec.name, ("tree",), results=(y, dy)), CellSet(dy, 1.0)]

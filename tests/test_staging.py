@@ -722,6 +722,10 @@ LOOP_COMPOSITES = {
     # self-call, after the backward work of its argument
     "op-before-if": "(lam x (letrec f (lam t (let u (* t 0.5) (if (> u 1.0)"
                     " (app f (* u 0.9)) u))) (app f x)))",
+    # the join's backward work reads the adjoint that the records of the
+    # later iterations accumulate, so it waits on the tape too
+    "join-before-self-call": "(lam x (letrec f (lam t (let w (if (> t 1.0) (* t 0.9) t)"
+                             " (if (> w 1.0) (app f (* w 0.5)) w))) (app f x)))",
 }
 
 
@@ -732,10 +736,9 @@ def test_loop_composites_staged_matches_unstaged(name):
     f = parse(LOOP_COMPOSITES[name])
     p = stage_reverse(f)
     po = ir_optimize(p)
-    for x in (8.0, 37.5, 0.3, 100.0, 3.0):
-        want = grad_reverse(f, x, "meta-shift")
-        assert ir_eval(p, x) == want
-        assert ir_eval(po, x) == want
+    for x in (8.0, 37.5, 0.3, 0.5, 100.0, 3.0):
+        want = grad_reverse(f, x, "meta-shift").hex()
+        assert [run(q, x).hex() for run in (ir_eval, interpret) for q in (p, po)] == [want] * 4
 
 
 # --- ir_eval's compiled tier ----------------------------------------------------------
@@ -773,6 +776,9 @@ COMPILED_LOOPS = _compiled_loops()
 # fold bodies: the product, the bench's sum, and a staged join in `rec`
 FOLD_BODIES = {"product": TREE_BODY, "sum": parse("(+ (* v l) (* r 0.75))"),
                "join": parse("(if (> l r) (* l v) (* r v))")}
+# a fold body that runs a loop, which the fold's call site unwinds
+FOLD_LOOP = parse("(* v (letrec f (lam t (if (> t 1.0) (app f (* t 0.5)) t))"
+                  " (app f (* l r))))")
 
 
 def _calling_records() -> IRProgram:
@@ -856,7 +862,7 @@ def test_compiled_tier_equals_the_interpreter():
                         == _outcome(interpret, q, x, limit)), (name, x, limit)
     # folds over the empty tree, one node, full trees of depth 1 to 8 and a
     # path tree, at limits around the height: a tree of height h needs
-    # h + 3 (one more where the body joins), so h + 2 stops in the fold
+    # h + 3, so h + 2 stops in the fold
     rng = random.Random(23)
     trees = [(0, None), (1, TreeData(0.75, None, None))]
     trees += [(d, _pow2_tree(rng, d)) for d in range(1, 9)] + [(40, _path_tree(rng, 40))]
@@ -956,6 +962,61 @@ def test_compiled_tier_runs_on_the_interpreter_near_the_recursion_limit():
     assert got == [grad_tape_expr(f, x).hex() for x in (0.7, 5.0)]
 
 
+# --- runs under an unwinding call ----------------------------------------------------
+
+def test_no_staged_program_pushes_an_empty_record():
+    # a run hands on control under an unwinding call by a record and a
+    # tail statement; a record that got no backward step is dropped, so a
+    # fold whose body joins or loops nests no deeper than one that does
+    # neither: a path tree of height h needs a depth limit of h + 3
+    progs = [stage_reverse(parse(src)) for src in LOOP_COMPOSITES.values()]
+    folds = [stage_tree(body) for body in (*FOLD_BODIES.values(), FOLD_LOOP)]
+    for p in progs + folds:
+        for q in (p, ir_optimize(p)):
+            pushed = {s.fn for s in _all_stmts(q) if isinstance(s, TapePush)}
+            assert all(q.functions[f].body for f in pushed), sorted(pushed)
+    h = 40
+    t = _path_tree(random.Random(24), h)
+    for p in folds:
+        for q in (p, ir_optimize(p)):
+            for run in (ir_eval, interpret):
+                assert (run(q, 3.0, tree=t, depth_limit=h + 3).hex()
+                        == run(q, 3.0, tree=t).hex())
+                with pytest.raises(IREvalError, match="depth limit"):
+                    run(q, 3.0, tree=t, depth_limit=h + 2)
+
+
+NESTED_EXITS = parse(
+    "(lam x (letrec outer (lam t (if (> t 1.0) (app outer (letrec inner (lam u"
+    " (if (> u t) (app inner (* u 0.5)) (* u 0.999))) (app inner t))) t))"
+    " (app outer x)))")
+SEQUENTIAL_LONG = parse(
+    "(lam x (let a (letrec f (lam t (if (> t 1.0) (app f (* t 0.9999)) t)) (app f x))"
+    " (letrec g (lam u (if (> u 0.001) (app g (* u 0.9999)) u)) (app g a))))")
+
+
+def test_nested_loops_nest_one_call_per_outer_iteration():
+    # the inner loop's call unwinds its own records and its exit jumps back
+    # to the outer loop, so n outer iterations nest n calls, not 2n
+    x, n, t = 1000.0, 0, 1000.0
+    while t > 1.0:
+        t, n = t * 0.999, n + 1
+    want = grad_tape_expr(NESTED_EXITS, x).hex()
+    p = stage_reverse(NESTED_EXITS)
+    for q in (p, ir_optimize(p)):
+        for run in (ir_eval, interpret):
+            assert run(q, x, depth_limit=n + 2).hex() == want
+
+
+def test_sequential_loops_keep_a_tail_chain_each():
+    # each loop's first call unwinds, so the 6 * 10^4 iterations of each of
+    # two loops in a row make two tail chains, each within the default limit
+    x = 403.0
+    want = grad_tape_expr(SEQUENTIAL_LONG, x).hex()
+    q = ir_optimize(stage_reverse(SEQUENTIAL_LONG))
+    assert [run(q, x).hex() for run in (ir_eval, interpret)] == [want, want]
+
+
 # --- emitted C++ as a backend ----------------------------------------------------------
 
 CXX = ("g++", "-O1", "-std=c++17")
@@ -1039,6 +1100,10 @@ def test_emitted_code_compiles_and_runs(tmp_path):
               parse_tree("(node 2.0 (node 1.5 (leaf) (leaf)) (node 3.0 (leaf) (leaf)))")),
              ("tree6", ir_optimize(stage_tree(TREE_BODY)), (1.01, -0.0),
               _full_tree(rng, 6)),
+             # a join and a loop jump on to functions that return the pair
+             ("join6", stage_tree(FOLD_BODIES["join"]), (1.01, -0.5), _full_tree(rng, 6)),
+             ("fold_loop", ir_optimize(stage_tree(FOLD_LOOP)), (3.0, 1.5),
+              _full_tree(rng, 5)),
              # a jump that swaps two parameters reads both before writing
              ("swap", _entry(CellNew("d0", 0.0),
                              Call("loop", ("in", 2.5, 2.0, "d0"), unwind=True),
@@ -1052,7 +1117,7 @@ def test_emitted_code_compiles_and_runs(tmp_path):
               (1.0, -0.5), None)]
     for i, name in enumerate(sorted(LOOP_COMPOSITES)):
         cases.append((f"opt{i}", ir_optimize(stage_reverse(parse(LOOP_COMPOSITES[name]))),
-                      (8.0, 37.5, 0.3, 100.0, 3.0), None))
+                      (8.0, 37.5, 0.3, 0.5, 100.0, 3.0), None))
     # pairs, sums, refs, closures and compound guards, staged away
     for i, (src, _) in enumerate(FEATURE_CASES):
         p = stage_reverse(parse(src))

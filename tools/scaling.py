@@ -51,9 +51,13 @@ per tier and depth:
   x2        the call's time ratio per doubling of nodes, from the row
             above: a cost linear in size reads about 2
 
-Then the countdown (lam x (letrec f ... (app f (+ t -1.0)) ...)), optimized,
-at 10^3, 10^4, 10^5 and 10^6 iterations (x = n), each call in a fresh child
-process, so that every size pays for its own memory:
+Then two loops, optimized, each call in a fresh child process, so that
+every size pays for its own memory: the countdown (lam x (letrec f ...
+(app f (+ t -1.0)) ...)) at 10^3, 10^4, 10^5 and 10^6 iterations, and
+op-before-if, whose body adds before its conditional (let u (+ t -0.5) (if
+(> u 0.0) (app f (+ u -0.5)) u)), so each iteration pushes two records, at
+10^3, 10^4 and 10^5 iterations (x = n for both); one row per loop,
+backend and size:
 
   compiled  ir_eval, depth limit 2n, in a Python child: a program that
             loops runs as generated Python (ir_eval's compiled tier)
@@ -69,7 +73,8 @@ process, so that every size pays for its own memory:
             a cost linear in iterations reads about 2
   rss_mb    the largest peak RSS (VmHWM) of those children
   bits      the gradient's float.hex; interp and c++ rows add
-            "= compiled" when the bits match the compiled row of that size
+            "= compiled" when the bits match the compiled row of that
+            loop and size
 
 Then the same fold (optimized) as emitted C++, built with g++ -O2 (skipped
 without g++) and run on seeded full trees of depth 12, 14 and 16 (up to
@@ -136,7 +141,11 @@ STAGED_IF_SIZES = (250, 500, 1000, 2000, 4000)
 REPEAT = 3
 COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
              " (app f x)))")
-CHILD_LOOP_SIZES = (1_000, 10_000, 100_000, 1_000_000)
+OP_BEFORE_IF = ("(lam x (letrec f (lam t (let u (+ t -0.5) (if (> u 0.0)"
+                " (app f (+ u -0.5)) u))) (app f x)))")
+# loop -> (program, iteration counts n); each runs n iterations at x = n
+CHILD_LOOPS = {"countdown": (COUNTDOWN, (1_000, 10_000, 100_000, 1_000_000)),
+               "op-before-if": (OP_BEFORE_IF, (1_000, 10_000, 100_000))}
 LIMIT_LOOP_SIZE = 100_000
 TIERS = ("compiled", "interp")
 CHILD_AS_BYTES = 1 << 30
@@ -443,61 +452,61 @@ def run_child(argv: list, limit: bool) -> tuple[str, int, float]:
     return float.fromhex(bits).hex(), int(ns), int(hwm_kb) / 1024.0
 
 
-def _ir_eval_child(src: str, n: int, tier: str, limit: int) -> list:
-    return [sys.executable, "-c", _IR_EVAL_CHILD, src, COUNTDOWN, str(n), tier,
-            str(limit)]
+def _ir_eval_child(src: str, prog: str, n: int, tier: str, limit: int) -> list:
+    return [sys.executable, "-c", _IR_EVAL_CHILD, src, prog, str(n), tier, str(limit)]
 
 
 def loop_children(src: str, build_dir: str):
-    """(backend, n, argv, address-space limit) per row; the c++ rows only
-    when g++ builds the emitted countdown."""
+    """(loop, backend, n, argv, address-space limit) per row; the c++ rows
+    only when g++ builds the emitted loop."""
     from adlc.emit import emit_c
     from adlc.ir_opt import ir_optimize
     from adlc.staging import stage_reverse
     from adlc.syntax import parse
 
-    for tier in TIERS:
-        for n in CHILD_LOOP_SIZES:
-            yield tier, n, _ir_eval_child(src, n, tier, 2 * n), False
-    if shutil.which("g++") is None:
-        return
-    cc, exe = os.path.join(build_dir, "loop.cc"), os.path.join(build_dir, "loop")
-    with open(cc, "w") as fh:
-        fh.write(emit_c(ir_optimize(stage_reverse(parse(COUNTDOWN)))) + _LOOP_MAIN)
-    subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
-                   capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
-    for n in CHILD_LOOP_SIZES:
-        yield "c++", n, [exe, str(n)], True
+    for loop, (prog, sizes) in CHILD_LOOPS.items():
+        for tier in TIERS:
+            for n in sizes:
+                yield loop, tier, n, _ir_eval_child(src, prog, n, tier, 2 * n), False
+        if shutil.which("g++") is None:
+            continue
+        cc, exe = os.path.join(build_dir, f"{loop}.cc"), os.path.join(build_dir, loop)
+        with open(cc, "w") as fh:
+            fh.write(emit_c(ir_optimize(stage_reverse(parse(prog)))) + _LOOP_MAIN)
+        subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
+                       capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
+        for n in sizes:
+            yield loop, "c++", n, [exe, str(n)], True
 
 
 def loop_child_rows(src: str):
-    """(backend, n, ns/iter, x2, rss_mb, bits) as printed cells."""
+    """(loop, backend, n, ns/iter, x2, rss_mb, bits) as printed cells."""
     prev: dict = {}
     bits_of: dict = {}
     with tempfile.TemporaryDirectory() as build_dir:
         try:
-            for backend, n, argv, limit in loop_children(src, build_dir):
+            for loop, backend, n, argv, limit in loop_children(src, build_dir):
                 try:
                     runs = [run_child(argv, limit) for _ in range(CHILD_REPEAT)]
                 except (RuntimeError, OSError, ValueError,
                         subprocess.TimeoutExpired) as ex:
-                    yield (backend, str(n), type(ex).__name__, "-", "-", str(ex))
-                    prev.pop(backend, None)
+                    yield (loop, backend, str(n), type(ex).__name__, "-", "-", str(ex))
+                    prev.pop((loop, backend), None)
                     continue
                 secs = statistics.median(ns for _, ns, _ in runs) / 1e9
                 bits = runs[0][0]
                 if any(b != bits for b, _, _ in runs):
                     bits = "differ: " + " ".join(b for b, _, _ in runs)
                 elif backend == TIERS[0]:
-                    bits_of[n] = bits
-                elif bits_of.get(n) == bits:
+                    bits_of[loop, n] = bits
+                elif bits_of.get((loop, n)) == bits:
                     bits += f" = {TIERS[0]}"
-                yield (backend, str(n), f"{secs / n * 1e9:.0f}",
-                       _per_doubling(secs, n, prev.get(backend)),
+                yield (loop, backend, str(n), f"{secs / n * 1e9:.0f}",
+                       _per_doubling(secs, n, prev.get((loop, backend))),
                        f"{max(r for _, _, r in runs):.1f}", bits)
-                prev[backend] = n, secs
-        except subprocess.CalledProcessError as ex:  # the c++ build failed
-            yield ("c++", "-", type(ex).__name__, "-", "-", "-")
+                prev[loop, backend] = n, secs
+        except subprocess.CalledProcessError as ex:  # a c++ build failed
+            yield ("-", "c++", "-", type(ex).__name__, "-", "-", "-")
 
 
 def tree_file(t, path: str) -> None:
@@ -568,7 +577,7 @@ def limit_rows(src: str):
     from adlc.ir_eval import DEFAULT_DEPTH_LIMIT
 
     for tier in TIERS:
-        argv = _ir_eval_child(src, LIMIT_LOOP_SIZE, tier, DEFAULT_DEPTH_LIMIT)
+        argv = _ir_eval_child(src, COUNTDOWN, LIMIT_LOOP_SIZE, tier, DEFAULT_DEPTH_LIMIT)
         r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
         outcome = r.stdout.strip() if r.returncode == 0 else f"exit code {r.returncode}"
         yield tier, str(LIMIT_LOOP_SIZE), str(DEFAULT_DEPTH_LIMIT), outcome
@@ -654,11 +663,11 @@ def main() -> None:
         print(f"{'tier':<14}{'depth':>6}{'us/node':>10}{'min_s':>10}{'x2':>6}")
         for row in ir_eval_rows():
             print("{:<14}{:>6}{:>10}{:>10}{:>6}".format(*row), flush=True)
-        print(f"# the countdown in fresh child processes; ns/iter is the median "
+        print(f"# the two loops in fresh child processes; ns/iter is the median "
               f"of {CHILD_REPEAT} children, rss_mb the max")
-        print(f"{'backend':<9}{'n':>9}{'ns/iter':>9}{'x2':>6}{'rss_mb':>9}  bits")
+        print(f"{'loop':<14}{'backend':<9}{'n':>9}{'ns/iter':>9}{'x2':>6}{'rss_mb':>9}  bits")
         for row in loop_child_rows(src):
-            print("{:<9}{:>9}{:>9}{:>6}{:>9}  {}".format(*row), flush=True)
+            print("{:<14}{:<9}{:>9}{:>9}{:>6}{:>9}  {}".format(*row), flush=True)
         print(f"# the optimized tree fold as emitted C++ in fresh child processes; "
               f"ns/node is the median of {CHILD_REPEAT} children, rss_mb the max")
         print(f"{'backend':<9}{'depth':>9}{'ns/node':>9}{'x2':>6}{'rss_mb':>9}  bits")
