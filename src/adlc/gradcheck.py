@@ -18,7 +18,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .forward import (
     forward_gradient_program, grad_forward_tagged, symbolic_gradient_program,
@@ -216,16 +216,16 @@ def check_program(f: Expr, program_id: int,
     return [check_one(pg, program_id, p) for p in probes]
 
 
-def _check_share(spec: CorpusSpec, probes, start: int, step: int):
-    """check_program on programs start, start + step, ... of the corpus, in
-    order, until one raises: (the reports of each program checked, the
-    exception or None)."""
-    done: list[list[GradReport]] = []
-    try:
-        for i in range(start, spec.count, step):
-            done.append(check_program(random_program(spec, i), i, probes))
-    except Exception as ex:
-        return done, ex
+def _check_ids(spec: CorpusSpec, probes, ids: Iterable[int]):
+    """check_program on each program id that ids yields, until one raises:
+    ({id: its reports} for each program checked, (the id, the exception) or
+    None)."""
+    done: dict[int, list[GradReport]] = {}
+    for i in ids:
+        try:
+            done[i] = check_program(random_program(spec, i), i, probes)
+        except Exception as ex:
+            return done, (i, ex)
     return done, None
 
 
@@ -235,67 +235,137 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_workers(work: Callable[[int, int], object], n: int) -> list:
-    """[work(j, n) for j in range(n)], each call in a forked child that
-    sends its pickled result back through a pipe.  A child leaves only
-    through os._exit, so it flushes nothing of the parent's and runs none
-    of its exit handlers; the parent kills and reaps every child left."""
+# one program id on the task pipe
+_ID = struct.Struct("<I")
+
+
+def _pull(fd: int) -> Iterator[int]:
+    """The ids read from the task pipe fd until it is closed and empty.  The
+    parent writes whole records, at most PIPE_BUF bytes at a time, so every
+    write is atomic and the pipe always holds a whole number of records; a
+    read of one record then takes all of its bytes, and no two readers get
+    parts of one id."""
+    while rec := os.read(fd, _ID.size):
+        yield _ID.unpack(rec)[0]
+
+
+def _in_workers(work: Callable[[Iterator[int]], object], count: int,
+                n: int) -> list:
+    """[work(ids) in each of n forked children], the children sharing one
+    queue of the ids 0 .. count - 1: a task pipe, from which each child
+    takes the next id when it is ready for one.  Each child sends its
+    pickled result back through a pipe of its own.  The parent feeds the
+    task pipe and reads every result pipe at once, so a child that dies is
+    an error as soon as its pipe closes, however long the others run; it
+    then kills and reaps every child left.  A child leaves only through
+    os._exit, so it flushes nothing of the parent's and runs none of its
+    exit handlers."""
     import pickle
+    import select
+    import selectors
     import signal
 
-    readers, running, results = [], [], []
+    tasks = b"".join(map(_ID.pack, range(count)))
+    chunk = select.PIPE_BUF - select.PIPE_BUF % _ID.size
+    sent = 0
+    task_r, task_w = os.pipe()
+    sel = selectors.DefaultSelector()
+    running: dict[int, int] = {}  # result pipe -> child pid
+    received: dict[int, list[bytes]] = {}  # every result pipe still open
+    results = []
+
+    def stop_feeding():
+        nonlocal task_w
+        sel.unregister(task_w)
+        os.close(task_w)
+        task_w = -1
+
     try:
-        for j in range(n):
+        for _ in range(n):
             r, w = os.pipe()
-            readers.append(open(r, "rb"))
+            received[r] = []
             with open(w, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
                     status = 1
                     try:
-                        writer.write(pickle.dumps(work(j, n), pickle.HIGHEST_PROTOCOL))
+                        os.close(task_w)
+                        writer.write(pickle.dumps(work(_pull(task_r)),
+                                                  pickle.HIGHEST_PROTOCOL))
                         writer.flush()
                         status = 0
                     finally:
                         os._exit(status)
-                running.append(pid)
-        for reader in readers:
-            data = reader.read()
-            _, status = os.waitpid(running[0], 0)
-            del running[0]
-            if status != 0:
-                raise RuntimeError(
-                    f"crosscheck worker ended with wait status {status}")
-            results.append(pickle.loads(data))
+            running[r] = pid
+            sel.register(r, selectors.EVENT_READ)
+        os.close(task_r)
+        task_r = -1
+        os.set_blocking(task_w, False)
+        sel.register(task_w, selectors.EVENT_WRITE)
+        while running:
+            for key, _ in sel.select():
+                if key.fd == task_w:
+                    try:
+                        sent += os.write(task_w, tasks[sent:sent + chunk])
+                    except BrokenPipeError:  # every child has stopped
+                        sent = len(tasks)
+                    if sent == len(tasks):
+                        stop_feeding()
+                    continue
+                if key.fd not in running:  # the task pipe, closed above
+                    continue
+                data = os.read(key.fd, 1 << 16)
+                if data:
+                    received[key.fd].append(data)
+                    continue
+                sel.unregister(key.fd)
+                os.close(key.fd)
+                data = b"".join(received.pop(key.fd))
+                _, status = os.waitpid(running.pop(key.fd), 0)
+                if status != 0:
+                    raise RuntimeError(
+                        f"crosscheck worker ended with wait status {status}")
+                results.append(pickle.loads(data))
+                # a child stops while the queue is open only when one of its
+                # programs raised, and every id not yet sent is past that one
+                if task_w != -1:
+                    stop_feeding()
         return results
     finally:
-        for pid in running:
+        for pid in running.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for reader in readers:
-            reader.close()
+        for fd in [*received, task_r, task_w]:
+            if fd != -1:
+                os.close(fd)
+        sel.close()
 
 
 def crosscheck(spec: CorpusSpec, probes=DEFAULT_PROBES) -> list[GradReport]:
     """Run every mode on every (program, probe) cell; per-entry failures are
     recorded in the report rather than raised.  The programs are checked in
-    forked workers, one per usable CPU, worker j taking programs i = j
-    (mod n); the reports come back in program order, the same as an
-    in-process run, and an exception check_program lets through is raised
-    here.  With one CPU or no os.fork the one share runs in process."""
+    forked workers, one per usable CPU, that take program ids from one
+    shared queue, so a worker that holds slow programs, or loses its CPU
+    for a while, holds up no work it has not taken.  Each worker stops at
+    the first program that raises; the reports come back in program order,
+    and if any program raised, the exception of the lowest such id is
+    raised here: the same reports and the same exception as an in-process
+    run.  With one CPU or no os.fork the same loop runs in process."""
     n = min(_usable_cpus(), spec.count)
-    work = partial(_check_share, spec, probes)
+    work = partial(_check_ids, spec, probes)
     if n > 1 and hasattr(os, "fork"):
-        shares = _in_workers(work, n)
+        results = _in_workers(work, spec.count, n)
     else:
-        n, shares = 1, [work(0, 1)]
-    out: list[GradReport] = []
-    for i in range(spec.count):
-        done, ex = shares[i % n]
-        if i // n == len(done):
-            raise ex
-        out.extend(done[i // n])
-    return out
+        results = [work(range(spec.count))]
+    done: dict[int, list[GradReport]] = {}
+    failed = []
+    for reports, failure in results:
+        done.update(reports)
+        if failure is not None:
+            failed.append(failure)
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [r for i in range(spec.count) for r in done[i]]
 
 
 def report_line(r: GradReport) -> str:

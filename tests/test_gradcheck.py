@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from adlc import gradcheck
 from adlc.gradcheck import (
-    ALL_MODES, FORWARD_FAMILY, MODES, CorpusSpec, DivergenceError,
+    ALL_MODES, FORWARD_FAMILY, MODES, CorpusSpec, DivergenceError, GradReport,
     ProgramGradients, check_one, check_program, crosscheck, finite_diff,
     gradient_descent, gradient_fn, primal_fn, random_program, report_json,
     report_line, same_bits,
@@ -173,6 +174,94 @@ def test_crosscheck_worker_that_dies_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError, match="wait status"):
         crosscheck(spec, probes=(1.0,))
     assert time.perf_counter() - t0 < 5.0
+    _assert_no_children_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_crosscheck_second_worker_that_dies_is_an_error(monkeypatch):
+    # the second worker forked dies at its first program while the first
+    # sleeps; the parent must not wait on the first worker's pipe
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    def dying(f):
+        if len(forks) == 2:
+            os._exit(3)
+        time.sleep(10)
+        return MODES["dual"](f)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(gradcheck.MODES, "forward", dying)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="wait status"):
+        crosscheck(CorpusSpec(count=4), probes=(1.0,))
+    assert time.perf_counter() - t0 < 5.0
+    _assert_no_children_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_crosscheck_queue_balances_slow_programs(monkeypatch):
+    # fixed shares would give all four sleeps to one worker: >= 1.0 s
+    check = gradcheck.check_program
+
+    def slow_on_even(f, i, probes):
+        if i % 2 == 0:
+            time.sleep(0.25)
+        return check(f, i, probes)
+
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gradcheck, "check_program", slow_on_even)
+    t0 = time.perf_counter()
+    reports = crosscheck(CorpusSpec(count=8), probes=(1.0,))
+    assert time.perf_counter() - t0 < 0.9
+    assert [r.program_id for r in reports] == list(range(8))
+    _assert_no_children_left()
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("crosscheck did not finish")
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_crosscheck_more_ids_than_a_pipe_holds(monkeypatch, cpus):
+    # 40,000 4-byte ids are 160 kB, more than a 64 kB pipe buffer
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(gradcheck, "random_program", lambda spec, i: None)
+    monkeypatch.setattr(gradcheck, "check_program",
+                        lambda f, i, probes: [GradReport(i, p) for p in probes])
+    old = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(60)
+    try:
+        reports = crosscheck(CorpusSpec(count=40_000), probes=(1.0,))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [r.program_id for r in reports] == list(range(40_000))
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_crosscheck_raises_for_the_lowest_failing_program(monkeypatch, cpus):
+    # program 1 raises last, after program 4 has raised in another worker
+    check = gradcheck.check_program
+
+    def failing(f, i, probes):
+        if i == 1:
+            time.sleep(0.2)
+            raise ValueError("program 1")
+        if i == 4:
+            raise KeyError("program 4")
+        return check(f, i, probes)
+
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(gradcheck, "check_program", failing)
+    with pytest.raises(ValueError, match="program 1"):
+        crosscheck(CorpusSpec(count=6), probes=(1.0,))
     _assert_no_children_left()
 
 
