@@ -227,6 +227,7 @@ def _raise_timeout(signum, frame):
     raise TimeoutError("crosscheck did not finish")
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_crosscheck_more_ids_than_a_pipe_holds(monkeypatch, cpus):
     # 40,000 4-byte ids are 160 kB, more than a 64 kB pipe buffer
@@ -247,7 +248,7 @@ def test_crosscheck_more_ids_than_a_pipe_holds(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_crosscheck_raises_for_the_lowest_failing_program(monkeypatch, cpus):
-    # program 1 raises last, after program 4 has raised in another worker
+    # with workers, program 1 raises last, after program 4 raised in another
     check = gradcheck.check_program
 
     def failing(f, i, probes):
