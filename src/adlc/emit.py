@@ -21,18 +21,22 @@ C++ call per tree level, and its backward work runs from the tape.
 The preludes need no standard header and appear only in programs that use
 them.  Recursive functions are declared up front.  Output is stable across
 runs: two-space indent, LF line endings.
+
+`emit_c` runs `staging.verify` on its input, which raises `IRError` on any
+program it could not emit, and takes each function's return type from it.
 """
 
 from __future__ import annotations
 
 from .staging import (
-    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
-    IRProgram, Jump, RetReal, Return, TapePush, reachable, uses, walk,
+    OPS, REAL, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
+    IRProgram, Jump, RetReal, Return, TapePush, unwound, uses, verify, walk,
 )
 from .syntax import fmt_float
 
-# the C type per symbol kind
+# the C type per symbol kind, and per return kind
 _TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool"}
+_RETURNS = {"val": "double", REAL: "real", None: "void"}
 _REAL = "struct real { double x; double* d; };\n"
 
 # The record array grows by doubling; the arena grows by 4096-cell chunks
@@ -82,14 +86,6 @@ static void tape_free() {
 """
 
 
-def _tape_functions(prog: IRProgram) -> set:
-    """The functions an unwinding call's target reaches: those that run
-    between a tape mark and its unwind."""
-    return reachable(prog.functions, [
-        s.target for fn in prog.functions.values() for s in walk(fn.body)
-        if type(s) is Call and s.unwind])
-
-
 class _Emitter:
     def __init__(self, prog: IRProgram):
         self.prog = prog
@@ -99,53 +95,24 @@ class _Emitter:
         self.pointers: dict[str, set] = {}
         self.segments: dict[str, int] = {}  # record function -> tag
         self.uses_tape = False
-        self.rets = self._returns(prog.functions)
-        if self.rets.get(prog.entry) == "real":
-            raise ValueError("cannot emit a (value, cell) return with no caller "
-                             f"in {prog.entry}")
+        self.rets = {n: _RETURNS[k] for n, k in verify(prog).items()}
         self._analyze()
 
-    @staticmethod
-    def _returns(functions: dict) -> dict:
-        """The C return type of each function, double, real or void: what it
-        returns, or what a function it jumps to returns."""
-        found = {n: {type(s) for s in walk(fn.body)} & {Return, RetReal}
-                 for n, fn in functions.items()}
-        jumps = [(n, s.target) for n, fn in functions.items() for s in walk(fn.body)
-                 if type(s) is Jump and s.target in functions]
-        while any(not found[t] <= found[n] for n, t in jumps):
-            for n, t in jumps:
-                found[n] |= found[t]
-        for n, kinds in found.items():
-            if len(kinds) > 1:
-                raise ValueError(f"cannot emit {n}: it returns both a value "
-                                 "and a (value, cell) pair")
-        return {n: "double" if Return in kinds else "real" if kinds else "void"
-                for n, kinds in found.items()}
-
     def _analyze(self) -> None:
-        in_tape = _tape_functions(self.prog)
+        in_tape = unwound(self.prog.functions)
         for fn in self.prog.functions.values():
             local, escaping, received = set(), set(), set()
             for s in walk(fn.body):
                 match s:
-                    case Bind(_, op, _) if op not in OPS:
-                        raise ValueError(f"cannot emit {s!r}")
                     case CellNew(dest, _):
                         local.add(dest)
-                    case Call(target, _, unwind, results):
+                    case Call(_, _, unwind, results):
                         self.uses_tape |= unwind
                         if results:
-                            if len(results) != 2 or self.rets.get(target) != "real":
-                                raise ValueError(f"cannot emit {s!r}: {target} returns "
-                                                 "no (value, cell) pair")
                             received.add(results[1])
                     case TapePush(f, _):
                         self.uses_tape = True
                         self.segments.setdefault(f, len(self.segments))
-                    case RetReal(_, cell) if cell in local and fn.name not in in_tape:
-                        raise ValueError(f"cannot emit {s!r}: {cell} is made in "
-                                         f"{fn.name}, outside an unwinding call")
                 if type(s) in (Call, Jump, TapePush, RetReal):
                     escaping.update(uses(s))
             arena = local & escaping if fn.name in in_tape else set()
@@ -154,15 +121,6 @@ class _Emitter:
     def signature(self, fn: IRFunction, ret: str) -> str:
         params = ", ".join(f"{_TYPES[k]} {p}" for p, k in fn.params)
         return f"{ret} {fn.name}({params})"
-
-    def segment_params(self, f: str) -> list:
-        fn = self.prog.functions.get(f)
-        if fn is None:
-            raise ValueError(f"cannot emit a record of unknown function {f!r}")
-        for p, k in fn.params:
-            if k not in ("val", "cell"):
-                raise ValueError(f"cannot emit a record capturing {p!r} ({k})")
-        return fn.params
 
     def tape_unwind(self) -> list:
         """The unwind: pop records down to the mark, newest first, and run
@@ -173,7 +131,7 @@ class _Emitter:
                "    switch (r.seg) {"]
         for f, tag in self.segments.items():
             args = ", ".join(f"*r.w[{i}].c" if k == "cell" else f"r.w[{i}].v"
-                             for i, (_p, k) in enumerate(self.segment_params(f)))
+                             for i, (_p, k) in enumerate(self.prog.functions[f].params))
             out.append(f"    case {tag}: {f}({args}); break;")
         out += ["    }", "  }", "  tape.cells = m.cells;", "}"]
         return out
@@ -186,9 +144,9 @@ class _Emitter:
         is_entry = fn.name == self.prog.entry
 
         def operand(o) -> str:
-            if not isinstance(o, str):
-                return fmt_float(o)
-            return o
+            if type(o) is bool:  # a guard that ir_optimize folded
+                return "true" if o else "false"
+            return o if isinstance(o, str) else fmt_float(o)
 
         def cell_lvalue(sym: str) -> str:
             if sym in rebound:
@@ -200,20 +158,10 @@ class _Emitter:
                 return rebound[sym]
             return sym if sym in pointers else f"&{cell_lvalue(sym)}"
 
-        def cell_argument(o) -> str:
-            # a cell passed where the callee expects double&
-            return cell_lvalue(o) if isinstance(o, str) else fmt_float(o)
-
         def call_args(target: str, args) -> str:
-            fn_t = self.prog.functions.get(target)
-            rendered = []
-            for i, a in enumerate(args):
-                kind = fn_t.params[i][1] if fn_t and i < len(fn_t.params) else None
-                if kind == "cell":
-                    rendered.append(cell_argument(a))
-                else:
-                    rendered.append(operand(a))
-            return ", ".join(rendered)
+            # a cell is passed where the callee expects double&
+            return ", ".join(cell_lvalue(a) if k == "cell" else operand(a) for (_p, k), a
+                             in zip(self.prog.functions[target].params, args))
 
         def rebind(args) -> list:
             """Assignments that give the parameters the jump's arguments,
@@ -235,8 +183,8 @@ class _Emitter:
                 out.append(pad + text)
 
             match s:
-                case Bind(dest, op, args) if ARITY.get(op) == len(args):
-                    kind, _, text = OPS[op]
+                case Bind(dest, op, args):
+                    kind, _, text, _ = OPS[op]
                     line(f"{_TYPES[kind]} {dest} = {text.format(*map(operand, args))};")
                 case CellNew(dest, init):
                     if dest in pointers:
@@ -268,7 +216,7 @@ class _Emitter:
                     words = [f"r_.w[{i}].{'c' if k == 'cell' else 'v'} = "
                              f"{cell_pointer(a) if k == 'cell' else operand(a)};"
                              for i, ((_p, k), a) in
-                             enumerate(zip(self.segment_params(f), caps))]
+                             enumerate(zip(self.prog.functions[f].params, caps))]
                     line(f"{{ tape_rec& r_ = tape_push({self.segments[f]}); "
                          f"{' '.join(words)} }}")
                 case Cond(guard, then, orelse):
@@ -285,8 +233,6 @@ class _Emitter:
                     line(f"return {operand(value)};")
                 case RetReal(value, cell):
                     line(f"return real{{{operand(value)}, {cell_pointer(cell)}}};")
-                case _:
-                    raise ValueError(f"cannot emit {s!r}")
 
         out.append(self.signature(fn, ret) + " {")
         if jumps:
@@ -310,7 +256,7 @@ def emit_c(prog: IRProgram) -> str:
     uses_tree = any(k == "tree" for fn in prog.functions.values()
                     for _, k in fn.params)
     if em.uses_tape:
-        words = max((len(em.segment_params(f)) for f in em.segments), default=0)
+        words = max((len(prog.functions[f].params) for f in em.segments), default=0)
         out.append(_TAPE_PRELUDE % max(words, 1))
     if "real" in em.rets.values():
         out.append(_REAL)

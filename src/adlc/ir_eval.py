@@ -8,8 +8,7 @@ language (Feeley & Lapalme 1987; Ager et al., PPDP 2003):
   an activation, a list laid out as [parameters..., locals and pooled
   literals...]; a `Cond` becomes a conditional jump over its then-branch;
 - `add`, `mul` and `greater` have opcodes of their own; any other op calls
-  its `OPS` function on its one operand; a `Bind` with an unknown op or
-  the wrong number of operands is an error instruction;
+  its `OPS` function on its one operand;
 - a call, jump or tape push gathers its operands with an `operator.itemgetter`
   built at translation time;
 - an adjoint update whose read and product no other instruction reads
@@ -18,13 +17,10 @@ language (Feeley & Lapalme 1987; Ager et al., PPDP 2003):
 - a non-tail call pushes a return frame (code, pc, activation, steps) onto
   an explicit stack and a tail call replaces the activation, so nesting
   (a tree fold's calls on the subtrees) costs no Python stack;
-- a valued call is a call followed by a receive instruction, which a
-  (value, cell) return fills and steps over: run, it raises, since the
-  callee returned one value or none;
+- a valued call is a call followed by a receive instruction, the slots
+  that the callee's (value, cell) return fills before it steps over them;
 - a `Jump` to the enclosing function reassigns its parameters in place and
-  restarts it, with no new activation (a function whose locals may be read
-  undefined gets a fresh activation instead, so they read undefined again);
-  a jump elsewhere is a tail call;
+  restarts it, with no new activation; a jump elsewhere is a tail call;
 - the tape is a list of records (segment code, captures): `TapePush`
   appends one; an unwinding `Call` puts a mark on the tape before the call
   and, after it, pops and runs each record above the mark as a non-tail
@@ -37,10 +33,10 @@ the unwind runs is one level of nesting, and starts a chain of its own.  A
 tree fold nests the entry, `fold` and one call per tree level, the empty
 tree's included, so a tree of height h needs a limit of h + 3.
 
-Errors are raised at run time, in evaluation order: an undefined symbol in
-an untaken branch is not an error.  A local starts undefined, and a use
-that no definition dominates is checked before the statement reads it, so
-valid IR pays nothing for the check.
+The translator first runs `staging.verify`, which raises `IRError` on an
+ill-formed program whether or not a run would reach the fault, so no
+instruction checks anything.  A run raises only `IREvalError`: at the depth
+limit, or on a tree operation on the empty tree.
 
 A program that loops or recurses (some function jumps to itself, or the
 call graph has a cycle, as a tree fold's `rec` calls itself) also gets a
@@ -57,33 +53,32 @@ import struct
 from operator import itemgetter
 
 from .staging import (
-    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRProgram,
-    Jump, RetReal, Return, StagingError, TapePush, TreeData, defs,
+    OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRError, IRProgram,
+    Jump, Return, TapePush, TreeData, verify,
 )
 
 DEFAULT_DEPTH_LIMIT = 100_000
 
 
-class IREvalError(StagingError):
-    pass
+class IREvalError(IRError):
+    """An error that only a run can find: the depth limit, or a tree
+    operation on the empty tree."""
 
 
 class _Code:
     """One translated function: its instructions and the initial values of
     its slots after the parameters (pooled literals in place, _UNDEF for
-    locals).  An unknown function's code has no instructions."""
+    locals)."""
 
-    __slots__ = ("name", "nparams", "instrs", "blank")
+    __slots__ = ("nparams", "instrs", "blank")
 
-    def __init__(self, name: str, nparams: int | None):
-        self.name = name
+    def __init__(self, nparams: int):
         self.nparams = nparams
         self.instrs: tuple = ()
         self.blank: tuple = ()
 
 
 _UNDEF = object()  # a local that no statement has defined yet
-_NO_VALUE = object()  # what a function that falls off its end returns
 _MARK = object()  # on the tape below the records an unwinding call pushed
 
 
@@ -111,39 +106,21 @@ def _gather(slots: tuple):
 #   (CRACC, cell, r)   cell += read(r)
 #   (JF, guard, pc)   (JUMP, pc)   (RET, v)   (RETR, v, cell)   (END,)
 #   (CALL|TCALL, code, get, slots)   non-tail or tail (a jump elsewhere)
-#   (RECV, v, cell, message)   after a valued CALL: RETR fills the slots
-#                                  and steps over it; run, it raises
+#   (RECV, v, cell)   after a valued CALL: RETR fills the slots and steps
+#                     over it, so it never runs
 #   (JSELF, params, get, slots)   the parameters (a slice) get new values
 #   (PUSH, code, get, slots)   (MARK,)   (UNWIND,)   the tape
-#   (BADCALL, code, nargs, tail)   a call or jump to an unknown function or
-#                                  with the wrong number of arguments
-#   (CHECK, slot, name)   raise if the slot is undefined
-#   (CELLCHK, cell)   the error an accumulation raises between its operands
-#   (ERR, message)
 
 # numbered, and tested in _run, by how often the gradient programs run them:
 # the straight-line ones, then those of conditionals, loops and tree folds
 (CNEW, CMACC, CRACC, MUL, ADD, JF, END, OP1, GT, JSELF, PUSH, UNWIND, CSET,
- CREAD, RET, CALL, RETR, TCALL, CACC, MARK, JUMP, CHECK, CELLCHK, BADCALL,
- RECV, ERR) = range(26)
+ CREAD, RET, CALL, RETR, TCALL, CACC, MARK, JUMP, RECV) = range(22)
 
 _OWN_OPCODE = {"add": ADD, "mul": MUL, "greater": GT}
 _NON_TREE = "tree operation on a non-tree (empty tree?)"
-_NO_CALLER = "a (value, cell) return with no caller"
-_CHECKS = (CHECK, CELLCHK)
 
 # steps the translator schedules after a Cond's then-branch and else-branch
 _STMT, _ELSE, _ENDIF = range(3)
-
-
-def _merge(a: set | None, b: set | None) -> set | None:
-    """The symbols defined after a join of two paths; None stands for a path
-    that never reaches the join."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a & b
 
 
 def _fuse(instrs: list, reads: dict) -> list:
@@ -183,10 +160,8 @@ def _fuse(instrs: list, reads: dict) -> list:
     return out
 
 
-def _translate_fn(fn, code: _Code, lookup) -> None:
-    """Fill in code from fn, in one pass driven by an explicit work stack.
-    `defd` holds the symbols every path to the current statement defines,
-    or is None where no path reaches it."""
+def _translate_fn(fn, code: _Code, codes: dict) -> None:
+    """Fill in code from fn, in one pass driven by an explicit work stack."""
     slot: dict = {p: i for i, (p, _k) in enumerate(fn.params)}
     nparams = len(fn.params)
     blank: list = []
@@ -194,8 +169,6 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
     instrs: list = []
     emit = instrs.append
     reads: dict = {}  # slot -> how many operands of instructions read it
-    self_jumps: list = []  # (pc, arg slots) of jumps to this function
-    defd: set | None = set(slot)
 
     def sym(name: str) -> int:
         s = slot.get(name)
@@ -204,15 +177,9 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
             blank.append(_UNDEF)
         return s
 
-    def unchecked(o) -> bool:
-        return isinstance(o, str) and defd is not None and o not in defd
-
     def operand(o) -> int:
         if isinstance(o, str):
             s = sym(o)
-            if defd is not None and o not in defd:
-                emit((CHECK, s, o))
-                defd.add(o)  # past the check, o is defined
         else:
             # a literal: pooled by its bits, so 0.0 and -0.0 stay apart
             key = (float, struct.pack("<d", o)) if type(o) is float else None
@@ -228,13 +195,6 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
     def operands(os) -> tuple:
         return tuple(operand(o) for o in os)
 
-    def call(target: str, args: tuple, tail: bool) -> None:
-        callee = lookup(target)
-        if callee.nparams == len(args):
-            emit((TCALL if tail else CALL, callee, _gather(args), args))
-        else:
-            emit((BADCALL, callee, len(args), tail))
-
     work: list = []
     push, pop = work.append, work.pop
 
@@ -247,33 +207,21 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
     while work:
         item = pop()
         kind = item[0]
-        if kind == _ELSE:
-            _, jf_at, guard, orelse, tail, saved = item
-            jump_at = None
-            if defd is not None and orelse:
-                jump_at = len(instrs)
+        if kind == _ELSE:  # a JUMP over a nonempty else-branch, then it
+            _, jf_at, guard, orelse, tail = item
+            if orelse:
+                push((_ENDIF, len(instrs)))
                 emit(None)
             instrs[jf_at] = (JF, guard, len(instrs))
-            push((_ENDIF, jump_at, defd))
-            defd = saved
             block(orelse, tail)
             continue
         if kind == _ENDIF:
-            _, jump_at, then_defd = item
-            if jump_at is not None:
-                instrs[jump_at] = (JUMP, len(instrs))
-            defd = _merge(then_defd, defd)
+            instrs[item[1]] = (JUMP, len(instrs))
             continue
         _, s, tail = item
         cls = type(s)
         if cls is Bind:
             args = operands(s.args)
-            n = ARITY.get(s.op)
-            if n != len(args):
-                emit((ERR, f"unknown operation {s.op!r}" if n is None else
-                      f"{s.op} takes {n} operands, got {len(args)}"))
-                defd = None
-                continue
             d = sym(s.dest)
             opcode = _OWN_OPCODE.get(s.op)
             if opcode is not None:
@@ -285,90 +233,52 @@ def _translate_fn(fn, code: _Code, lookup) -> None:
         elif cls is CellRead:
             emit((CREAD, sym(s.dest), operand(s.cell)))
         elif cls is CellAccum:
-            c = operand(s.cell)
-            if unchecked(s.value):  # the cell is read before the value
-                emit((CELLCHK, c))
-            emit((CACC, c, operand(s.value)))
+            emit((CACC, operand(s.cell), operand(s.value)))
         elif cls is CellSet:
-            v = operand(s.value)  # the value is read before the cell
+            v = operand(s.value)
             emit((CSET, operand(s.cell), v))
         elif cls is TapePush:
             caps = operands(s.captures)
-            emit((PUSH, lookup(s.fn), _gather(caps), caps))
+            emit((PUSH, codes[s.fn], _gather(caps), caps))
         elif cls is Call:
             # the unwind, or the receive, runs after the call
             tail = tail and not s.unwind and not s.results
             if s.unwind:
                 emit((MARK,))
-            call(s.target, operands(s.args), tail)
-            if len(s.results) == 2:
-                emit((RECV, *map(sym, s.results),
-                      f"{s.target} returned no (value, cell) pair"))
-            elif s.results:
-                emit((ERR, f"a call receives a (value, cell) pair, not {s.results!r}"))
-                defd = None
-                continue
+            args = operands(s.args)
+            emit((TCALL if tail else CALL, codes[s.target], _gather(args), args))
+            if s.results:
+                emit((RECV, *map(sym, s.results)))
             if s.unwind:
                 emit((UNWIND,))
-            if tail:
-                defd = None
         elif cls is Jump:
             args = operands(s.args)
-            if lookup(s.target) is code and len(args) == nparams:
-                self_jumps.append((len(instrs), args))
-                emit(None)
+            if codes[s.target] is code:
+                # only the parameters up to the last that changes are assigned
+                n = max((i + 1 for i, a in enumerate(args) if a != i), default=0)
+                emit((JSELF, slice(0, n), _gather(args[:n]), args[:n]))
             else:
-                call(s.target, args, True)
-            defd = None
+                emit((TCALL, codes[s.target], _gather(args), args))
         elif cls is Cond:
             g = operand(s.guard)
             jf_at = len(instrs)
             emit(None)
-            push((_ELSE, jf_at, g, s.orelse, tail,
-                  None if defd is None else set(defd)))
+            push((_ELSE, jf_at, g, s.orelse, tail))
             block(s.then, tail)
-            continue
         elif cls is Return:
             emit((RET, operand(s.value)))
-            defd = None
-            continue
-        elif cls is RetReal:
+        else:  # RetReal
             emit((RETR, operand(s.value), operand(s.cell)))
-            defd = None
-            continue
-        else:
-            emit((ERR, f"unknown statement {s!r}"))
-            defd = None
-            continue
-        if defd is not None:
-            defd.update(defs(s))
     emit((END,))
-    fresh = any(ins[0] in _CHECKS for ins in instrs if ins is not None)
-    for at, args in self_jumps:
-        if fresh:
-            instrs[at] = (TCALL, code, _gather(args), args)
-        else:
-            # only the parameters up to the last that changes are assigned
-            n = max((i + 1 for i, a in enumerate(args) if a != i), default=0)
-            instrs[at] = (JSELF, slice(0, n), _gather(args[:n]), args[:n])
     code.instrs = tuple(_fuse(instrs, reads))
     code.blank = tuple(blank)
 
 
 def _translate(prog: IRProgram) -> dict:
-    """Every function of prog, translated; calls name their callee's code,
-    which is made without instructions for an unknown name."""
-    codes = {name: _Code(name, len(fn.params))
-             for name, fn in prog.functions.items()}
-
-    def lookup(name: str) -> _Code:
-        c = codes.get(name)
-        if c is None:
-            c = codes[name] = _Code(name, None)
-        return c
-
+    """Every function of prog, translated; calls name their callee's code."""
+    codes = {name: _Code(len(fn.params)) for name, fn in prog.functions.items()}
     for name, fn in prog.functions.items():
-        _translate_fn(fn, codes[name], lookup)
+        _translate_fn(fn, codes[name], codes)
     return codes
 
 
@@ -376,15 +286,9 @@ def _limit_error(limit: int) -> IREvalError:
     return IREvalError(f"recursion depth limit exceeded ({limit})")
 
 
-def _call_error(code: _Code, nargs: int) -> IREvalError:
-    if code.nparams is None:
-        return IREvalError(f"unknown function {code.name!r}")
-    return IREvalError(f"{code.name} expects {code.nparams} args, got {nargs}")
-
-
 def _run(code: _Code, act: list, limit: int):
     """Run code from its first instruction in activation act; returns what
-    it returns, or _NO_VALUE when it falls off its end."""
+    it returns."""
     frames: list = []
     push, pop = frames.append, frames.pop
     cells: list = []
@@ -417,8 +321,6 @@ def _run(code: _Code, act: list, limit: int):
             if not act[ins[1]]:
                 pc = ins[2]
         elif op == END:
-            if not frames:
-                return _NO_VALUE
             instrs, pc, act, steps = pop()
         elif op == OP1:
             try:
@@ -442,8 +344,6 @@ def _run(code: _Code, act: list, limit: int):
                 callee = tape.pop()
                 if len(frames) > max_frames:
                     raise _limit_error(limit)
-                if callee.nparams != len(caps):
-                    raise _call_error(callee, len(caps))
                 push((instrs, pc - 1, act, steps))  # back here when it returns
                 act = [*caps, *callee.blank]
                 instrs, pc, steps = callee.instrs, 0, 1
@@ -463,8 +363,6 @@ def _run(code: _Code, act: list, limit: int):
             act = [*ins[2](act), *callee.blank]
             instrs, pc, steps = callee.instrs, 0, 1
         elif op == RETR:
-            if not frames:
-                raise IREvalError(_NO_CALLER)
             x, d = act[ins[1]], act[ins[2]]
             instrs, pc, act, steps = pop()
             ins = instrs[pc]
@@ -486,20 +384,6 @@ def _run(code: _Code, act: list, limit: int):
             tape.append(_MARK)
         elif op == JUMP:
             pc = ins[1]
-        elif op == CHECK:
-            if act[ins[1]] is _UNDEF:
-                raise IREvalError(f"undefined symbol {ins[2]!r}")
-        elif op == CELLCHK:
-            cells[act[ins[1]]]  # raises as the accumulation's read would
-        elif op == BADCALL:
-            over = steps + 1 > limit if ins[3] else len(frames) > max_frames
-            if over:
-                raise _limit_error(limit)
-            raise _call_error(ins[1], ins[2])
-        elif op == RECV:  # the callee returned one value, or none
-            raise IREvalError(ins[3])
-        else:  # ERR
-            raise IREvalError(ins[1])
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +407,6 @@ def _run(code: _Code, act: list, limit: int):
 # ends: a recursive one would otherwise keep the run's cells and tape alive
 # in a reference cycle until the collector ran.
 
-_COMPILED = frozenset({CNEW, CMACC, CRACC, MUL, ADD, GT, OP1, JF, JUMP, END, RET,
-                       RETR, RECV, CSET, CREAD, CACC, CALL, TCALL, JSELF, PUSH,
-                       MARK, UNWIND})
 _CALLS = (CALL, TCALL, PUSH)  # a record is called when the unwind pops it
 MAX_CHAIN = 64  # calls nested outside the call cycles in one run, at most
 _BINARY = {MUL: "*", ADD: "+", GT: ">"}
@@ -534,12 +415,10 @@ _LIMIT = "raise LIMIT(limit)"
 
 def _compiled_codes(entry: _Code) -> list | None:
     """The codes entry reaches, callees first and entry last, when the
-    program they make loops or recurses, has only instructions of
-    _COMPILED, calls each function with its number of parameters and nests
-    chains of at most MAX_CHAIN calls outside its call cycles; else None.
-    Tarjan's strongly connected components, iterative, so a long chain
-    costs no Python stack; a component is finished after every one it
-    calls."""
+    program they make loops or recurses and nests chains of at most
+    MAX_CHAIN calls outside its call cycles; else None.  Tarjan's strongly
+    connected components, iterative, so a long chain costs no Python stack;
+    a component is finished after every one it calls."""
     number = {entry: 0}  # code -> the order the search reached it in
     low = {entry: 0}  # the least number its search reaches on the stack
     chain: dict = {}  # code -> the longest chain of calls out of its component
@@ -551,13 +430,9 @@ def _compiled_codes(entry: _Code) -> list | None:
         code, rest = work[-1]
         for ins in rest:
             op = ins[0]
-            if op not in _COMPILED:
-                return None
             cycles |= op == JSELF
             if op in _CALLS:
                 callee = ins[1]
-                if callee.nparams != len(ins[3]):
-                    return None
                 if callee not in number:
                     number[callee] = low[callee] = len(number)
                     stack.append(callee)
@@ -617,12 +492,9 @@ def _source(code: _Code, names: dict, consts: dict, record: bool) -> list:
             k = f"o{i}_{pc}"
             consts[k] = ins[2]
             return ["try:", f"    a{ins[1]} = {k}({val(ins[3])})",
-                    "except AttributeError:", "    raise ERROR(NON_TREE) from None"]
+                    "except AttributeError:", "    raise IREvalError(NON_TREE) from None"]
         if op == CNEW:
-            d, v = ins[1], ins[2]
-            if d == v:  # the init is read before the cell is made
-                return [f"cells.append(a{d})", f"a{d} = len(cells) - 1"]
-            return [f"a{d} = len(cells)", f"cells.append({val(v)})"]
+            return [f"a{ins[1]} = len(cells)", f"cells.append({val(ins[2])})"]
         if op == CMACC:
             return [f"cells[{val(ins[1])}] += cells[{val(ins[2])}] * {val(ins[3])}"]
         if op == CRACC:
@@ -638,13 +510,13 @@ def _source(code: _Code, names: dict, consts: dict, record: bool) -> list:
         if op == RETR:
             return [f"return {val(ins[1])}, {val(ins[2])}"]
         if op == END:
-            return ["return NOV"]
-        if op == CALL:  # a valued call keeps the result for its RECV
-            got = "rv = " if instrs[pc + 1][0] == RECV else ""
+            return ["return"]
+        if op == CALL:  # a valued call unpacks the pair into its RECV's slots
+            nxt = instrs[pc + 1]
+            got = f"a{nxt[1]}, a{nxt[2]} = " if nxt[0] == RECV else ""
             return [f"if depth > top: {_LIMIT}", got + call(ins, "depth + 1", "1")]
-        if op == RECV:  # the callee returned one value, or none, unless a pair
-            return ["try:", f"    a{ins[1]}, a{ins[2]} = rv", "except TypeError:",
-                    f"    raise ERROR({ins[3]!r}) from None"]
+        if op == RECV:
+            return []
         if op == TCALL:
             return ["steps += 1", f"if steps > limit: {_LIMIT}",
                     f"return {call(ins, 'depth', 'steps')}"]
@@ -727,8 +599,8 @@ def _compile(codes: dict, entry: str):
     src += ["    try:", f"        return f{len(order) - 1}(*args, 0, 1)",
             "    finally:  # no reference cycle outlives the run",
             f"        cells = tape = {' = '.join(made)} = None"]
-    space = {"MARK": _MARK, "NOV": _NO_VALUE, "LIMIT": _limit_error,
-             "ERROR": IREvalError, "NON_TREE": _NON_TREE, **consts}
+    space = {"MARK": _MARK, "LIMIT": _limit_error,
+             "IREvalError": IREvalError, "NON_TREE": _NON_TREE, **consts}
     try:
         exec(compile("\n".join(src), f"<ir_eval {entry}>", "exec"), space)
     except (SyntaxError, RecursionError):  # nesting too deep for Python
@@ -738,8 +610,9 @@ def _compile(codes: dict, entry: str):
 
 def _translation(prog: IRProgram) -> tuple:
     """(codes by function name, the compiled tier's maker or None), made on
-    the program's first run and kept on it."""
+    the program's first run, once `verify` has passed it, and kept on it."""
     if prog.translation is None:
+        verify(prog)
         codes = _translate(prog)
         prog.translation = codes, _compile(codes, prog.entry)
     return prog.translation
@@ -747,33 +620,16 @@ def _translation(prog: IRProgram) -> tuple:
 
 def _evaluate(prog: IRProgram, x0: float, tree, depth_limit: int, compiled: bool):
     codes, make = _translation(prog)
-    if not compiled:
-        make = None
-    entry = prog.functions[prog.entry]
-    kinds = [k for _, k in entry.params]
-    if kinds and kinds[0] == "tree":
-        args: list = [tree, float(x0)]
-    else:
-        args = [float(x0)]
-    if len(args) != len(entry.params):
-        raise IREvalError("entry arity mismatch")
     if depth_limit < 1:
         raise _limit_error(depth_limit)
-    if make is not None:
+    code = codes[prog.entry]
+    args = [float(x0)] if code.nparams == 1 else [tree, float(x0)]
+    if compiled and make is not None:
         try:
-            v = make(depth_limit, args)
+            return make(depth_limit, args)
         except RecursionError:  # its calls nest more frames than the caller has left
-            make = None
-    if make is None:
-        code = codes[prog.entry]
-        v = _run(code, args + list(code.blank), depth_limit)
-    if v is _NO_VALUE:
-        raise IREvalError("entry did not return a value")
-    if type(v) is tuple:  # only generated code returns the pair this far
-        raise IREvalError(_NO_CALLER)
-    if not isinstance(v, float):
-        raise IREvalError(f"entry returned a non-real: {v!r}")
-    return v
+            pass
+    return _run(code, args + list(code.blank), depth_limit)
 
 
 def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .staging import (
-    ARITY, OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
-    IRProgram, Jump, RetReal, TapePush, defs, map_operands, reachable, uses, walk,
+    OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction, IRProgram,
+    Jump, RetReal, TapePush, defs, map_operands, reachable, uses, verify, walk,
 )
 
 _UNKNOWN = object()
@@ -60,7 +60,7 @@ class _Folder:
         out: list = []
         for s in block:
             cls = type(s)
-            if cls is Bind and ARITY.get(s.op) == len(s.args):  # else kept as is
+            if cls is Bind:
                 self._bind(s, out)
             elif cls is CellNew:
                 init = self.resolve(s.init)
@@ -188,9 +188,7 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
             elif cls is CellNew:
                 keep = s.dest in read_cells or s.dest in live
             elif cls in (CellAccum, CellSet):
-                cell = s.cell
-                keep = (not isinstance(cell, str) or cell in read_cells
-                        or cell in param_cells or cell in live)
+                keep = s.cell in read_cells or s.cell in param_cells or s.cell in live
             elif cls is Cond:
                 then_live, orelse_live = set(live), set(live)
                 then = walk(s.then, then_live)
@@ -216,9 +214,11 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
 
 def ir_optimize(prog: IRProgram) -> IRProgram:
     """Return an equivalent program with constants folded, copies
-    propagated, dead binds and dead cells removed.  The passes only
+    propagated, dead binds and dead cells removed.  The input must pass
+    `verify`, which raises `IRError` on any other.  The passes only
     reassign function bodies and the function table, never a statement, so
     copying those shells leaves the input intact."""
+    verify(prog)
     prog = replace(prog, functions={n: replace(f, params=list(f.params))
                                     for n, f in prog.functions.items()})
     counter = [0]

@@ -1,30 +1,33 @@
 import gc
 import os
 import random
-import re
 import resource
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 
 from adlc.emit import emit_c
 from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, random_program
 from adlc.ir_eval import (
-    DEFAULT_DEPTH_LIMIT, IREvalError, _translation, interpret, ir_eval,
+    ADD, CACC, CALL, CMACC, CNEW, CRACC, CREAD, CSET, DEFAULT_DEPTH_LIMIT, END, GT, JF,
+    JSELF, JUMP, MARK, MUL, OP1, PUSH, RECV, RET, RETR, TCALL, UNWIND, IREvalError,
+    _translation, interpret, ir_eval,
 )
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.runtime import grad_tape_expr
 from adlc.staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
+    REAL, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRError, IRFunction,
     IRProgram, Jump, RetReal, Return, StagingError, TapePush, TreeData,
     ir_cell_op_count, ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
+    verify,
 )
 from adlc.syntax import Add, App, Const, Greater, If, Lam, Let, Letrec, Mul, Var, parse
-from fuzz import FEATURE_CASES
+from fuzz import FEATURE_CASES, FUZZ, fuzz_programs
 from scaling import frames_in_use, seeded_chain, sequential_ifs
 
 SQUARE = parse("(lam x (* x x))")
@@ -539,6 +542,23 @@ def _entry(*body, **fns) -> IRProgram:
     return IRProgram(functions, "snippet")
 
 
+def _halving(*exit_stmts, cell: bool = True) -> tuple:
+    """A loop `loop` that halves x while x > 1, then runs exit_stmts."""
+    params, args = [("x", "val")], ("y",)
+    if cell:
+        params, args = params + [("d", "cell")], ("y", "d")
+    return params, [Bind("g", "greater", ("x", 1.0)),
+                    Cond("g", [Bind("y", "mul", ("x", 0.5)), Jump("loop", args)],
+                         list(exit_stmts))]
+
+
+def _tree_entry(*body, **fns) -> IRProgram:
+    """_entry on a tree and `in`."""
+    p = _entry(*body, **fns)
+    p.functions[p.entry].params.insert(0, ("tree", "tree"))
+    return p
+
+
 LITERALS = (0.0, -0.0, 1.5, -1.5, float("inf"), float("-inf"), float("nan"),
             1e300, 1e-300)
 
@@ -557,75 +577,145 @@ def test_literal_fold_matches_ir_eval_bitwise(op):
 
 
 def test_ir_eval_op_errors():
-    with pytest.raises(IREvalError, match="unknown operation 'sub'"):
-        ir_eval(_entry(Bind("r", "sub", ("in", 1.0)), Return("r")), 1.0)
+    # verify holds a tree op's operand to a tree; the empty tree, which has
+    # no value and no subtrees, is left for a run to find, on either tier
     for op in ("tree_value", "tree_left", "tree_right"):
-        with pytest.raises(IREvalError, match="non-tree"):
-            ir_eval(_entry(Bind("r", op, ("in",)), Return("r")), 1.0)
-    # a Bind takes as many operands as its op's C text has holes: any other
-    # count is an error, unoptimized and after ir_optimize, which leaves it
-    # unfolded
-    for op, args, n in WRONG_ARITY:
-        p = _entry(Bind("r", op, args), Return("r"))
-        for q in (p, ir_optimize(p)):
-            with pytest.raises(IREvalError, match=f"^{op} takes {n} operands, got {len(args)}$"):
-                ir_eval(q, 1.0)
+        p = _tree_entry(Bind("r", op, ("tree",)), Return("in"))
+        for run in (ir_eval, interpret):
+            with pytest.raises(IREvalError, match="^tree operation on a non-tree"):
+                run(p, 1.0)
+            assert run(p, 1.0, tree=TreeData(2.0, None, None)) == 1.0
 
 
 _ONE = [("a", "val")]
-# (message, program) for a (value, cell) return or a valued call that does
-# not match its other side
-PAIR_ERRORS = (
-    ("a (value, cell) return with no caller",
-     _entry(CellNew("d", 0.0), RetReal("in", "d"))),
-    ("f returned no (value, cell) pair",
-     _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
-            f=(_ONE, [Return("a")]))),
-    ("f returned no (value, cell) pair",
-     _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
-            f=(_ONE, [Bind("b", "add", ("a", 1.0))]))),
-    ("a call receives a (value, cell) pair, not ('x',)",
-     _entry(Call("f", ("in",), results=("x",)), Return("x"),
-            f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")]))),
-)
+_TWO = [("a", "val"), ("b", "val")]
+
+
+def _positive() -> Bind:
+    return Bind("g", "greater", ("in", 0.0))
+
 
 # (op, operands, the op's arity)
 WRONG_ARITY = (("add", ("in",), 2), ("mul", ("in", "in", "in"), 2),
                ("tree_value", ("in", "in"), 1), ("greater", (), 2))
 
+# (message, program): ill-formed programs, one or more per rule of verify
+ILL_FORMED = (
+    # a symbol is read only in scope, defined once, and no statement
+    # follows one that ends every path
+    ("undefined symbol 'zz'", _entry(Bind("r", "add", ("in", "zz")), Return("r"))),
+    ("undefined symbol 'zz'",
+     _entry(_positive(), Cond("g", [Return("in")], [Return("zz")]))),
+    ("undefined symbol 'y'",
+     _entry(_positive(), Cond("g", [Bind("y", "mul", ("in", 2.0))], []), Return("y"))),
+    ("undefined symbol 'y'",
+     _entry(_positive(), Cond("g", [Bind("y", "mul", ("in", 2.0))],
+                              [Bind("y", "add", ("in", 2.0))]), Return("y"))),
+    ("undefined symbol 'zz'",
+     _entry(CellNew("d", 0.0), Call("f", ("in", "d"), unwind=True), Return("in"),
+            f=([("t", "val"), ("c", "cell")],
+               [Bind("g", "greater", ("t", 1.0)),
+                Cond("g", [Bind("u", "mul", ("t", "zz")), Jump("f", ("u", "c"))], [])]))),
+    ("'in' is already defined", _entry(Bind("in", "add", ("in", 1.0)), Return("in"))),
+    ("unreachable", _entry(Return("in"), Return("in"))),
+    ("unreachable", _entry(_positive(), Cond("g", [Return("in")], [Return(1.0)]),
+                           Return("in"))),
+    ("unknown statement", _entry("stmt", Return("in"))),
+    # ops and their operands
+    ("unknown operation 'sub'", _entry(Bind("r", "sub", ("in", 1.0)), Return("r"))),
+    *((f"{op} takes {n} operands, got {len(args)}", _entry(Bind("r", op, args), Return("r")))
+      for op, args, n in WRONG_ARITY),
+    *(("operand 'in' has kind val, not tree", _entry(Bind("r", op, ("in",)), Return("in")))
+      for op in ("tree_value", "tree_left", "tree_right")),
+    ("operand 'g' has kind bool, not val",
+     _entry(_positive(), Bind("r", "add", ("g", 1.0)), Return("r"))),
+    ("operand 'd' has kind cell, not val", _entry(CellNew("d", 0.0), Return("d"))),
+    ("operand 1 has kind int, not val", _entry(Return(1))),
+    ("parameter 'in' has unknown kind 'int'",
+     IRProgram({"snippet": IRFunction("snippet", [("in", "int")], [Return(1.0)])},
+               "snippet")),
+    # calls, jumps and records
+    ("unknown function 'nope'", _entry(Call("nope", ("in",)), Return("in"))),
+    ("unknown function 'nope'", _entry(Call("nope", ("in",)))),
+    ("unknown function 'nope'",
+     _entry(Call("nope", ("in",), results=("x", "d")), Return("x"))),
+    ("unknown function 'nope'", _entry(TapePush("nope", ()), Return("in"))),
+    ("f expects 2 args, got 1", _entry(Call("f", ("in",)), Return("in"), f=(_TWO, []))),
+    ("f expects 2 args, got 1", _entry(Jump("f", ("in",)), f=(_TWO, [Return("a")]))),
+    ("operand 'in' has kind val, not cell",
+     _entry(Call("f", ("in",)), Return("in"), f=([("c", "cell")], []))),
+    ("a record capturing 't' (tree)",
+     _tree_entry(TapePush("f", ("tree",)), Return("in"), f=([("t", "tree")], []))),
+    # what functions return, and where a pair goes
+    ("snippet: entry did not return a value", _entry(Bind("r", "add", ("in", 1.0)))),
+    ("snippet: the entry takes (val) or (tree, val), not (cell)",
+     IRProgram({"snippet": IRFunction("snippet", [("in", "cell")], [Return(1.0)])},
+               "snippet")),
+    ("a (value, cell) return with no caller", _entry(CellNew("d", 0.0), RetReal("in", "d"))),
+    ("a (value, cell) return with no caller",
+     _entry(CellNew("d", 0.0), Call("loop", ("in", "d"), unwind=True),
+            RetReal("in", "d"), loop=_halving(CellSet("d", 1.0)))),
+    ("f returns no (value, cell) pair",
+     _entry(Call("f", ("in",), results=("x", "d")), Return("x"), f=(_ONE, [Return("a")]))),
+    ("f returns no (value, cell) pair",
+     _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
+            f=(_ONE, [Bind("b", "add", ("a", 1.0))]))),
+    ("loop returns no (value, cell) pair",
+     _entry(Call("loop", ("in",), results=("x", "d")), Return("x"),
+            loop=_halving(Return("x"), cell=False))),
+    ("loop returns no (value, cell) pair",
+     _entry(Call("loop", ("in",), results=("x", "d")), Return("x"),
+            loop=_halving(cell=False))),
+    ("a call receives a (value, cell) pair, not ('x',)",
+     _entry(Call("f", ("in",), results=("x",)), Return("x"),
+            f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")]))),
+    ("f: it returns both a value and a (value, cell) pair",
+     _entry(CellNew("d", 0.0), Call("f", ("in", "d")), Return("in"),
+            f=([("a", "val"), ("c", "cell")],
+               [Bind("g", "greater", ("a", 0.0)),
+                Cond("g", [Return("a")], [RetReal("a", "c")])]))),
+    ("f: it returns on some paths and falls off its end on others",
+     _entry(Call("f", ("in",)), Return("in"),
+            f=(_ONE, [Bind("g", "greater", ("a", 0.0)), Cond("g", [Return("a")], [])]))),
+    ("c is made in f, outside an unwinding call",
+     _entry(CellNew("d", 0.0), Call("f", ("in",), results=("x", "c")),
+            Return("x"), f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")]))),
+)
 
-def test_ir_eval_structural_errors():
-    two = ([("a", "val"), ("b", "val")], [])
-    cases = [
-        ("undefined symbol 'zz'", _entry(Bind("r", "add", ("in", "zz")), Return("r"))),
-        ("unknown function 'nope'", _entry(Call("nope", ("in",)), Return("in"))),
-        ("unknown function 'nope'", _entry(Call("nope", ("in",)))),
-        ("f expects 2 args, got 1", _entry(Call("f", ("in",)), Return("in"), f=two)),
-        ("entry did not return a value", _entry(Bind("r", "add", ("in", 1.0)))),
-        ("entry returned a non-real", _entry(CellNew("d", 0.0), Return("d"))),
-    ]
-    # a pair's errors hold after ir_optimize too
-    cases += [(text, q) for text, p in PAIR_ERRORS for q in (p, ir_optimize(p))]
-    for text, p in cases:
-        with pytest.raises(IREvalError, match=re.escape(text)):
-            ir_eval(p, 1.0)
-    # a pair returned to a call that receives none is dropped, as a value is
-    assert ir_eval(_entry(CellNew("d", 0.0), Call("f", ("in", "d")), Return("in"),
-                          f=([("a", "val"), ("c", "cell")], [RetReal("a", "c")])),
-                   3.0) == 3.0
-    # errors are raised when reached: an undefined symbol in an untaken
-    # branch raises nothing, and one defined on one branch only is
-    # undefined after the other
-    p = _entry(Bind("g", "greater", ("in", 0.0)),
-               Cond("g", [Return("in")], [Return("zz")]))
-    assert ir_eval(p, 2.0) == 2.0
-    with pytest.raises(IREvalError, match="undefined symbol 'zz'"):
-        ir_eval(p, -2.0)
-    p = _entry(Bind("g", "greater", ("in", 0.0)),
-               Cond("g", [Bind("y", "mul", ("in", 2.0))], []), Return("y"))
-    assert ir_eval(p, 2.0) == 4.0
-    with pytest.raises(IREvalError, match="undefined symbol 'y'"):
-        ir_eval(p, -2.0)
+
+def test_ill_formed_ir_is_rejected_by_every_executor():
+    # verify alone decides what well-formed IR is: ir_eval, interpret,
+    # emit_c and ir_optimize each run it first, so each rejects every
+    # program of the table with the same static IRError, whether or not a
+    # run would reach the fault
+    for text, p in ILL_FORMED:
+        with pytest.raises(IRError) as first:
+            verify(p)
+        message = str(first.value)
+        assert type(first.value) is IRError and text in message, (text, message)
+        for use in (partial(ir_eval, p, 1.0), partial(interpret, p, 1.0),
+                    partial(emit_c, p), partial(ir_optimize, p)):
+            with pytest.raises(IRError) as got:
+                use()
+            assert type(got.value) is IRError and str(got.value) == message
+    # the message names the function, then the statement
+    with pytest.raises(IRError) as got:
+        verify(ILL_FORMED[0][1])
+    assert str(got.value) == ("snippet: Bind(dest='r', op='add', args=('in', 'zz')): "
+                              "undefined symbol 'zz'")
+
+
+def test_verify_returns_each_functions_return_kind():
+    # followed through jumps; a pair returned to a call that receives none
+    # is dropped, as a value is
+    p = _entry(CellNew("d", 0.0), Call("f", ("in", "d")), Jump("j", ("in",)),
+               f=([("a", "val"), ("c", "cell")], [RetReal("a", "c")]),
+               j=(_ONE, [Bind("g", "greater", ("a", 0.0)),
+                         Cond("g", [Return("a")], [Jump("k", ("a",))])]),
+               k=(_ONE, [Return(2.0)]), n=([], []))
+    assert verify(p) == {"f": REAL, "j": "val", "k": "val", "n": None, "snippet": "val"}
+    assert [run(p, x) for run in (ir_eval, interpret) for x in (3.0, -3.0)] == [3.0, 2.0] * 2
+    assert "real f(double a, double& c)" in emit_c(p)
 
 
 def test_translation_is_kept_per_program_and_the_limit_per_call():
@@ -682,27 +772,6 @@ def test_emit_lf_and_indent():
     txt = emit_c(stage_reverse(SQUARE))
     assert "\r" not in txt
     assert any(line.startswith("  ") for line in txt.split("\n"))
-
-
-def test_emit_rejects_closures_it_cannot_emit():
-    # a (value, cell) return with no caller, and a valued call of a function
-    # that returns one value or none, are refused, not miscompiled; so is a
-    # cell that a function makes and returns outside an unwinding call,
-    # which would not outlive its frame
-    cases = [("no caller", PAIR_ERRORS[0][1]),
-             ("f returns no \\(value, cell\\) pair", PAIR_ERRORS[1][1]),
-             ("f returns no \\(value, cell\\) pair", PAIR_ERRORS[2][1]),
-             ("nope returns no \\(value, cell\\) pair",
-              _entry(Call("nope", ("in",), results=("x", "d")), Return("x"))),
-             ("outside an unwinding call",
-              _entry(CellNew("d", 0.0), Call("f", ("in",), results=("x", "c")),
-                     Return("x"), f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")])))]
-    # nor is a Bind with the wrong number of operands or an unknown op
-    cases += [("cannot emit Bind", _entry(Bind("r", op, args), Return("r")))
-              for op, args, _n in WRONG_ARITY + (("sub", ("in", 1.0), None),)]
-    for text, p in cases:
-        with pytest.raises(ValueError, match=text):
-            emit_c(p)
 
 
 LOOP_COMPOSITES = {
@@ -798,23 +867,6 @@ def _calling_records() -> IRProgram:
                   acc=([("c", "cell")], [CellAccum("c", 0.25)]))
 
 
-def _halving(*exit_stmts, cell: bool = True) -> tuple:
-    """A loop `loop` that halves x while x > 1, then runs exit_stmts."""
-    params, args = [("x", "val")], ("y",)
-    if cell:
-        params, args = params + [("d", "cell")], ("y", "d")
-    return params, [Bind("g", "greater", ("x", 1.0)),
-                    Cond("g", [Bind("y", "mul", ("x", 0.5)), Jump("loop", args)],
-                         list(exit_stmts))]
-
-
-def _tree_entry(*body, **fns) -> IRProgram:
-    """_entry on a tree and `in`."""
-    p = _entry(*body, **fns)
-    p.functions[p.entry].params.insert(0, ("tree", "tree"))
-    return p
-
-
 # (message or None, program) for programs that loop or recurse and stop
 # with an error of a fold's instructions, or drop a (value, cell) return
 COMPILED_PAIRS = (
@@ -825,15 +877,6 @@ COMPILED_PAIRS = (
                        [Bind("l", "tree_left", ("t",)),
                         Call("walk", ("l", "a", "c"), results=("x", "e")),
                         RetReal("x", "e")]))),
-    ("a (value, cell) return with no caller",
-     _entry(CellNew("d", 0.0), Call("loop", ("in", "d"), unwind=True),
-            RetReal("in", "d"), loop=_halving(CellSet("d", 1.0)))),
-    ("loop returned no (value, cell) pair",
-     _entry(Call("loop", ("in",), results=("x", "d")), Return("x"),
-            loop=_halving(Return("x"), cell=False))),
-    ("loop returned no (value, cell) pair",
-     _entry(Call("loop", ("in",), results=("x", "d")), Return("x"),
-            loop=_halving(cell=False))),
     (None, _entry(CellNew("d", 0.0), Call("loop", ("in", "d")), Return("in"),
                   loop=_halving(RetReal("x", "d")))),
 )
@@ -896,11 +939,53 @@ def _compiled(p: IRProgram) -> bool:
     return _translation(p)[1] is not None
 
 
+# the instructions the compiled tier has code for
+COMPILED_OPCODES = {CNEW, CMACC, CRACC, MUL, ADD, JF, END, OP1, GT, JSELF, PUSH, UNWIND,
+                    CSET, CREAD, RET, CALL, RETR, TCALL, CACC, MARK, JUMP, RECV}
+
+
+def _staged_programs() -> list:
+    """Every source program these tests stage: the corpus, the feature
+    cases, the fuzz families, the loop composites and the fold bodies."""
+    spec = CorpusSpec(42)
+    sources = [random_program(spec, i) for i in range(spec.count)]
+    sources += [parse(src) for src, _ in FEATURE_CASES]
+    sources += [f for seed in FUZZ for f in fuzz_programs(seed)]
+    sources += [parse(src) for src in LOOP_COMPOSITES.values()]
+    return ([stage_reverse(f) for f in sources]
+            + [stage_tree(body) for body in (*FOLD_BODIES.values(), TREE_BODY)])
+
+
+def test_every_staged_program_verifies():
+    # staging and ir_optimize make only well-formed IR, whose translation
+    # holds no instruction the compiled tier lacks code for
+    progs = _staged_programs()
+    assert len(progs) == 517
+    for p in progs:
+        for q in (p, ir_optimize(p)):
+            assert verify(q)[q.entry] == "val"
+            codes, _make = _translation(q)
+            assert {ins[0] for c in codes.values() for ins in c.instrs} <= COMPILED_OPCODES
+
+
+def test_deeply_nested_conds_verify_and_run():
+    # verify and the translator walk the IR with explicit stacks, so an
+    # entry of 10^4 nested Conds needs no Python stack to verify or to run
+    body = [Return("in")]
+    for i in range(10_000):
+        body = [Bind(f"g{i}", "greater", ("in", float(-i))),
+                Cond(f"g{i}", body, [Return(float(i))])]
+    p = _entry(*body)
+    assert verify(p) == {"snippet": "val"}
+    for run in (ir_eval, interpret):
+        assert [run(p, x) for x in (1.5, -0.5, -2.5)] == [1.5, 0.0, 2.0]
+
+
 def test_compiled_tier_takes_only_programs_that_loop_or_recurse():
     # generated code pays compile() once per program, so it is made only
-    # for a loop or a call cycle (a fold's `rec`, nested loops); one with
-    # an error or check instruction, or whose calls outside the cycles
-    # would nest too many Python frames, stays interpreted
+    # for a loop or a call cycle (a fold's `rec`, nested loops); one whose
+    # calls outside the cycles would nest too many Python frames stays
+    # interpreted
     for f in [*COMPILED_LOOPS.values(), RUNAWAY]:
         p = stage_reverse(f)
         assert _compiled(p) and _compiled(ir_optimize(p))
@@ -910,18 +995,8 @@ def test_compiled_tier_takes_only_programs_that_loop_or_recurse():
     assert _compiled(_calling_records())
     spec = CorpusSpec(42, count=20)
     straight = [stage_reverse(random_program(spec, i)) for i in range(spec.count)]
-    undefined = _entry(CellNew("d", 0.0), Call("f", ("in", "d"), unwind=True),
-                       Return("in"),
-                       f=([("t", "val"), ("c", "cell")],
-                          [Bind("g", "greater", ("t", 1.0)),
-                           Cond("g", [Bind("u", "mul", ("t", "zz")), Jump("f", ("u", "c"))],
-                                [])]))
-    interpreted = straight + [undefined, stage_reverse(_sequential_loops(1000))]
-    for p in interpreted:
+    for p in straight + [stage_reverse(_sequential_loops(1000))]:
         assert not _compiled(p) and not _compiled(ir_optimize(p))
-    with pytest.raises(IREvalError, match="undefined symbol 'zz'"):
-        ir_eval(undefined, 2.0)
-    assert ir_eval(undefined, 0.5) == 0.5
 
 
 def test_compiled_runs_leave_no_garbage_cycle():
@@ -1104,6 +1179,10 @@ def test_emitted_code_compiles_and_runs(tmp_path):
              ("join6", stage_tree(FOLD_BODIES["join"]), (1.01, -0.5), _full_tree(rng, 6)),
              ("fold_loop", ir_optimize(stage_tree(FOLD_LOOP)), (3.0, 1.5),
               _full_tree(rng, 5)),
+             # ir_optimize folds a guard passed on to a join into a bool literal
+             ("folded_guard", ir_optimize(stage_reverse(parse(
+                 "(lam x (let g (> (* 0.0 x) 1.0) (let z (if (> x 0.0) x (* x x))"
+                 " (if g z (* z 2.0)))))"))), (2.0, -3.0), None),
              # a jump that swaps two parameters reads both before writing
              ("swap", _entry(CellNew("d0", 0.0),
                              Call("loop", ("in", 2.5, 2.0, "d0"), unwind=True),
