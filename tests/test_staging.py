@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import re
 import resource
 import shutil
 import subprocess
@@ -703,6 +704,66 @@ def test_ill_formed_ir_is_rejected_by_every_executor():
         verify(ILL_FORMED[0][1])
     assert str(got.value) == ("snippet: Bind(dest='r', op='add', args=('in', 'zz')): "
                               "undefined symbol 'zz'")
+
+
+def test_ir_eval_structural_errors():
+    cases = [
+        ("undefined symbol 'zz'", _entry(Bind("r", "add", ("in", "zz")), Return("r"))),
+        ("unknown function 'nope'", _entry(Call("nope", ("in",)), Return("in"))),
+        ("unknown function 'nope'", _entry(Call("nope", ("in",)))),
+        ("f expects 2 args, got 1", _entry(Call("f", ("in",)), Return("in"), f=(_TWO, []))),
+        ("entry did not return a value", _entry(Bind("r", "add", ("in", 1.0)))),
+        ("operand 'd' has kind cell, not val", _entry(CellNew("d", 0.0), Return("d"))),
+        ("a (value, cell) return with no caller",
+         _entry(CellNew("d", 0.0), RetReal("in", "d"))),
+        ("f returns no (value, cell) pair",
+         _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
+                f=(_ONE, [Return("a")]))),
+        ("a call receives a (value, cell) pair, not ('x',)",
+         _entry(Call("f", ("in",), results=("x",)), Return("x"),
+                f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")]))),
+    ]
+    for text, p in cases:
+        with pytest.raises(IRError, match=re.escape(text)):
+            ir_eval(p, 1.0)
+    # a pair returned to a call that receives none is dropped, as a value is
+    assert ir_eval(_entry(CellNew("d", 0.0), Call("f", ("in", "d")), Return("in"),
+                          f=([("a", "val"), ("c", "cell")], [RetReal("a", "c")])),
+                   3.0) == 3.0
+    # errors are static: an undefined symbol in an untaken branch, or one
+    # defined on one branch only, is an error on every input
+    for p, text in ((_entry(_positive(), Cond("g", [Return("in")], [Return("zz")])), "zz"),
+                    (_entry(_positive(), Cond("g", [Bind("y", "mul", ("in", 2.0))], []),
+                            Return("y")), "y")):
+        for x in (2.0, -2.0):
+            with pytest.raises(IRError, match=f"undefined symbol '{text}'"):
+                ir_eval(p, x)
+
+
+def test_emit_rejects_closures_it_cannot_emit():
+    # a (value, cell) return with no caller, and a valued call of a function
+    # that returns one value or none, are refused, not miscompiled; so is a
+    # cell that a function makes and returns outside an unwinding call,
+    # which would not outlive its frame
+    cases = [("with no caller", _entry(CellNew("d", 0.0), RetReal("in", "d"))),
+             ("f returns no (value, cell) pair",
+              _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
+                     f=(_ONE, [Return("a")]))),
+             ("f returns no (value, cell) pair",
+              _entry(Call("f", ("in",), results=("x", "d")), Return("x"),
+                     f=(_ONE, [Bind("b", "add", ("a", 1.0))]))),
+             ("unknown function 'nope'",
+              _entry(Call("nope", ("in",), results=("x", "d")), Return("x"))),
+             ("outside an unwinding call",
+              _entry(CellNew("d", 0.0), Call("f", ("in",), results=("x", "c")),
+                     Return("x"), f=(_ONE, [CellNew("c", 0.0), RetReal("a", "c")])))]
+    # nor is a Bind with the wrong number of operands or an unknown op
+    cases += [(f"{op} takes {n} operands", _entry(Bind("r", op, args), Return("r")))
+              for op, args, n in WRONG_ARITY]
+    cases.append(("unknown operation 'sub'", _entry(Bind("r", "sub", ("in", 1.0)), Return("r"))))
+    for text, p in cases:
+        with pytest.raises(IRError, match=re.escape(text)):
+            emit_c(p)
 
 
 def test_verify_returns_each_functions_return_kind():
