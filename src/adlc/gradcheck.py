@@ -235,52 +235,51 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# one program id on the task pipe
+# the next program id: the one record on the token pipe
 _ID = struct.Struct("<I")
 
 
-def _pull(fd: int) -> Iterator[int]:
-    """The ids read from the task pipe fd until it is closed and empty.  The
-    parent writes whole records, at most PIPE_BUF bytes at a time, so every
-    write is atomic and the pipe always holds a whole number of records; a
-    read of one record then takes all of its bytes, and no two readers get
-    parts of one id."""
-    while rec := os.read(fd, _ID.size):
-        yield _ID.unpack(rec)[0]
+def _pull(r: int, w: int, count: int) -> Iterator[int]:
+    """The ids a worker takes from the token pipe (read end r, write end w),
+    which holds one record: the next id.  Each take writes back the id after
+    it, before the worker checks the one it took, so the workers take 0 ..
+    count - 1 between them, each once and in increasing order.  Closed
+    before it runs out (one of the worker's programs raised), it takes the
+    token once more and writes back count, so every other worker stops at
+    its next take.  A record is written whole, with one write of fewer than
+    PIPE_BUF bytes, and read whole, so no two workers get parts of one id."""
+    i = 0
+    try:
+        while (i := _ID.unpack(os.read(r, _ID.size))[0]) < count:
+            os.write(w, _ID.pack(i + 1))
+            yield i
+    finally:
+        if i < count:
+            os.read(r, _ID.size)
+        os.write(w, _ID.pack(count))
 
 
 def _in_workers(work: Callable[[Iterator[int]], object], count: int,
                 n: int) -> list:
-    """[work(ids) in each of n forked children], the children sharing one
-    queue of the ids 0 .. count - 1: a task pipe, from which each child
-    takes the next id when it is ready for one.  Each child sends its
-    pickled result back through a pipe of its own.  The parent feeds the
-    task pipe and reads every result pipe at once, so a child that dies is
-    an error as soon as its pipe closes, however long the others run; it
-    then kills and reaps every child left.  A child leaves only through
-    os._exit, so it flushes nothing of the parent's and runs none of its
-    exit handlers."""
+    """[work(ids) in each of n forked children], the children sharing the
+    ids 0 .. count - 1 through one token pipe (`_pull`), which the parent
+    primes with id 0 before forking and then leaves to them.  Each child
+    sends its pickled result back through a pipe of its own.  The parent
+    reads every result pipe at once, so a child that dies is an error as
+    soon as its pipe closes, however long the others run; it then kills and
+    reaps every child left.  A child leaves only through os._exit, so it
+    flushes nothing of the parent's and runs none of its exit handlers."""
     import pickle
-    import select
     import selectors
     import signal
 
-    tasks = b"".join(map(_ID.pack, range(count)))
-    chunk = select.PIPE_BUF - select.PIPE_BUF % _ID.size
-    sent = 0
-    task_r, task_w = os.pipe()
+    token = os.pipe()
     sel = selectors.DefaultSelector()
     running: dict[int, int] = {}  # result pipe -> child pid
     received: dict[int, list[bytes]] = {}  # every result pipe still open
     results = []
-
-    def stop_feeding():
-        nonlocal task_w
-        sel.unregister(task_w)
-        os.close(task_w)
-        task_w = -1
-
     try:
+        os.write(token[1], _ID.pack(0))
         for _ in range(n):
             r, w = os.pipe()
             received[r] = []
@@ -289,31 +288,18 @@ def _in_workers(work: Callable[[Iterator[int]], object], count: int,
                 if pid == 0:
                     status = 1
                     try:
-                        os.close(task_w)
-                        writer.write(pickle.dumps(work(_pull(task_r)),
-                                                  pickle.HIGHEST_PROTOCOL))
+                        ids = _pull(*token, count)
+                        result = work(ids)
+                        ids.close()  # stops the others if a program raised
+                        writer.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
                         writer.flush()
                         status = 0
                     finally:
                         os._exit(status)
             running[r] = pid
             sel.register(r, selectors.EVENT_READ)
-        os.close(task_r)
-        task_r = -1
-        os.set_blocking(task_w, False)
-        sel.register(task_w, selectors.EVENT_WRITE)
         while running:
             for key, _ in sel.select():
-                if key.fd == task_w:
-                    try:
-                        sent += os.write(task_w, tasks[sent:sent + chunk])
-                    except BrokenPipeError:  # every child has stopped
-                        sent = len(tasks)
-                    if sent == len(tasks):
-                        stop_feeding()
-                    continue
-                if key.fd not in running:  # the task pipe, closed above
-                    continue
                 data = os.read(key.fd, 1 << 16)
                 if data:
                     received[key.fd].append(data)
@@ -326,31 +312,27 @@ def _in_workers(work: Callable[[Iterator[int]], object], count: int,
                     raise RuntimeError(
                         f"crosscheck worker ended with wait status {status}")
                 results.append(pickle.loads(data))
-                # a child stops while the queue is open only when one of its
-                # programs raised, and every id not yet sent is past that one
-                if task_w != -1:
-                    stop_feeding()
         return results
     finally:
         for pid in running.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in [*received, task_r, task_w]:
-            if fd != -1:
-                os.close(fd)
+        for fd in [*received, *token]:
+            os.close(fd)
         sel.close()
 
 
 def crosscheck(spec: CorpusSpec, probes=DEFAULT_PROBES) -> list[GradReport]:
     """Run every mode on every (program, probe) cell; per-entry failures are
     recorded in the report rather than raised.  The programs are checked in
-    forked workers, one per usable CPU, that take program ids from one
-    shared queue, so a worker that holds slow programs, or loses its CPU
-    for a while, holds up no work it has not taken.  Each worker stops at
-    the first program that raises; the reports come back in program order,
-    and if any program raised, the exception of the lowest such id is
-    raised here: the same reports and the same exception as an in-process
-    run.  With one CPU or no os.fork the same loop runs in process."""
+    forked workers, one per usable CPU, that take program ids one at a time,
+    in increasing order, from one token pipe, so a worker that holds slow
+    programs, or loses its CPU for a while, holds up no work it has not
+    taken.  A program that raises stops every worker at its next take; the
+    reports come back in program order, and if any program raised, the
+    exception of the lowest such id is raised here: the same reports and
+    the same exception as an in-process run.  With one CPU or no os.fork
+    the same loop runs in process."""
     n = min(_usable_cpus(), spec.count)
     work = partial(_check_ids, spec, probes)
     if n > 1 and hasattr(os, "fork"):

@@ -4,9 +4,11 @@ propagation, cell forwarding, dead code elimination.
 Cell forwarding (turning set/accumulate/read sequences into pure binds) runs
 only in straight-line functions on cells that never escape, where the whole
 lifetime is visible; everything else gets the conservative treatment.
-The algebraic rules used are exact for the values these programs compute:
-x+x = 2*x always, and 0+x / 0*x / 1*x assume finite x (adjoint code never
-manufactures infinities on its own).
+Of the algebraic rules, x+x = 2*x is exact; 0+x, 0*x and 1*x are not at
+every input.  At x = inf, -inf and nan the staged gradient of
+(lam x (* 0.0 (* x x))) is nan unoptimized and 0.0 optimized, and at
+x = -0.0 that of (lam x (* (* x x) (* x x))) is 0.0 unoptimized and -0.0
+optimized.  Making these folds bit-exact is ROADMAP item 4.
 """
 
 from __future__ import annotations

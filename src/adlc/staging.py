@@ -158,12 +158,15 @@ class IRProgram:
     functions are its body (which `Jump`s to itself), one backward segment
     per self-call (run from the tape) and the continuations they call; a
     fold's are `fold`, `rec` and the records `rec` pushes.  It is not
-    changed after `stage_*` or `ir_optimize` returns it: `ir_eval`
-    verifies and translates it on its first run and keeps the translation in
-    `translation`, which `dataclasses.replace` does not copy."""
+    changed after `stage_*` or `ir_optimize` returns it: `verify` keeps the
+    return kinds of a program it passes in `returns`, and `ir_eval`
+    translates it on its first run and keeps the translation in
+    `translation`; `dataclasses.replace` copies neither."""
 
     functions: dict
     entry: str
+    returns: dict | None = field(default=None, init=False, repr=False,
+                                 compare=False)
     translation: object = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -441,7 +444,11 @@ def verify(prog: IRProgram) -> dict:
       returns either returns on every path;
     - the entry takes (val) or (tree, val) and returns a value;
     - a RetReal of a cell its function makes runs under an unwinding call,
-      whose tape keeps the cell alive in the emitted C++."""
+      whose tape keeps the cell alive in the emitted C++.
+    The kinds are kept on prog, so each program is checked once; one that
+    fails keeps nothing and fails again."""
+    if prog.returns is not None:
+        return prog.returns
     functions = prog.functions
     valued: list = []  # (function, valued call)
     local: list = []  # (function, RetReal of a cell it makes)
@@ -484,6 +491,7 @@ def verify(prog: IRProgram) -> dict:
         if n not in taped:
             raise IRError(f"{n}: {_show(s)}: {s.cell} is made in {n}, "
                           "outside an unwinding call")
+    prog.returns = rets
     return rets
 
 

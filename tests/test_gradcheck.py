@@ -230,7 +230,8 @@ def _raise_timeout(signum, frame):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_crosscheck_more_ids_than_a_pipe_holds(monkeypatch, cpus):
-    # 40,000 4-byte ids are 160 kB, more than a 64 kB pipe buffer
+    # 40,000 token takes under contention: every id is taken once, in order,
+    # by workers that race for the one record on the token pipe
     monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(gradcheck, "random_program", lambda spec, i: None)
     monkeypatch.setattr(gradcheck, "check_program",
@@ -263,6 +264,68 @@ def test_crosscheck_raises_for_the_lowest_failing_program(monkeypatch, cpus):
     monkeypatch.setattr(gradcheck, "check_program", failing)
     with pytest.raises(ValueError, match="program 1"):
         crosscheck(CorpusSpec(count=6), probes=(1.0,))
+    _assert_no_children_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_crosscheck_raising_program_stops_the_other_workers(monkeypatch, tmp_path):
+    # program 0 raises at once; the other worker, 20 ms into each program,
+    # takes at most one or two more before the token says stop
+    log = str(tmp_path / "checked")
+
+    def stub(f, i, probes):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b"%d\n" % i)
+        os.close(fd)
+        if i == 0:
+            raise ValueError("program 0")
+        time.sleep(0.02)
+        return [GradReport(i, p) for p in probes]
+
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gradcheck, "check_program", stub)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="program 0"):
+        crosscheck(CorpusSpec(count=50), probes=(1.0,))
+    assert time.perf_counter() - t0 < 0.5
+    with open(log) as checked:
+        assert len(checked.read().split()) <= 3
+    _assert_no_children_left()
+
+
+def _dying_worker(monkeypatch):
+    first = random_program(CorpusSpec(count=4), 0)
+
+    def dying(f):
+        if f == first:
+            os._exit(3)
+        return MODES["dual"](f)
+
+    monkeypatch.setitem(gradcheck.MODES, "forward", dying)
+
+
+def _raising_program(monkeypatch):
+    monkeypatch.setitem(gradcheck.MODES, "tape", lambda f: lambda x: 1 / 0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case, raises", [
+    (None, None),
+    (_raising_program, ZeroDivisionError),
+    (_dying_worker, RuntimeError),
+])
+def test_crosscheck_leaves_no_fd_open(monkeypatch, case, raises):
+    monkeypatch.setattr(gradcheck, "_usable_cpus", lambda: 2)
+    if case is not None:
+        case(monkeypatch)
+    before = sorted(os.listdir("/proc/self/fd"))
+    if raises is None:
+        crosscheck(CorpusSpec(count=4), probes=(1.0,))
+    else:
+        with pytest.raises(raises):
+            crosscheck(CorpusSpec(count=4), probes=(1.0,))
+    assert sorted(os.listdir("/proc/self/fd")) == before
     _assert_no_children_left()
 
 

@@ -11,6 +11,7 @@ from functools import partial
 
 import pytest
 
+from adlc import staging
 from adlc.emit import emit_c
 from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, random_program
 from adlc.ir_eval import (
@@ -1027,6 +1028,29 @@ def test_every_staged_program_verifies():
             assert verify(q)[q.entry] == "val"
             codes, _make = _translation(q)
             assert {ins[0] for c in codes.values() for ins in c.instrs} <= COMPILED_OPCODES
+
+
+def test_each_program_is_verified_once(monkeypatch):
+    # verify keeps a passed program's return kinds on it, so ir_optimize,
+    # both executors and emit_c walk each function once between them; the
+    # optimized copy that dataclasses.replace makes starts unverified
+    walked = []
+    body = staging._verify_body
+
+    def counting(fn, *rest):
+        walked.append(fn)
+        return body(fn, *rest)
+
+    monkeypatch.setattr(staging, "_verify_body", counting)
+    p = stage_reverse(WHILE_EXAMPLE)
+    q = ir_optimize(p)
+    for prog in (p, q):
+        for run in (ir_eval, interpret):
+            assert run(prog, 3.0) == run(prog, 3.0) == 0.25
+    emit_c(q)
+    functions = [*p.functions.values(), *q.functions.values()]
+    assert len(functions) > 2 and len({id(fn) for fn in functions}) == len(functions)
+    assert sorted(map(id, walked)) == sorted(map(id, functions))
 
 
 def test_deeply_nested_conds_verify_and_run():
