@@ -50,7 +50,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _probes(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+    """The --at list; a malformed or empty one is a usage error."""
+    try:
+        probes = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        probes = []
+    if not probes:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}")
+    return probes
 
 
 def _read_program(path: str):
@@ -77,13 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grad", help="gradient of a one-argument lam")
     sp.add_argument("--mode", choices=GRAD_MODES, required=True)
-    sp.add_argument("--at", default="1.0", help="comma-separated probe list")
+    sp.add_argument("--at", type=_probes, default="1.0", help="comma-separated probe list")
     sp.add_argument("--tree", help="tree input file for staged tree folds")
     sp.add_argument("--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT)
     sp.add_argument("file")
 
     sp = sub.add_parser("check", help="cross-check gradient formulations")
-    sp.add_argument("--at", default=None, help="comma-separated probe list")
+    sp.add_argument("--at", type=_probes, default=None, help="comma-separated probe list")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("file", nargs="?", help="check one program instead of the corpus")
@@ -98,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("descend", help="gradient descent demo")
     sp.add_argument("--rate", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--at", default="0.0", help="starting point")
+    sp.add_argument("--at", type=float, default=0.0, help="starting point")
     sp.add_argument("--mode", choices=ALL_MODES, default="reverse-meta-shift")
     sp.add_argument("file")
 
@@ -150,7 +158,7 @@ def _dispatch(args) -> int:
         print(pretty(TRANSFORMS[args.mode](e, gen)))
     elif cmd == "grad":
         grad = _grad_fn(args, _read_program(args.file))
-        for x in _probes(args.at):
+        for x in args.at:
             print(fmt_float(grad(x)))
     elif cmd == "check":
         return _check(args)
@@ -167,8 +175,7 @@ def _dispatch(args) -> int:
             print(text, end="")
     elif cmd == "descend":
         f = _read_program(args.file)
-        x0 = _probes(args.at)[0]
-        traj = gradient_descent(f, x0, args.rate, args.steps, mode=args.mode)
+        traj = gradient_descent(f, args.at, args.rate, args.steps, mode=args.mode)
         for i, (x, fx) in enumerate(traj):
             print(f"{i}\t{fmt_float(x)}\t{fmt_float(fx)}")
     elif cmd == "demo":
@@ -177,7 +184,7 @@ def _dispatch(args) -> int:
 
 
 def _check(args) -> int:
-    probes = _probes(args.at) if args.at else list(DEFAULT_PROBES)
+    probes = args.at or list(DEFAULT_PROBES)
     if args.file:
         f = _read_program(args.file)
         reports = check_program(f, 0, probes)

@@ -29,9 +29,24 @@ class ParseError(LangError):
 # Expression nodes
 
 
+class _Slotted(type):
+    """Gives each node class a slot per annotated field and no instance
+    dict; a class that declares its own __slots__ keeps them."""
+
+    def __new__(mcls, name, bases, ns):
+        ns.setdefault("__slots__", tuple(ns.get("__annotations__", ())))
+        return super().__new__(mcls, name, bases, ns)
+
+
 @dataclass(frozen=True)
-class Expr:
-    __slots__ = ()
+class Expr(metaclass=_Slotted):
+    __slots__ = ("_memo",)  # NodeMemo's values, in a dict; not a field
+
+    def __reduce__(self):
+        # pickle and copy rebuild the node through __init__, since the
+        # frozen __setattr__ refuses the default protocol's slot writes; the
+        # copy, like any rebuilt node, starts without NodeMemo values
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
 class NodeMemo:
@@ -39,103 +54,114 @@ class NodeMemo:
     on the same object reuses it (`interp` keeps a closed lambda's
     translation, `lang.prepare` its result).
 
-    The value sits in the node's instance dict, not in a field: ==, hash,
-    repr, pretty and the traversal kernel, which read fields, never see it.
-    It lives exactly as long as the node, and a rebuilt node
-    (map_children, dataclasses.replace) starts without one."""
+    The value sits in a dict in the node's `_memo` slot, which is not a
+    field: ==, hash, repr, pretty and the traversal kernel, which read
+    fields, never see it.  It lives exactly as long as the node, and a
+    rebuilt or copied node (map_children, dataclasses.replace, pickle,
+    copy) starts without one."""
 
     __slots__ = ("key",)
 
     def __init__(self, key: str):
-        self.key = f"({key})"  # no field can have this name
+        self.key = key
 
     def get(self, e: Expr):
         """The value kept on e, or None."""
-        return e.__dict__.get(self.key)
+        memo = getattr(e, "_memo", None)
+        return None if memo is None else memo.get(self.key)
 
     def put(self, e: Expr, value) -> None:
-        e.__dict__[self.key] = value
+        memo = getattr(e, "_memo", None)
+        if memo is None:
+            memo = {}
+            object.__setattr__(e, "_memo", memo)  # past the frozen __setattr__
+        memo[self.key] = value
 
 
-@dataclass(frozen=True)
+# A constructor is a frozen dataclass whose __init__ (see _slot_inits below)
+# writes its slots directly.
+_node = dataclass(frozen=True, init=False)
+
+
+@_node
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Unit(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Greater(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Lam(Expr):
     param: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Let(Expr):
     name: str
     bound: Expr
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pair(Expr):
     fst: Expr
     snd: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Fst(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Snd(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Inl(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Inr(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Case(Expr):
     scrutinee: Expr
     left_name: str
@@ -144,29 +170,29 @@ class Case(Expr):
     right_body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Ref(Expr):
     init: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Deref(Expr):
     cell: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Expr):
     cell: Expr
     value: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Shift(Expr):
     name: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Reset(Expr):
     body: Expr
 
@@ -174,21 +200,21 @@ class Reset(Expr):
 # Sugar forms, removed by lang.desugar.
 
 
-@dataclass(frozen=True)
+@_node
 class If(Expr):
     guard: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Letrec(Expr):
     name: str
     fn: Expr  # must be a Lam
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Expr):
     first: Expr
     second: Expr
@@ -216,6 +242,29 @@ _NAMES = {cls: tuple(f.name for f in fields(cls) if f.type == "str") for cls in 
 # leaves Const, Var and Unit
 _SHAPE = {cls: tuple((f.name, f.name in kids) for f in fields(cls)) if kids else None
           for cls, kids in _KIDS.items()}
+
+
+def _slot_inits(classes) -> None:
+    """Give each constructor an __init__ that writes its slots through their
+    descriptors' __set__, past the frozen __setattr__: about 0.6x the cost
+    of the __init__ of a frozen dataclass, which calls object.__setattr__
+    once per field.  One exec compiles them all."""
+    src = []
+    for cls in classes:
+        names = cls.__match_args__
+        src.append(f"def {cls.__name__}({', '.join('set_' + n for n in names)}):\n"
+                   f" def __init__(self{''.join(', ' + n for n in names)}):\n"
+                   + "".join(f"  set_{n}(self, {n})\n" for n in names)
+                   + ("" if names else "  pass\n") + " return __init__\n")
+    ns = {"__name__": __name__}
+    exec("".join(src), ns)
+    for cls in classes:
+        init = ns[cls.__name__](*(cls.__dict__[n].__set__ for n in cls.__match_args__))
+        init.__qualname__ = f"{cls.__name__}.__init__"
+        cls.__init__ = init
+
+
+_slot_inits(Expr.__subclasses__())
 
 
 def map_children(e: Expr, f, *args) -> Expr:

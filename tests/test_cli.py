@@ -83,6 +83,21 @@ def test_bad_usage_exit_1(capsys, programs):
     assert ei.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["grad", "--mode", "dual", "--at", "abc"],
+    ["grad", "--mode", "dual", "--at", ","],
+    ["check", "--at", "x"],
+    ["descend", "--rate", "0.1", "--steps", "1", "--at", ","],
+    ["descend", "--rate", "0.1", "--steps", "1", "--at", "1.0,2.0"],
+], ids=["grad-word", "grad-empty", "check-word", "descend-empty", "descend-list"])
+def test_malformed_probe_is_a_usage_error(capsys, programs, argv):
+    with pytest.raises(SystemExit) as ei:
+        run([*argv, programs["cubic.sexp"]])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --at:" in err and "Traceback" not in err
+
+
 def test_anf(capsys, programs):
     assert run(["anf", programs["cubic.sexp"]]) == 0
     out = capsys.readouterr().out

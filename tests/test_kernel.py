@@ -4,8 +4,9 @@ built on them."""
 
 import copy
 import os
+import pickle
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -58,6 +59,22 @@ def test_map_children_identity_and_fields(cls):
     assert seen == expr_fields
     assert children(e) == expr_fields
     assert list(syntax.walk(e)) == [e, *expr_fields]
+
+
+@pytest.mark.parametrize("cls", EXPR_CLASSES, ids=lambda c: c.__name__)
+def test_node_is_frozen_slotted_and_copies_equal(cls):
+    e = _sample(cls)
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, f.name, getattr(e, f.name))
+    assert not hasattr(e, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+        assert type(twin) is cls and twin == e and hash(twin) == hash(e)
+
+
+def test_each_constructor_is_one_subclass():
+    assert len({c.__name__ for c in EXPR_CLASSES}) == len(EXPR_CLASSES)
+    assert all(getattr(syntax, c.__name__) is c for c in EXPR_CLASSES)
 
 
 def test_walk_is_preorder_in_declaration_order():

@@ -179,7 +179,9 @@ def test_prepare_returns_an_independent_supply_each_call():
 
 
 def test_kept_work_is_invisible_and_not_inherited():
-    from dataclasses import replace
+    import copy
+    import pickle
+    from dataclasses import fields, replace
 
     from adlc.interp import _TRANSLATION
     from adlc.lang import _PREPARED
@@ -190,7 +192,9 @@ def test_kept_work_is_invisible_and_not_inherited():
     eval_expr(App(f, Const(2.0)))
     assert _PREPARED.get(f) is not None and _TRANSLATION.get(f) is not None
     fresh = parse(src)
-    assert f == fresh and hash(f) == hash(fresh)
+    assert f == fresh and fresh == f and hash(f) == hash(fresh)
     assert repr(f) == repr(fresh) and pretty(f) == pretty(fresh)
-    for rebuilt in (map_children(f, lambda c: c), replace(f), replace(f, param="z")):
+    assert [fl.name for fl in fields(f)] == ["param", "body"]
+    for rebuilt in (map_children(f, lambda c: c), replace(f), replace(f, param="z"),
+                    copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert _PREPARED.get(rebuilt) is None and _TRANSLATION.get(rebuilt) is None

@@ -15,6 +15,9 @@ straight-line let chains of n ops (seed 1; sizes 25, 50, 100, 200, 400,
   min_s   the least wall time of 3 builds (perf_counter, no profiler)
   x2      min_s(n) / min_s(n/2); noisy on a shared host, so read it beside
           the call ratio and beside target-shift's as the linear reference
+  B/node  bytes that tracemalloc sees held by one build's gradient program,
+          once its input chain is gone, per node of that program; "-" for
+          stage_reverse, whose output is IR
 
 Every build, counted or timed, is on a chain of its own: `lang.prepare`
 keeps its result on its input node, so a build on a chain an earlier build
@@ -120,6 +123,7 @@ measure the same chains the same way.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import random
@@ -131,6 +135,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from functools import partial
 
 RECURSION_LIMIT = 100_000
@@ -267,20 +272,41 @@ def _per_doubling(secs: float, units: int, prev) -> str:
     return f"{(secs / prev[1]) ** (math.log(2) / math.log(units / prev[0])):.2f}"
 
 
+def held_bytes_per_node(build, n: int) -> str:
+    """Bytes held by build(seeded_chain(n)) per node of its result, as
+    tracemalloc counts them after the chain, and what `lang.prepare` kept
+    on it, are freed; "-" when the result is not an expression."""
+    from adlc.syntax import Expr, node_count
+
+    chain = seeded_chain(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = build(chain)
+        del chain
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return f"{held / node_count(out):.0f}" if isinstance(out, Expr) else "-"
+
+
 def rows():
-    """(transform, n, calls, calls x2, min_s, min_s x2) as printed cells."""
+    """(transform, n, calls, calls x2, min_s, min_s x2, B/node) as printed
+    cells."""
     for name, build in transforms().items():
         prev_calls = prev_s = None
         for n in SIZES:
             try:
                 calls = call_events(build, seeded_chain(n))
                 secs = min_wall(build, lambda: (seeded_chain(n),))
+                per_node = held_bytes_per_node(build, n)
             except Exception as ex:  # printed, not raised
                 calls = secs = None
-                yield (name, str(n), type(ex).__name__, "-", "-", "-")
+                yield (name, str(n), type(ex).__name__, "-", "-", "-", "-")
             else:
                 yield (name, str(n), str(calls), _ratio(calls, prev_calls),
-                       f"{secs:.4f}", _ratio(secs, prev_s))
+                       f"{secs:.4f}", _ratio(secs, prev_s), per_node)
             prev_calls, prev_s = calls, secs
 
 
@@ -640,11 +666,12 @@ def main() -> None:
     print(f"# seeded let chains (seed {SEED}); wall time is the min of {REPEAT} builds")
     print(f"# recursion limit raised from {old} to {RECURSION_LIMIT} in this "
           f"process; builds run on a thread with a {STACK_BYTES >> 20} MiB stack")
-    print(f"{'transform':<14}{'n':>5}{'calls':>11}{'x2':>6}{'min_s':>10}{'x2':>6}")
+    print(f"{'transform':<14}{'n':>5}{'calls':>11}{'x2':>6}{'min_s':>10}{'x2':>6}"
+          f"{'B/node':>8}")
 
     def run():
         for row in rows():
-            print("{:<14}{:>5}{:>11}{:>6}{:>10}{:>6}".format(*row), flush=True)
+            print("{:<14}{:>5}{:>11}{:>6}{:>10}{:>6}{:>8}".format(*row), flush=True)
         print(f"# stage_reverse on n sequential staged ifs with a value live "
               f"across them; wall time is the min of {REPEAT} builds")
         print(f"{'transform':<14}{'n':>5}{'ms':>10}{'x2':>6}")
