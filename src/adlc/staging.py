@@ -159,16 +159,17 @@ class IRProgram:
     per self-call (run from the tape) and the continuations they call; a
     fold's are `fold`, `rec` and the records `rec` pushes.  It is not
     changed after `stage_*` or `ir_optimize` returns it: `verify` keeps the
-    return kinds of a program it passes in `returns`, and `ir_eval`
-    translates it on its first run and keeps the translation in
-    `translation`; `dataclasses.replace` copies neither."""
+    return kinds of a program it passes in `returns`, and `ir_eval` keeps
+    in `compiled` the maker of its compiled tier, or False for a program
+    that has none, from its first run on; `dataclasses.replace` copies
+    neither."""
 
     functions: dict
     entry: str
     returns: dict | None = field(default=None, init=False, repr=False,
                                  compare=False)
-    translation: object = field(default=None, init=False, repr=False,
-                                compare=False)
+    compiled: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ class _Slotted(type):
 
 @dataclass(frozen=True)
 class Expr(metaclass=_Slotted):
-    __slots__ = ("_memo",)  # NodeMemo's values, in a dict; not a field
-
     def __reduce__(self):
         # pickle and copy rebuild the node through __init__, since the
         # frozen __setattr__ refuses the default protocol's slot writes; the
@@ -50,15 +48,16 @@ class Expr(metaclass=_Slotted):
 
 
 class NodeMemo:
-    """Work derived from one node alone, kept on that node so a second call
-    on the same object reuses it (`interp` keeps a closed lambda's
-    translation, `lang.prepare` its result).
+    """Work derived from one lambda node alone, kept on that node so a
+    second call on the same object reuses it (`interp` keeps a closed
+    lambda's translation, `lang.prepare` its result on a program).
 
-    The value sits in a dict in the node's `_memo` slot, which is not a
-    field: ==, hash, repr, pretty and the traversal kernel, which read
-    fields, never see it.  It lives exactly as long as the node, and a
-    rebuilt or copied node (map_children, dataclasses.replace, pickle,
-    copy) starts without one."""
+    The value sits in a dict in the `_memo` slot that only `Lam` has, and
+    that is not a field: ==, hash, repr, pretty and the traversal kernel,
+    which read fields, never see it.  It lives exactly as long as the
+    node, and a rebuilt or copied node (map_children, dataclasses.replace,
+    pickle, copy) starts without one.  `put` on any other node keeps
+    nothing, so its work is done again on each call."""
 
     __slots__ = ("key",)
 
@@ -73,6 +72,8 @@ class NodeMemo:
     def put(self, e: Expr, value) -> None:
         memo = getattr(e, "_memo", None)
         if memo is None:
+            if type(e) is not Lam:
+                return
             memo = {}
             object.__setattr__(e, "_memo", memo)  # past the frozen __setattr__
         memo[self.key] = value
@@ -118,6 +119,7 @@ class Greater(Expr):
 
 @_node
 class Lam(Expr):
+    __slots__ = ("param", "body", "_memo")  # _memo: NodeMemo's values; not a field
     param: str
     body: Expr
 

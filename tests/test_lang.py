@@ -198,3 +198,22 @@ def test_kept_work_is_invisible_and_not_inherited():
     for rebuilt in (map_children(f, lambda c: c), replace(f), replace(f, param="z"),
                     copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert _PREPARED.get(rebuilt) is None and _TRANSLATION.get(rebuilt) is None
+
+
+def test_only_a_lambda_keeps_work():
+    # the memo slot is Lam's alone: any other node has none, keeps nothing,
+    # and still pickles and copies to an equal node
+    import copy
+    import pickle
+
+    from adlc.lang import _PREPARED
+    from adlc.syntax import Expr
+
+    assert all(("_memo" in c.__slots__) is (c is Lam) for c in Expr.__subclasses__())
+    e = parse("(let y (* 2.0 3.0) (if (> y 1.0) y (+ y 1.0)))")
+    assert not hasattr(e, "_memo")
+    (a, ga), (b, gb) = prepare(e), prepare(e)
+    assert a == b and ga.avoid == gb.avoid and ga.fresh() == gb.fresh()
+    assert _PREPARED.get(e) is None
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and hash(twin) == hash(e) and prepare(twin)[0] == a

@@ -14,11 +14,7 @@ import pytest
 from adlc import staging
 from adlc.emit import emit_c
 from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, random_program
-from adlc.ir_eval import (
-    ADD, CACC, CALL, CMACC, CNEW, CRACC, CREAD, CSET, DEFAULT_DEPTH_LIMIT, END, GT, JF,
-    JSELF, JUMP, MARK, MUL, OP1, PUSH, RECV, RET, RETR, TCALL, UNWIND, IREvalError,
-    _translation, interpret, ir_eval,
-)
+from adlc.ir_eval import DEFAULT_DEPTH_LIMIT, IREvalError, _compiled_tier, interpret, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.runtime import grad_tape_expr
@@ -189,7 +185,7 @@ def test_while_memory_is_linear_in_iterations():
                       " (app f (* t 0.99999)) t)) (app f x)))")
     p = ir_optimize(stage_reverse(countdown))
     n = 100_000
-    ir_eval(p, 2.0)  # the translation is kept on p, outside the peaks
+    ir_eval(p, 2.0)  # the compiled tier is kept on p, outside the peaks
     peaks = []
     for iters in (n, 2 * n):
         x = 0.99999 ** -(iters - 0.5)
@@ -781,22 +777,28 @@ def test_verify_returns_each_functions_return_kind():
 
 
 def test_translation_is_kept_per_program_and_the_limit_per_call():
-    # ir_eval keeps a program's translation on the program: the depth limit
-    # is still each call's own, and ir_optimize's copy gets its own
+    # ir_eval keeps a program's compiled tier, or that it has none, on the
+    # program: the depth limit is still each call's own, and ir_optimize's
+    # copy gets its own
     p = stage_reverse(RUNAWAY)
     with pytest.raises(IREvalError, match=r"depth limit exceeded \(2000\)"):
         ir_eval(p, 2.0, depth_limit=2000)
+    make = p.compiled
     with pytest.raises(IREvalError, match=r"depth limit exceeded \(100000\)"):
         ir_eval(p, 2.0)
+    assert make and p.compiled is make
     tree = parse_tree("(node 2.0 (node -0.5 (leaf) (leaf)) (leaf))")
-    for p, t in ((stage_reverse(WHILE_EXAMPLE), None), (stage_reverse(IF_EXAMPLE), None),
-                 (stage_tree(TREE_BODY), tree)):
+    for p, t, loops in ((stage_reverse(WHILE_EXAMPLE), None, True),
+                        (stage_reverse(IF_EXAMPLE), None, False),
+                        (stage_tree(TREE_BODY), tree, True)):
         xs = (8.0, 0.3, -2.0, -0.0)
         before = [ir_eval(p, x, tree=t).hex() for x in xs]
+        assert bool(p.compiled) is loops and p.compiled is not None
         po = ir_optimize(p)
-        assert po.translation is None
+        assert po.compiled is None
         assert [ir_eval(po, x, tree=t).hex() for x in xs] == before
-        assert po.translation is not p.translation
+        assert bool(po.compiled) is loops
+        assert not loops or po.compiled is not p.compiled
 
 
 def test_optimize_leaves_input_unchanged():
@@ -930,7 +932,7 @@ def _calling_records() -> IRProgram:
 
 
 # (message or None, program) for programs that loop or recurse and stop
-# with an error of a fold's instructions, or drop a (value, cell) return
+# with an error of a fold's statements, or drop a (value, cell) return
 COMPILED_PAIRS = (
     ("tree operation on a non-tree (empty tree?)",
      _tree_entry(CellNew("d", 0.0), Call("walk", ("tree", "in", "d"), results=("x", "c")),
@@ -998,12 +1000,7 @@ def test_compiled_tier_equals_the_interpreter():
 
 
 def _compiled(p: IRProgram) -> bool:
-    return _translation(p)[1] is not None
-
-
-# the instructions the compiled tier has code for
-COMPILED_OPCODES = {CNEW, CMACC, CRACC, MUL, ADD, JF, END, OP1, GT, JSELF, PUSH, UNWIND,
-                    CSET, CREAD, RET, CALL, RETR, TCALL, CACC, MARK, JUMP, RECV}
+    return bool(_compiled_tier(p))
 
 
 def _staged_programs() -> list:
@@ -1019,15 +1016,68 @@ def _staged_programs() -> list:
 
 
 def test_every_staged_program_verifies():
-    # staging and ir_optimize make only well-formed IR, whose translation
-    # holds no instruction the compiled tier lacks code for
+    # staging and ir_optimize make only well-formed IR
     progs = _staged_programs()
     assert len(progs) == 517
     for p in progs:
         for q in (p, ir_optimize(p)):
             assert verify(q)[q.entry] == "val"
-            codes, _make = _translation(q)
-            assert {ins[0] for c in codes.values() for ins in c.instrs} <= COMPILED_OPCODES
+
+
+def _looping_programs() -> dict:
+    """A small program that loops or recurses for each statement class and
+    each op: a halving loop whose records the unwind runs, a loop returned
+    from with a (value, cell) pair, and a fold over a tree."""
+    loop = _entry(CellNew("d", 0.0), Call("loop", ("in", "d"), unwind=True),
+                  CellRead("r", "d"), Return("r"),
+                  loop=([("x", "val"), ("d", "cell")],
+                        [Bind("g", "greater", ("x", 1.0)),
+                         Cond("g", [Bind("y", "mul", ("x", 0.5)), TapePush("bwd", ("d", "x")),
+                                    Jump("loop", ("y", "d"))],
+                              [CellSet("d", -0.0)])]),
+                  bwd=([("c", "cell"), ("x", "val")], [CellAccum("c", "x")]))
+    pair = _entry(CellNew("d", 0.0), Call("loop", ("in", "d"), results=("v", "c")),
+                  CellRead("r", "c"), Bind("s", "add", ("v", "r")), Return("s"),
+                  loop=_halving(CellAccum("d", "x"), RetReal("x", "d")))
+    fold = _tree_entry(CellNew("d", 0.0), Call("walk", ("tree", "in", "d"), results=("x", "c")),
+                       Return("x"),
+                       walk=([("t", "tree"), ("a", "val"), ("c", "cell")],
+                             [Bind("n", "tree_nonempty", ("t",)),
+                              Cond("n", [Bind("v", "tree_value", ("t",)),
+                                         Bind("l", "tree_left", ("t",)),
+                                         Bind("rt", "tree_right", ("t",)),
+                                         Call("walk", ("l", "a", "c"), results=("x", "e")),
+                                         Call("walk", ("rt", "x", "e"), results=("y", "f")),
+                                         Bind("z", "mul", ("y", "v")), RetReal("z", "f")],
+                                   [RetReal("a", "c")])]))
+    progs = dict.fromkeys([Bind, CellNew, CellRead, CellAccum, CellSet, Call, Jump,
+                           TapePush, Cond, Return, "greater", "mul"], loop)
+    progs.update(dict.fromkeys([RetReal, "add"], pair))
+    progs.update(dict.fromkeys(["tree_value", "tree_left", "tree_right", "tree_nonempty"],
+                               fold))
+    return progs
+
+
+LOOPING_PROGRAMS = _looping_programs()
+
+
+@pytest.mark.parametrize("part", [*staging.STMTS, *staging.OPS],
+                         ids=lambda part: getattr(part, "__name__", part))
+def test_every_statement_and_op_runs_alike_on_both_tiers(part):
+    # each statement class and each op, in a program that loops or
+    # recurses, so ir_eval runs it on the compiled tier: the same bits as
+    # the interpreter, or the same error, at every depth limit
+    p = LOOPING_PROGRAMS[part]
+    assert part in {x for fn in p.functions.values() for s in staging.walk(fn.body)
+                    for x in (type(s), getattr(s, "op", None))}
+    assert _compiled(p)
+    rng = random.Random(31)
+    trees = [None, TreeData(0.75, None, None), _pow2_tree(rng, 3), _path_tree(rng, 5)]
+    for t in trees if "tree" in p.functions[p.entry].params[0] else [None]:
+        for limit in (1, 2, 3, 5, 8, DEFAULT_DEPTH_LIMIT):
+            for x in (0.5, 3.0, 40.0, -0.0, float("inf"), float("nan")):
+                assert (_outcome(ir_eval, p, x, limit, t)
+                        == _outcome(interpret, p, x, limit, t)), (x, limit)
 
 
 def test_each_program_is_verified_once(monkeypatch):

@@ -11,6 +11,13 @@ Classes:
              and ir_eval of stage_tree of programs/tree_fold.sexp, with and
              without ir_optimize, at DEFAULT_PROBES on programs/tree_single.tree,
              the empty tree and complete trees of depth 1 to 4
+  interpreted  float.hex of ir_eval.interpret, the reference interpreter
+             alone, of stage_reverse and of its ir_optimize over the
+             programs at DEFAULT_PROBES, and of stage_tree of
+             programs/tree_fold.sexp on the trees above, each at the
+             default depth limit, at 64, and at 3 and 2, where the
+             programs' nesting and tail chains first meet the limit, so
+             the frame and tail-chain accounting is pinned
   reports    report_line of crosscheck(CorpusSpec(42))
   cli        stdout, stderr and exit code of `adlc eval`, `grad --mode <each>`,
              `transform --mode <each>`, `codegen --opt none|all`,
@@ -120,19 +127,27 @@ def _complete_tree(depth: int, values):
     return TreeData(v, left, _complete_tree(depth - 1, values))
 
 
+def _trees(root: str) -> list:
+    """(name, tree): programs/tree_single.tree, the empty tree and complete
+    trees of depth 1 to 4."""
+    from adlc.staging import parse_tree
+
+    with open(os.path.join(root, "programs", "tree_single.tree"), encoding="utf-8") as fh:
+        trees = [("tree_single.tree", parse_tree(fh.read())), ("empty", None)]
+    return trees + [(f"complete{d}", _complete_tree(d, itertools.count(0.5, 0.25)))
+                    for d in range(1, 5)]
+
+
 def _tree_fold_lines(root: str):
     from adlc.gradcheck import DEFAULT_PROBES
     from adlc.ir_eval import ir_eval
     from adlc.ir_opt import ir_optimize
-    from adlc.staging import parse_tree, stage_tree
+    from adlc.staging import stage_tree
     from adlc.syntax import parse
 
     with open(os.path.join(root, "programs", "tree_fold.sexp"), encoding="utf-8") as fh:
         body = parse(fh.read())
-    with open(os.path.join(root, "programs", "tree_single.tree"), encoding="utf-8") as fh:
-        trees = [("tree_single.tree", parse_tree(fh.read())), ("empty", None)]
-    trees += [(f"complete{d}", _complete_tree(d, itertools.count(0.5, 0.25)))
-              for d in range(1, 5)]
+    trees = _trees(root)
     for opt in ("none", "all"):
         try:
             prog = stage_tree(body)
@@ -175,6 +190,32 @@ def gradient_lines(root: str):
                     out = _err(ex)
                 yield f"{name}\t{mode}\t{x.hex()}\t{out}"
     yield from _tree_fold_lines(root)
+
+
+def interpreted_lines(root: str):
+    from adlc.gradcheck import DEFAULT_PROBES
+    from adlc.ir_eval import DEFAULT_DEPTH_LIMIT, interpret
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import stage_reverse, stage_tree
+    from adlc.syntax import parse
+
+    staged = [(name, stage_reverse, f, [(None, None)]) for name, f in _programs(root)]
+    with open(os.path.join(root, "programs", "tree_fold.sexp"), encoding="utf-8") as fh:
+        staged.append(("tree_fold.sexp", stage_tree, parse(fh.read()), _trees(root)))
+    for name, stage, f, trees in staged:
+        for opt in ("none", "all"):
+            try:
+                prog = stage(f)
+                prog = ir_optimize(prog) if opt == "all" else prog
+            except Exception as ex:  # recorded, not raised
+                yield f"{name}\t{opt}\tbuild\t{_err(ex)}"
+                continue
+            for tree_name, tree in trees:
+                for limit in (DEFAULT_DEPTH_LIMIT, 64, 3, 2):
+                    for x in DEFAULT_PROBES:
+                        out = _attempt(lambda: interpret(prog, x, tree=tree,
+                                                         depth_limit=limit).hex())
+                        yield f"{name}:{tree_name}\t{opt}\t{limit}\t{x.hex()}\t{out}"
 
 
 def _of_prepared(transform):
@@ -278,7 +319,8 @@ def main() -> None:
     args = ap.parse_args()
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
-    classes = (("gradients", lambda: gradient_lines(root)), ("reports", report_lines),
+    classes = (("gradients", lambda: gradient_lines(root)),
+               ("interpreted", lambda: interpreted_lines(root)), ("reports", report_lines),
                ("cli", lambda: cli_lines(root)),
                ("transforms", lambda: transform_lines(root)),
                ("emitted", lambda: emitted_lines(root)))
@@ -288,7 +330,7 @@ def main() -> None:
             os.makedirs(args.dump, exist_ok=True)
             with open(os.path.join(args.dump, f"{name}.txt"), "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-        print(f"{name:<10}{_digest(lines)}")
+        print(f"{name:<12}{_digest(lines)}")
 
 
 if __name__ == "__main__":

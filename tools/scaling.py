@@ -1,6 +1,6 @@
 """Print how the cost of each program transformation, of translating and
-running the gradient programs, of running staged loops and tree folds in
-ir_eval, and of the corpus cross-check grows with size.
+running the gradient programs, of running staged programs, loops and tree
+folds in ir_eval, and of the corpus cross-check grows with size.
 
     python3 tools/scaling.py [--root CHECKOUT]
 
@@ -42,6 +42,18 @@ program, size and entry point:
           translation of the application around it
   x       first_s / later_s
 
+Then ir_eval, gradcheck's staged mode, on the staged gradient programs of
+CorpusSpec(42) (200 programs) and of seeded 100-op chains (seeds 1 to 10),
+unoptimized and optimized, at x = 1.0; these are straight-line, so they
+run on the interpreter.  One row per program set and optimization:
+
+  first_us  the mean over the programs of the least wall time of 3 first
+            calls, each on a program staged afresh: verify, the compiled
+            tier's check and the run
+  later_us  the mean over the programs of the least wall time of 3 later
+            calls on one program
+  x         first_us / later_us
+
 Then the optimized staged tree fold (ir_optimize of stage_tree), the fold
 (+ (* v l) (* r 0.75)) over a seeded full tree of depth d (2^d - 1 nodes,
 values in [0.25, 0.5]; d = 6 to 12, the same trees on both tiers), one row
@@ -69,9 +81,9 @@ backend and size:
   c++       emit_c of the same IR built with g++ -O2 (skipped without g++),
             run under a 1 GiB address-space limit with the default stack
   ns/iter   the median wall time of 5 children's timed calls, per
-            iteration; each child first runs one iteration, so the
-            translation (or the lazy binding of the allocator) is outside
-            the timed call
+            iteration; each child first runs one iteration, so verify
+            and the compiled tier (or the lazy binding of the allocator)
+            are outside the timed call
   x2        the time ratio per doubling of iterations, from the row above:
             a cost linear in iterations reads about 2
   rss_mb    the largest peak RSS (VmHWM) of those children
@@ -93,6 +105,18 @@ one warm-up call and times a second:
 
 Then the countdown at 10^5 iterations and the default depth limit, once per
 tier: both stop with the same limit error, which the row prints.
+
+Then the two programs whose compiled run meets the recursion limit and
+runs again on the interpreter, in a fresh child process at Python's default
+recursion limit: the optimized join-before-self-call loop (its `loop` and
+`k` jump to each other every iteration, one Python frame each on the
+compiled tier) at x = 1e200 and 1e300, and the optimized fold above on a
+3,000-node path tree (each node the left child of the one above); one row
+per program and tier:
+
+  ms        the least wall time of 3 calls, after one warm-up call
+  bits      the result's float.hex, plus "= compiled" on the interp row
+            when it matches
 
 Then crosscheck(CorpusSpec(42)) at 50, 100 and 200 programs, each size in
 a fresh child process that runs 3 passes (crosscheck checks the programs
@@ -148,6 +172,11 @@ COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
              " (app f x)))")
 OP_BEFORE_IF = ("(lam x (letrec f (lam t (let u (+ t -0.5) (if (> u 0.0)"
                 " (app f (+ u -0.5)) u))) (app f x)))")
+JOIN_BEFORE_SELF_CALL = ("(lam x (letrec f (lam t (let w (if (> t 1.0) (* t 0.9) t)"
+                         " (if (> w 1.0) (app f (* w 0.5)) w))) (app f x)))")
+FALLBACK_XS = (1e200, 1e300)
+FALLBACK_PATH_NODES = 3_000
+STAGED_CHAIN_SEEDS = range(1, 11)
 # loop -> (program, iteration counts n); each runs n iterations at x = n
 CHILD_LOOPS = {"countdown": (COUNTDOWN, (1_000, 10_000, 100_000, 1_000_000)),
                "op-before-if": (OP_BEFORE_IF, (1_000, 10_000, 100_000))}
@@ -351,6 +380,33 @@ def run_rows():
                 else:
                     yield (name, str(n), entry, str(first_calls), str(later_calls),
                            f"{first_s:.4f}", f"{later_s:.4f}", _ratio(first_s, later_s))
+
+
+def staged_call_rows():
+    """(programs, opt, count, first_us, later_us, x) as printed cells."""
+    from adlc.gradcheck import CorpusSpec, corpus
+    from adlc.ir_eval import ir_eval
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import stage_reverse
+
+    sets = {"corpus42": lambda: corpus(CorpusSpec(42)),
+            "chain100": lambda: [seeded_chain(100, seed) for seed in STAGED_CHAIN_SEEDS]}
+    for name, sources in sets.items():
+        for opt in ("none", "all"):
+            def build(f):
+                p = stage_reverse(f)
+                return (ir_optimize(p) if opt == "all" else p,)
+
+            first = later = 0.0
+            progs = sources()
+            for f in progs:
+                first += min_wall(partial(ir_eval, x0=X), partial(build, f))
+                p = build(f)[0]
+                ir_eval(p, X)
+                later += min_wall(partial(ir_eval, p, X))
+            n = len(progs)
+            yield (name, opt, str(n), f"{first / n * 1e6:.1f}", f"{later / n * 1e6:.1f}",
+                   _ratio(first, later))
 
 
 def ir_eval_rows():
@@ -609,6 +665,54 @@ def limit_rows(src: str):
         yield tier, str(LIMIT_LOOP_SIZE), str(DEFAULT_DEPTH_LIMIT), outcome
 
 
+# Each program that falls back from the compiled tier on each tier, after
+# one warm-up call: prints its name, the tier, the least ms of REPEAT calls
+# and the result's float.hex, a line each.
+_FALLBACK_CHILD = """
+import random, sys, time
+sys.path.insert(0, sys.argv[1])
+from adlc.ir_eval import interpret, ir_eval
+from adlc.ir_opt import ir_optimize
+from adlc.staging import TreeData, stage_reverse, stage_tree
+from adlc.syntax import parse
+loop_src, fold_src, xs, nodes, repeat = sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5], sys.argv[6]
+loop = ir_optimize(stage_reverse(parse(loop_src)))
+fold = ir_optimize(stage_tree(parse(fold_src)))
+rng, path = random.Random("path:1"), None
+for _ in range(int(nodes)):
+    path = TreeData(rng.uniform(0.25, 0.5), path, None)
+cases = [(f"join x={x}", loop, float(x), None) for x in xs.split(",")]
+cases.append((f"path n={nodes}", fold, 1.25, path))
+for name, prog, x, tree in cases:
+    for tier, run in (("compiled", ir_eval), ("interp", interpret)):
+        run(prog, x, tree=tree)
+        best = float("inf")
+        for _ in range(int(repeat)):
+            t0 = time.perf_counter()
+            g = run(prog, x, tree=tree)
+            best = min(best, time.perf_counter() - t0)
+        print(name, tier, best * 1e3, g.hex(), sep="\t")
+"""
+
+
+def fallback_rows(src: str):
+    """(program, tier, ms, bits) as printed cells."""
+    argv = [sys.executable, "-c", _FALLBACK_CHILD, src, JOIN_BEFORE_SELF_CALL, TREE_BODY,
+            ",".join(map(str, FALLBACK_XS)), str(FALLBACK_PATH_NODES), str(REPEAT)]
+    r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    if r.returncode != 0:
+        yield ("-", "-", f"exit {r.returncode}", "-")
+        return
+    compiled_bits = None
+    for line in r.stdout.splitlines():
+        name, tier, ms, bits = line.split("\t")
+        if tier == TIERS[0]:
+            compiled_bits = bits
+        elif bits == compiled_bits:
+            bits += f" = {TIERS[0]}"
+        yield (name, tier, f"{float(ms):.2f}", bits)
+
+
 # CORPUS_SIZES[k] programs of CorpusSpec(42) through crosscheck, REPEAT
 # passes; prints the median wall and CPU seconds of a pass, os.fork calls
 # per pass, and the process's (VmHWM, as above) and its children's peak RSS
@@ -685,6 +789,12 @@ def main() -> None:
         for row in run_rows():
             print("{:<14}{:>5}  {:<10}{:>10}{:>8}{:>10}{:>10}{:>8}".format(*row),
                   flush=True)
+        print(f"# ir_eval on staged gradient programs at x = {X}, each staged "
+              f"afresh; the mean over the programs of the min of {REPEAT} calls")
+        print(f"{'programs':<10}{'opt':<6}{'count':>6}{'first_us':>10}{'later_us':>10}"
+              f"{'x':>7}")
+        for row in staged_call_rows():
+            print("{:<10}{:<6}{:>6}{:>10}{:>10}{:>7}".format(*row), flush=True)
         print(f"# the optimized staged tree fold on each tier; wall time is "
               f"the min of {REPEAT} calls")
         print(f"{'tier':<14}{'depth':>6}{'us/node':>10}{'min_s':>10}{'x2':>6}")
@@ -704,6 +814,11 @@ def main() -> None:
         print(f"{'tier':<9}{'n':>9}{'limit':>9}  outcome")
         for row in limit_rows(src):
             print("{:<9}{:>9}{:>9}  {}".format(*row), flush=True)
+        print(f"# programs whose compiled run meets the recursion limit, in a "
+              f"fresh child at the default limit; the min of {REPEAT} calls")
+        print(f"{'program':<16}{'tier':<10}{'ms':>9}  bits")
+        for row in fallback_rows(src):
+            print("{:<16}{:<10}{:>9}  {}".format(*row), flush=True)
         print(f"# crosscheck of CorpusSpec(42) in a fresh child per size; the "
               f"median of {REPEAT} passes, CPU time of the child and its workers")
         print(f"{'programs':<9}{'wall_s':>8}{'cpu_s':>8}{'workers':>9}{'rss_mb':>8}"
