@@ -22,15 +22,15 @@ The preludes need no standard header and appear only in programs that use
 them.  Recursive functions are declared up front.  Output is stable across
 runs: two-space indent, LF line endings.
 
-`emit_c` runs `staging.verify` on its input, which raises `IRError` on any
+`emit_c` runs `ir.verify` on its input, which raises `IRError` on any
 program it could not emit, and takes each function's return type from it.
 """
 
 from __future__ import annotations
 
-from .staging import (
+from .ir import (
     OPS, REAL, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction,
-    IRProgram, Jump, RetReal, Return, TapePush, unwound, uses, verify, walk,
+    IRProgram, Jump, RetReal, Return, TapePush, escaping, records, unwound, verify, walk,
 )
 from .syntax import fmt_float
 
@@ -93,15 +93,15 @@ class _Emitter:
         # from a call and, between a tape mark and its unwind, those it
         # creates that escape (emitted in the tape's arena)
         self.pointers: dict[str, set] = {}
-        self.segments: dict[str, int] = {}  # record function -> tag
-        self.uses_tape = False
+        self.segments = records(prog.functions)  # record function -> tag
+        self.uses_tape = bool(self.segments)
         self.rets = {n: _RETURNS[k] for n, k in verify(prog).items()}
         self._analyze()
 
     def _analyze(self) -> None:
         in_tape = unwound(self.prog.functions)
         for fn in self.prog.functions.values():
-            local, escaping, received = set(), set(), set()
+            local, received = set(), set()
             for s in walk(fn.body):
                 match s:
                     case CellNew(dest, _):
@@ -110,12 +110,7 @@ class _Emitter:
                         self.uses_tape |= unwind
                         if results:
                             received.add(results[1])
-                    case TapePush(f, _):
-                        self.uses_tape = True
-                        self.segments.setdefault(f, len(self.segments))
-                if type(s) in (Call, Jump, TapePush, RetReal):
-                    escaping.update(uses(s))
-            arena = local & escaping if fn.name in in_tape else set()
+            arena = local & escaping(fn) if fn.name in in_tape else set()
             self.pointers[fn.name] = arena | received
 
     def signature(self, fn: IRFunction, ret: str) -> str:
@@ -176,13 +171,25 @@ class _Emitter:
                      f"{p}_next = {value[p]};" for p, k, _a in moves]
             return temps + [f"{lhs[p]} = {p}_next;" for p, _k, _a in moves]
 
-        def stmt(s, indent: int) -> None:
+        def line(text: str) -> None:
+            out.append(pad + text)
+
+        out.append(self.signature(fn, ret) + " {")
+        ends = [(0, "}")]
+        if jumps:
+            for p, ptr in rebound.items():
+                out.append(f"  double* {ptr} = &{p};")
+            out.append("  for (;;) {")
+            ends += [(1, "}"), (2, "break;")]
+        # (indent, a statement or a line of its own), the next last: a Cond
+        # puts its branches here, so nesting costs no Python stack
+        work = ends + [(1 + jumps, s) for s in reversed(fn.body)]
+        while work:
+            indent, s = work.pop()
             pad = "  " * indent
-
-            def line(text: str) -> None:
-                out.append(pad + text)
-
             match s:
+                case str():
+                    line(s)
                 case Bind(dest, op, args):
                     kind, _, text, _ = OPS[op]
                     line(f"{_TYPES[kind]} {dest} = {text.format(*map(operand, args))};")
@@ -220,33 +227,15 @@ class _Emitter:
                     line(f"{{ tape_rec& r_ = tape_push({self.segments[f]}); "
                          f"{' '.join(words)} }}")
                 case Cond(guard, then, orelse):
-                    line(f"if ({guard}) {{")
-                    for t in then:
-                        stmt(t, indent + 1)
-                    line("} else {")
-                    for t in orelse:
-                        stmt(t, indent + 1)
-                    line("}")
+                    line(f"if ({operand(guard)}) {{")
+                    work += [(indent, "}"), *((indent + 1, t) for t in reversed(orelse)),
+                             (indent, "} else {"), *((indent + 1, t) for t in reversed(then))]
                 case Return(value):
                     if is_entry and self.uses_tape:
                         line("tape_free();")
                     line(f"return {operand(value)};")
                 case RetReal(value, cell):
                     line(f"return real{{{operand(value)}, {cell_pointer(cell)}}};")
-
-        out.append(self.signature(fn, ret) + " {")
-        if jumps:
-            for p, ptr in rebound.items():
-                out.append(f"  double* {ptr} = &{p};")
-            out.append("  for (;;) {")
-            for s in fn.body:
-                stmt(s, 2)
-            out.append("    break;")
-            out.append("  }")
-        else:
-            for s in fn.body:
-                stmt(s, 1)
-        out.append("}")
 
 
 def emit_c(prog: IRProgram) -> str:

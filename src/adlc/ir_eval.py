@@ -29,7 +29,7 @@ the unwind runs is one level of nesting, and starts a chain of its own.  A
 tree fold nests the entry, `fold` and one call per tree level, the empty
 tree's included, so a tree of height h needs a limit of h + 3.
 
-Every run first passes the program through `staging.verify`, which raises
+Every run first passes the program through `ir.verify`, which raises
 `IRError` on an ill-formed program whether or not a run would reach the
 fault, and keeps its verdict on the program, so no statement checks
 anything.  A run raises only `IREvalError`: at the depth limit, or on a
@@ -48,9 +48,9 @@ from __future__ import annotations
 
 from operator import length_hint
 
-from .staging import (
+from .ir import (
     OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRError, IRProgram,
-    Jump, Return, RetReal, TapePush, TreeData, callee, verify, walk,
+    Jump, Return, RetReal, TapePush, callee, records, verify, walk,
 )
 
 DEFAULT_DEPTH_LIMIT = 100_000
@@ -160,8 +160,6 @@ def _run(prog: IRProgram, args: list, limit: int):
                 continue
             rec = tape.pop()
             if rec is not _MARK:
-                if len(frames) > top:
-                    raise _limit_error(limit)
                 frames.append((blocks, env, steps, _UNWIND))
                 fn = rec[0]
                 blocks, env, steps = [iter(fn.body)], _activation(fn, rec[1:]), 1
@@ -309,8 +307,7 @@ def _source(name: str, fn, names: dict, consts: dict, record: bool) -> list:
             return out
         # mark the tape, then run the records above the mark, newest first
         return ["tape.append(MARK)", *out, "rec = tape.pop()", "while rec is not MARK:",
-                f"    if depth > top: {_LIMIT}", "    rec[0](rec, depth + 1)",
-                "    rec = tape.pop()"]
+                "    rec[0](rec, depth + 1)", "    rec = tape.pop()"]
 
     i = names[name]
     params = [val(p) for p, _k in fn.params]
@@ -359,23 +356,16 @@ def _compile(prog: IRProgram):
     if order is None:
         return None
     names = {name: i for i, name in enumerate(order)}  # the entry is last
-    pushed, called = set(), {order[-1]}
-    for name in order:
-        for s in walk(prog.functions[name].body):
-            if type(s) is TapePush:
-                pushed.add(s.fn)
-            elif type(s) is Call or (type(s) is Jump and s.target != name):
-                called.add(s.target)
+    pushed = records(prog.functions)
     consts: dict = {}
     src = ["def make(limit, args):", "    cells = []", "    tape = []",
            "    top = limit - 2"]
     made = []
     for name in order:
-        for record in (False, True):
-            if name in (pushed if record else called):
-                made.append(f"{'r' if record else 'f'}{names[name]}")
-                src += ["    " + line
-                        for line in _source(name, prog.functions[name], names, consts, record)]
+        for record in (False, True) if name in pushed else (False,):
+            made.append(f"{'r' if record else 'f'}{names[name]}")
+            src += ["    " + line
+                    for line in _source(name, prog.functions[name], names, consts, record)]
     src += ["    try:", f"        return f{len(order) - 1}(*args, 0, 1)",
             "    finally:  # no reference cycle outlives the run",
             f"        cells = tape = {' = '.join(made)} = None"]
@@ -412,7 +402,7 @@ def _evaluate(prog: IRProgram, x0: float, tree, depth_limit: int, compiled: bool
     return _run(prog, args, depth_limit)
 
 
-def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,
+def ir_eval(prog: IRProgram, x0: float, tree=None,
             depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
     """Execute the program entry on one real input (plus the runtime tree
     for tree-fold programs); returns the entry's result.  A program that
@@ -421,7 +411,7 @@ def ir_eval(prog: IRProgram, x0: float, tree: TreeData | None = None,
     return _evaluate(prog, x0, tree, depth_limit, True)
 
 
-def interpret(prog: IRProgram, x0: float, tree: TreeData | None = None,
+def interpret(prog: IRProgram, x0: float, tree=None,
               depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
     """ir_eval on the interpreter alone: the reference the compiled tier
     must equal, bit for bit and error for error."""

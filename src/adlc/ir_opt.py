@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .staging import (
+from .ir import (
     OPS, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRFunction, IRProgram,
-    Jump, RetReal, TapePush, defs, map_operands, reachable, uses, verify, walk,
+    Jump, escaping, map_operands, reachable, uses, verify, walk,
 )
 
 _UNKNOWN = object()
@@ -28,12 +28,7 @@ def _has_control(block) -> bool:
 
 
 def _escaping_syms(prog: IRProgram) -> set:
-    """Symbols whose value leaves its frame or comes from another (call and
-    jump arguments, record captures, the (value, cell) a function returns
-    or a call receives); cells among them may be aliased."""
-    return {o for fn in prog.functions.values() for s in walk(fn.body)
-            if type(s) in (Call, Jump, TapePush, RetReal)
-            for o in uses(s) + defs(s) if isinstance(o, str)}
+    return set().union(*map(escaping, prog.functions.values()))
 
 
 def _read_cells(prog: IRProgram) -> set:

@@ -10,14 +10,12 @@ from adlc.gradcheck import (
     ALL_MODES, CorpusSpec, ProgramGradients, crosscheck, gradient_descent,
     random_program,
 )
+from adlc.ir import Call, Cond, ir_cell_op_count
 from adlc.ir_eval import ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse, grad_reverse_of_reverse, reverse_gradient_program
 from adlc.runtime import grad_forward_over_reverse, perturbation_confusion_probe
-from adlc.staging import (
-    Call, Cond, ir_cell_op_count, parse_tree, stage_reverse, stage_tree,
-    tree_to_expr,
-)
+from adlc.staging import parse_tree, stage_reverse, stage_tree, tree_to_expr
 from adlc.syntax import (
     App, Lam, Let, Var, contains_control, children, node_count, parse,
 )
@@ -172,7 +170,7 @@ def test_criterion_6_structural_properties():
 
     # staged IF: the continuation body exists exactly once, as a function
     p_if = stage_reverse(IF_EXAMPLE)
-    from adlc.staging import CellSet
+    from adlc.ir import CellSet
 
     ones = [s for fn in p_if.functions.values() for s in _stmts(fn.body)
             if isinstance(s, CellSet) and s.value == 1.0]

@@ -1,7 +1,8 @@
 """The shared traversal kernels: syntax.map_children/children/walk over
-expressions, staging.walk/uses/defs over IR statements, and the passes
-built on them."""
+expressions, ir.walk/uses/defs over IR statements, and the passes built on
+them."""
 
+import ast
 import copy
 import os
 import pickle
@@ -12,15 +13,15 @@ import pytest
 
 from adlc import syntax
 from adlc.forward import TransformError, fwd_transform, grad_forward
+from adlc.ir import (
+    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, Jump, RetReal,
+    Return, TapePush, defs, kinds, map_operands, uses, walk,
+)
 from adlc.reverse import (
     grad_reverse, rev_transform_full_cps, rev_transform_meta_shift,
     rev_transform_target_shift,
 )
-from adlc.staging import (
-    Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, Jump, RetReal,
-    Return, TapePush, defs, kinds, map_operands, stage_reverse, stage_tree,
-    uses, walk,
-)
+from adlc.staging import stage_reverse, stage_tree
 from adlc.syntax import (
     Const, Expr, Lam, Var, children, map_children, parse, pretty,
 )
@@ -172,6 +173,24 @@ _SUGAR = ["(if (> x 0.0) x x)", "(letrec f (lam t t) (app f x))", "(seq x x)",
 def test_transforms_reject_sugar(transform, src):
     with pytest.raises(TransformError, match="desugar first"):
         transform(parse(src))
+
+
+def test_ir_passes_import_the_ir_alone():
+    # ir_eval, ir_opt and emit read the IR from adlc.ir, not through the
+    # stager and with it the CEK machine and the runtimes; ir itself
+    # imports only syntax
+    src = os.path.dirname(syntax.__file__)
+    allowed = {"ir": {"syntax"}, "ir_eval": {"ir", "syntax"},
+               "ir_opt": {"ir", "syntax"}, "emit": {"ir", "syntax"}}
+    for name, ok in allowed.items():
+        with open(os.path.join(src, name + ".py")) as f:
+            tree = ast.parse(f.read())
+        local = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+        absolute = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                    for a in n.names} | {n.module for n in ast.walk(tree)
+                                         if isinstance(n, ast.ImportFrom) and not n.level}
+        assert local <= ok, (name, local)
+        assert not any(m.split(".")[0] == "adlc" for m in absolute), (name, absolute)
 
 
 def test_deep_nesting_at_default_recursion_limit():

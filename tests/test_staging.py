@@ -11,18 +11,19 @@ from functools import partial
 
 import pytest
 
-from adlc import staging
+from adlc import ir
 from adlc.emit import emit_c
 from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, random_program
+from adlc.ir import (
+    REAL, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRError, IRFunction,
+    IRProgram, Jump, RetReal, Return, TapePush, ir_cell_op_count, ir_stmt_count, verify,
+)
 from adlc.ir_eval import DEFAULT_DEPTH_LIMIT, IREvalError, _compiled_tier, interpret, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.reverse import grad_reverse
 from adlc.runtime import grad_tape_expr
 from adlc.staging import (
-    REAL, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRError, IRFunction,
-    IRProgram, Jump, RetReal, Return, StagingError, TapePush, TreeData,
-    ir_cell_op_count, ir_stmt_count, parse_tree, stage_reverse, stage_tree, tree_to_expr,
-    verify,
+    StagingError, TreeData, parse_tree, stage_reverse, stage_tree, tree_to_expr,
 )
 from adlc.syntax import Add, App, Const, Greater, If, Lam, Let, Letrec, Mul, Var, parse
 from fuzz import FEATURE_CASES, FUZZ, fuzz_programs
@@ -1061,14 +1062,14 @@ def _looping_programs() -> dict:
 LOOPING_PROGRAMS = _looping_programs()
 
 
-@pytest.mark.parametrize("part", [*staging.STMTS, *staging.OPS],
+@pytest.mark.parametrize("part", [*ir.STMTS, *ir.OPS],
                          ids=lambda part: getattr(part, "__name__", part))
 def test_every_statement_and_op_runs_alike_on_both_tiers(part):
     # each statement class and each op, in a program that loops or
     # recurses, so ir_eval runs it on the compiled tier: the same bits as
     # the interpreter, or the same error, at every depth limit
     p = LOOPING_PROGRAMS[part]
-    assert part in {x for fn in p.functions.values() for s in staging.walk(fn.body)
+    assert part in {x for fn in p.functions.values() for s in ir.walk(fn.body)
                     for x in (type(s), getattr(s, "op", None))}
     assert _compiled(p)
     rng = random.Random(31)
@@ -1085,13 +1086,13 @@ def test_each_program_is_verified_once(monkeypatch):
     # both executors and emit_c walk each function once between them; the
     # optimized copy that dataclasses.replace makes starts unverified
     walked = []
-    body = staging._verify_body
+    body = ir._verify_body
 
     def counting(fn, *rest):
         walked.append(fn)
         return body(fn, *rest)
 
-    monkeypatch.setattr(staging, "_verify_body", counting)
+    monkeypatch.setattr(ir, "_verify_body", counting)
     p = stage_reverse(WHILE_EXAMPLE)
     q = ir_optimize(p)
     for prog in (p, q):
@@ -1104,16 +1105,29 @@ def test_each_program_is_verified_once(monkeypatch):
 
 
 def test_deeply_nested_conds_verify_and_run():
-    # verify and the translator walk the IR with explicit stacks, so an
-    # entry of 10^4 nested Conds needs no Python stack to verify or to run
+    # verify, the interpreter and emit_c walk the IR with explicit stacks,
+    # so an entry of 10^4 nested Conds needs no Python stack to verify or to
+    # run, and one of 10^3 none to emit within 100 frames of this test's
+    # own (the emitted text grows as the square of the depth, two spaces of
+    # indent per level: 10^4 levels would print about 500 MB)
     body = [Return("in")]
     for i in range(10_000):
         body = [Bind(f"g{i}", "greater", ("in", float(-i))),
                 Cond(f"g{i}", body, [Return(float(i))])]
+        if i == 999:
+            shallow = _entry(*body)
     p = _entry(*body)
     assert verify(p) == {"snippet": "val"}
     for run in (ir_eval, interpret):
         assert [run(p, x) for x in (1.5, -0.5, -2.5)] == [1.5, 0.0, 2.0]
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames_in_use() + 100)
+    try:
+        text = emit_c(shallow)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert text.count("if (g") == text.count("} else {") == 1000
+    assert "\n" + "  " * 1001 + "return in;\n" in text
 
 
 def test_compiled_tier_takes_only_programs_that_loop_or_recurse():
@@ -1328,7 +1342,10 @@ def test_emitted_code_compiles_and_runs(tmp_path):
                                     Cond("g", [Bind("m", "add", ("n", -1.0)),
                                                Jump("loop", ("b", "a", "m", "d"))],
                                          [CellSet("d", "a")])])),
-              (1.0, -0.5), None)]
+              (1.0, -0.5), None),
+             # a guard that is a bool literal prints as C++
+             ("literal_guard", _entry(Cond(True, [Return("in")], [Return(0.0)])),
+              (1.5, -0.5), None)]
     for i, name in enumerate(sorted(LOOP_COMPOSITES)):
         cases.append((f"opt{i}", ir_optimize(stage_reverse(parse(LOOP_COMPOSITES[name]))),
                       (8.0, 37.5, 0.3, 0.5, 100.0, 3.0), None))
