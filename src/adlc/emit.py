@@ -20,7 +20,7 @@ C++ call per tree level, and its backward work runs from the tape.
 
 The preludes need no standard header and appear only in programs that use
 them.  Recursive functions are declared up front.  Output is stable across
-runs: two-space indent, LF line endings.
+runs: two-space indent, at most MAX_INDENT levels deep, LF line endings.
 
 `emit_c` runs `ir.verify` on its input, which raises `IRError` on any
 program it could not emit, and takes each function's return type from it.
@@ -38,6 +38,7 @@ from .syntax import fmt_float
 _TYPES = {"val": "double", "cell": "double&", "tree": "Tree", "bool": "bool"}
 _RETURNS = {"val": "double", REAL: "real", None: "void"}
 _REAL = "struct real { double x; double* d; };\n"
+MAX_INDENT = 32  # levels: deeper Conds print at this indent, so text grows linearly
 
 # The record array grows by doubling; the arena grows by 4096-cell chunks
 # that never move.  g++ and clang know the __builtin_ allocation functions
@@ -186,7 +187,7 @@ class _Emitter:
         work = ends + [(1 + jumps, s) for s in reversed(fn.body)]
         while work:
             indent, s = work.pop()
-            pad = "  " * indent
+            pad = "  " * min(indent, MAX_INDENT)
             match s:
                 case str():
                     line(s)

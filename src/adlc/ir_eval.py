@@ -357,15 +357,19 @@ def _compile(prog: IRProgram):
         return None
     names = {name: i for i, name in enumerate(order)}  # the entry is last
     pushed = records(prog.functions)
+    # f<i> for the entry and what a Call or Jump names, r<i> for a record
+    called = {prog.entry} | {s.target for name in order for s in walk(prog.functions[name].body)
+                             if type(s) in (Call, Jump)}
     consts: dict = {}
     src = ["def make(limit, args):", "    cells = []", "    tape = []",
            "    top = limit - 2"]
     made = []
     for name in order:
-        for record in (False, True) if name in pushed else (False,):
-            made.append(f"{'r' if record else 'f'}{names[name]}")
-            src += ["    " + line
-                    for line in _source(name, prog.functions[name], names, consts, record)]
+        for record in (False, True):
+            if name in (pushed if record else called):
+                made.append(f"{'r' if record else 'f'}{names[name]}")
+                src += ["    " + line
+                        for line in _source(name, prog.functions[name], names, consts, record)]
     src += ["    try:", f"        return f{len(order) - 1}(*args, 0, 1)",
             "    finally:  # no reference cycle outlives the run",
             f"        cells = tape = {' = '.join(made)} = None"]

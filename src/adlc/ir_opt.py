@@ -4,6 +4,9 @@ propagation, cell forwarding, dead code elimination.
 Cell forwarding (turning set/accumulate/read sequences into pure binds) runs
 only in straight-line functions on cells that never escape, where the whole
 lifetime is visible; everything else gets the conservative treatment.
+`_Folder.rewrite` holds every rewrite, for a Bind and for an accumulate
+into a forwarded cell alike, so -0.0 accumulated into a 0.0 cell gives
+0.0, as running it does.  Both passes walk blocks from explicit stacks.
 Of the algebraic rules, x+x = 2*x is exact; 0+x, 0*x and 1*x are not at
 every input.  At x = inf, -inf and nan the staged gradient of
 (lam x (* 0.0 (* x x))) is nan unoptimized and 0.0 optimized, and at
@@ -36,126 +39,126 @@ def _read_cells(prog: IRProgram) -> set:
                                    for s in walk(fn.body) if isinstance(s, CellRead)}
 
 
+def _forget(cells: dict) -> None:
+    """Make the value of every non-local cell unknown: a Cond's branch or a
+    callee may have written it."""
+    for c, (_, local) in cells.items():
+        if not local:
+            cells[c] = (_UNKNOWN, False)
+
+
 class _Folder:
     def __init__(self, fn: IRFunction, escaping: set, counter: list):
-        self.env: dict = {}
+        self.env: dict = {}  # folded symbol -> its value, stored resolved
         self.counter = counter
         self.straight = not _has_control(fn.body)
         self.escaping = escaping
         self.changed = False
 
     def resolve(self, o):
-        while isinstance(o, str) and o in self.env:
-            o = self.env[o]
-        return o
+        return self.env.get(o, o)
 
     def fresh(self) -> str:
         self.counter[0] += 1
         return f"o{self.counter[0]}"
 
-    def fold_block(self, block: list, cells: dict) -> list:
-        out: list = []
-        for s in block:
-            cls = type(s)
-            if cls is Bind:
-                self._bind(s, out)
-            elif cls is CellNew:
-                init = self.resolve(s.init)
-                local = self.straight and s.dest not in self.escaping
-                cells[s.dest] = (init, local)
-                if local:
-                    self.changed = True
-                else:
-                    out.append(CellNew(s.dest, init))
-            elif cls is CellSet:
-                v = self.resolve(s.value)
-                state = cells.get(s.cell)
-                if state is not None and state[1]:
-                    cells[s.cell] = (v, True)
-                    self.changed = True
-                else:
-                    cells[s.cell] = (v, False)
-                    out.append(map_operands(s, self.resolve))
-            elif cls is CellAccum:
-                v = self.resolve(s.value)
-                state = cells.get(s.cell)
-                if state is not None and state[1]:
-                    cur = state[0]
-                    if cur == 0.0 and isinstance(cur, float):
-                        cells[s.cell] = (v, True)
+    def fold(self, body: list) -> list:
+        """The folded body, walked from a stack of frames (the rest of a
+        block, its output, its cells), so nesting costs no Python stack.  A
+        Cond on a literal guard continues in place; each branch of any
+        other folds from a copy of the cells, the then-branch first."""
+        top: list = []
+        stack = [(iter(body), top, {})]
+        while stack:
+            frame = rest, out, cells = stack.pop()
+            for s in rest:
+                cls = type(s)
+                if cls is Bind:
+                    v = self.rewrite(s.op, tuple(map(self.resolve, s.args)), out, s.dest)
+                    if v is not s.dest:
+                        self.env[s.dest] = v
+                elif cls is CellNew:
+                    init = self.resolve(s.init)
+                    local = self.straight and s.dest not in self.escaping
+                    cells[s.dest] = (init, local)
+                    if local:
+                        self.changed = True
                     else:
-                        summed = self._emit_add(cur, v, out)
-                        cells[s.cell] = (summed, True)
-                    self.changed = True
+                        out.append(CellNew(s.dest, init))
+                elif cls is CellSet:
+                    v = self.resolve(s.value)
+                    state = cells.get(s.cell)
+                    if state is not None and state[1]:
+                        cells[s.cell] = (v, True)
+                        self.changed = True
+                    else:
+                        cells[s.cell] = (v, False)
+                        out.append(map_operands(s, self.resolve))
+                elif cls is CellAccum:
+                    v = self.resolve(s.value)
+                    state = cells.get(s.cell)
+                    if state is not None and state[1]:
+                        cells[s.cell] = (self.rewrite("add", (state[0], v), out), True)
+                        self.changed = True
+                    else:
+                        if state is not None:
+                            cells[s.cell] = (_UNKNOWN, False)
+                        out.append(map_operands(s, self.resolve))
+                elif cls is CellRead:
+                    state = cells.get(s.cell)
+                    if state is not None and state[0] is not _UNKNOWN:
+                        self.env[s.dest] = state[0]
+                        self.changed = True
+                    else:
+                        out.append(map_operands(s, self.resolve))
+                elif cls is Cond:
+                    stack.append(frame)
+                    g = self.resolve(s.guard)
+                    if isinstance(g, bool):
+                        stack.append((iter(s.then if g else s.orelse), out, cells))
+                        self.changed = True
+                    else:
+                        then, orelse = [], []
+                        stack.append((iter(s.orelse), orelse, dict(cells)))
+                        stack.append((iter(s.then), then, dict(cells)))
+                        _forget(cells)
+                        out.append(Cond(g, then, orelse))
+                    break
                 else:
-                    if state is not None:
-                        cells[s.cell] = (_UNKNOWN, False)
+                    if cls is Call:
+                        _forget(cells)
                     out.append(map_operands(s, self.resolve))
-            elif cls is CellRead:
-                state = cells.get(s.cell)
-                if state is not None and state[0] is not _UNKNOWN:
-                    self.env[s.dest] = state[0]
-                    self.changed = True
-                else:
-                    out.append(map_operands(s, self.resolve))
-            elif cls is Cond:
-                g = self.resolve(s.guard)
-                if isinstance(g, bool):
-                    out.extend(self.fold_block(s.then if g else s.orelse, cells))
-                    self.changed = True
-                    continue
-                then = self.fold_block(s.then, dict(cells))
-                orelse = self.fold_block(s.orelse, dict(cells))
-                for c in cells:
-                    if not cells[c][1]:
-                        cells[c] = (_UNKNOWN, False)
-                out.append(Cond(g, then, orelse))
-            else:
-                if cls is Call:
-                    for c in cells:
-                        if not cells[c][1]:
-                            cells[c] = (_UNKNOWN, False)
-                out.append(map_operands(s, self.resolve))
-        return out
+        return top
 
-    def _emit_add(self, a, b, out: list):
+    def rewrite(self, op: str, args: tuple, out: list, dest=None):
+        """The value of op on the resolved args, and the one home of the
+        rewrites: literals fold through OPS, 0+x, x+0, 1*x and x*1 give x,
+        0*x gives 0 and x+x becomes 2*x.  When it cannot fold, a Bind of
+        dest (a fresh symbol if None) goes to out, and the value is its
+        symbol."""
+        a, b = args[0], args[-1]  # every op takes one or two operands
         if isinstance(a, float) and isinstance(b, float):
-            return a + b
-        if isinstance(a, float) and a == 0.0:
-            return b
-        if isinstance(b, float) and b == 0.0:
-            return a
-        if a == b:
-            d = self.fresh()
-            out.append(Bind(d, "mul", (2.0, a)))
-            return d
-        d = self.fresh()
-        out.append(Bind(d, "add", (a, b)))
-        return d
-
-    def _bind(self, s: Bind, out: list) -> None:
-        args = tuple(self.resolve(a) for a in s.args)
-        op = s.op
-        if all(isinstance(a, float) for a in args):
-            self.env[s.dest] = OPS[op][1](*args)
-        elif op == "add" and args[0] == 0.0 and isinstance(args[0], float):
-            self.env[s.dest] = args[1]
-        elif op == "add" and args[1] == 0.0 and isinstance(args[1], float):
-            self.env[s.dest] = args[0]
-        elif op == "add" and args[0] == args[1] and isinstance(args[0], str):
-            out.append(Bind(s.dest, "mul", (2.0, args[0])))
-            self.changed = True
-            return
-        elif op == "mul" and args[0] == 1.0 and isinstance(args[0], float):
-            self.env[s.dest] = args[1]
-        elif op == "mul" and args[1] == 1.0 and isinstance(args[1], float):
-            self.env[s.dest] = args[0]
-        elif op == "mul" and 0.0 in [a for a in args if isinstance(a, float)]:
-            self.env[s.dest] = 0.0
+            v = OPS[op][1](*args)
+        elif op == "add" and a == 0.0 and isinstance(a, float):
+            v = b
+        elif op == "add" and b == 0.0 and isinstance(b, float):
+            v = a
+        elif op == "mul" and a == 1.0 and isinstance(a, float):
+            v = b
+        elif op == "mul" and b == 1.0 and isinstance(b, float):
+            v = a
+        elif op == "mul" and 0.0 in [x for x in args if isinstance(x, float)]:
+            v = 0.0
         else:
-            out.append(Bind(s.dest, op, args))
-            return
+            v = self.fresh() if dest is None else dest
+            if op == "add" and a == b and isinstance(a, str):
+                out.append(Bind(v, "mul", (2.0, a)))
+                self.changed = True
+            else:
+                out.append(Bind(v, op, args))
+            return v
         self.changed = True
+        return v
 
 
 def _fold(prog: IRProgram, counter: list) -> bool:
@@ -163,23 +166,26 @@ def _fold(prog: IRProgram, counter: list) -> bool:
     changed = False
     for fn in prog.functions.values():
         f = _Folder(fn, escaping, counter)
-        fn.body = f.fold_block(fn.body, {})
+        fn.body = f.fold(fn.body)
         changed |= f.changed
     return changed
 
 
 def _dce_function(fn: IRFunction, read_cells: set) -> bool:
+    """Drop fn's dead statements, each block walked backwards from a stack
+    of frames (the rest of a block, its output reversed, the symbols live
+    after it).  Below a Cond's two branch frames, a pending entry keeps the
+    Cond when a branch kept a statement.  Whether any went."""
     changed = False
     # writes through cell parameters always matter: the caller's reads are
     # not visible from here
     param_cells = {p for p, k in fn.params if k == "cell"}
-
-    def walk(block: list, live: set) -> list:
-        nonlocal changed
-        out: list = []
-        for s in reversed(block):
+    body: list = []
+    stack: list = [(reversed(fn.body), body, set())]
+    while stack:
+        frame = rest, out, live = stack.pop()
+        for s in rest:
             cls = type(s)
-            keep = True
             if cls is Bind or cls is CellRead:
                 keep = s.dest in live
             elif cls is CellNew:
@@ -187,14 +193,18 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
             elif cls in (CellAccum, CellSet):
                 keep = s.cell in read_cells or s.cell in param_cells or s.cell in live
             elif cls is Cond:
-                then_live, orelse_live = set(live), set(live)
-                then = walk(s.then, then_live)
-                orelse = walk(s.orelse, orelse_live)
+                then, orelse, then_live, orelse_live = [], [], set(live), set(live)
+                pending = iter([(s.guard, then, orelse, then_live, orelse_live)])
+                stack += [frame, (pending, out, live), (reversed(s.orelse), orelse, orelse_live),
+                          (reversed(s.then), then, then_live)]
+                break
+            elif cls is tuple:  # a pending Cond, its branches walked
+                guard, then, orelse, then_live, orelse_live = s
                 live |= then_live | orelse_live
-                if not then and not orelse:
-                    keep = False
-                else:
-                    s = Cond(s.guard, then, orelse)
+                keep = bool(then or orelse)
+                s = Cond(guard, then[::-1], orelse[::-1])
+            else:
+                keep = True
             if not keep:
                 changed = True
                 continue
@@ -202,10 +212,7 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
                 if isinstance(o, str):
                     live.add(o)
             out.append(s)
-        out.reverse()
-        return out
-
-    fn.body = walk(fn.body, set())
+    fn.body = body[::-1]
     return changed
 
 

@@ -12,7 +12,7 @@ from functools import partial
 import pytest
 
 from adlc import ir
-from adlc.emit import emit_c
+from adlc.emit import MAX_INDENT, emit_c
 from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, random_program
 from adlc.ir import (
     REAL, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRError, IRFunction,
@@ -27,7 +27,7 @@ from adlc.staging import (
 )
 from adlc.syntax import Add, App, Const, Greater, If, Lam, Let, Letrec, Mul, Var, parse
 from fuzz import FEATURE_CASES, FUZZ, fuzz_programs
-from scaling import frames_in_use, seeded_chain, sequential_ifs
+from scaling import frames_in_use, nested_conds, seeded_chain, sequential_ifs
 
 SQUARE = parse("(lam x (* x x))")
 IF_EXAMPLE = parse("(lam x (if (> x 0.0) (* (* -1.0 x) x) (* x x)))")
@@ -526,12 +526,13 @@ def test_optimize_sound_at_random_probes():
     spec = CorpusSpec(count=15)
     cases = [(stage_reverse(random_program(spec, i)), None) for i in range(spec.count)]
     cases += [(stage_reverse(IF_EXAMPLE), None), (stage_reverse(WHILE_EXAMPLE), None),
-              (stage_tree(TREE_BODY), parse_tree("(node 2.0 (node 0.5 (leaf) (leaf)) (leaf))"))]
+              (stage_tree(TREE_BODY), parse_tree("(node 2.0 (node 0.5 (leaf) (leaf)) (leaf))")),
+              (stage_reverse(parse("(lam x (* x -0.0))")), None)]
     for p, tree in cases:
         po = ir_optimize(p)
         for _ in range(20):
             x = rng.uniform(-4.0, 4.0)
-            assert ir_eval(p, x, tree=tree) == ir_eval(po, x, tree=tree)
+            assert ir_eval(p, x, tree=tree).hex() == ir_eval(po, x, tree=tree).hex()
 
 
 def _entry(*body, **fns) -> IRProgram:
@@ -567,12 +568,16 @@ def test_literal_fold_matches_ir_eval_bitwise(op):
     for a in LITERALS:
         for b in LITERALS:
             if op == "greater":
-                p = _entry(Bind("g", op, (a, b)), Cond("g", [Return(1.0)], [Return(0.0)]))
+                progs = [_entry(Bind("g", op, (a, b)), Cond("g", [Return(1.0)], [Return(0.0)]))]
             else:
-                p = _entry(Bind("r", op, (a, b)), Return("r"))
-            po = ir_optimize(p)
-            assert not any(isinstance(s, (Bind, Cond)) for s in _all_stmts(po))
-            assert ir_eval(po, 0.0).hex() == ir_eval(p, 0.0).hex()
+                progs = [_entry(Bind("r", op, (a, b)), Return("r"))]
+            if op == "add":  # an accumulate into a cell the optimizer forwards
+                progs.append(_entry(CellNew("c", a), CellAccum("c", b), CellRead("r", "c"),
+                                    Return("r")))
+            for p in progs:
+                po = ir_optimize(p)
+                assert not any(isinstance(s, (Bind, Cond)) for s in _all_stmts(po))
+                assert ir_eval(po, 0.0).hex() == ir_eval(p, 0.0).hex(), (a, b)
 
 
 def test_ir_eval_op_errors():
@@ -1105,29 +1110,61 @@ def test_each_program_is_verified_once(monkeypatch):
 
 
 def test_deeply_nested_conds_verify_and_run():
-    # verify, the interpreter and emit_c walk the IR with explicit stacks,
-    # so an entry of 10^4 nested Conds needs no Python stack to verify or to
-    # run, and one of 10^3 none to emit within 100 frames of this test's
-    # own (the emitted text grows as the square of the depth, two spaces of
-    # indent per level: 10^4 levels would print about 500 MB)
-    body = [Return("in")]
-    for i in range(10_000):
-        body = [Bind(f"g{i}", "greater", ("in", float(-i))),
-                Cond(f"g{i}", body, [Return(float(i))])]
-        if i == 999:
-            shallow = _entry(*body)
-    p = _entry(*body)
-    assert verify(p) == {"snippet": "val"}
-    for run in (ir_eval, interpret):
-        assert [run(p, x) for x in (1.5, -0.5, -2.5)] == [1.5, 0.0, 2.0]
+    # verify, ir_optimize, the interpreter and emit_c walk the IR with
+    # explicit stacks, so an entry of 10^4 nested Conds needs no Python
+    # stack to verify, optimize, run or emit within 100 frames of this
+    # test's own; past MAX_INDENT levels the emitted lines indent no
+    # further, so the text grows linearly with the depth
+    depth = 10_000
+    p = nested_conds(depth)
+    assert verify(p) == {"entry": "val"}
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(frames_in_use() + 100)
     try:
-        text = emit_c(shallow)
+        q = ir_optimize(p)
+        text = emit_c(p)
     finally:
         sys.setrecursionlimit(saved)
-    assert text.count("if (g") == text.count("} else {") == 1000
-    assert "\n" + "  " * 1001 + "return in;\n" in text
+    for run in (ir_eval, interpret):
+        for prog in (p, q):
+            got = [run(prog, x).hex() for x in (1.5, -0.5, -2.5)]
+            assert got == [1.5.hex(), 0.0.hex(), 2.0.hex()]
+    assert text.count("if (g") == text.count("} else {") == depth
+    assert "\n" + "  " * MAX_INDENT + "return in;\n" in text
+    lines = text.splitlines()
+    assert len(lines) < 5 * depth + 20 and max(map(len, lines)) < 2 * MAX_INDENT + 40
+
+
+def test_compiled_tier_defines_only_the_functions_that_run():
+    # the generated code defines f<i> for the entry and for what a Call or a
+    # Jump names, and r<i> for each record; a record-only function (a
+    # loop's backward segment, a fold's) gets no f<i>, which nothing calls
+    def defined_and_ran(q, runs) -> tuple:
+        ran = set()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith("<ir_eval"):
+                ran.add(frame.f_code.co_name)
+
+        saved = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for x, tree in runs:
+                ir_eval(q, x, tree=tree)
+        finally:
+            sys.setprofile(saved)
+        defined = {c.co_name for c in _compiled_tier(q).__code__.co_consts
+                   if hasattr(c, "co_name")}
+        return defined, ran - {"<module>", "make"}
+
+    loops = [stage_reverse(f) for f in COMPILED_LOOPS.values()]
+    folds = [stage_tree(body) for body in FOLD_BODIES.values()]
+    tree = _pow2_tree(random.Random(5), 3)
+    for p, runs in [*((p, [(x, None) for x in DEFAULT_PROBES + (7.5, 300.0)]) for p in loops),
+                    *((p, [(x, tree) for x in (1.0, -1.0)]) for p in folds)]:
+        for q in (p, ir_optimize(p)):
+            defined, ran = defined_and_ran(q, runs)
+            assert defined == ran and any(n[0] == "r" for n in ran), (defined, ran)
 
 
 def test_compiled_tier_takes_only_programs_that_loop_or_recurse():

@@ -30,6 +30,19 @@ with a value live across all of them (`sequential_ifs`; n = 250, 500,
   ms      the least wall time of 3 builds
   x2      ms(n) / ms(n/2): a linear staging reads about 2
 
+Then ir_optimize alone, on programs staged once per size: the let chains
+above (n = 25 to 800 ops), `sequential_ifs` (n = 250 to 4000) and an entry
+of n nested Conds built as IR (`nested_conds`; n = 10^3 and 10^4).  The
+nested entries run at the recursion limit the process started with, so an
+optimizer that recurses once per Cond prints RecursionError there.  One row
+per program set and size:
+
+  calls   Python "call" events of one ir_optimize
+  x2      the calls ratio per doubling of n, from the row above: a pass
+          linear in program size reads about 2
+  ms      the least wall time of 3 runs
+  x2      the same ratio for ms
+
 Then each gradient program (forward, symbolic and the three reverse
 variants, built on the same chains) is run by each entry point,
 `eval_expr` of (app prog x) and `real_fn(prog)(x)`, at x = 1.0, one row per
@@ -140,8 +153,8 @@ recursion limit of its own process, and runs the builds on a thread with a
 larger stack; the header says both.  Standard library only; --root (default:
 the checkout this script lives in) puts that checkout's src/ first on
 sys.path, so two checkouts can be compared.  The tests import
-`seeded_chain`, `call_events` and `frames_in_use` from here, so they
-measure the same chains the same way.
+`seeded_chain`, `sequential_ifs`, `nested_conds`, `call_events` and
+`frames_in_use` from here, so they measure the same programs the same way.
 """
 
 from __future__ import annotations
@@ -167,6 +180,7 @@ STACK_BYTES = 512 * 2 ** 20
 SEED = 1
 SIZES = (25, 50, 100, 200, 400, 800)
 STAGED_IF_SIZES = (250, 500, 1000, 2000, 4000)
+NEST_DEPTHS = (1_000, 10_000)
 REPEAT = 3
 COUNTDOWN = ("(lam x (letrec f (lam t (if (> t 0.0) (app f (+ t -1.0)) t))"
              " (app f x)))")
@@ -228,6 +242,18 @@ def sequential_ifs(n: int):
         body = Let(f"y{t}", If(Greater(y, Const(0.5)), Mul(y, Const(1.01)),
                                Mul(y, Const(0.99))), body)
     return Lam("x", Let("a", Mul(Var("x"), Const(1.5)), body))
+
+
+def nested_conds(n: int):
+    """IR of an entry on `in` of n nested Conds, each on a guard of its
+    own: (in > -(n-1) ? ... (in > 0 ? in : 0) ... : n-1)."""
+    from adlc.ir import Bind, Cond, IRFunction, IRProgram, Return
+
+    body = [Return("in")]
+    for i in range(n):
+        body = [Bind(f"g{i}", "greater", ("in", float(-i))),
+                Cond(f"g{i}", body, [Return(float(i))])]
+    return IRProgram({"entry": IRFunction("entry", [("in", "val")], body)}, "entry")
 
 
 def transforms() -> dict:
@@ -353,6 +379,34 @@ def staged_if_rows():
         else:
             yield (str(n), f"{secs * 1e3:.1f}", _ratio(secs, prev))
         prev = secs
+
+
+def optimize_rows(start_limit: int):
+    """(programs, n, calls, calls x2, ms, ms x2) as printed cells, the
+    nested Conds at the recursion limit start_limit."""
+    from adlc.ir_opt import ir_optimize
+    from adlc.staging import stage_reverse
+
+    sets = (("chain", SIZES, lambda n: stage_reverse(seeded_chain(n))),
+            ("seq_ifs", STAGED_IF_SIZES, lambda n: stage_reverse(sequential_ifs(n))),
+            ("nested_conds", NEST_DEPTHS, nested_conds))
+    for name, sizes, make in sets:
+        prev_calls = prev_s = None
+        for n in sizes:
+            prog = make(n)
+            sys.setrecursionlimit(start_limit if make is nested_conds else RECURSION_LIMIT)
+            try:
+                calls = call_events(ir_optimize, prog)
+                secs = min_wall(ir_optimize, lambda: (prog,))
+            except Exception as ex:  # printed, not raised
+                prev_calls = prev_s = None
+                yield (name, str(n), type(ex).__name__, "-", "-", "-")
+            else:
+                yield (name, str(n), str(calls), _per_doubling(calls, n, prev_calls),
+                       f"{secs * 1e3:.2f}", _per_doubling(secs, n, prev_s))
+                prev_calls, prev_s = (n, calls), (n, secs)
+            finally:
+                sys.setrecursionlimit(RECURSION_LIMIT)
 
 
 def run_rows():
@@ -781,6 +835,11 @@ def main() -> None:
         print(f"{'transform':<14}{'n':>5}{'ms':>10}{'x2':>6}")
         for row in staged_if_rows():
             print("{:<14}{:>5}{:>10}{:>6}".format("stage_reverse", *row), flush=True)
+        print(f"# ir_optimize alone on programs staged once per size; wall time "
+              f"is the min of {REPEAT} runs; nested_conds at recursion limit {old}")
+        print(f"{'programs':<14}{'n':>6}{'calls':>16}{'x2':>6}{'ms':>10}{'x2':>6}")
+        for row in optimize_rows(old):
+            print("{:<14}{:>6}{:>16}{:>6}{:>10}{:>6}".format(*row), flush=True)
         print(f"# gradient programs run at x = {X}; wall time is the min of "
               f"{REPEAT} first calls (each on a program of its own) and of "
               f"{REPEAT} later calls")
