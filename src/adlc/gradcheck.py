@@ -102,17 +102,20 @@ def gradient_fn(f: Expr, mode: str) -> Callable[[float], float]:
 # Corpus generation
 
 
+# A corpus program has 1 to OPS_PER_PROGRAM ops.  Each operand is a constant
+# with probability P_CONST, the input x with P_INPUT, and otherwise (0.375)
+# a prior binding, or a constant while there is none.
+OPS_PER_PROGRAM = 12
+P_CONST = 0.25
+P_INPUT = 0.375
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Deterministic generator parameters: same spec, same corpus."""
 
     seed: int = 42
     count: int = 200
-    ops_per_program: int = 12
-    # parameter-choice distribution over constant / input x / prior binding
-    p_const: float = 0.25
-    p_input: float = 0.375
-    p_prior: float = 0.375
 
 
 def random_program(spec: CorpusSpec, index: int) -> Expr:
@@ -120,14 +123,14 @@ def random_program(spec: CorpusSpec, index: int) -> Expr:
     (spec.seed, index).  Constants keep magnitudes in [0.5, 2] so twelve-op
     product chains stay well away from overflow."""
     rng = random.Random(f"{spec.seed}:{index}")
-    n_ops = rng.randint(1, spec.ops_per_program)
+    n_ops = rng.randint(1, OPS_PER_PROGRAM)
     priors: list[str] = []
 
     def param() -> Expr:
         r = rng.random()
-        if r < spec.p_const or (r >= spec.p_const + spec.p_input and not priors):
+        if r < P_CONST or (r >= P_CONST + P_INPUT and not priors):
             return Const(rng.uniform(0.5, 2.0))
-        if r < spec.p_const + spec.p_input:
+        if r < P_CONST + P_INPUT:
             return Var("x")
         return Var(rng.choice(priors))
 

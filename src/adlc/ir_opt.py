@@ -175,7 +175,9 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
     """Drop fn's dead statements, each block walked backwards from a stack
     of frames (the rest of a block, its output reversed, the symbols live
     after it).  Below a Cond's two branch frames, a pending entry keeps the
-    Cond when a branch kept a statement.  Whether any went."""
+    Cond when a branch kept a statement.  A symbol leaves the live set at
+    its definition, so a Cond's branches hand up only symbols defined
+    above it, and the pass is linear in nesting depth.  Whether any went."""
     changed = False
     # writes through cell parameters always matter: the caller's reads are
     # not visible from here
@@ -188,8 +190,10 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
             cls = type(s)
             if cls is Bind or cls is CellRead:
                 keep = s.dest in live
+                live.discard(s.dest)
             elif cls is CellNew:
                 keep = s.dest in read_cells or s.dest in live
+                live.discard(s.dest)
             elif cls in (CellAccum, CellSet):
                 keep = s.cell in read_cells or s.cell in param_cells or s.cell in live
             elif cls is Cond:
@@ -205,6 +209,8 @@ def _dce_function(fn: IRFunction, read_cells: set) -> bool:
                 s = Cond(guard, then[::-1], orelse[::-1])
             else:
                 keep = True
+                if cls is Call:
+                    live.difference_update(s.results)
             if not keep:
                 changed = True
                 continue

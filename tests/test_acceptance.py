@@ -111,7 +111,7 @@ def test_criterion_4_control_flow():
 
 def test_criterion_5_corpus_crosscheck():
     t0 = time.perf_counter()
-    reports = crosscheck(CorpusSpec(seed=42, count=200, ops_per_program=12))
+    reports = crosscheck(CorpusSpec(seed=42, count=200))
     elapsed = time.perf_counter() - t0
     n_pass = sum(r.passed for r in reports)
     _report(5, f"corpus: {n_pass}/{len(reports)} cells pass ({elapsed:.1f}s)",
@@ -158,7 +158,7 @@ def _stmts(block):
 
 
 def test_criterion_6_structural_properties():
-    spec = CorpusSpec(seed=42, count=200, ops_per_program=12)
+    spec = CorpusSpec(seed=42, count=200)
     progs = [random_program(spec, i) for i in range(spec.count)]
     progs += [CUBIC, SQUARE, IF_EXAMPLE, WHILE_EXAMPLE]
 
@@ -214,7 +214,7 @@ def test_criterion_8_growth_bounds():
     from adlc.forward import fwd_transform, symbolic_diff
     from adlc.lang import anf, freshen
 
-    spec = CorpusSpec(seed=42, count=200, ops_per_program=12)
+    spec = CorpusSpec(seed=42, count=200)
     ok = True
     for i in range(spec.count):
         body = random_program(spec, i).body

@@ -51,8 +51,9 @@ def test_random_program_deterministic():
     assert random_program(spec, 3) != random_program(CorpusSpec(seed=8), 3)
 
 
-def test_random_program_single_op():
-    spec = CorpusSpec(seed=1, ops_per_program=1)
+def test_random_program_single_op(monkeypatch):
+    monkeypatch.setattr(gradcheck, "OPS_PER_PROGRAM", 1)
+    spec = CorpusSpec(seed=1)
     f = random_program(spec, 0)
     assert isinstance(f, Lam) and isinstance(f.body, Let)
     assert isinstance(f.body.body, Var)
@@ -67,9 +68,11 @@ def test_corpus_programs_evaluate_everywhere():
             assert math.isfinite(v)
 
 
-def test_constants_only_programs_have_zero_gradient():
+def test_constants_only_programs_have_zero_gradient(monkeypatch):
     # programs that never mention x differentiate to zero in every mode
-    spec = CorpusSpec(seed=3, count=40, p_const=1.0, p_input=0.0, p_prior=0.0)
+    monkeypatch.setattr(gradcheck, "P_CONST", 1.0)
+    monkeypatch.setattr(gradcheck, "P_INPUT", 0.0)
+    spec = CorpusSpec(seed=3, count=40)
     found = 0
     for i in range(10):
         f = random_program(spec, i)

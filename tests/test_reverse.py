@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 
+from adlc import gradcheck
 from adlc.forward import (
     TransformError, fwd_transform, grad_forward, grad_forward_tagged,
 )
@@ -273,9 +274,10 @@ def test_reverse_of_reverse_values():
     assert grad_reverse_of_reverse(SQUARE, 5.0) == 2.0
 
 
-def test_reverse_of_reverse_matches_tagged_on_corpus():
+def test_reverse_of_reverse_matches_tagged_on_corpus(monkeypatch):
     # reduced corpus: second-order composition squares the program size
-    spec = CorpusSpec(count=25, ops_per_program=8)
+    monkeypatch.setattr(gradcheck, "OPS_PER_PROGRAM", 8)
+    spec = CorpusSpec(count=25)
     from adlc.runtime import dual_fn
 
     for i in range(spec.count):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from adlc import gradcheck
 from adlc.gradcheck import (
     DEFAULT_PROBES, MODES, CorpusSpec, corpus, finite_diff, gradient_fn,
     primal_fn, random_program,
@@ -167,8 +168,9 @@ def test_forward_over_reverse_square_constant():
         assert grad_forward_over_reverse(sq, x) == 2.0
 
 
-def test_forward_over_reverse_matches_reverse_of_reverse():
-    spec = CorpusSpec(count=20, ops_per_program=8)
+def test_forward_over_reverse_matches_reverse_of_reverse(monkeypatch):
+    monkeypatch.setattr(gradcheck, "OPS_PER_PROGRAM", 8)
+    spec = CorpusSpec(count=20)
     for i in range(spec.count):
         f = random_program(spec, i)
         for x in (-1.5, 0.5, 1.5):
@@ -223,11 +225,12 @@ def _digest(mode, programs):
     return h.hexdigest()
 
 
-def test_translated_bridges_keep_every_bit():
+def test_translated_bridges_keep_every_bit(monkeypatch):
     programs = corpus(CorpusSpec(42)) + [SHADOWING]
     for mode, digest in BRIDGE_DIGESTS.items():
         assert _digest(mode, programs) == digest, mode
-    short = corpus(CorpusSpec(42, count=40, ops_per_program=8))
+    monkeypatch.setattr(gradcheck, "OPS_PER_PROGRAM", 8)
+    short = corpus(CorpusSpec(42, count=40))
     assert _digest("reverse2", short + [SHADOWING]) == REVERSE2_DIGEST
 
 

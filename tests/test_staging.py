@@ -6,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import partial
 
@@ -1133,6 +1134,28 @@ def test_deeply_nested_conds_verify_and_run():
     assert "\n" + "  " * MAX_INDENT + "return in;\n" in text
     lines = text.splitlines()
     assert len(lines) < 5 * depth + 20 and max(map(len, lines)) < 2 * MAX_INDENT + 40
+
+
+def test_optimize_is_linear_in_cond_nesting():
+    # DCE drops a symbol from the live set at its definition, so each
+    # Cond's branches hand up only the guard's input; were every symbol
+    # used below kept and merged at each level, 4x the depth would cost
+    # about 16x (18-27x measured), where linear reads 4-5.  The runs
+    # alternate, so a slow spell of the host hits both depths, and the
+    # cyclic collector is off: its passes scan whatever earlier tests left
+    # alive, which doubled the ratio in a full run
+    best = {n: float("inf") for n in (2_000, 8_000)}
+    progs = {n: nested_conds(n) for n in best}
+    gc.disable()
+    try:
+        for _ in range(3):
+            for n, p in progs.items():
+                t0 = time.perf_counter()
+                ir_optimize(p)
+                best[n] = min(best[n], time.perf_counter() - t0)
+    finally:
+        gc.enable()
+    assert best[8_000] < 10 * best[2_000], best
 
 
 def test_compiled_tier_defines_only_the_functions_that_run():

@@ -4,20 +4,39 @@ folds in ir_eval, and of the corpus cross-check grows with size.
 
     python3 tools/scaling.py [--root CHECKOUT]
 
+Each table below is one `Table` declaration in `tables` or `child_tables`:
+its title, its columns and its rows, which `print_table` prints.  Columns
+that recur:
+
+  calls   Python "call" events, counted with sys.setprofile;
+          deterministic, so the same on any host
+  x2      the ratio of the cost to its left per doubling of the size (n,
+          nodes or iterations), from the last row above that did not
+          fail: a cost linear in size reads about 2.  Time ratios are
+          noisy on a shared host, so read them beside the call ratios
+  min_s, ms, us/node
+          the least wall time of 3 calls or builds (perf_counter, no
+          profiler)
+  ns/iter, ns/node, rss_mb
+          in the child-process tables: the median wall time of 5
+          children's timed calls per iteration or node, and the largest
+          peak RSS (VmHWM) of those children
+  bits    a gradient's float.hex, plus "= compiled" or "= ir_eval" when it
+          matches the reference named below
+
+A build, call or child that fails prints its exception class in place of
+its numbers (a child that exits nonzero, RuntimeError).
+
 Transforms: forward, symbolic (forward.*_gradient_program), target-shift,
 meta-shift, full-cps (reverse_gradient_program) and stage_reverse, each on
 straight-line let chains of n ops (seed 1; sizes 25, 50, 100, 200, 400,
-800, each twice the last).  One row per transform and size:
+800, each twice the last).  One row per transform and size: calls and
+min_s of one build, each with its x2, and
 
-  calls   Python "call" events of one build, counted with sys.setprofile;
-          deterministic, so the same on any host
-  x2      calls(n) / calls(n/2): a linear transform reads about 2
-  min_s   the least wall time of 3 builds (perf_counter, no profiler)
-  x2      min_s(n) / min_s(n/2); noisy on a shared host, so read it beside
-          the call ratio and beside target-shift's as the linear reference
   B/node  bytes that tracemalloc sees held by one build's gradient program,
           once its input chain is gone, per node of that program; "-" for
-          stage_reverse, whose output is IR
+          stage_reverse, whose output is IR.  It moves by up to 9 between
+          runs of one checkout
 
 Every build, counted or timed, is on a chain of its own: `lang.prepare`
 keeps its result on its input node, so a build on a chain an earlier build
@@ -25,23 +44,14 @@ saw would skip that work.
 
 Then stage_reverse on n conditionals on staged guards, one after another,
 with a value live across all of them (`sequential_ifs`; n = 250, 500,
-1000, 2000, 4000), one row per size:
-
-  ms      the least wall time of 3 builds
-  x2      ms(n) / ms(n/2): a linear staging reads about 2
+1000, 2000, 4000): ms of a build and its x2, one row per size.
 
 Then ir_optimize alone, on programs staged once per size: the let chains
 above (n = 25 to 800 ops), `sequential_ifs` (n = 250 to 4000) and an entry
-of n nested Conds built as IR (`nested_conds`; n = 10^3 and 10^4).  The
-nested entries run at the recursion limit the process started with, so an
-optimizer that recurses once per Cond prints RecursionError there.  One row
-per program set and size:
-
-  calls   Python "call" events of one ir_optimize
-  x2      the calls ratio per doubling of n, from the row above: a pass
-          linear in program size reads about 2
-  ms      the least wall time of 3 runs
-  x2      the same ratio for ms
+of n nested Conds built as IR (`nested_conds`; n = 10^3 and 10^4): calls
+and ms of one run, each with its x2, one row per program set and size.
+The nested entries run at the recursion limit the process started with,
+so an optimizer that recurses once per Cond prints RecursionError there.
 
 Then each gradient program (forward, symbolic and the three reverse
 variants, built on the same chains) is run by each entry point,
@@ -63,28 +73,28 @@ run on the interpreter.  One row per program set and optimization:
   first_us  the mean over the programs of the least wall time of 3 first
             calls, each on a program staged afresh: verify, the compiled
             tier's check and the run
-  later_us  the mean over the programs of the least wall time of 3 later
-            calls on one program
+  later_us  the same mean for 3 later calls on one program
   x         first_us / later_us
 
 Then the optimized staged tree fold (ir_optimize of stage_tree), the fold
 (+ (* v l) (* r 0.75)) over a seeded full tree of depth d (2^d - 1 nodes,
-values in [0.25, 0.5]; d = 6 to 12, the same trees on both tiers), one row
-per tier and depth:
+values in [0.25, 0.5]; d = 6 to 12, the same trees on both tiers): us/node
+and min_s of a call and the x2 per doubling of nodes, one row per tier and
+depth:
 
   compiled  ir_eval: `rec` calls itself, so the fold runs as generated
             Python (ir_eval's compiled tier)
   interp    ir_eval.interpret on the same program and tree
-  us/node   the least wall time of 3 calls per node
-  x2        the call's time ratio per doubling of nodes, from the row
-            above: a cost linear in size reads about 2
 
 Then two loops, optimized, each call in a fresh child process, so that
 every size pays for its own memory: the countdown (lam x (letrec f ...
 (app f (+ t -1.0)) ...)) at 10^3, 10^4, 10^5 and 10^6 iterations, and
 op-before-if, whose body adds before its conditional (let u (+ t -0.5) (if
 (> u 0.0) (app f (+ u -0.5)) u)), so each iteration pushes two records, at
-10^3, 10^4 and 10^5 iterations (x = n for both); one row per loop,
+10^3, 10^4 and 10^5 iterations (x = n for both).  Each child first runs one
+iteration, so verify and the compiled tier (or the lazy binding of the
+allocator) are outside the timed call.  ns/iter, x2, rss_mb and bits
+(against the compiled row of that loop and size), one row per loop,
 backend and size:
 
   compiled  ir_eval, depth limit 2n, in a Python child: a program that
@@ -93,28 +103,13 @@ backend and size:
             interpreter, which runs every straight-line program
   c++       emit_c of the same IR built with g++ -O2 (skipped without g++),
             run under a 1 GiB address-space limit with the default stack
-  ns/iter   the median wall time of 5 children's timed calls, per
-            iteration; each child first runs one iteration, so verify
-            and the compiled tier (or the lazy binding of the allocator)
-            are outside the timed call
-  x2        the time ratio per doubling of iterations, from the row above:
-            a cost linear in iterations reads about 2
-  rss_mb    the largest peak RSS (VmHWM) of those children
-  bits      the gradient's float.hex; interp and c++ rows add
-            "= compiled" when the bits match the compiled row of that
-            loop and size
 
 Then the same fold (optimized) as emitted C++, built with g++ -O2 (skipped
 without g++) and run on seeded full trees of depth 12, 14 and 16 (up to
 65,535 nodes), each call in a fresh child under the 1 GiB address-space
 limit with the default stack; the child reads the tree from a file, runs
-one warm-up call and times a second:
-
-  ns/node   the median wall time of 5 children's timed calls, per node
-  x2        the time ratio per doubling of nodes, from the row above
-  rss_mb    the largest peak RSS (VmHWM) of those children
-  bits      the gradient's float.hex, plus "= ir_eval" when it matches
-            ir_eval's on the same tree
+one warm-up call and times a second: ns/node, x2, rss_mb and bits
+(against ir_eval on the same tree).
 
 Then the countdown at 10^5 iterations and the default depth limit, once per
 tier: both stop with the same limit error, which the row prints.
@@ -124,12 +119,9 @@ runs again on the interpreter, in a fresh child process at Python's default
 recursion limit: the optimized join-before-self-call loop (its `loop` and
 `k` jump to each other every iteration, one Python frame each on the
 compiled tier) at x = 1e200 and 1e300, and the optimized fold above on a
-3,000-node path tree (each node the left child of the one above); one row
-per program and tier:
-
-  ms        the least wall time of 3 calls, after one warm-up call
-  bits      the result's float.hex, plus "= compiled" on the interp row
-            when it matches
+3,000-node path tree (each node the left child of the one above).  One row
+per program and tier: ms of a call after one warm-up call, and bits (the
+interp row against the compiled one).
 
 Then crosscheck(CorpusSpec(42)) at 50, 100 and 200 programs, each size in
 a fresh child process that runs 3 passes (crosscheck checks the programs
@@ -146,8 +138,6 @@ in forked workers, one per usable CPU):
            ru_maxrss); a forked worker's peak counts the pages it shares
            with the process that forked it
 
-A build or call that raises prints its exception class in place of its
-numbers.
 The CPS translators nest Python frames per let, so the script raises the
 recursion limit of its own process, and runs the builds on a thread with a
 larger stack; the header says both.  Standard library only; --root (default:
@@ -173,7 +163,9 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from collections.abc import Callable, Iterable
 from functools import partial
+from typing import NamedTuple
 
 RECURSION_LIMIT = 100_000
 STACK_BYTES = 512 * 2 ** 20
@@ -315,16 +307,17 @@ def min_wall(run, make_args=tuple) -> float:
     return best
 
 
-def _ratio(a, b) -> str:
-    return "-" if a is None or b is None else f"{a / b:.2f}"
-
-
-def _per_doubling(secs: float, units: int, prev) -> str:
-    """The time ratio per doubling of units from prev, (units, secs) of
-    the row above or None."""
+def _per_doubling(value: float, units: int, prev) -> str:
+    """value's ratio per doubling of units from prev, (units, value) of the
+    row above or None."""
     if prev is None:
         return "-"
-    return f"{(secs / prev[1]) ** (math.log(2) / math.log(units / prev[0])):.2f}"
+    return f"{(value / prev[1]) ** (math.log(2) / math.log(units / prev[0])):.2f}"
+
+
+def _failed(keys: tuple, ex: BaseException, width: int) -> tuple:
+    """A row of width cells: keys, then ex's class in place of the numbers."""
+    return (*keys, type(ex).__name__) + ("-",) * (width - len(keys) - 1)
 
 
 def held_bytes_per_node(build, n: int) -> str:
@@ -346,72 +339,73 @@ def held_bytes_per_node(build, n: int) -> str:
     return f"{held / node_count(out):.0f}" if isinstance(out, Expr) else "-"
 
 
-def rows():
-    """(transform, n, calls, calls x2, min_s, min_s x2, B/node) as printed
-    cells."""
-    for name, build in transforms().items():
-        prev_calls = prev_s = None
-        for n in SIZES:
-            try:
-                calls = call_events(build, seeded_chain(n))
-                secs = min_wall(build, lambda: (seeded_chain(n),))
-                per_node = held_bytes_per_node(build, n)
-            except Exception as ex:  # printed, not raised
-                calls = secs = None
-                yield (name, str(n), type(ex).__name__, "-", "-", "-", "-")
+def _sized_rows(keys: tuple, sizes: dict, measure, width: int):
+    """A row of width cells per size (sizes: size -> units): keys, the size
+    and measure(size)'s cells, of which a (cost, text) pair prints text and
+    then the cost's x2 from the row above; the exception's class in place
+    of the numbers when measure raises."""
+    prev: dict = {}
+    for size, units in sizes.items():
+        try:
+            cells = measure(size)
+        except Exception as ex:  # printed, not raised
+            yield _failed((*keys, str(size)), ex, width)
+            continue
+        row = [*keys, str(size)]
+        for i, cell in enumerate(cells):
+            if isinstance(cell, tuple):
+                row += [cell[1], _per_doubling(cell[0], units, prev.get(i))]
+                prev[i] = units, cell[0]
             else:
-                yield (name, str(n), str(calls), _ratio(calls, prev_calls),
-                       f"{secs:.4f}", _ratio(secs, prev_s), per_node)
-            prev_calls, prev_s = calls, secs
+                row.append(cell)
+        yield tuple(row)
+
+
+def transform_rows():
+    for name, build in transforms().items():
+        def measure(n):
+            calls = call_events(build, seeded_chain(n))
+            secs = min_wall(build, lambda: (seeded_chain(n),))
+            return (calls, str(calls)), (secs, f"{secs:.4f}"), held_bytes_per_node(build, n)
+
+        yield from _sized_rows((name,), {n: n for n in SIZES}, measure, 7)
 
 
 def staged_if_rows():
-    """(n, ms, ms x2) as printed cells."""
     from adlc.staging import stage_reverse
 
-    prev = None
-    for n in STAGED_IF_SIZES:
-        try:
-            secs = min_wall(stage_reverse, lambda: (sequential_ifs(n),))
-        except Exception as ex:  # printed, not raised
-            secs = None
-            yield (str(n), type(ex).__name__, "-")
-        else:
-            yield (str(n), f"{secs * 1e3:.1f}", _ratio(secs, prev))
-        prev = secs
+    def measure(n):
+        secs = min_wall(stage_reverse, lambda: (sequential_ifs(n),))
+        return [(secs, f"{secs * 1e3:.1f}")]
+
+    return _sized_rows(("stage_reverse",), {n: n for n in STAGED_IF_SIZES}, measure, 4)
 
 
 def optimize_rows(start_limit: int):
-    """(programs, n, calls, calls x2, ms, ms x2) as printed cells, the
-    nested Conds at the recursion limit start_limit."""
+    """The nested Conds run at the recursion limit start_limit, the rest at
+    the limit this is called at."""
     from adlc.ir_opt import ir_optimize
     from adlc.staging import stage_reverse
 
+    limit = sys.getrecursionlimit()
     sets = (("chain", SIZES, lambda n: stage_reverse(seeded_chain(n))),
             ("seq_ifs", STAGED_IF_SIZES, lambda n: stage_reverse(sequential_ifs(n))),
             ("nested_conds", NEST_DEPTHS, nested_conds))
     for name, sizes, make in sets:
-        prev_calls = prev_s = None
-        for n in sizes:
+        def measure(n):
             prog = make(n)
-            sys.setrecursionlimit(start_limit if make is nested_conds else RECURSION_LIMIT)
+            sys.setrecursionlimit(start_limit if make is nested_conds else limit)
             try:
                 calls = call_events(ir_optimize, prog)
                 secs = min_wall(ir_optimize, lambda: (prog,))
-            except Exception as ex:  # printed, not raised
-                prev_calls = prev_s = None
-                yield (name, str(n), type(ex).__name__, "-", "-", "-")
-            else:
-                yield (name, str(n), str(calls), _per_doubling(calls, n, prev_calls),
-                       f"{secs * 1e3:.2f}", _per_doubling(secs, n, prev_s))
-                prev_calls, prev_s = (n, calls), (n, secs)
             finally:
-                sys.setrecursionlimit(RECURSION_LIMIT)
+                sys.setrecursionlimit(limit)
+            return (calls, str(calls)), (secs, f"{secs * 1e3:.2f}")
+
+        yield from _sized_rows((name,), {n: n for n in sizes}, measure, 6)
 
 
 def run_rows():
-    """(program, n, entry, first calls, later calls, first_s, later_s,
-    first_s / later_s) as printed cells."""
     from adlc.interp import eval_expr, real_fn
     from adlc.syntax import App, Const
 
@@ -430,14 +424,13 @@ def run_rows():
                     later_calls = call_events(run, prog)
                     later_s = min_wall(run, lambda: (prog,))
                 except Exception as ex:  # printed, not raised
-                    yield (name, str(n), entry, type(ex).__name__, "-", "-", "-", "-")
-                else:
-                    yield (name, str(n), entry, str(first_calls), str(later_calls),
-                           f"{first_s:.4f}", f"{later_s:.4f}", _ratio(first_s, later_s))
+                    yield _failed((name, str(n), entry), ex, 8)
+                    continue
+                yield (name, str(n), entry, str(first_calls), str(later_calls),
+                       f"{first_s:.4f}", f"{later_s:.4f}", f"{first_s / later_s:.2f}")
 
 
 def staged_call_rows():
-    """(programs, opt, count, first_us, later_us, x) as printed cells."""
     from adlc.gradcheck import CorpusSpec, corpus
     from adlc.ir_eval import ir_eval
     from adlc.ir_opt import ir_optimize
@@ -460,12 +453,10 @@ def staged_call_rows():
                 later += min_wall(partial(ir_eval, p, X))
             n = len(progs)
             yield (name, opt, str(n), f"{first / n * 1e6:.1f}", f"{later / n * 1e6:.1f}",
-                   _ratio(first, later))
+                   f"{first / later:.2f}")
 
 
 def ir_eval_rows():
-    """(tier, depth, us/node, min_s, x2) as printed cells, one per tier and
-    tree depth."""
     from adlc.ir_eval import interpret, ir_eval
     from adlc.ir_opt import ir_optimize
     from adlc.staging import stage_tree
@@ -475,28 +466,31 @@ def ir_eval_rows():
     rng = random.Random(f"tree:{SEED}")
     trees = {d: seeded_tree(rng, d) for d in TREE_DEPTHS}
     for tier, run in zip(TIERS, (ir_eval, interpret)):
-        prev = None
-        for d, t in trees.items():
-            units = 2 ** d - 1
-            try:
-                secs = min_wall(partial(run, fold, TREE_X, tree=t))
-            except Exception as ex:  # printed, not raised
-                prev = None
-                yield (tier, str(d), type(ex).__name__, "-", "-")
-            else:
-                yield (tier, str(d), f"{secs / units * 1e6:.2f}", f"{secs:.4f}",
-                       _per_doubling(secs, units, prev))
-                prev = units, secs
+        def measure(d):
+            secs = min_wall(partial(run, fold, TREE_X, tree=trees[d]))
+            return f"{secs / (2 ** d - 1) * 1e6:.2f}", (secs, f"{secs:.4f}")
 
+        yield from _sized_rows((tier,), {d: 2 ** d - 1 for d in trees}, measure, 5)
+
+
+# Every child program starts with this: the checkout's src/ (argv[1]) goes
+# first on sys.path, and vm_hwm_kb() reads the peak RSS of the child's own
+# image (VmHWM): a child's ru_maxrss also counts the image of the process
+# that forked it.
+_CHILD_PREAMBLE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+def vm_hwm_kb():
+    with open("/proc/self/status") as fh:
+        return next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+"""
 
 # One call at n iterations on a tier (compiled: ir_eval; interp:
 # ir_eval.interpret) and a depth limit, after a one-iteration call; prints
 # the gradient, the call's ns and the peak RSS in kB, or the IREvalError it
-# raised.  The peak is VmHWM of the child's own image: a child's ru_maxrss
-# also counts the image of the process that forked it.
+# raised.
 _IR_EVAL_CHILD = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
+import time
 from adlc.ir_eval import IREvalError, interpret, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.staging import stage_reverse
@@ -512,9 +506,7 @@ except IREvalError as ex:
     print("IREvalError:", ex)
     raise SystemExit(0)
 ns = int((time.perf_counter() - t0) * 1e9)
-with open("/proc/self/status") as fh:
-    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print(g.hex(), ns, hwm)
+print(g.hex(), ns, vm_hwm_kb())
 """
 
 # the same for the emitted C++: usage loop N; the timed call is CALL, after
@@ -545,7 +537,7 @@ _LOOP_MAIN = _CXX_MAIN % {
     "globals": "", "call": "snippet(x)",
     "setup": "if (argc != 2) return 2;\n  snippet(1.0);\n  double x = atof(argv[1]);"}
 # usage: fold FILE X, FILE holding the node count, then the values in
-# preorder with '#' for a leaf (tree_file)
+# preorder with '#' for a leaf (_preorder)
 _FOLD_MAIN = _CXX_MAIN % {
     "globals": r"""
 static std::vector<Tree> nodes;
@@ -573,96 +565,91 @@ static Tree read_tree(FILE* f) {
   snippet(t, x);"""}
 
 
-def _limit_address_space() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+def _python_child(src: str, program: str, *args) -> list:
+    """argv of a Python child that runs program with src on its path."""
+    return [sys.executable, "-c", _CHILD_PREAMBLE + program, src, *map(str, args)]
 
 
-def run_child(argv: list, limit: bool) -> tuple[str, int, float]:
-    """Run one child to completion: (gradient hex, call ns, peak RSS in
-    MB).  Raises RuntimeError when it fails."""
+def _child(argv: list, limit: bool = False) -> str:
+    """Run one child to completion, under the address-space limit if limit;
+    its stdout.  Raises RuntimeError when it exits nonzero."""
     r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
-                       preexec_fn=_limit_address_space if limit else None)
+                       preexec_fn=partial(resource.setrlimit, resource.RLIMIT_AS,
+                                          (CHILD_AS_BYTES, CHILD_AS_BYTES)) if limit else None)
     if r.returncode != 0:
         raise RuntimeError(f"exit code {r.returncode}")
-    bits, ns, hwm_kb = r.stdout.split()
-    return float.fromhex(bits).hex(), int(ns), int(hwm_kb) / 1024.0
+    return r.stdout
 
 
-def _ir_eval_child(src: str, prog: str, n: int, tier: str, limit: int) -> list:
-    return [sys.executable, "-c", _IR_EVAL_CHILD, src, prog, str(n), tier, str(limit)]
+def _bits(runs: list, reference, mark: str) -> str:
+    """The runs' common float.hex, plus " = mark" when it equals reference;
+    every run's after "differ:" when they disagree."""
+    if any(b != runs[0] for b in runs):
+        return "differ: " + " ".join(runs)
+    return runs[0] + (f" = {mark}" if runs[0] == reference else "")
 
 
-def loop_children(src: str, build_dir: str):
-    """(loop, backend, n, argv, address-space limit) per row; the c++ rows
-    only when g++ builds the emitted loop."""
+def _build_cxx(code: str, build_dir: str, name: str) -> str:
+    """Build code with g++ -O2 in build_dir; the executable's path.  Raises
+    CalledProcessError when g++ fails."""
+    cc, exe = os.path.join(build_dir, f"{name}.cc"), os.path.join(build_dir, name)
+    with open(cc, "w") as fh:
+        fh.write(code)
+    subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
+                   capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
+    return exe
+
+
+def _child_rows(keys: tuple, sizes: dict, argv, limit: bool, reference: dict, mark: str):
+    """_sized_rows of CHILD_REPEAT children of argv(size) per size, each
+    printing (gradient hex, call ns, peak RSS in kB): the median call's ns
+    per unit and its x2, the largest peak RSS in MB and the bits against
+    reference.get(size)."""
+    def measure(size):
+        runs = [_child(argv(size), limit).split() for _ in range(CHILD_REPEAT)]
+        secs = statistics.median(int(ns) for _, ns, _ in runs) / 1e9
+        return ((secs, f"{secs / sizes[size] * 1e9:.0f}"),
+                f"{max(int(kb) for _, _, kb in runs) / 1024:.1f}",
+                _bits([float.fromhex(b).hex() for b, _, _ in runs], reference.get(size), mark))
+
+    return _sized_rows(keys, sizes, measure, len(keys) + 5)
+
+
+def loop_child_rows(src: str):
+    """The interp and c++ rows' bits against the compiled row's; the c++
+    rows only when g++ builds the emitted loop."""
     from adlc.emit import emit_c
     from adlc.ir_opt import ir_optimize
     from adlc.staging import stage_reverse
     from adlc.syntax import parse
 
-    for loop, (prog, sizes) in CHILD_LOOPS.items():
-        for tier in TIERS:
-            for n in sizes:
-                yield loop, tier, n, _ir_eval_child(src, prog, n, tier, 2 * n), False
-        if shutil.which("g++") is None:
-            continue
-        cc, exe = os.path.join(build_dir, f"{loop}.cc"), os.path.join(build_dir, loop)
-        with open(cc, "w") as fh:
-            fh.write(emit_c(ir_optimize(stage_reverse(parse(prog)))) + _LOOP_MAIN)
-        subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
-                       capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
-        for n in sizes:
-            yield loop, "c++", n, [exe, str(n)], True
-
-
-def loop_child_rows(src: str):
-    """(loop, backend, n, ns/iter, x2, rss_mb, bits) as printed cells."""
-    prev: dict = {}
-    bits_of: dict = {}
     with tempfile.TemporaryDirectory() as build_dir:
-        try:
-            for loop, backend, n, argv, limit in loop_children(src, build_dir):
+        for loop, (prog, sizes) in CHILD_LOOPS.items():
+            backends = {tier: (lambda n, tier=tier: _python_child(
+                src, _IR_EVAL_CHILD, prog, n, tier, 2 * n), False) for tier in TIERS}
+            if shutil.which("g++") is not None:
                 try:
-                    runs = [run_child(argv, limit) for _ in range(CHILD_REPEAT)]
-                except (RuntimeError, OSError, ValueError,
-                        subprocess.TimeoutExpired) as ex:
-                    yield (loop, backend, str(n), type(ex).__name__, "-", "-", str(ex))
-                    prev.pop((loop, backend), None)
-                    continue
-                secs = statistics.median(ns for _, ns, _ in runs) / 1e9
-                bits = runs[0][0]
-                if any(b != bits for b, _, _ in runs):
-                    bits = "differ: " + " ".join(b for b, _, _ in runs)
-                elif backend == TIERS[0]:
-                    bits_of[loop, n] = bits
-                elif bits_of.get((loop, n)) == bits:
-                    bits += f" = {TIERS[0]}"
-                yield (loop, backend, str(n), f"{secs / n * 1e9:.0f}",
-                       _per_doubling(secs, n, prev.get((loop, backend))),
-                       f"{max(r for _, _, r in runs):.1f}", bits)
-                prev[loop, backend] = n, secs
-        except subprocess.CalledProcessError as ex:  # a c++ build failed
-            yield ("-", "c++", "-", type(ex).__name__, "-", "-", "-")
+                    exe = _build_cxx(emit_c(ir_optimize(stage_reverse(parse(prog)))) + _LOOP_MAIN,
+                                     build_dir, loop)
+                except subprocess.CalledProcessError as ex:
+                    yield _failed((loop, "c++", "-"), ex, 7)
+                else:
+                    backends["c++"] = (lambda n: [exe, str(n)], True)
+            compiled: dict = {}
+            for backend, (argv, limit) in backends.items():
+                for row in _child_rows((loop, backend), {n: n for n in sizes}, argv, limit,
+                                       compiled, TIERS[0]):
+                    compiled.setdefault(int(row[2]), row[-1])
+                    yield row
 
 
-def tree_file(t, path: str) -> None:
-    """Write t as its node count, then its values in preorder (float.hex)
-    with '#' for a leaf."""
-    toks, stack = [], [t]
-    while stack:
-        n = stack.pop()
-        if n is None:
-            toks.append("#")
-        else:
-            toks.append(n.value.hex())
-            stack += [n.right, n.left]
-    with open(path, "w") as fh:
-        fh.write(f"{len(toks) // 2} {' '.join(toks)}\n")
+def _preorder(t) -> list:
+    """t's values in preorder (float.hex), with '#' for a leaf."""
+    return ["#"] if t is None else [t.value.hex(), *_preorder(t.left), *_preorder(t.right)]
 
 
 def cxx_fold_rows():
-    """(backend, depth, ns/node, x2, rss_mb, bits) as printed cells: the
-    optimized tree fold as emitted C++, against ir_eval's bits."""
+    """The optimized tree fold as emitted C++, against ir_eval's bits."""
     from adlc.emit import emit_c
     from adlc.ir_eval import ir_eval
     from adlc.ir_opt import ir_optimize
@@ -673,58 +660,44 @@ def cxx_fold_rows():
         return
     fold = ir_optimize(stage_tree(parse(TREE_BODY)))
     rng = random.Random(f"cxx-tree:{SEED}")
-    prev = None
     with tempfile.TemporaryDirectory() as build_dir:
-        cc, exe = os.path.join(build_dir, "fold.cc"), os.path.join(build_dir, "fold")
-        with open(cc, "w") as fh:
-            fh.write(emit_c(fold) + _FOLD_MAIN)
         try:
-            subprocess.run(["g++", "-O2", "-std=c++17", cc, "-o", exe], check=True,
-                           capture_output=True, env=dict(os.environ, TMPDIR=build_dir))
+            exe = _build_cxx(emit_c(fold) + _FOLD_MAIN, build_dir, "fold")
         except subprocess.CalledProcessError as ex:
-            yield ("c++ fold", "-", type(ex).__name__, "-", "-", "-")
+            yield _failed(("c++ fold", "-"), ex, 6)
             return
-        for d in CXX_TREE_DEPTHS:
-            units, t = 2 ** d - 1, seeded_tree(rng, d)
-            path = os.path.join(build_dir, f"tree{d}.txt")
-            tree_file(t, path)
-            try:
-                runs = [run_child([exe, path, TREE_X.hex()], True)
-                        for _ in range(CHILD_REPEAT)]
-            except (RuntimeError, OSError, ValueError, subprocess.TimeoutExpired) as ex:
-                yield ("c++ fold", str(d), type(ex).__name__, "-", "-", str(ex))
-                prev = None
-                continue
-            secs = statistics.median(ns for _, ns, _ in runs) / 1e9
-            bits = runs[0][0]
-            if any(b != bits for b, _, _ in runs):
-                bits = "differ: " + " ".join(b for b, _, _ in runs)
-            elif ir_eval(fold, TREE_X, tree=t).hex() == bits:
-                bits += " = ir_eval"
-            yield ("c++ fold", str(d), f"{secs / units * 1e9:.0f}",
-                   _per_doubling(secs, units, prev),
-                   f"{max(r for _, _, r in runs):.1f}", bits)
-            prev = units, secs
+        paths = {d: os.path.join(build_dir, f"tree{d}.txt") for d in CXX_TREE_DEPTHS}
+        bits = {}
+        for d, path in paths.items():
+            t = seeded_tree(rng, d)
+            toks = _preorder(t)
+            with open(path, "w") as fh:
+                fh.write(f"{len(toks) // 2} {' '.join(toks)}\n")
+            bits[d] = ir_eval(fold, TREE_X, tree=t).hex()
+        yield from _child_rows(("c++ fold",), {d: 2 ** d - 1 for d in CXX_TREE_DEPTHS},
+                               lambda d: [exe, paths[d], TREE_X.hex()], True, bits, "ir_eval")
 
 
 def limit_rows(src: str):
-    """(tier, n, limit, outcome) as printed cells: the countdown past the
-    default depth limit on each tier."""
+    """The countdown past the default depth limit on each tier."""
     from adlc.ir_eval import DEFAULT_DEPTH_LIMIT
 
+    keys = (str(LIMIT_LOOP_SIZE), str(DEFAULT_DEPTH_LIMIT))
     for tier in TIERS:
-        argv = _ir_eval_child(src, COUNTDOWN, LIMIT_LOOP_SIZE, tier, DEFAULT_DEPTH_LIMIT)
-        r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
-        outcome = r.stdout.strip() if r.returncode == 0 else f"exit code {r.returncode}"
-        yield tier, str(LIMIT_LOOP_SIZE), str(DEFAULT_DEPTH_LIMIT), outcome
+        try:
+            out = _child(_python_child(src, _IR_EVAL_CHILD, COUNTDOWN, LIMIT_LOOP_SIZE, tier,
+                                       DEFAULT_DEPTH_LIMIT))
+        except Exception as ex:  # printed, not raised
+            yield _failed((tier, *keys), ex, 4)
+        else:
+            yield (tier, *keys, out.strip())
 
 
 # Each program that falls back from the compiled tier on each tier, after
 # one warm-up call: prints its name, the tier, the least ms of REPEAT calls
 # and the result's float.hex, a line each.
 _FALLBACK_CHILD = """
-import random, sys, time
-sys.path.insert(0, sys.argv[1])
+import random, time
 from adlc.ir_eval import interpret, ir_eval
 from adlc.ir_opt import ir_optimize
 from adlc.staging import TreeData, stage_reverse, stage_tree
@@ -750,30 +723,28 @@ for name, prog, x, tree in cases:
 
 
 def fallback_rows(src: str):
-    """(program, tier, ms, bits) as printed cells."""
-    argv = [sys.executable, "-c", _FALLBACK_CHILD, src, JOIN_BEFORE_SELF_CALL, TREE_BODY,
-            ",".join(map(str, FALLBACK_XS)), str(FALLBACK_PATH_NODES), str(REPEAT)]
-    r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
-    if r.returncode != 0:
-        yield ("-", "-", f"exit {r.returncode}", "-")
+    try:
+        out = _child(_python_child(src, _FALLBACK_CHILD, JOIN_BEFORE_SELF_CALL, TREE_BODY,
+                                   ",".join(map(str, FALLBACK_XS)), FALLBACK_PATH_NODES,
+                                   REPEAT))
+    except Exception as ex:  # printed, not raised
+        yield _failed(("-", "-"), ex, 4)
         return
-    compiled_bits = None
-    for line in r.stdout.splitlines():
+    compiled = None
+    for line in out.splitlines():
         name, tier, ms, bits = line.split("\t")
         if tier == TIERS[0]:
-            compiled_bits = bits
-        elif bits == compiled_bits:
-            bits += f" = {TIERS[0]}"
+            compiled = bits
+        else:
+            bits = _bits([bits], compiled, TIERS[0])
         yield (name, tier, f"{float(ms):.2f}", bits)
 
 
 # CORPUS_SIZES[k] programs of CorpusSpec(42) through crosscheck, REPEAT
 # passes; prints the median wall and CPU seconds of a pass, os.fork calls
-# per pass, and the process's (VmHWM, as above) and its children's peak RSS
-# in kB.
+# per pass, and the process's and its children's peak RSS in kB.
 _CROSSCHECK_CHILD = """
-import os, resource, statistics, sys, time
-sys.path.insert(0, sys.argv[1])
+import os, resource, statistics, time
 from adlc.gradcheck import CorpusSpec, crosscheck
 forks, fork = 0, os.fork
 def counting_fork():
@@ -791,25 +762,102 @@ for _ in range(repeat):
     crosscheck(spec)
     wall.append(time.perf_counter() - t0)
     cpu.append(cpu_s() - c0)
-with open("/proc/self/status") as fh:
-    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print(statistics.median(wall), statistics.median(cpu), forks // repeat, hwm,
+print(statistics.median(wall), statistics.median(cpu), forks // repeat, vm_hwm_kb(),
       resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
 def crosscheck_rows(src: str):
-    """(programs, wall_s, cpu_s, workers, rss_mb, wrk_mb) as printed cells."""
     for count in CORPUS_SIZES:
-        argv = [sys.executable, "-c", _CROSSCHECK_CHILD, src, str(count), str(REPEAT)]
-        r = subprocess.run(argv, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
-        if r.returncode != 0:
-            yield (str(count), f"exit {r.returncode}", "-", "-", "-", "-")
+        try:
+            wall, cpu, forks, self_kb, children_kb = _child(
+                _python_child(src, _CROSSCHECK_CHILD, count, REPEAT)).split()
+        except Exception as ex:  # printed, not raised
+            yield _failed((str(count),), ex, 6)
             continue
-        wall, cpu, forks, self_kb, children_kb = r.stdout.split()
         yield (str(count), f"{float(wall):.3f}", f"{float(cpu):.3f}", forks,
                f"{int(self_kb) / 1024:.1f}",
                f"{int(children_kb) / 1024:.1f}" if int(forks) else "-")
+
+
+class Table(NamedTuple):
+    """One printed table: its title (comment lines), its columns as
+    "name:<width" (left-aligned) or "name:>width" (right-aligned) separated
+    by spaces, and a function that yields its rows, each a tuple of printed
+    cells, one per column."""
+
+    title: str
+    columns: str
+    rows: Callable[[], Iterable[tuple]]
+
+
+def tables(start_limit: int) -> list:
+    """The tables whose rows are computed in this process, in print order;
+    start_limit is the recursion limit the process started with."""
+    return [
+        Table(f"# seeded let chains (seed {SEED}); wall time is the min of {REPEAT} builds\n"
+              f"# recursion limit raised from {start_limit} to {RECURSION_LIMIT} in this process;"
+              f" builds run on a thread with a {STACK_BYTES >> 20} MiB stack",
+              "transform:<14 n:>5 calls:>11 x2:>6 min_s:>10 x2:>6 B/node:>8", transform_rows),
+        Table("# stage_reverse on n sequential staged ifs with a value live across them; wall"
+              f" time is the min of {REPEAT} builds", "transform:<14 n:>5 ms:>10 x2:>6",
+              staged_if_rows),
+        Table("# ir_optimize alone on programs staged once per size; wall time is the min of"
+              f" {REPEAT} runs; nested_conds at recursion limit {start_limit}",
+              "programs:<14 n:>6 calls:>16 x2:>6 ms:>10 x2:>6",
+              partial(optimize_rows, start_limit)),
+        Table(f"# gradient programs run at x = {X}; wall time is the min of {REPEAT} first calls"
+              f" (each on a program of its own) and of {REPEAT} later calls",
+              "program:<14 n:>5 entry:<10 first:>10 later:>8 first_s:>10 later_s:>10 x:>8",
+              run_rows),
+        Table(f"# ir_eval on staged gradient programs at x = {X}, each staged afresh; the mean"
+              f" over the programs of the min of {REPEAT} calls",
+              "programs:<10 opt:<6 count:>6 first_us:>10 later_us:>10 x:>7", staged_call_rows),
+        Table("# the optimized staged tree fold on each tier; wall time is the min of"
+              f" {REPEAT} calls", "tier:<14 depth:>6 us/node:>10 min_s:>10 x2:>6", ir_eval_rows),
+    ]
+
+
+def child_tables(src: str) -> list:
+    """The tables whose rows come from child processes, in print order; src
+    is the src/ directory the children import adlc from."""
+    return [
+        Table("# the two loops in fresh child processes; ns/iter is the median of"
+              f" {CHILD_REPEAT} children, rss_mb the max",
+              "loop:<14 backend:<9 n:>9 ns/iter:>9 x2:>6 rss_mb:>9 bits:<",
+              partial(loop_child_rows, src)),
+        Table("# the optimized tree fold as emitted C++ in fresh child processes; ns/node is"
+              f" the median of {CHILD_REPEAT} children, rss_mb the max",
+              "backend:<9 depth:>9 ns/node:>9 x2:>6 rss_mb:>9 bits:<", cxx_fold_rows),
+        Table("# the countdown past the default depth limit, once per tier",
+              "tier:<9 n:>9 limit:>9 outcome:<", partial(limit_rows, src)),
+        Table("# programs whose compiled run meets the recursion limit, in a fresh child at"
+              f" the default limit; the min of {REPEAT} calls",
+              "program:<16 tier:<10 ms:>9 bits:<", partial(fallback_rows, src)),
+        Table("# crosscheck of CorpusSpec(42) in a fresh child per size; the median of"
+              f" {REPEAT} passes, CPU time of the child and its workers",
+              "programs:<9 wall_s:>8 cpu_s:>8 workers:>9 rss_mb:>8 wrk_mb:>8",
+              partial(crosscheck_rows, src)),
+    ]
+
+
+def _line(columns: str, cells) -> str:
+    """cells laid out in columns; two spaces set a left-aligned column off
+    from a right-aligned one before it."""
+    out, after_right = [], False
+    for column, cell in zip(columns.split(), cells, strict=True):
+        align_width = column.rsplit(":", 1)[1]
+        out.append(f"{'  ' if after_right and align_width[0] == '<' else ''}"
+                   f"{cell:{align_width}}")
+        after_right = align_width[0] == ">"
+    return "".join(out)
+
+
+def print_table(table: Table) -> None:
+    print(table.title)
+    print(_line(table.columns, [c.rsplit(":", 1)[0] for c in table.columns.split()]))
+    for row in table.rows():
+        print(_line(table.columns, row), flush=True)
 
 
 def main() -> None:
@@ -820,73 +868,14 @@ def main() -> None:
     src = os.path.join(os.path.abspath(args.root), "src")
     sys.path.insert(0, src)
 
-    old = sys.getrecursionlimit()
-    print(f"# seeded let chains (seed {SEED}); wall time is the min of {REPEAT} builds")
-    print(f"# recursion limit raised from {old} to {RECURSION_LIMIT} in this "
-          f"process; builds run on a thread with a {STACK_BYTES >> 20} MiB stack")
-    print(f"{'transform':<14}{'n':>5}{'calls':>11}{'x2':>6}{'min_s':>10}{'x2':>6}"
-          f"{'B/node':>8}")
-
-    def run():
-        for row in rows():
-            print("{:<14}{:>5}{:>11}{:>6}{:>10}{:>6}{:>8}".format(*row), flush=True)
-        print(f"# stage_reverse on n sequential staged ifs with a value live "
-              f"across them; wall time is the min of {REPEAT} builds")
-        print(f"{'transform':<14}{'n':>5}{'ms':>10}{'x2':>6}")
-        for row in staged_if_rows():
-            print("{:<14}{:>5}{:>10}{:>6}".format("stage_reverse", *row), flush=True)
-        print(f"# ir_optimize alone on programs staged once per size; wall time "
-              f"is the min of {REPEAT} runs; nested_conds at recursion limit {old}")
-        print(f"{'programs':<14}{'n':>6}{'calls':>16}{'x2':>6}{'ms':>10}{'x2':>6}")
-        for row in optimize_rows(old):
-            print("{:<14}{:>6}{:>16}{:>6}{:>10}{:>6}".format(*row), flush=True)
-        print(f"# gradient programs run at x = {X}; wall time is the min of "
-              f"{REPEAT} first calls (each on a program of its own) and of "
-              f"{REPEAT} later calls")
-        print(f"{'program':<14}{'n':>5}  {'entry':<10}{'first':>10}{'later':>8}"
-              f"{'first_s':>10}{'later_s':>10}{'x':>8}")
-        for row in run_rows():
-            print("{:<14}{:>5}  {:<10}{:>10}{:>8}{:>10}{:>10}{:>8}".format(*row),
-                  flush=True)
-        print(f"# ir_eval on staged gradient programs at x = {X}, each staged "
-              f"afresh; the mean over the programs of the min of {REPEAT} calls")
-        print(f"{'programs':<10}{'opt':<6}{'count':>6}{'first_us':>10}{'later_us':>10}"
-              f"{'x':>7}")
-        for row in staged_call_rows():
-            print("{:<10}{:<6}{:>6}{:>10}{:>10}{:>7}".format(*row), flush=True)
-        print(f"# the optimized staged tree fold on each tier; wall time is "
-              f"the min of {REPEAT} calls")
-        print(f"{'tier':<14}{'depth':>6}{'us/node':>10}{'min_s':>10}{'x2':>6}")
-        for row in ir_eval_rows():
-            print("{:<14}{:>6}{:>10}{:>10}{:>6}".format(*row), flush=True)
-        print(f"# the two loops in fresh child processes; ns/iter is the median "
-              f"of {CHILD_REPEAT} children, rss_mb the max")
-        print(f"{'loop':<14}{'backend':<9}{'n':>9}{'ns/iter':>9}{'x2':>6}{'rss_mb':>9}  bits")
-        for row in loop_child_rows(src):
-            print("{:<14}{:<9}{:>9}{:>9}{:>6}{:>9}  {}".format(*row), flush=True)
-        print(f"# the optimized tree fold as emitted C++ in fresh child processes; "
-              f"ns/node is the median of {CHILD_REPEAT} children, rss_mb the max")
-        print(f"{'backend':<9}{'depth':>9}{'ns/node':>9}{'x2':>6}{'rss_mb':>9}  bits")
-        for row in cxx_fold_rows():
-            print("{:<9}{:>9}{:>9}{:>6}{:>9}  {}".format(*row), flush=True)
-        print("# the countdown past the default depth limit, once per tier")
-        print(f"{'tier':<9}{'n':>9}{'limit':>9}  outcome")
-        for row in limit_rows(src):
-            print("{:<9}{:>9}{:>9}  {}".format(*row), flush=True)
-        print(f"# programs whose compiled run meets the recursion limit, in a "
-              f"fresh child at the default limit; the min of {REPEAT} calls")
-        print(f"{'program':<16}{'tier':<10}{'ms':>9}  bits")
-        for row in fallback_rows(src):
-            print("{:<16}{:<10}{:>9}  {}".format(*row), flush=True)
-        print(f"# crosscheck of CorpusSpec(42) in a fresh child per size; the "
-              f"median of {REPEAT} passes, CPU time of the child and its workers")
-        print(f"{'programs':<9}{'wall_s':>8}{'cpu_s':>8}{'workers':>9}{'rss_mb':>8}"
-              f"{'wrk_mb':>8}")
-        for row in crosscheck_rows(src):
-            print("{:<9}{:>8}{:>8}{:>9}{:>8}{:>8}".format(*row), flush=True)
-
+    start_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(RECURSION_LIMIT)
     threading.stack_size(STACK_BYTES)
+
+    def run():
+        for table in tables(start_limit) + child_tables(src):
+            print_table(table)
+
     worker = threading.Thread(target=run)
     worker.start()
     worker.join()
