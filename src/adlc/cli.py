@@ -200,7 +200,7 @@ def _check(args) -> int:
 
 
 def _demo() -> None:
-    from .runtime import perturbation_confusion_probe
+    from .runtime import probe_outer_gradients
 
     cubic = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
     grads = {m: gradient_fn(cubic, m) for m in MODES}
@@ -220,9 +220,9 @@ def _demo() -> None:
         print(f"{fmt_float(x)}\tforward2={fmt_float(f2)}\treverse2={fmt_float(r2)}"
               f"\tanalytic={fmt_float(6 * x)}")
 
-    naive, tagged = perturbation_confusion_probe()
-    print(f"\nnested-gradient probe: naive inner = {fmt_float(naive)} "
-          f"(confused), tagged inner = {fmt_float(tagged)} (correct)")
+    seen = probe_outer_gradients()
+    print(f"\nnested-gradient probe: naive inner = {fmt_float(seen['naive'])} "
+          f"(confused), tagged inner = {fmt_float(seen['tagged'])} (correct)")
 
     ife = parse("(lam x (if (> x 0.0) (* (* -1.0 x) x) (* x x)))")
     whf = parse("(lam x (letrec loop (lam t (if (> t 1.0) (app loop (* t 0.5)) t))"

@@ -1,5 +1,5 @@
 """Forward-mode AD: symbolic differentiation over ANF and the pairing
-source transformation, plus their gradient wrappers.
+source transformation, plus their gradient programs.
 
 Both paths carry a primal together with its tangent, computed by the
 tangent rule (`runtime.tangent_rule`) over terms.  The symbolic path
@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .interp import apply_real
 from .lang import anf, prepare
-from .runtime import grad_dual_tagged, tangent_rule
+from .runtime import tangent_rule
 from .syntax import (
     Add, App, Const, Expr, Fst, Greater, If, LangError, Lam, Let, Letrec,
     Mul, NameGen, Pair, Seq, Snd, Var, all_names, contains_control,
@@ -139,29 +138,8 @@ def forward_gradient_program(f: Expr) -> Expr:
     return Lam(x, Let(t, App(tf, Pair(Var(x), Const(1.0))), Snd(Var(t))))
 
 
-def grad_forward(f: Expr, x0: float) -> float:
-    """Derivative of a one-argument real lambda at x0 via the forward
-    transformation."""
-    return apply_real(forward_gradient_program(f), x0)
-
-
 def symbolic_gradient_program(f: Expr) -> Expr:
     """ANF-convert the body, differentiate symbolically, rewrap as a lambda."""
     f, gen = gradient_target(f)
     body = anf(f.body, gen)
     return Lam(f.param, symbolic_diff(body, f.param))
-
-
-def grad_symbolic(f: Expr, x0: float) -> float:
-    """Derivative via ANF conversion followed by symbolic differentiation."""
-    return apply_real(symbolic_gradient_program(f), x0)
-
-
-def grad_forward_tagged(f, x0: float, order: int = 1) -> float:
-    """Derivative of a host-level function over tagged duals; order=2
-    composes two invocations with distinct tags (no perturbation confusion)."""
-    if order == 1:
-        return grad_dual_tagged(f, x0)
-    if order == 2:
-        return grad_dual_tagged(lambda x: grad_dual_tagged(f, x), x0)
-    raise ValueError("order must be 1 or 2")

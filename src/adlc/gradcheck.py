@@ -20,15 +20,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .forward import (
-    forward_gradient_program, grad_forward_tagged, symbolic_gradient_program,
-)
+from .forward import forward_gradient_program, symbolic_gradient_program
 from .interp import real_fn
 from .ir_eval import ir_eval
 from .lang import prepare
 from .reverse import reverse_gradient_program
 from .runtime import (
-    cps_gradient, dual_fn, dual_gradient, functional_gradient, tape_gradient,
+    cps_gradient, dual_fn, dual_gradient, functional_gradient,
+    grad_dual_tagged, tape_gradient,
 )
 from .staging import stage_reverse
 from .syntax import Add, Const, Expr, LangError, Lam, Let, Mul, Var
@@ -58,7 +57,8 @@ def finite_diff(f: Callable[[float], float], x0: float,
 
 
 def primal_fn(f: Expr) -> Callable[[float], float]:
-    """Evaluate a lambda program as an ordinary real function."""
+    """Evaluate a lambda program as an ordinary real function (the
+    benchmark's finite differences call it too)."""
     return real_fn(prepare(f)[0])
 
 
@@ -85,7 +85,8 @@ MODES: dict[str, Callable[[Expr], Callable[[float], float]]] = {
     "reverse-cps-full": _interpreted(
         lambda f: reverse_gradient_program(f, "full-cps")),
     "staged": lambda f: partial(ir_eval, stage_reverse(f)),
-    "forward2": lambda f: partial(grad_forward_tagged, dual_fn(f), order=2),
+    "forward2": lambda f: partial(
+        grad_dual_tagged, partial(grad_dual_tagged, dual_fn(f))),
     "reverse2": _interpreted(
         lambda f: reverse_gradient_program(reverse_gradient_program(f))),
 }
@@ -164,6 +165,7 @@ class ProgramGradients:
         self.primal = primal_fn(f)
 
     def grad(self, mode: str, x: float) -> float:
+        """The named mode's gradient at x; bench/selftest.py calls it."""
         return self.fns[mode](x)
 
 

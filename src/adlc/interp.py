@@ -719,11 +719,6 @@ def real_fn(prog: Expr):
     return run
 
 
-def apply_real(prog: Expr, x: float) -> float:
-    """Apply a one-argument program to a real; the result must be a real."""
-    return real_fn(prog)(x)
-
-
 def render_value(v, store: Store | None = None) -> str:
     """Human-readable value rendering for CLI output."""
     if type(v) is float:

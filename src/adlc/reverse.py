@@ -32,7 +32,6 @@ from typing import Callable
 from .forward import (
     TransformError, gradient_target, pairing_transform, split_pair,
 )
-from .interp import apply_real
 from .lang import freshen
 from .runtime import adjoint_rule
 from .syntax import (
@@ -244,7 +243,7 @@ def _t11(e: Expr, tm: _Terms):
 
 
 # ---------------------------------------------------------------------------
-# Gradient wrappers
+# Gradient programs
 
 
 def reverse_gradient_program(f: Expr, variant: str = "meta-shift") -> Expr:
@@ -269,15 +268,3 @@ def reverse_gradient_program(f: Expr, variant: str = "meta-shift") -> Expr:
         raise TransformError(f"unknown reverse variant {variant!r}")
 
     return Lam(x, Let(xh, seed, Seq(run, read_back)))
-
-
-def grad_reverse(f: Expr, x0: float, variant: str = "meta-shift") -> float:
-    """Gradient of a one-argument real lambda at x0 via the chosen reverse
-    transformation variant."""
-    return apply_real(reverse_gradient_program(f, variant), x0)
-
-
-def grad_reverse_of_reverse(f: Expr, x0: float) -> float:
-    """Second derivative by transforming the already-transformed gradient
-    program again (source-level composition of reverse passes)."""
-    return grad_reverse(reverse_gradient_program(f), x0)

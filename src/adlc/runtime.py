@@ -172,12 +172,6 @@ def probe_outer_gradients() -> dict:
     return seen
 
 
-def perturbation_confusion_probe() -> tuple[float, float]:
-    """(naive inner gradient, tagged inner gradient) of a fresh probe run."""
-    seen = probe_outer_gradients()
-    return seen["naive"], seen["tagged"]
-
-
 # ---------------------------------------------------------------------------
 # Reverse runtimes, and the +/* adjoint rule that every reverse formulation
 # runs: these runtimes, the three reverse transformations and the IR stager.
@@ -421,6 +415,16 @@ def functional_gradient(f: Expr):
     return lambda x0: grad_functional(lambda z: partial(run, z), x0)
 
 
+def forward_over_reverse_gradient(f: Expr):
+    """Second derivative in one pass: the cps runtime runs on a tagged dual
+    input, so the input adjoint carries a tangent."""
+    return partial(grad_dual_tagged, cps_gradient(f))
+
+
+# One-shot forms of the runtime modes, building per call; the benchmark
+# (bench/workloads.py) times the runtimes through them.
+
+
 def grad_dual_expr(f: Expr, x0: float) -> float:
     return dual_gradient(f)(x0)
 
@@ -435,9 +439,3 @@ def grad_tape_expr(f: Expr, x0: float, trace: list | None = None) -> float:
 
 def grad_functional_expr(f: Expr, x0: float) -> float:
     return functional_gradient(f)(x0)
-
-
-def grad_forward_over_reverse(f: Expr, x0: float) -> float:
-    """Second derivative in one pass: the reverse runtime runs on a tagged
-    dual input, so the input adjoint carries a tangent."""
-    return grad_dual_tagged(partial(grad_cps_expr, f), x0)

@@ -5,20 +5,19 @@ import random
 import time
 
 from adlc.emit import emit_c
-from adlc.forward import grad_forward_tagged
 from adlc.gradcheck import (
     ALL_MODES, CorpusSpec, ProgramGradients, crosscheck, gradient_descent,
-    random_program,
+    gradient_fn, random_program,
 )
-from adlc.ir import Call, Cond, ir_cell_op_count
+from adlc.ir import ir_cell_op_count, walk
 from adlc.ir_eval import ir_eval
 from adlc.ir_opt import ir_optimize
-from adlc.reverse import grad_reverse, grad_reverse_of_reverse, reverse_gradient_program
-from adlc.runtime import grad_forward_over_reverse, perturbation_confusion_probe
+from adlc.reverse import reverse_gradient_program
+from adlc.runtime import forward_over_reverse_gradient, probe_outer_gradients
 from adlc.staging import parse_tree, stage_reverse, stage_tree, tree_to_expr
-from adlc.syntax import (
-    App, Lam, Let, Var, contains_control, children, node_count, parse,
-)
+from adlc.syntax import contains_control, node_count, parse
+from test_reverse import wavy_normal
+from test_staging import loop_reenters_by_jump_only
 
 CUBIC = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
 SQUARE = parse("(lam x (* x x))")
@@ -56,15 +55,11 @@ def test_criterion_1_worked_example_all_paths():
 
 def test_criterion_2_second_order():
     t0 = time.perf_counter()
-    from adlc.runtime import dual_fn
-
-    host = dual_fn(CUBIC)
+    grads = [gradient_fn(CUBIC, "forward2"), forward_over_reverse_gradient(CUBIC),
+             gradient_fn(CUBIC, "reverse2")]
     ok = True
     for x in SECOND_ORDER_PROBES:
-        want = 6.0 * x
-        ok = ok and _rel_ok(grad_forward_tagged(host, x, order=2), want, 1e-9)
-        ok = ok and _rel_ok(grad_forward_over_reverse(CUBIC, x), want, 1e-9)
-        ok = ok and _rel_ok(grad_reverse_of_reverse(CUBIC, x), want, 1e-9)
+        ok = ok and all(_rel_ok(grad(x), 6.0 * x, 1e-9) for grad in grads)
     elapsed = time.perf_counter() - t0
     _report(2, f"second order forward2/reverse2 = 6x ({elapsed:.2f}s)",
             ok and elapsed < 1.0)
@@ -72,7 +67,8 @@ def test_criterion_2_second_order():
 
 def test_criterion_3_perturbation_confusion():
     t0 = time.perf_counter()
-    naive, tagged = perturbation_confusion_probe()
+    seen = probe_outer_gradients()
+    naive, tagged = seen["naive"], seen["tagged"]
     elapsed = time.perf_counter() - t0
     _report(3, f"naive inner = {naive}, tagged inner = {tagged} ({elapsed:.2f}s)",
             naive == 2.0 and tagged == 1.0 and elapsed < 1.0)
@@ -85,14 +81,14 @@ def test_criterion_4_control_flow():
     p_if = stage_reverse(IF_EXAMPLE)
     for x in (2.0, -2.0):
         staged = ir_eval(p_if, x)
-        unstaged = grad_reverse(IF_EXAMPLE, x, "meta-shift")
+        unstaged = gradient_fn(IF_EXAMPLE, "reverse-meta-shift")(x)
         results.append(_rel_ok(staged, -4.0, 1e-12) and staged == unstaged)
     t_if = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     p_wh = stage_reverse(WHILE_EXAMPLE)
     staged = ir_eval(p_wh, 8.0)
-    unstaged = grad_reverse(WHILE_EXAMPLE, 8.0, "meta-shift")
+    unstaged = gradient_fn(WHILE_EXAMPLE, "reverse-meta-shift")(8.0)
     results.append(_rel_ok(staged, 0.125, 1e-12) and staged == unstaged)
     t_wh = time.perf_counter() - t0
 
@@ -100,7 +96,7 @@ def test_criterion_4_control_flow():
     p_tr = stage_tree(TREE_BODY)
     tree = parse_tree("(node 3.0 (leaf) (leaf))")
     staged = ir_eval(p_tr, 2.0, tree=tree)
-    unstaged = grad_reverse(tree_to_expr(tree, TREE_BODY), 2.0, "meta-shift")
+    unstaged = gradient_fn(tree_to_expr(tree, TREE_BODY), "reverse-meta-shift")(2.0)
     results.append(_rel_ok(staged, 12.0, 1e-12) and staged == unstaged)
     t_tr = time.perf_counter() - t0
 
@@ -118,45 +114,6 @@ def test_criterion_5_corpus_crosscheck():
             n_pass == len(reports) == 1200 and elapsed < 30.0)
 
 
-def _walk(e):
-    yield e
-    for c in children(e):
-        yield from _walk(c)
-
-
-def _wavy_normal(e) -> bool:
-    for n in _walk(e):
-        match n:
-            case Lam(p, App(Var(h), Var(a))) if a == p and h != p:
-                return False
-            case Let(_, Var(_), _):
-                return False
-    return True
-
-
-def _tail_self_calls_only(prog, fn_name: str) -> bool:
-    def check(block, tail):
-        for i, s in enumerate(block):
-            last = tail and i == len(block) - 1
-            if isinstance(s, Call) and s.target == fn_name:
-                if not last:
-                    return False
-            elif isinstance(s, Cond):
-                if not check(s.then, last) or not check(s.orelse, last):
-                    return False
-        return True
-
-    return check(prog.functions[fn_name].body, True)
-
-
-def _stmts(block):
-    for s in block:
-        yield s
-        if isinstance(s, Cond):
-            yield from _stmts(s.then)
-            yield from _stmts(s.orelse)
-
-
 def test_criterion_6_structural_properties():
     spec = CorpusSpec(seed=42, count=200)
     progs = [random_program(spec, i) for i in range(spec.count)]
@@ -166,25 +123,25 @@ def test_criterion_6_structural_properties():
     for f in progs:
         for variant in ("meta-shift", "full-cps"):
             out = reverse_gradient_program(f, variant)
-            ok = ok and not contains_control(out) and _wavy_normal(out)
+            ok = ok and not contains_control(out) and wavy_normal(out)
 
     # staged IF: the continuation body exists exactly once, as a function
     p_if = stage_reverse(IF_EXAMPLE)
     from adlc.ir import CellSet
 
-    ones = [s for fn in p_if.functions.values() for s in _stmts(fn.body)
+    ones = [s for fn in p_if.functions.values() for s in walk(fn.body)
             if isinstance(s, CellSet) and s.value == 1.0]
     ok = ok and len(ones) == 1
 
-    # staged WHILE: every self-call of the loop function is a tail call
+    # staged WHILE: the loop function reaches itself only by Jump
     p_wh = stage_reverse(WHILE_EXAMPLE)
     loops = [n for n in p_wh.functions if n.startswith("loop") and "bwd" not in n]
     ok = ok and bool(loops)
     for n in loops:
-        ok = ok and _tail_self_calls_only(p_wh, n)
+        ok = ok and loop_reenters_by_jump_only(p_wh, n)
 
     _report(6, "no control residue, wavy normal forms, if-join emitted once, "
-               "while self-calls in tail position", ok)
+               "while loop re-entered only by jump", ok)
 
 
 def test_criterion_7_optimizer_soundness_and_progress():

@@ -7,15 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from adlc.forward import (
-    forward_gradient_program, grad_forward, grad_symbolic,
-    symbolic_gradient_program,
+from adlc.forward import forward_gradient_program, symbolic_gradient_program
+from adlc.gradcheck import (
+    ALL_MODES, MODES, CorpusSpec, finite_diff, gradient_fn, primal_fn, random_program,
 )
-from adlc.gradcheck import MODES, CorpusSpec, finite_diff, primal_fn, random_program
 from adlc.interp import eval_expr
-from adlc.reverse import VARIANTS, grad_reverse, reverse_gradient_program
+from adlc.reverse import VARIANTS, reverse_gradient_program
 from adlc.runtime import (
-    grad_cps_expr, grad_dual_expr, grad_forward_over_reverse,
+    forward_over_reverse_gradient, grad_cps_expr, grad_dual_expr,
     grad_functional_expr, grad_tape_expr,
 )
 from adlc.syntax import App, Const, LangError, parse, pretty
@@ -23,39 +22,44 @@ from fuzz import FEATURE_CASES, FUZZ, fuzz_programs
 
 PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+REVERSE_TRANSFORMS = ("reverse-target-shift", "reverse-meta-shift", "reverse-cps-full")
+
+
+def _forward_and_reverse(f):
+    """The forward transformation's gradient and each reverse one's."""
+    return gradient_fn(f, "forward"), [gradient_fn(f, m) for m in REVERSE_TRANSFORMS]
 
 
 @pytest.mark.parametrize("src,deriv", FEATURE_CASES)
 def test_language_features_differentiate(src, deriv):
-    f = parse(src)
+    fwd, revs = _forward_and_reverse(parse(src))
     for x in PROBES:
         want = deriv(x)
-        got_f = grad_forward(f, x)
+        got_f = fwd(x)
         assert abs(got_f - want) <= 1e-12 * max(1.0, abs(want))
-        for v in VARIANTS:
-            got_r = grad_reverse(f, x, v)
+        for rev in revs:
+            got_r = rev(x)
             assert abs(got_r - got_f) <= 1e-10 * max(1.0, abs(got_f))
 
 
 def test_fuzz_smooth_programs_all_paths_and_fd():
     for f in fuzz_programs(1318):
-        fn = primal_fn(f)
+        fn, (grad_f, revs) = primal_fn(f), _forward_and_reverse(f)
         for x in PROBES:
-            fwd = grad_forward(f, x)
-            for v in VARIANTS:
-                rev = grad_reverse(f, x, v)
-                assert abs(rev - fwd) <= 1e-10 * max(1.0, abs(fwd))
+            fwd = grad_f(x)
+            for rev in revs:
+                assert abs(rev(x) - fwd) <= 1e-10 * max(1.0, abs(fwd))
             fd = finite_diff(fn, x)
             assert abs(fd - fwd) <= 1e-4 * max(1.0, abs(fwd))
 
 
 def test_fuzz_branching_programs_transform_agreement():
     for f in fuzz_programs(97):
+        grad_f, revs = _forward_and_reverse(f)
         for x in PROBES:
-            fwd = grad_forward(f, x)
-            for v in VARIANTS:
-                rev = grad_reverse(f, x, v)
-                assert abs(rev - fwd) <= 1e-10 * max(1.0, abs(fwd))
+            fwd = grad_f(x)
+            for rev in revs:
+                assert abs(rev(x) - fwd) <= 1e-10 * max(1.0, abs(fwd))
 
 
 def test_fuzz_staged_branching_bitwise_vs_unstaged():
@@ -63,7 +67,6 @@ def test_fuzz_staged_branching_bitwise_vs_unstaged():
     # case and fuzz family stages: pairs, sums, refs, closures, branches
     from adlc.ir_eval import ir_eval
     from adlc.ir_opt import ir_optimize
-    from adlc.reverse import grad_reverse
     from adlc.staging import stage_reverse
 
     programs = [parse(src) for src, _ in FEATURE_CASES]
@@ -73,8 +76,9 @@ def test_fuzz_staged_branching_bitwise_vs_unstaged():
     for f in programs:
         p = stage_reverse(f)
         po = ir_optimize(p)
+        unstaged = gradient_fn(f, "reverse-meta-shift")
         for x in PROBES:
-            want = grad_reverse(f, x, "meta-shift").hex()
+            want = unstaged(x).hex()
             assert ir_eval(p, x).hex() == want, (pretty(f), x)
             assert ir_eval(po, x).hex() == want, (pretty(f), x)
             checked += 1
@@ -98,10 +102,11 @@ def test_runtimes_run_control_flow_bitwise_with_their_families():
               "tape": "reverse-target-shift", "functional": "reverse-target-shift"}
     for f in programs:
         fns = {m: MODES[m](f) for m in (*family, *family.values(), "forward2")}
+        fns["forward-over-reverse"] = forward_over_reverse_gradient(f)
         for x in PROBES:
             for mode, ref in family.items():
                 assert fns[mode](x).hex() == fns[ref](x).hex(), (mode, f, x)
-            want = grad_forward_over_reverse(f, x)
+            want = fns["forward-over-reverse"](x)
             assert abs(fns["forward2"](x) - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -112,19 +117,20 @@ FAILING_SOURCES = ("(+ 1.0 2.0)", "(lam x (+ x nope))",
 
 
 def _per_call_apis():
-    """(name, call of a program) for every public one-shot entry point."""
+    """(name, call of a program) for every public per-program entry point:
+    evaluation, the gradient programs, the runtimes' one-shot forms and
+    every first-order gradient mode."""
     apis = [("eval", lambda f: eval_expr(App(f, Const(0.5)))[0]),
             ("primal", lambda f: primal_fn(f)(0.5)),
             ("forward_program", forward_gradient_program),
-            ("symbolic_program", symbolic_gradient_program),
-            ("forward", lambda f: grad_forward(f, 0.5)),
-            ("symbolic", lambda f: grad_symbolic(f, 0.5))]
+            ("symbolic_program", symbolic_gradient_program)]
     for name, grad in (("dual", grad_dual_expr), ("cps", grad_cps_expr),
                        ("tape", grad_tape_expr), ("functional", grad_functional_expr)):
-        apis.append((name, lambda f, grad=grad: grad(f, 0.5)))
+        apis.append((f"{name}_expr", lambda f, grad=grad: grad(f, 0.5)))
     for v in VARIANTS:
         apis.append((f"{v}_program", partial(reverse_gradient_program, variant=v)))
-        apis.append((v, partial(grad_reverse, x0=0.5, variant=v)))
+    for mode in ALL_MODES:
+        apis.append((mode, lambda f, mode=mode: gradient_fn(f, mode)(0.5)))
     return apis
 
 

@@ -1,13 +1,13 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from adlc.forward import (
-    TransformError, fwd_transform, grad_forward, grad_forward_tagged,
-    grad_symbolic, symbolic_diff,
+from adlc.forward import TransformError, fwd_transform, symbolic_diff
+from adlc.gradcheck import (
+    CorpusSpec, finite_diff, gradient_fn, primal_fn, random_program,
 )
-from adlc.gradcheck import CorpusSpec, finite_diff, primal_fn, random_program
 from adlc.interp import eval_expr
 from adlc.lang import anf, desugar, freshen
 from adlc.syntax import (
@@ -84,16 +84,16 @@ def test_fwd_rejects_control():
 
 
 def test_grad_forward_identity():
-    assert grad_forward(parse("(lam x x)"), 7.0) == 1.0
+    assert gradient_fn(parse("(lam x x)"), "forward")(7.0) == 1.0
 
 
 def test_grad_forward_cubic():
     # analytic 2 + 3x^2 at 1 -> 5
-    assert grad_forward(CUBIC, 1.0) == 5.0
+    assert gradient_fn(CUBIC, "forward")(1.0) == 5.0
 
 
 def test_grad_forward_constant():
-    assert grad_forward(parse("(lam x 4.0)"), 9.0) == 0.0
+    assert gradient_fn(parse("(lam x 4.0)"), "forward")(9.0) == 0.0
 
 
 def test_primal_preserved():
@@ -120,9 +120,9 @@ def test_forward_matches_finite_differences_on_corpus():
     spec = CorpusSpec(count=40)
     for i in range(spec.count):
         f = random_program(spec, i)
-        fn = primal_fn(f)
+        fn, grad = primal_fn(f), gradient_fn(f, "forward")
         for x in PROBES:
-            g = grad_forward(f, x)
+            g = grad(x)
             fd = finite_diff(fn, x)
             assert abs(g - fd) <= 1e-4 * max(1.0, abs(g))
 
@@ -131,26 +131,27 @@ def test_symbolic_equals_forward_exactly_on_corpus():
     spec = CorpusSpec(count=40)
     for i in range(spec.count):
         f = random_program(spec, i)
+        sym, fwd = gradient_fn(f, "symbolic"), gradient_fn(f, "forward")
         for x in PROBES:
-            assert grad_symbolic(f, x).hex() == grad_forward(f, x).hex()
+            assert sym(x).hex() == fwd(x).hex()
 
 
 def test_forward_family_keeps_a_negative_zero_tangent():
     # at x = -1 each product's tangent is 1*-0.0 + -1*0.0 = -0.0, and so is
     # their sum: no medium of the tangent rule may turn it into +0.0
-    from adlc.runtime import dual_fn, grad_dual_expr
+    from adlc.runtime import dual_fn, grad_dual_tagged
 
     f = parse("(lam x (+ (* x -0.0) (* x -0.0)))")
-    tagged = lambda f, x: grad_forward_tagged(dual_fn(f), x)
-    for grad in (grad_forward, grad_symbolic, grad_dual_expr, tagged):
-        assert grad(f, -1.0).hex() == "-0x0.0p+0"
+    grads = [gradient_fn(f, m) for m in ("forward", "symbolic", "dual")]
+    for grad in [*grads, partial(grad_dual_tagged, dual_fn(f))]:
+        assert grad(-1.0).hex() == "-0x0.0p+0"
 
 
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False))
 def test_dual_law_cubic(x):
     # df(x) == 2 + 3*x*x for the running example, any x; the AD path sums
     # x^2 + 2x^2 where the formula computes 3*x^2, so allow a couple of ulps
-    assert math.isclose(grad_forward(CUBIC, x), 2 + 3 * x * x,
+    assert math.isclose(gradient_fn(CUBIC, "forward")(x), 2 + 3 * x * x,
                         rel_tol=1e-14, abs_tol=1e-14)
 
 
@@ -162,24 +163,26 @@ def _cubic_host(x):
 
 def test_second_derivative_via_tagged_nesting():
     # d2/dx2 (2x + x^3) = 6x
+    from adlc.runtime import grad_dual_tagged
+
     for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        assert math.isclose(grad_forward_tagged(_cubic_host, x, order=2),
+        inner = partial(grad_dual_tagged, _cubic_host)
+        assert math.isclose(grad_dual_tagged(inner, x),
                             6 * x, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_tagged_inner_gradient_not_confused():
-    from adlc.runtime import perturbation_confusion_probe
+    from adlc.runtime import probe_outer_gradients
 
-    naive, tagged = perturbation_confusion_probe()
-    assert naive == 2.0
-    assert tagged == 1.0
+    seen = probe_outer_gradients()
+    assert seen["naive"] == 2.0
+    assert seen["tagged"] == 1.0
 
 
 def test_tagged_order1_matches_transform_on_corpus():
-    from adlc.runtime import grad_dual_expr
-
     spec = CorpusSpec(count=40)
     for i in range(spec.count):
         f = random_program(spec, i)
+        dual, fwd = gradient_fn(f, "dual"), gradient_fn(f, "forward")
         for x in PROBES:
-            assert grad_dual_expr(f, x).hex() == grad_forward(f, x).hex()
+            assert dual(x).hex() == fwd(x).hex()

@@ -4,22 +4,25 @@ them."""
 
 import ast
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import sys
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
+import adlc
 from adlc import syntax
-from adlc.forward import TransformError, fwd_transform, grad_forward
+from adlc.forward import TransformError, fwd_transform
+from adlc.gradcheck import gradient_fn
 from adlc.ir import (
     Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, Jump, RetReal,
     Return, TapePush, defs, kinds, map_operands, uses, walk,
 )
 from adlc.reverse import (
-    grad_reverse, rev_transform_full_cps, rev_transform_meta_shift,
-    rev_transform_target_shift,
+    rev_transform_full_cps, rev_transform_meta_shift, rev_transform_target_shift,
 )
 from adlc.staging import stage_reverse, stage_tree
 from adlc.syntax import (
@@ -175,22 +178,53 @@ def test_transforms_reject_sugar(transform, src):
         transform(parse(src))
 
 
+def _imports(name: str) -> tuple[set, set]:
+    """(modules of the package that adlc.<name> imports relatively, modules
+    it imports absolutely), read from its source."""
+    with open(os.path.join(os.path.dirname(syntax.__file__), name + ".py")) as f:
+        tree = ast.parse(f.read())
+    local = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+    absolute = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for a in n.names} | {n.module for n in ast.walk(tree)
+                                     if isinstance(n, ast.ImportFrom) and not n.level}
+    return local, absolute
+
+
 def test_ir_passes_import_the_ir_alone():
     # ir_eval, ir_opt and emit read the IR from adlc.ir, not through the
     # stager and with it the CEK machine and the runtimes; ir itself
     # imports only syntax
-    src = os.path.dirname(syntax.__file__)
     allowed = {"ir": {"syntax"}, "ir_eval": {"ir", "syntax"},
                "ir_opt": {"ir", "syntax"}, "emit": {"ir", "syntax"}}
     for name, ok in allowed.items():
-        with open(os.path.join(src, name + ".py")) as f:
-            tree = ast.parse(f.read())
-        local = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
-        absolute = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
-                    for a in n.names} | {n.module for n in ast.walk(tree)
-                                         if isinstance(n, ast.ImportFrom) and not n.level}
+        local, absolute = _imports(name)
         assert local <= ok, (name, local)
         assert not any(m.split(".")[0] == "adlc" for m in absolute), (name, absolute)
+
+
+def test_transformations_import_no_evaluator():
+    # the transformations map expressions to expressions: running a
+    # gradient program is the mode table's work (gradcheck.MODES), so
+    # neither the CEK machine nor the table is imported by them
+    for name in ("forward", "reverse", "lang"):
+        local, absolute = _imports(name)
+        assert not local & {"interp", "gradcheck"}, (name, local)
+        assert not any(m.split(".")[0] == "adlc" for m in absolute), (name, absolute)
+
+
+# one-shot gradient wrappers that the mode table replaced
+REMOVED_WRAPPERS = ("apply_real", "grad_forward", "grad_forward_over_reverse",
+                    "grad_forward_tagged", "grad_reverse", "grad_reverse_of_reverse",
+                    "grad_symbolic", "perturbation_confusion_probe")
+
+
+def test_package_exports_resolve_and_no_wrapper_is_left():
+    assert not [n for n in adlc.__all__ if not hasattr(adlc, n)]
+    modules = [adlc] + [importlib.import_module(f"adlc.{m.name}")
+                        for m in pkgutil.iter_modules(adlc.__path__)]
+    for module in modules:
+        left = [n for n in REMOVED_WRAPPERS if hasattr(module, n)]
+        assert not left, (module.__name__, left)
 
 
 def test_deep_nesting_at_default_recursion_limit():
@@ -203,7 +237,7 @@ def test_deep_nesting_at_default_recursion_limit():
         assert isinstance(f, Lam)
         assert pretty(f) == src
         assert pretty(parse(pretty(f))) == src
-        assert grad_forward(f, 1.0) == 401.0
-        assert grad_reverse(f, 1.0, "target-shift") == 401.0
+        assert gradient_fn(f, "forward")(1.0) == 401.0
+        assert gradient_fn(f, "reverse-target-shift")(1.0) == 401.0
     finally:
         sys.setrecursionlimit(saved)

@@ -4,34 +4,27 @@ from functools import partial
 import pytest
 
 from adlc import gradcheck
-from adlc.forward import (
-    TransformError, fwd_transform, grad_forward, grad_forward_tagged,
-)
-from adlc.gradcheck import CorpusSpec, random_program
-from adlc.interp import apply_real, eval_expr
+from adlc.forward import TransformError, fwd_transform
+from adlc.gradcheck import CorpusSpec, gradient_fn, random_program
+from adlc.interp import eval_expr, real_fn
 from adlc.ir_eval import ir_eval
 from adlc.lang import desugar, freshen, prepare
 from adlc.reverse import (
-    VARIANTS, grad_reverse, grad_reverse_of_reverse, normalize_tail,
-    rev_transform_full_cps, rev_transform_meta_shift,
+    VARIANTS, normalize_tail, rev_transform_full_cps, rev_transform_meta_shift,
     rev_transform_target_shift, reverse_gradient_program,
 )
 from adlc.staging import stage_reverse
 from adlc.syntax import (
     Add, App, Assign, Const, Deref, Lam, Let, Pair, Ref, Reset, Seq, Shift,
-    Snd, Var, all_names, children, contains_control, parse, pretty,
+    Snd, Var, all_names, contains_control, parse, pretty, walk,
 )
 from scaling import call_events, frames_in_use, seeded_chain
 
 CUBIC = parse("(lam x (+ (* 2.0 x) (* (* x x) x)))")
 SQUARE = parse("(lam x (* x x))")
 PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-
-
-def _walk(e):
-    yield e
-    for c in children(e):
-        yield from _walk(c)
+# the gradient mode of each reverse transformation variant
+MODE = dict(zip(VARIANTS, ("reverse-target-shift", "reverse-meta-shift", "reverse-cps-full")))
 
 
 # --- target-shift (control operators in the output) --------------------------
@@ -49,9 +42,9 @@ def test_target_shift_mul_shape():
     assert isinstance(body, Let)
     assert isinstance(body.bound, Pair) and isinstance(body.bound.snd, Ref)
     # continuation applied, then two += accumulations
-    accs = [n for n in _walk(body) if isinstance(n, Assign)]
+    accs = [n for n in walk(body) if isinstance(n, Assign)]
     assert len(accs) == 2
-    apps = [n for n in _walk(body) if isinstance(n, App) and n.fn == Var(t.name)]
+    apps = [n for n in walk(body) if isinstance(n, App) and n.fn == Var(t.name)]
     assert len(apps) == 1
 
 
@@ -97,9 +90,9 @@ def test_let_renaming_respects_shadowing(t):
     assert eval_expr(run)[0] == 1.0
 
 
-def _wavy_normal(e) -> bool:
+def wavy_normal(e) -> bool:
     """No eta-redex over a variable head, no let binding a bare variable."""
-    for n in _walk(e):
+    for n in walk(e):
         match n:
             case Lam(p, App(Var(h), Var(a))) if a == p and h != p:
                 return False
@@ -117,7 +110,7 @@ def test_wavy_normal_forms():
                     " (app f x)))")]
     for f in progs:
         for variant in ("meta-shift", "full-cps"):
-            assert _wavy_normal(reverse_gradient_program(f, variant))
+            assert wavy_normal(reverse_gradient_program(f, variant))
 
 
 # --- normalize_tail -----------------------------------------------------------
@@ -149,7 +142,7 @@ def test_translation_calls_grow_linearly(variant):
 def test_let_renaming_does_not_leak_between_translations(variant):
     # fresh names repeat across programs, so a renaming recorded while
     # translating one program must not reach the next one; b is the
-    # second-order input grad_reverse_of_reverse builds, with lets of pairs
+    # second-order input the reverse2 mode builds, with lets of pairs
     # that stay lets and names that a's renamed lets also use
     spec = CorpusSpec()
     a = random_program(spec, 3)
@@ -159,7 +152,7 @@ def test_let_renaming_does_not_leak_between_translations(variant):
     reverse_gradient_program(a, variant)
     again = reverse_gradient_program(b, variant)
     assert pretty(again) == first
-    assert apply_real(again, 0.5) == grad_reverse(b, 0.5, "target-shift")
+    assert real_fn(again)(0.5) == gradient_fn(b, "reverse-target-shift")(0.5)
 
 
 def _nested_sum(depth):
@@ -195,7 +188,7 @@ def test_translation_fits_the_default_recursion_limit(variant):
     finally:
         sys.setrecursionlimit(saved)
     if variant == "stage_reverse":
-        assert ir_eval(prog, 0.5) == grad_reverse(f, 0.5, "target-shift")
+        assert ir_eval(prog, 0.5) == gradient_fn(f, "reverse-target-shift")(0.5)
     elif variant == "fwd_transform":
         run = Let("x", Pair(Const(0.5), Const(1.0)), Snd(prog))
         assert eval_expr(run)[0] == 901.0
@@ -212,16 +205,17 @@ def test_translation_fits_the_default_recursion_limit(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_grad_reverse_values(variant):
-    assert grad_reverse(SQUARE, 3.0, variant) == 6.0
-    assert grad_reverse(parse("(lam x x)"), 1.0, variant) == 1.0
-    assert grad_reverse(CUBIC, 1.0, variant) == 5.0
-    assert grad_reverse(CUBIC, 2.0, variant) == 14.0
+    assert gradient_fn(SQUARE, MODE[variant])(3.0) == 6.0
+    assert gradient_fn(parse("(lam x x)"), MODE[variant])(1.0) == 1.0
+    cubic = gradient_fn(CUBIC, MODE[variant])
+    assert cubic(1.0) == 5.0
+    assert cubic(2.0) == 14.0
 
 
 def test_fanout_accumulates():
     # x used twice: gradient of x*x is 2x via the += sum
     for variant in VARIANTS:
-        assert grad_reverse(SQUARE, 5.0, variant) == 10.0
+        assert gradient_fn(SQUARE, MODE[variant])(5.0) == 10.0
 
 
 def test_variants_bitwise_equal_on_corpus():
@@ -238,9 +232,9 @@ def test_forward_reverse_agreement_on_corpus():
     spec = CorpusSpec(count=60)
     for i in range(spec.count):
         f = random_program(spec, i)
+        grad_f, grad_r = gradient_fn(f, "forward"), gradient_fn(f, "reverse-meta-shift")
         for x in PROBES:
-            fwd = grad_forward(f, x)
-            rev = grad_reverse(f, x, "meta-shift")
+            fwd, rev = grad_f(x), grad_r(x)
             assert abs(rev - fwd) <= 1e-10 * max(1.0, abs(fwd))
 
 
@@ -270,34 +264,30 @@ def test_primal_preservation():
 
 def test_reverse_of_reverse_values():
     # d2/dx2 (2x + x^3) = 6x; d2/dx2 x^2 = 2
-    assert grad_reverse_of_reverse(CUBIC, 1.0) == 6.0
-    assert grad_reverse_of_reverse(SQUARE, 5.0) == 2.0
+    assert gradient_fn(CUBIC, "reverse2")(1.0) == 6.0
+    assert gradient_fn(SQUARE, "reverse2")(5.0) == 2.0
 
 
 def test_reverse_of_reverse_matches_tagged_on_corpus(monkeypatch):
     # reduced corpus: second-order composition squares the program size
     monkeypatch.setattr(gradcheck, "OPS_PER_PROGRAM", 8)
     spec = CorpusSpec(count=25)
-    from adlc.runtime import dual_fn
-
     for i in range(spec.count):
         f = random_program(spec, i)
-        host = dual_fn(f)
+        rev2, fwd2 = gradient_fn(f, "reverse2"), gradient_fn(f, "forward2")
         for x in (-1.5, -0.5, 0.5, 1.5):
-            r2 = grad_reverse_of_reverse(f, x)
-            f2 = grad_forward_tagged(host, x, order=2)
+            r2, f2 = rev2(x), fwd2(x)
             assert abs(r2 - f2) <= 1e-9 * max(1.0, abs(f2))
 
 
 def test_grad_reverse_control_flow_unstaged():
     ife = parse("(lam x (if (> x 0.0) (* (* -1.0 x) x) (* x x)))")
-    assert grad_reverse(ife, 2.0, "meta-shift") == -4.0
-    assert grad_reverse(ife, -2.0, "meta-shift") == -4.0
+    assert gradient_fn(ife, "reverse-meta-shift")(2.0) == -4.0
+    assert gradient_fn(ife, "reverse-meta-shift")(-2.0) == -4.0
     whf = parse("(lam x (letrec f (lam t (if (> t 1.0) (app f (* t 0.5)) t))"
                 " (app f x)))")
-    assert grad_reverse(whf, 8.0, "meta-shift") == 0.125
-    assert grad_reverse(whf, 8.0, "target-shift") == 0.125
-    assert grad_reverse(whf, 8.0, "full-cps") == 0.125
+    for variant in ("meta-shift", "target-shift", "full-cps"):
+        assert gradient_fn(whf, MODE[variant])(8.0) == 0.125
 
 
 def test_full_cps_non_real_const_applies_continuation_directly():
@@ -313,5 +303,6 @@ def test_meta_shift_case_lifts_shared_join():
     f = parse("(lam x (if (> x 0.0) (* x x) (+ x x)))")
     prog = reverse_gradient_program(f, "meta-shift")
     assert not contains_control(prog)
+    meta, target = gradient_fn(f, "reverse-meta-shift"), gradient_fn(f, "reverse-target-shift")
     for x in (2.0, -2.0):
-        assert grad_reverse(f, x, "meta-shift") == grad_reverse(f, x, "target-shift")
+        assert meta(x) == target(x)

@@ -12,12 +12,11 @@ from adlc.gradcheck import (
 )
 from adlc.interp import EvalError, eval_expr
 from adlc.runtime import (
-    Dual, FunRun, NumF, RevNum, RuntimeADError, TapeRun, d_add, d_mul, grad_cps, grad_cps_expr,
-    grad_dual_expr, grad_dual_tagged, grad_forward_over_reverse,
-    grad_functional, grad_functional_expr, grad_naive, grad_tape,
-    grad_tape_expr, map_add, perturbation_confusion_probe,
+    Dual, FunRun, NumF, RevNum, RuntimeADError, TapeRun, d_add, d_mul,
+    forward_over_reverse_gradient, grad_cps, grad_cps_expr, grad_dual_expr,
+    grad_dual_tagged, grad_functional, grad_functional_expr, grad_naive,
+    grad_tape, grad_tape_expr, map_add, probe_outer_gradients,
 )
-from adlc.reverse import grad_reverse_of_reverse
 from adlc.syntax import Add, Const, Lam, Let, Var, parse
 from scaling import seeded_chain
 
@@ -51,14 +50,12 @@ def test_tagged_nesting_distinct_tags():
 
 
 def test_perturbation_confusion_probe_values():
-    naive, tagged = perturbation_confusion_probe()
-    assert naive == 2.0  # the confused answer
-    assert tagged == 1.0  # the correct answer
+    seen = probe_outer_gradients()
+    assert seen["naive"] == 2.0  # the confused answer
+    assert seen["tagged"] == 1.0  # the correct answer
 
 
 def test_probe_outer_gradients():
-    from adlc.runtime import probe_outer_gradients
-
     d = probe_outer_gradients()
     assert d["tagged_outer"] == 1.0
 
@@ -102,23 +99,23 @@ def test_adjoint_map_point_update():
 
 def test_reverse_runtimes_bitwise_equal_on_corpus():
     spec = CorpusSpec(count=50)
-    from adlc.reverse import grad_reverse
-
     for i in range(spec.count):
         f = random_program(spec, i)
+        transformed = gradient_fn(f, "reverse-target-shift")
         for x in PROBES:
             a = grad_cps_expr(f, x)
             assert a == grad_tape_expr(f, x)
             assert a == grad_functional_expr(f, x)
-            assert a == grad_reverse(f, x, "target-shift")
+            assert a == transformed(x)
 
 
 def test_reverse_runtimes_on_tagged_duals_are_forward_over_reverse():
     # a run's number type is its input's: on a tagged dual input, every
     # reverse runtime's input adjoint carries the second derivative
     for f in corpus(CorpusSpec(42, count=60)):
+        second = forward_over_reverse_gradient(f)
         for x in DEFAULT_PROBES:
-            want = grad_forward_over_reverse(f, x).hex()
+            want = second(x).hex()
             for grad in (grad_cps_expr, grad_tape_expr, grad_functional_expr):
                 g = grad(f, Dual(x, 1.0, 1))
                 assert (g.d if type(g) is Dual else 0.0).hex() == want
@@ -158,14 +155,15 @@ def test_a_shifting_operation_needs_a_runtime_run():
 # --- second order ----------------------------------------------------------------
 
 def test_forward_over_reverse_cubic():
+    second = forward_over_reverse_gradient(CUBIC)
     for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        assert grad_forward_over_reverse(CUBIC, x) == 6.0 * x
+        assert second(x) == 6.0 * x
 
 
 def test_forward_over_reverse_square_constant():
-    sq = parse("(lam x (* x x))")
+    second = forward_over_reverse_gradient(parse("(lam x (* x x))"))
     for x in (-3.0, 0.25, 7.0):
-        assert grad_forward_over_reverse(sq, x) == 2.0
+        assert second(x) == 2.0
 
 
 def test_forward_over_reverse_matches_reverse_of_reverse(monkeypatch):
@@ -173,9 +171,10 @@ def test_forward_over_reverse_matches_reverse_of_reverse(monkeypatch):
     spec = CorpusSpec(count=20)
     for i in range(spec.count):
         f = random_program(spec, i)
+        fwd_rev, rev_rev = forward_over_reverse_gradient(f), gradient_fn(f, "reverse2")
         for x in (-1.5, 0.5, 1.5):
-            a = grad_forward_over_reverse(f, x)
-            b = grad_reverse_of_reverse(f, x)
+            a = fwd_rev(x)
+            b = rev_rev(x)
             assert abs(b - a) <= 1e-9 * max(1.0, abs(a))
 
 
@@ -196,7 +195,7 @@ def test_bridges_run_programs_as_written():
         rev = {fns[m](x).hex() for m in ("cps", "tape", "functional",
                                           "reverse-meta-shift")}
         assert rev == {(6 * x * x).hex()}
-        assert grad_forward_over_reverse(f, x).hex() == fns["reverse2"](x).hex()
+        assert forward_over_reverse_gradient(f)(x).hex() == fns["reverse2"](x).hex()
 
 
 # --- translated bridges -------------------------------------------------------------
@@ -289,6 +288,6 @@ def test_runtimes_take_no_python_stack_per_operation():
             g = grad_tape_expr(f, x)
             assert math.isfinite(g)
             assert grad_cps_expr(f, x).hex() == grad_functional_expr(f, x).hex() == g.hex()
-            grad_forward_over_reverse(f, x)
+            forward_over_reverse_gradient(f)(x)
     finally:
         sys.setrecursionlimit(saved)

@@ -14,14 +14,13 @@ import pytest
 
 from adlc import ir
 from adlc.emit import MAX_INDENT, emit_c
-from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, random_program
+from adlc.gradcheck import DEFAULT_PROBES, CorpusSpec, gradient_fn, random_program
 from adlc.ir import (
     REAL, Bind, Call, CellAccum, CellNew, CellRead, CellSet, Cond, IRError, IRFunction,
     IRProgram, Jump, RetReal, Return, TapePush, ir_cell_op_count, ir_stmt_count, verify,
 )
 from adlc.ir_eval import DEFAULT_DEPTH_LIMIT, IREvalError, _compiled_tier, interpret, ir_eval
 from adlc.ir_opt import ir_optimize
-from adlc.reverse import grad_reverse
 from adlc.runtime import grad_tape_expr
 from adlc.staging import (
     StagingError, TreeData, parse_tree, stage_reverse, stage_tree, tree_to_expr,
@@ -41,17 +40,8 @@ RUNAWAY = parse("(lam x (letrec f (lam t (if (> t 1.0)"
                 " (app f (* t 2.0)) t)) (app f x)))")
 
 
-def _stmts(block):
-    for s in block:
-        yield s
-        if isinstance(s, Cond):
-            yield from _stmts(s.then)
-            yield from _stmts(s.orelse)
-
-
 def _all_stmts(p: IRProgram):
-    for fn in p.functions.values():
-        yield from _stmts(fn.body)
+    return (s for fn in p.functions.values() for s in ir.walk(fn.body))
 
 
 # --- straight-line ---------------------------------------------------------------
@@ -81,7 +71,7 @@ def test_staged_equals_unstaged_straight_line():
         f = random_program(spec, i)
         p = stage_reverse(f)
         for x in (-2.0, -0.5, 1.0, 2.0):
-            assert ir_eval(p, x) == grad_reverse(f, x, "meta-shift")
+            assert ir_eval(p, x) == gradient_fn(f, "reverse-meta-shift")(x)
 
 
 # --- conditionals -----------------------------------------------------------------
@@ -96,7 +86,7 @@ def test_if_values():
 def test_if_bitwise_equal_to_unstaged():
     p = stage_reverse(IF_EXAMPLE)
     for x in (2.0, -2.0, 0.5, -0.5):
-        assert ir_eval(p, x) == grad_reverse(IF_EXAMPLE, x, "meta-shift")
+        assert ir_eval(p, x) == gradient_fn(IF_EXAMPLE, "reverse-meta-shift")(x)
 
 
 def test_if_continuation_body_exactly_once():
@@ -126,25 +116,17 @@ def test_while_value():
 def test_while_bitwise_equal_to_unstaged():
     p = stage_reverse(WHILE_EXAMPLE)
     for x in (8.0, 100.0, 0.5, 3.0):
-        assert ir_eval(p, x) == grad_reverse(WHILE_EXAMPLE, x, "meta-shift")
+        assert ir_eval(p, x) == gradient_fn(WHILE_EXAMPLE, "reverse-meta-shift")(x)
 
 
-def _tail_self_calls_only(p: IRProgram, fn_name: str) -> bool:
-    """Every call of fn_name inside fn_name sits in tail position."""
-    fn = p.functions[fn_name]
-
-    def check(block, tail: bool) -> bool:
-        for i, s in enumerate(block):
-            last = tail and i == len(block) - 1
-            if isinstance(s, Call) and s.target == fn_name:
-                if not last:
-                    return False
-            elif isinstance(s, Cond):
-                if not check(s.then, last) or not check(s.orelse, last):
-                    return False
-        return True
-
-    return check(fn.body, True)
+def loop_reenters_by_jump_only(p: IRProgram, fn_name: str) -> bool:
+    """The loop fn_name transfers to itself at least once, every such
+    transfer is a Jump, and no Call inside it names it: a staged loop runs
+    in constant stack."""
+    body = list(ir.walk(p.functions[fn_name].body))
+    jumps = [s for s in body if isinstance(s, Jump) and s.target == fn_name]
+    calls = [s for s in body if isinstance(s, Call) and s.target == fn_name]
+    return bool(jumps) and not calls
 
 
 def test_while_self_calls_in_tail_position():
@@ -152,7 +134,7 @@ def test_while_self_calls_in_tail_position():
     loops = [n for n in p.functions if n.startswith("loop") and "bwd" not in n]
     assert loops
     for n in loops:
-        assert _tail_self_calls_only(p, n)
+        assert loop_reenters_by_jump_only(p, n)
 
 
 def test_while_loop_signature_and_accumulation():
@@ -220,7 +202,7 @@ def test_letrec_non_loop_rejected():
     once = parse("(lam x (letrec f (lam t t) (+ (app f x) 1.0)))")
     p = stage_reverse(once)
     for x in (2.0, -0.5):
-        assert ir_eval(p, x).hex() == grad_reverse(once, x, "meta-shift").hex()
+        assert ir_eval(p, x).hex() == gradient_fn(once, "reverse-meta-shift")(x).hex()
     # a self-call whose result the body still uses is not a loop
     bad = parse("(lam x (letrec f (lam t (if (> t 1.0) (+ 1.0 (app f (* t 0.5))) t))"
                 " (app f x)))")
@@ -254,7 +236,7 @@ def test_staged_branch_may_not_assign_an_older_ref():
     f = parse("(lam x (if (> x 0.0) (let r (ref x) (seq (assign r (* x x)) (deref r))) x))")
     p = stage_reverse(f)
     for x in (2.0, -2.0):
-        assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+        assert ir_eval(p, x).hex() == gradient_fn(f, "reverse-meta-shift")(x).hex()
 
 
 def test_staged_branch_reads_a_ref_as_it_was_at_the_case():
@@ -264,7 +246,7 @@ def test_staged_branch_reads_a_ref_as_it_was_at_the_case():
               " (seq (assign r 5.0) (* y (deref r))))))")
     p = stage_reverse(f)
     for x in (2.0, -2.0):
-        assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+        assert ir_eval(p, x).hex() == gradient_fn(f, "reverse-meta-shift")(x).hex()
     assert [ir_eval(p, x) for x in (2.0, -2.0)] == [15.0, 5.0]
 
 
@@ -284,7 +266,7 @@ def test_staged_loop_body_may_not_assign_an_older_ref():
         f = parse(src)
         p = stage_reverse(f)
         for x in (5.0, 0.5):
-            assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+            assert ir_eval(p, x).hex() == gradient_fn(f, "reverse-meta-shift")(x).hex()
 
 
 def test_staged_loop_lifts_a_literal_argument():
@@ -293,7 +275,7 @@ def test_staged_loop_lifts_a_literal_argument():
     f = parse("(lam x (letrec f (lam n (if (> x n) (app f (+ n 1.0)) (* n x))) (app f 0.0)))")
     p = stage_reverse(f)
     for x in (3.5, -1.0, 0.25):
-        assert ir_eval(p, x).hex() == grad_reverse(f, x, "meta-shift").hex()
+        assert ir_eval(p, x).hex() == gradient_fn(f, "reverse-meta-shift")(x).hex()
     pair = parse("(lam x (letrec f (lam p (if (> (fst p) 1.0) (app f (pair (* (fst p) 0.5)"
                  " 0.0)) (fst p))) (app f (pair x 0.0))))")
     with pytest.raises(StagingError, match="loop argument is not a staged real"):
@@ -412,7 +394,7 @@ def test_tree_bitwise_equal_to_unstaged():
         t = parse_tree(src)
         unstaged = tree_to_expr(t, TREE_BODY)
         for x in (0.5, 1.0, 2.0):
-            assert ir_eval(p, x, tree=t) == grad_reverse(unstaged, x, "meta-shift")
+            assert ir_eval(p, x, tree=t) == gradient_fn(unstaged, "reverse-meta-shift")(x)
 
 
 def _pow2_tree(rng, depth):
@@ -477,10 +459,10 @@ def test_tree_fold_is_direct_style_with_one_record_per_node():
     # (value, cell); the body's backward work is one record
     p = stage_tree(TREE_BODY)
     rec = p.functions["rec"]
-    calls = [s for s in _stmts(rec.body) if isinstance(s, Call)]
+    calls = [s for s in ir.walk(rec.body) if isinstance(s, Call)]
     assert [(c.target, len(c.results)) for c in calls] == [("rec", 2), ("rec", 2)]
     assert sum(isinstance(s, TapePush) for s in _all_stmts(p)) == 1
-    assert sum(isinstance(s, RetReal) for s in _stmts(rec.body)) == 2
+    assert sum(isinstance(s, RetReal) for s in ir.walk(rec.body)) == 2
     [unwinding] = [s for s in _all_stmts(p) if isinstance(s, Call) and s.unwind]
     assert unwinding.target == "fold"
 
@@ -877,7 +859,7 @@ def test_loop_composites_staged_matches_unstaged(name):
     p = stage_reverse(f)
     po = ir_optimize(p)
     for x in (8.0, 37.5, 0.3, 0.5, 100.0, 3.0):
-        want = grad_reverse(f, x, "meta-shift").hex()
+        want = gradient_fn(f, "reverse-meta-shift")(x).hex()
         assert [run(q, x).hex() for run in (ir_eval, interpret) for q in (p, po)] == [want] * 4
 
 
@@ -886,7 +868,7 @@ def test_loop_composites_staged_matches_unstaged(name):
 def _loop_fn(p: IRProgram) -> IRFunction:
     """The one function of p that jumps to itself."""
     [fn] = [fn for fn in p.functions.values()
-            if any(isinstance(s, Jump) and s.target == fn.name for s in _stmts(fn.body))]
+            if any(isinstance(s, Jump) and s.target == fn.name for s in ir.walk(fn.body))]
     return fn
 
 
@@ -897,7 +879,7 @@ def test_literal_operands_get_no_adjoint_cell():
     # cells, and three captures for + or four for *)
     for step in ("(+ t -1.0)", "(* t 0.997)"):
         f = parse(f"(lam x (letrec f (lam t (if (> t 1.0) (app f {step}) t)) (app f x)))")
-        body = list(_stmts(_loop_fn(ir_optimize(stage_reverse(f))).body))
+        body = list(ir.walk(_loop_fn(ir_optimize(stage_reverse(f))).body))
         assert sum(isinstance(s, CellNew) for s in body) == 1
         assert [len(s.captures) for s in body if isinstance(s, TapePush)] == [2]
 

@@ -138,22 +138,38 @@ def _trees(root: str) -> list:
                     for d in range(1, 5)]
 
 
-def _tree_fold_lines(root: str):
-    from adlc.gradcheck import DEFAULT_PROBES
-    from adlc.ir_eval import ir_eval
-    from adlc.ir_opt import ir_optimize
-    from adlc.staging import stage_tree
+def _tree_fold(root: str):
+    """programs/tree_fold.sexp, parsed."""
     from adlc.syntax import parse
 
     with open(os.path.join(root, "programs", "tree_fold.sexp"), encoding="utf-8") as fh:
-        body = parse(fh.read())
-    trees = _trees(root)
+        return parse(fh.read())
+
+
+def _staged(stage, f):
+    """(opt, program, build error) for stage(f) as staged ("none") and
+    after ir_optimize ("all"); a build that raises has program None and
+    its error recorded."""
+    from adlc.ir_opt import ir_optimize
+
     for opt in ("none", "all"):
         try:
-            prog = stage_tree(body)
-            prog = ir_optimize(prog) if opt == "all" else prog
+            prog = stage(f)
+            prog, err = ir_optimize(prog) if opt == "all" else prog, None
         except Exception as ex:  # recorded, not raised
-            yield f"tree_fold.sexp\t{opt}\tbuild\t{_err(ex)}"
+            prog, err = None, _err(ex)
+        yield opt, prog, err
+
+
+def _tree_fold_lines(root: str):
+    from adlc.gradcheck import DEFAULT_PROBES
+    from adlc.ir_eval import ir_eval
+    from adlc.staging import stage_tree
+
+    trees = _trees(root)
+    for opt, prog, err in _staged(stage_tree, _tree_fold(root)):
+        if err:
+            yield f"tree_fold.sexp\t{opt}\tbuild\t{err}"
             continue
         for name, tree in trees:
             for x in DEFAULT_PROBES:
@@ -166,12 +182,12 @@ def gradient_lines(root: str):
     from adlc.ir_eval import ir_eval
     from adlc.ir_opt import ir_optimize
     from adlc.runtime import (
-        cps_gradient, grad_forward_over_reverse, tape_gradient,
+        cps_gradient, forward_over_reverse_gradient, tape_gradient,
     )
     from adlc.staging import stage_reverse
 
     builders = dict(MODES, primal=primal_fn)
-    builders["forward-over-reverse"] = lambda f: partial(grad_forward_over_reverse, f)
+    builders["forward-over-reverse"] = forward_over_reverse_gradient
     builders["staged-opt"] = lambda f: partial(ir_eval, ir_optimize(stage_reverse(f)))
     builders["trace-cps"] = lambda f: _trace(cps_gradient(f))
     builders["trace-tape"] = lambda f: _trace(tape_gradient(f))
@@ -195,20 +211,14 @@ def gradient_lines(root: str):
 def interpreted_lines(root: str):
     from adlc.gradcheck import DEFAULT_PROBES
     from adlc.ir_eval import DEFAULT_DEPTH_LIMIT, interpret
-    from adlc.ir_opt import ir_optimize
     from adlc.staging import stage_reverse, stage_tree
-    from adlc.syntax import parse
 
     staged = [(name, stage_reverse, f, [(None, None)]) for name, f in _programs(root)]
-    with open(os.path.join(root, "programs", "tree_fold.sexp"), encoding="utf-8") as fh:
-        staged.append(("tree_fold.sexp", stage_tree, parse(fh.read()), _trees(root)))
+    staged.append(("tree_fold.sexp", stage_tree, _tree_fold(root), _trees(root)))
     for name, stage, f, trees in staged:
-        for opt in ("none", "all"):
-            try:
-                prog = stage(f)
-                prog = ir_optimize(prog) if opt == "all" else prog
-            except Exception as ex:  # recorded, not raised
-                yield f"{name}\t{opt}\tbuild\t{_err(ex)}"
+        for opt, prog, err in _staged(stage, f):
+            if err:
+                yield f"{name}\t{opt}\tbuild\t{err}"
                 continue
             for tree_name, tree in trees:
                 for limit in (DEFAULT_DEPTH_LIMIT, 64, 3, 2):
@@ -252,16 +262,13 @@ def transform_lines(root: str):
 
 def emitted_lines(root: str):
     from adlc.emit import emit_c
-    from adlc.ir_opt import ir_optimize
     from adlc.staging import stage_reverse, stage_tree
-    from adlc.syntax import parse
 
     staged = [(name, stage_reverse, f) for name, f in _programs(root)]
-    with open(os.path.join(root, "programs", "tree_fold.sexp"), encoding="utf-8") as fh:
-        staged.append(("tree_fold.sexp:tree", stage_tree, parse(fh.read())))
+    staged.append(("tree_fold.sexp:tree", stage_tree, _tree_fold(root)))
     for name, stage, f in staged:
-        yield f"{name}\tnone\n{_attempt(lambda: emit_c(stage(f)))}"
-        yield f"{name}\tall\n{_attempt(lambda: emit_c(ir_optimize(stage(f))))}"
+        for opt, prog, err in _staged(stage, f):
+            yield f"{name}\t{opt}\n{err or _attempt(lambda: emit_c(prog))}"
 
 
 def report_lines():
